@@ -432,14 +432,19 @@ def cmd_eval(values: dict, seed: int, out_dir: str, args: argparse.Namespace) ->
 
 
 def _stage(name: str):
-    """Context manager tagging any pipeline failure with its stage name."""
+    """Context manager tagging any pipeline failure with its stage name.
+
+    Logs `stage=<name> seconds=<t>` at INFO when the stage exits.
+    """
 
     class _Tag:
         def __enter__(self):
             _log.debug("stage %s", name)
+            self.t0 = time.perf_counter()
             return self
 
         def __exit__(self, exc_type, exc, tb):
+            _log.info("stage=%s seconds=%.3f", name, time.perf_counter() - self.t0)
             if exc is not None and isinstance(exc, GeyserStateError):
                 raise type(exc)(f"stage {name}: {exc}") from exc
             return False

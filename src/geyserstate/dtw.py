@@ -2,8 +2,12 @@
 
 Distances run on mean-pooled windows (12000-sample windows pool to 600 by
 default) because the full quadratic grid is two orders of magnitude more
-work per pair without changing the neighbor ranking in practice.  The DP is
-vectorized along anti-diagonals so the inner loop is numpy, not Python.
+work per pair without changing the neighbor ranking in practice.  One
+kernel, `_dtw_batch`, holds the warping recurrence: it sweeps anti-diagonals
+for a whole stack of equal-length references at once, keeping three rolling
+(n+1, R) diagonal buffers, so memory is O(R*n) and neither the cost matrix
+nor the (n+1)^2 accumulator is ever built.  `dtw_distance` is the R = 1 case
+and `knn_dtw_classify` makes one sweep per reference length.
 """
 
 from __future__ import annotations
@@ -59,61 +63,75 @@ def _z_normalize(x: np.ndarray) -> np.ndarray:
     return centered / sd if sd > 0 else centered
 
 
-def dtw_distance(a: np.ndarray, b: np.ndarray, params: DtwParams | None = None) -> float:
-    """Alignment cost D(|a|,|b|) of the standard warping recurrence.
+def _dtw_batch(refs: np.ndarray, query: np.ndarray, params: DtwParams) -> np.ndarray:
+    """Warping distance from `query` to every row of an (R, n) reference stack.
 
-    D(i,j) = cost(a_i, b_j) + min(D(i-1,j), D(i,j-1), D(i-1,j-1)) with
-    D(0,0) = 0 and +inf boundaries.  An optional Sakoe-Chiba band keeps
-    |i - j| <= band_radius; a band narrower than the length difference
-    admits no path and is rejected.
+    D(i,j) = cost(ref_i, q_j) + min(D(i-1,j), D(i,j-1), D(i-1,j-1)) with
+    D(0,0) = 0 and +inf boundaries, swept along anti-diagonals s = i + j.
+    Every cell on diagonal s depends only on diagonals s-1 and s-2, so three
+    rolling (n+1, R) buffers indexed by i hold the whole state and each
+    sweep step is a contiguous slice per buffer.  An optional Sakoe-Chiba
+    band keeps |i - j| = |2i - s| <= band_radius; a band narrower than the
+    length difference admits no path and is rejected.
     """
+    n_refs, n = refs.shape
+    m = query.size
+    if n == 0 or m == 0:
+        raise DataError("warping distance needs non-empty series")
+    r = params.band_radius
+    if r is not None and abs(n - m) > r:
+        raise DataError(f"band radius {r} admits no path between lengths {n} and {m}")
+    refs_t = np.ascontiguousarray(refs.T)
+    # q[s-i-1] for i = lo..hi is the contiguous slice q_rev[m-s+lo : m-s+hi+1]
+    q_rev = query[::-1].copy()[:, None]
+    bufs = [np.full((n + 1, n_refs), np.inf) for _ in range(3)]
+    bufs[0][0] = 0.0  # D(0,0), on diagonal s = 0
+    cost = np.empty((n, n_refs))
+    best = np.empty((n, n_refs))
+    for s in range(2, n + m + 1):
+        lo = max(1, s - m)
+        hi = min(n, s - 1)
+        diag, edge, cur = bufs[(s - 2) % 3], bufs[(s - 1) % 3], bufs[s % 3]
+        c = cost[: hi - lo + 1]
+        np.subtract(refs_t[lo - 1:hi], q_rev[m - s + lo:m - s + hi + 1], out=c)
+        if params.local_cost == "squared":
+            np.multiply(c, c, out=c)
+        else:
+            np.abs(c, out=c)
+        if r is not None:
+            c[: max(0, (s - r + 1) // 2 - lo)] = np.inf
+            c[max(0, (s + r) // 2 - lo + 1):] = np.inf
+        b = best[: hi - lo + 1]
+        np.minimum(edge[lo - 1:hi], edge[lo:hi + 1], out=b)
+        np.minimum(b, diag[lo - 1:hi], out=b)
+        np.add(c, b, out=cur[lo:hi + 1])
+        if s == 2:
+            # this buffer is reused for diagonal 3, where row 0 is D(0,3) = inf
+            diag[0] = np.inf
+    result = bufs[(n + m) % 3][n].copy()
+    if not np.all(np.isfinite(result)):
+        raise DataError("band admits no complete warping path")
+    return result
+
+
+def dtw_distance(a: np.ndarray, b: np.ndarray, params: DtwParams | None = None) -> float:
+    """Alignment cost D(|a|,|b|) of the warping recurrence in `_dtw_batch`."""
     params = params or DtwParams()
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1 or a.size == 0 or b.size == 0:
         raise DataError("dtw_distance needs two non-empty 1-D series")
-    na, nb = a.size, b.size
-    r = params.band_radius
-    if r is not None and abs(na - nb) > r:
-        raise DataError(
-            f"band radius {r} admits no path between lengths {na} and {nb}"
-        )
-    if params.local_cost == "squared":
-        cost = (a[:, None] - b[None, :]) ** 2
-    else:
-        cost = np.abs(a[:, None] - b[None, :])
-    if r is not None:
-        i_idx = np.arange(na)[:, None]
-        j_idx = np.arange(nb)[None, :]
-        cost = np.where(np.abs(i_idx - j_idx) <= r, cost, np.inf)
-
-    acc = np.full((na + 1, nb + 1), np.inf)
-    acc[0, 0] = 0.0
-    # Sweep anti-diagonals: every cell on diagonal s = i + j depends only on
-    # diagonals s-1 and s-2, so each sweep is one vectorized update.
-    for s in range(2, na + nb + 1):
-        lo = max(1, s - nb)
-        hi = min(na, s - 1)
-        if lo > hi:
-            continue
-        i = np.arange(lo, hi + 1)
-        j = s - i
-        best = np.minimum(acc[i - 1, j], acc[i, j - 1])
-        best = np.minimum(best, acc[i - 1, j - 1])
-        acc[i, j] = cost[i - 1, j - 1] + best
-    result = float(acc[na, nb])
-    if not np.isfinite(result):
-        raise DataError("band admits no complete warping path")
-    return result
+    return float(_dtw_batch(a[None, :], b, params)[0])
 
 
 def knn_dtw_classify(train: list, query: np.ndarray, params: DtwParams | None = None) -> int:
-    """Label of the k nearest training windows under dtw_distance.
+    """Label of the k nearest training windows under the warping distance.
 
     Majority vote; a vote tie goes to the tied class with the smallest
     neighbor distance, and an exact distance tie to the lowest class label.
     Training windows are (samples, label) pairs or objects with .samples
     and .label; everything is pooled (and optionally z-normalized) first.
+    Windows of equal pooled length share one `_dtw_batch` sweep.
     """
     params = params or DtwParams()
     if not train:
@@ -128,7 +146,12 @@ def knn_dtw_classify(train: list, query: np.ndarray, params: DtwParams | None = 
     q = mean_pool(np.asarray(query, dtype=np.float64), params.downsample_to)
     if params.z_normalize:
         q = _z_normalize(q)
-    distances = np.array([dtw_distance(w, q, params) for w in prepared])
+    groups: dict[int, list[int]] = {}
+    for i, w in enumerate(prepared):
+        groups.setdefault(w.size, []).append(i)
+    distances = np.empty(len(prepared))
+    for members in groups.values():
+        distances[members] = _dtw_batch(np.stack([prepared[i] for i in members]), q, params)
     order = np.argsort(distances, kind="stable")
     top = order[: min(params.k_neighbors, order.size)]
     top_labels = np.array([labels[i] for i in top])
@@ -182,15 +205,20 @@ def load_reference(path: str) -> tuple[list[tuple[np.ndarray, int]], DtwParams]:
                 windows.append(
                     (np.array([float(v) for v in cells[2:]]), int(cells[1]))
                 )
-    except (ValueError, OSError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         raise DataError(f"malformed reference file {path}: {exc}") from exc
     if not windows or not params_kv:
         raise DataError(f"malformed reference file {path}: missing params or windows")
-    params = DtwParams(
-        k_neighbors=int(params_kv["k_neighbors"]),
-        local_cost=params_kv["local_cost"],
-        band_radius=None if params_kv["band_radius"] == "None" else int(params_kv["band_radius"]),
-        downsample_to=int(params_kv["downsample_to"]),
-        z_normalize=bool(int(params_kv["z_normalize"])),
-    )
+    try:
+        params = DtwParams(
+            k_neighbors=int(params_kv["k_neighbors"]),
+            local_cost=params_kv["local_cost"],
+            band_radius=None if params_kv["band_radius"] == "None" else int(params_kv["band_radius"]),
+            downsample_to=int(params_kv["downsample_to"]),
+            z_normalize=bool(int(params_kv["z_normalize"])),
+        )
+    except KeyError as exc:
+        raise DataError(f"malformed reference file {path}: params line lacks {exc}") from None
+    except ValueError as exc:
+        raise DataError(f"malformed reference file {path}: {exc}") from None
     return windows, params

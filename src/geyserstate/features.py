@@ -580,18 +580,26 @@ def load_feature_mask(path: str, catalog: FeatureCatalog) -> FeatureMask:
     p_values: list[float] = []
     selected: list[bool] = []
     version: str | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line.startswith("# catalog="):
-                version = line.partition("=")[2]
-                continue
-            if not line or line.startswith("#") or line.startswith("feature_name"):
-                continue
-            name, p, sel = line.split(",")
-            names.append(name)
-            p_values.append(float(p))
-            selected.append(bool(int(sel)))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line.startswith("# catalog="):
+                    version = line.partition("=")[2]
+                    continue
+                if not line or line.startswith("#") or line.startswith("feature_name"):
+                    continue
+                try:
+                    name, p, sel = line.split(",")
+                    p_values.append(float(p))
+                    selected.append(bool(int(sel)))
+                except ValueError:
+                    raise DataError(
+                        f"malformed mask row in {path} at line {lineno}: {line!r}"
+                    ) from None
+                names.append(name)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read feature mask {path}: {exc}") from None
     if version != catalog.version:
         raise DataError(f"mask built for catalog {version!r}, expected {catalog.version!r}")
     if names != catalog.names:

@@ -322,15 +322,20 @@ def save_timeseries(ts: TimeSeries, path: str, header_comments: list[str] | None
 def load_events(path: str) -> EventLog:
     """Read an event file: one onset timestamp per line, `#` comments allowed."""
     times: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                times.append(float(line))
-            except ValueError:
-                raise DataError(f"malformed event at line {lineno}: {line!r}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    times.append(float(line))
+                except ValueError:
+                    raise DataError(
+                        f"malformed event in {path} at line {lineno}: {line!r}"
+                    ) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read events file {path}: {exc}") from None
     return EventLog(np.asarray(times))
 
 
@@ -340,30 +345,3 @@ def save_events(events: EventLog, path: str, header_comments: list[str] | None =
             fh.write(f"# {comment}\n")
         for t in events.event_times_s:
             fh.write(f"{float(t)!r}\n")
-
-
-def save_window_labels(windows: list[LabeledWindow], path: str,
-                       header_comments: list[str] | None = None) -> None:
-    """Labeled-window export: `window_start_s,label` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for comment in header_comments or []:
-            fh.write(f"# {comment}\n")
-        fh.write("window_start_s,label\n")
-        for w in windows:
-            fh.write(f"{w.start_s!r},{w.label}\n")
-
-
-def load_window_labels(path: str) -> list[tuple[float, int]]:
-    """Read the `window_start_s,label` export back as (start_s, label) pairs."""
-    rows: list[tuple[float, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("window_start_s"):
-                continue
-            parts = line.split(",")
-            try:
-                rows.append((float(parts[0]), int(parts[1])))
-            except (ValueError, IndexError):
-                raise DataError(f"malformed window row at line {lineno}: {line!r}") from None
-    return rows

@@ -6,12 +6,14 @@ the module-scoped `compare_runs` fixture executes the full default
 """
 
 import filecmp
+import logging
 import os
+import re
 
 import numpy as np
 import pytest
 
-from geyserstate.cli import main
+from geyserstate.cli import _stage, main
 
 TINY_CFG = """
 synth.duration_s = 240
@@ -240,6 +242,50 @@ def test_eval_label_mismatch_exits_3(tiny_cfg, tmp_path, capsys):
     assert "label mismatch" in capsys.readouterr().err
 
 
+# -- unreadable artifacts exit 3 and name the file ------------------------------------
+
+
+def _drop_events(tiny_cfg, out):
+    assert run("synth", "--config", tiny_cfg, "--out", out) == 0
+    os.remove(os.path.join(out, "events.csv"))
+    return run("filter", "--config", tiny_cfg, "--out", out), "events.csv"
+
+
+def _drop_mask(tiny_cfg, out):
+    assert _through_train(tiny_cfg, out) == 0
+    os.remove(os.path.join(out, "feature_mask.csv"))
+    return run("classify", "--config", tiny_cfg, "--out", out), "feature_mask.csv"
+
+
+def _garbage_mask_row(tiny_cfg, out):
+    assert _through_train(tiny_cfg, out) == 0
+    with open(os.path.join(out, "feature_mask.csv"), "a") as fh:
+        fh.write("garbage\n")
+    return run("classify", "--config", tiny_cfg, "--out", out), "feature_mask.csv"
+
+
+def _truncated_dtw_params(tiny_cfg, out):
+    assert _through_train(tiny_cfg, out, "--classifier", "dtw") == 0
+    path = os.path.join(out, "dtw_reference.csv")
+    lines = read(path).decode().splitlines()
+    lines = [l.split(" band_radius=")[0] if l.startswith("# params ") else l for l in lines]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    code = run("classify", "--config", tiny_cfg, "--out", out, "--classifier", "dtw")
+    return code, "dtw_reference.csv"
+
+
+@pytest.mark.parametrize(
+    "damage", [_drop_events, _drop_mask, _garbage_mask_row, _truncated_dtw_params],
+    ids=["filter-missing-events", "classify-missing-mask", "classify-garbage-mask-row",
+         "classify-dtw-truncated-params"],
+)
+def test_unreadable_artifact_exits_3_naming_file(tiny_cfg, tmp_path, capsys, damage):
+    code, name = damage(tiny_cfg, str(tmp_path / "o"))
+    assert code == 3
+    assert name in capsys.readouterr().err
+
+
 # -- global flags and exit codes -----------------------------------------------------
 
 
@@ -295,6 +341,13 @@ def test_pipeline_seed_changes_results_not_schema(tiny_cfg, tmp_path):
 
     for name in ("predictions.csv", "report.csv", "features.csv"):
         assert header(os.path.join(o1, name)) == header(os.path.join(o2, name))
+
+
+def test_stage_logs_its_wall_time(caplog):
+    caplog.set_level(logging.INFO, logger="geyserstate.cli")
+    with _stage("demo"):
+        pass
+    assert re.search(r"stage=demo seconds=\d+\.\d{3}", caplog.text)
 
 
 # -- full default comparison run (acceptance) ----------------------------------------

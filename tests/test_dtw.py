@@ -2,7 +2,7 @@
 
 Two oracles: exhaustive enumeration of every monotone warping path for tiny
 series, and an unvectorized double-loop DP for medium ones.  Both are
-independent of the anti-diagonal production code.
+independent of the batched anti-diagonal production kernel.
 """
 
 from functools import lru_cache
@@ -10,6 +10,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from geyserstate import dtw
 from geyserstate.dtw import (
     DtwParams,
     dtw_distance,
@@ -49,8 +50,9 @@ def path_enumeration_dtw(a, b, local_cost="squared"):
     return best(a.size - 1, b.size - 1)
 
 
-def plain_dp_dtw(a, b, local_cost="squared"):
-    """Textbook O(n*m) double loop, no vectorization."""
+def plain_dp_dtw(a, b, local_cost="squared", band_radius=None):
+    """Textbook O(n*m) double loop, no vectorization; cells outside an
+    optional Sakoe-Chiba band stay at +inf."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     na, nb = a.size, b.size
@@ -58,6 +60,8 @@ def plain_dp_dtw(a, b, local_cost="squared"):
     acc[0, 0] = 0.0
     for i in range(1, na + 1):
         for j in range(1, nb + 1):
+            if band_radius is not None and abs(i - j) > band_radius:
+                continue
             d = a[i - 1] - b[j - 1]
             c = d * d if local_cost == "squared" else abs(d)
             acc[i, j] = c + min(acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1])
@@ -209,6 +213,64 @@ def test_knn_exact_distance_tie_lowest_class():
     ]
     # Both neighbors sit at identical distance from the zero query.
     assert knn_dtw_classify(train, np.zeros(2), DtwParams(k_neighbors=2)) == 2
+
+
+def _recorded_batches(monkeypatch):
+    """Record every (refs, query, distances) sweep knn_dtw_classify makes."""
+    calls = []
+    kernel = dtw._dtw_batch
+
+    def recording(refs, query, params):
+        out = kernel(refs, query, params)
+        calls.append((refs.copy(), query.copy(), out.copy()))
+        return out
+
+    monkeypatch.setattr(dtw, "_dtw_batch", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        DtwParams(local_cost="squared"),
+        DtwParams(local_cost="absolute"),
+        DtwParams(local_cost="squared", band_radius=6),
+        DtwParams(local_cost="absolute", band_radius=6),
+    ],
+    ids=["squared", "absolute", "squared-band", "absolute-band"],
+)
+def test_knn_batched_distances_equal_plain_dp_exactly(monkeypatch, params):
+    rng = np.random.default_rng(43)
+    lengths = [30, 25, 30, 34, 25, 30, 34]
+    train = [_window(rng.normal(size=n), 1 + i % 3) for i, n in enumerate(lengths)]
+    query = rng.normal(size=30)
+    calls = _recorded_batches(monkeypatch)
+    knn_dtw_classify(train, query, params)
+    # one sweep per length group, covering every reference once
+    assert sorted(refs.shape[1] for refs, _, _ in calls) == [25, 30, 34]
+    swept = sorted(tuple(row) for refs, _, _ in calls for row in refs)
+    assert swept == sorted(tuple(w) for w, _ in train)
+    for refs, q, distances in calls:
+        assert np.array_equal(q, query)
+        for ref, got in zip(refs, distances):
+            assert got == plain_dp_dtw(ref, q, params.local_cost, params.band_radius)
+
+
+def test_knn_band_rejecting_a_length_group_raises():
+    rng = np.random.default_rng(47)
+    train = [_window(rng.normal(size=20), 1), _window(rng.normal(size=30), 2)]
+    with pytest.raises(DataError, match="admits no path"):
+        knn_dtw_classify(train, rng.normal(size=20), DtwParams(band_radius=5))
+
+
+def test_knn_label_is_argmin_of_pairwise_distance():
+    rng = np.random.default_rng(53)
+    params = DtwParams(downsample_to=40)
+    train = [_window(rng.normal(size=int(rng.integers(30, 50))), 1 + i % 3) for i in range(12)]
+    for _ in range(5):
+        query = rng.normal(size=40)
+        pairwise = [dtw_distance(mean_pool(w, 40), query, params) for w, _ in train]
+        assert knn_dtw_classify(train, query, params) == train[int(np.argmin(pairwise))][1]
 
 
 def test_knn_empty_train_raises():
