@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 
+from .artifacts import read_artifact, write_artifact
 from .config import (
     dtw_params,
     forest_params,
@@ -33,6 +34,7 @@ from .evaluation import evaluate, render_report
 from .features import (
     FeatureCatalog,
     build_feature_matrix,
+    check_catalog,
     default_catalog,
     load_feature_mask,
     median_impute,
@@ -100,37 +102,20 @@ def _class_counts(labeled: list[LabeledWindow]) -> dict[int, int]:
 
 def _save_medians(medians: np.ndarray, catalog: FeatureCatalog, path: str, seed: int) -> None:
     """Training-column medians used to impute NaN cells at inference time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in _seed_header(seed):
-            fh.write(f"# {line}\n")
-        fh.write(f"# catalog={catalog.version}\n")
-        fh.write("feature_name,median\n")
-        for name, m in zip(catalog.names, medians):
-            fh.write(f"{name},{float(m)!r}\n")
+    rows = (f"{name},{float(m)!r}" for name, m in zip(catalog.names, medians))
+    write_artifact(
+        path, [*_seed_header(seed), f"catalog={catalog.version}"], "feature_name,median", rows
+    )
 
 
 def _load_medians(path: str, catalog: FeatureCatalog) -> np.ndarray:
     names: list[str] = []
     medians: list[float] = []
-    version: str | None = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if line.startswith("# catalog="):
-                    version = line.partition("=")[2]
-                    continue
-                if not line or line.startswith("#") or line.startswith("feature_name"):
-                    continue
-                name, _, value = line.partition(",")
-                names.append(name)
-                medians.append(float(value))
-    except (OSError, ValueError) as exc:
-        raise DataError(f"malformed impute file {path}: {exc}") from None
-    if version != catalog.version:
-        raise DataError(f"impute file built for catalog {version!r}, expected {catalog.version!r}")
-    if names != catalog.names:
-        raise DataError("impute file feature names do not match the catalog")
+    with read_artifact(path, header=True) as art:
+        for name, value in art:
+            names.append(name)
+            medians.append(float(value))
+        check_catalog("impute file", art.meta.get("catalog"), names, catalog)
     return np.asarray(medians)
 
 
@@ -143,38 +128,37 @@ def _write_predictions(
     seed: int,
 ) -> None:
     """`window_start_s,true_label,predicted_label,votes_1,votes_2,votes_3`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in _seed_header(seed):
-            fh.write(f"# {line}\n")
-        fh.write("window_start_s,true_label,predicted_label,votes_1,votes_2,votes_3\n")
-        for s, t, p, v in zip(starts, true_labels, pred_labels, votes):
-            cells = ",".join(str(int(c)) for c in v)
-            fh.write(f"{float(s)!r},{int(t)},{int(p)},{cells}\n")
+    rows = (
+        f"{float(s)!r},{int(t)},{int(p)}," + ",".join(str(int(c)) for c in v)
+        for s, t, p, v in zip(starts, true_labels, pred_labels, votes)
+    )
+    header = "window_start_s,true_label,predicted_label,votes_1,votes_2,votes_3"
+    write_artifact(path, _seed_header(seed), header, rows)
 
 
 def _load_predictions(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     starts: list[float] = []
     true_labels: list[int] = []
     pred_labels: list[int] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#") or line.startswith("window_start_s"):
-                    continue
-                cells = line.split(",")
-                if len(cells) < 3:
-                    raise DataError(f"malformed prediction row at line {lineno}")
-                starts.append(float(cells[0]))
-                true_labels.append(int(cells[1]))
-                pred_labels.append(int(cells[2]))
-    except OSError as exc:
-        raise DataError(f"cannot read predictions file {path}: {exc}") from None
-    except ValueError as exc:
-        raise DataError(f"malformed predictions file {path}: {exc}") from None
-    if not starts:
-        raise DataError(f"predictions file {path} contains no rows")
+    with read_artifact(path, header=True) as art:
+        for cells in art:
+            starts.append(float(cells[0]))
+            true_labels.append(int(cells[1]))
+            pred_labels.append(int(cells[2]))
+        if not starts:
+            raise ValueError("no rows")
     return np.asarray(starts), np.asarray(true_labels), np.asarray(pred_labels)
+
+
+def _write_report(out_dir: str, suffix: str, seed: int, truth, preds) -> tuple[str, dict]:
+    """Score one set of predictions into report<suffix>.txt and .csv;
+    returns (the text report, the average metrics)."""
+    cm, per_class, averages = evaluate(truth, preds)
+    text, csv_text = render_report(cm, per_class, averages)
+    for ext, body in ((".txt", text), (".csv", csv_text)):
+        path = os.path.join(out_dir, f"report{suffix}{ext}")
+        write_artifact(path, _seed_header(seed), None, body.splitlines())
+    return text, averages
 
 
 def _full_votes(raw_votes: np.ndarray, classes: np.ndarray) -> np.ndarray:
@@ -374,11 +358,7 @@ def cmd_classify(values: dict, seed: int, out_dir: str, args: argparse.Namespace
         forest = load_forest(args.model or os.path.join(out_dir, "forest.txt"))
         mask = load_feature_mask(os.path.join(out_dir, "feature_mask.csv"), catalog)
         medians = _load_medians(os.path.join(out_dir, "impute.csv"), catalog)
-        if forest.catalog_version != catalog.version:
-            raise DataError(
-                f"forest built for catalog {forest.catalog_version!r}, "
-                f"expected {catalog.version!r}"
-            )
+        check_catalog("forest", forest.catalog_version, None, catalog)
         cols = np.flatnonzero(mask.selected)
         if cols.size != forest.n_features:
             raise DataError(
@@ -417,13 +397,7 @@ def cmd_eval(values: dict, seed: int, out_dir: str, args: argparse.Namespace) ->
     if starts.size != len(expected):
         extras = set(by_start) - {round(float(w.start_s), 6) for w in expected}
         raise DataError(f"predictions contain unknown windows: {sorted(extras)[:5]}")
-    cm, per_class, averages = evaluate(truth, preds)
-    text, csv_text = render_report(cm, per_class, averages)
-    seed_line = f"# seed={seed}\n"
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(seed_line + text)
-    with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as fh:
-        fh.write(seed_line + csv_text)
+    text, _ = _write_report(out_dir, "", seed, truth, preds)
     print(text, end="")
     return EXIT_OK
 
@@ -477,15 +451,15 @@ def _emit_event_traces(
         lo = max(0, int(round((e - PLOT_BEFORE_S - raw.t0_s) * raw.fs_hz)))
         hi = min(len(raw), int(round((e + PLOT_AFTER_S - raw.t0_s) * raw.fs_hz)))
         path = os.path.join(plots_dir, f"event_{k}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# seed={seed}\n")
-            fh.write(f"# event_time_s={float(e)!r}\n")
-            fh.write("timestamp_s,raw,bh,pef,class\n")
-            for i in range(lo, hi):
-                fh.write(
-                    f"{float(times[i])!r},{float(raw.values[i])!r},"
-                    f"{float(bh.values[i])!r},{float(residual.values[i])!r},{classes[i]}\n"
-                )
+        rows = (
+            f"{float(times[i])!r},{float(raw.values[i])!r},"
+            f"{float(bh.values[i])!r},{float(residual.values[i])!r},{classes[i]}"
+            for i in range(lo, hi)
+        )
+        write_artifact(
+            path, [*_seed_header(seed), f"event_time_s={float(e)!r}"],
+            "timestamp_s,raw,bh,pef,class", rows,
+        )
         written.append(path)
     return written
 
@@ -503,13 +477,7 @@ def _evaluate_arm(
     _write_predictions(
         os.path.join(out_dir, f"predictions{suffix}.csv"), starts, truth, preds, votes, seed
     )
-    cm, per_class, averages = evaluate(truth, preds)
-    text, csv_text = render_report(cm, per_class, averages)
-    seed_line = f"# seed={seed}\n"
-    with open(os.path.join(out_dir, f"report{suffix}.txt"), "w", encoding="utf-8") as fh:
-        fh.write(seed_line + text)
-    with open(os.path.join(out_dir, f"report{suffix}.csv"), "w", encoding="utf-8") as fh:
-        fh.write(seed_line + csv_text)
+    _, averages = _write_report(out_dir, suffix, seed, truth, preds)
     _log.info("arm %s: %.3f ms/window", name, per_window * 1e3)
     return {
         "starts": starts,
@@ -614,8 +582,7 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
                 m = summaries[name]["macro"]
                 w = summaries[name]["weighted"]
                 rows.append(f"{name},{m.precision:.6f},{m.recall:.6f},{m.f1:.6f},{w.f1:.6f}")
-            with open(os.path.join(out_dir, "comparison.csv"), "w", encoding="utf-8") as fh:
-                fh.write(f"# seed={seed}\n" + "\n".join(rows) + "\n")
+            write_artifact(os.path.join(out_dir, "comparison.csv"), header, None, rows)
             for row in rows:
                 print(row)
         else:

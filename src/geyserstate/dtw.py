@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_artifact, write_artifact
 from .errors import ConfigError, DataError
 
 LOCAL_COSTS = ("squared", "absolute")
@@ -167,58 +168,36 @@ def knn_dtw_classify(train: list, query: np.ndarray, params: DtwParams | None = 
 def save_reference(windows: list, path: str, params: DtwParams,
                    header_comments: list[str] | None = None) -> None:
     """Persist pooled labeled reference windows for the neighbor classifier."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for comment in header_comments or []:
-            fh.write(f"# {comment}\n")
-        fh.write("# dtw-reference v1\n")
-        fh.write(
-            f"# params k_neighbors={params.k_neighbors} local_cost={params.local_cost} "
-            f"band_radius={params.band_radius} downsample_to={params.downsample_to} "
-            f"z_normalize={int(params.z_normalize)}\n"
-        )
-        for item in windows:
-            samples, label = (item.samples, item.label) if hasattr(item, "samples") else item
-            start = getattr(item, "start_s", 0.0)
-            pooled = mean_pool(np.asarray(samples, dtype=np.float64), params.downsample_to)
-            cells = ",".join(repr(float(v)) for v in pooled)
-            fh.write(f"{float(start)!r},{int(label)},{cells}\n")
+    comments = [
+        *(header_comments or []),
+        "dtw-reference v1",
+        f"params k_neighbors={params.k_neighbors} local_cost={params.local_cost} "
+        f"band_radius={params.band_radius} downsample_to={params.downsample_to} "
+        f"z_normalize={int(params.z_normalize)}",
+    ]
+    write_artifact(path, comments, None, (_reference_row(item, params) for item in windows))
+
+
+def _reference_row(item, params: DtwParams) -> str:
+    samples, label = (item.samples, item.label) if hasattr(item, "samples") else item
+    start = getattr(item, "start_s", 0.0)
+    pooled = mean_pool(np.asarray(samples, dtype=np.float64), params.downsample_to)
+    cells = ",".join(repr(float(v)) for v in pooled)
+    return f"{float(start)!r},{int(label)},{cells}"
 
 
 def load_reference(path: str) -> tuple[list[tuple[np.ndarray, int]], DtwParams]:
     """Inverse of save_reference; returns ((samples, label) pairs, params)."""
-    windows: list[tuple[np.ndarray, int]] = []
-    params_kv: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if body.startswith("params "):
-                        for item in body[len("params "):].split():
-                            key, _, value = item.partition("=")
-                            params_kv[key] = value
-                    continue
-                cells = line.split(",")
-                windows.append(
-                    (np.array([float(v) for v in cells[2:]]), int(cells[1]))
-                )
-    except (ValueError, IndexError, OSError) as exc:
-        raise DataError(f"malformed reference file {path}: {exc}") from exc
-    if not windows or not params_kv:
-        raise DataError(f"malformed reference file {path}: missing params or windows")
-    try:
+    with read_artifact(path) as art:
+        windows = [(np.array([float(v) for v in cells[2:]]), int(cells[1])) for cells in art]
+        if not windows:
+            raise ValueError("no reference windows")
+        meta = art.meta
         params = DtwParams(
-            k_neighbors=int(params_kv["k_neighbors"]),
-            local_cost=params_kv["local_cost"],
-            band_radius=None if params_kv["band_radius"] == "None" else int(params_kv["band_radius"]),
-            downsample_to=int(params_kv["downsample_to"]),
-            z_normalize=bool(int(params_kv["z_normalize"])),
+            k_neighbors=int(meta["k_neighbors"]),
+            local_cost=meta["local_cost"],
+            band_radius=None if meta["band_radius"] == "None" else int(meta["band_radius"]),
+            downsample_to=int(meta["downsample_to"]),
+            z_normalize=bool(int(meta["z_normalize"])),
         )
-    except KeyError as exc:
-        raise DataError(f"malformed reference file {path}: params line lacks {exc}") from None
-    except ValueError as exc:
-        raise DataError(f"malformed reference file {path}: {exc}") from None
     return windows, params

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import mannwhitneyu
 
+from .artifacts import read_artifact, write_artifact
 from .errors import ConfigError, DataError, NumericError
 
 DEFAULT_FFT_BINS = 32
@@ -287,27 +288,6 @@ def feature_change_quantiles(x: np.ndarray, ql: float, qh: float, aggregator: st
     return float(np.mean(diffs) if aggregator == "mean" else np.var(diffs))
 
 
-def feature_fft_pack(x: np.ndarray, k_max: int, fs_hz: float) -> list[float]:
-    """|FFT| bins 1..k_max plus spectral centroid (Hz) and magnitude-spectrum
-    variance/skewness/kurtosis.
-
-    The centroid is the amplitude-weighted mean frequency over the full
-    one-sided spectrum; the three trailing moments summarize the distribution
-    of magnitude values themselves.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.size < 2 * k_max:
-        raise DataError(f"need at least {2 * k_max} samples for {k_max} bins, got {x.size}")
-    mag = np.abs(np.fft.rfft(x))
-    out = [float(v) for v in mag[1 : k_max + 1]]
-    out.append(_spectral_centroid(mag, fs_hz, x.size))
-    _, m2, m3, m4 = _moments(mag)
-    out.append(m2)
-    out.append(m3 / m2**1.5 if m2 > 0.0 else float("nan"))
-    out.append(m4 / m2**2 - 3.0 if m2 > 0.0 else float("nan"))
-    return out
-
-
 def _spectral_centroid(mag: np.ndarray, fs_hz: float, n: int) -> float:
     total = float(np.sum(mag))
     if total <= 0.0:
@@ -497,6 +477,15 @@ def select_features(
     return FeatureMask(selected, p_values)
 
 
+def check_catalog(what: str, version: str | None, names, catalog: FeatureCatalog) -> None:
+    """Refuse an artifact stamped with another catalog version, or (when
+    `names` is given) with other feature columns."""
+    if version != catalog.version:
+        raise DataError(f"{what} built for catalog {version!r}, expected {catalog.version!r}")
+    if names is not None and list(names) != catalog.names:
+        raise DataError(f"{what} feature names do not match the catalog")
+
+
 def save_feature_matrix(
     matrix: np.ndarray,
     labels: np.ndarray,
@@ -511,14 +500,16 @@ def save_feature_matrix(
         raise ConfigError("matrix shape does not match catalog")
     if matrix.shape[0] != len(labels) or matrix.shape[0] != len(starts):
         raise ConfigError("labels and starts must match the matrix row count")
-    with open(path, "w", encoding="utf-8") as fh:
-        for comment in header_comments or []:
-            fh.write(f"# {comment}\n")
-        fh.write(f"# catalog={catalog.version}\n")
-        fh.write("window_start_s,label," + ",".join(catalog.names) + "\n")
-        for start, label, row in zip(starts, labels, matrix):
-            cells = ",".join(repr(float(v)) for v in row)
-            fh.write(f"{float(start)!r},{int(label)},{cells}\n")
+    rows = (
+        f"{float(start)!r},{int(label)}," + ",".join(repr(float(v)) for v in row)
+        for start, label, row in zip(starts, labels, matrix)
+    )
+    write_artifact(
+        path,
+        [*(header_comments or []), f"catalog={catalog.version}"],
+        "window_start_s,label," + ",".join(catalog.names),
+        rows,
+    )
 
 
 def load_feature_matrix(
@@ -528,34 +519,16 @@ def load_feature_matrix(
     rows: list[list[float]] = []
     labels: list[int] = []
     starts: list[float] = []
-    version: str | None = None
-    header: list[str] | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("# catalog="):
-                version = line.partition("=")[2]
-                continue
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            cells = line.split(",")
+    with read_artifact(path, header=True) as art:
+        for cells in art:
             if len(cells) != len(catalog) + 2:
-                raise DataError(f"malformed matrix row at line {lineno}")
-            try:
-                starts.append(float(cells[0]))
-                labels.append(int(cells[1]))
-                rows.append([float(v) for v in cells[2:]])
-            except ValueError as exc:
-                raise DataError(f"malformed matrix row at line {lineno}") from exc
-    if version != catalog.version:
-        raise DataError(f"matrix built for catalog {version!r}, expected {catalog.version!r}")
-    if header is None or header[2:] != catalog.names:
-        raise DataError("matrix feature names do not match the catalog")
-    if not rows:
-        raise DataError("feature matrix file contains no rows")
+                raise ValueError(f"expected {len(catalog) + 2} cells, got {len(cells)}")
+            starts.append(float(cells[0]))
+            labels.append(int(cells[1]))
+            rows.append([float(v) for v in cells[2:]])
+        check_catalog("matrix", art.meta.get("catalog"), (art.header or [])[2:], catalog)
+        if not rows:
+            raise ValueError("no rows")
     return np.array(rows), np.array(labels, dtype=np.int64), np.array(starts)
 
 
@@ -566,42 +539,26 @@ def save_feature_mask(
     """`feature_name,p_value,selected` rows in catalog order."""
     if len(catalog) != mask.selected.size:
         raise ConfigError("mask length does not match catalog")
-    with open(path, "w", encoding="utf-8") as fh:
-        for comment in header_comments or []:
-            fh.write(f"# {comment}\n")
-        fh.write(f"# catalog={catalog.version}\n")
-        fh.write("feature_name,p_value,selected\n")
-        for name, p, sel in zip(catalog.names, mask.p_values, mask.selected):
-            fh.write(f"{name},{float(p)!r},{int(sel)}\n")
+    rows = (
+        f"{name},{float(p)!r},{int(sel)}"
+        for name, p, sel in zip(catalog.names, mask.p_values, mask.selected)
+    )
+    write_artifact(
+        path,
+        [*(header_comments or []), f"catalog={catalog.version}"],
+        "feature_name,p_value,selected",
+        rows,
+    )
 
 
 def load_feature_mask(path: str, catalog: FeatureCatalog) -> FeatureMask:
     names: list[str] = []
     p_values: list[float] = []
     selected: list[bool] = []
-    version: str | None = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if line.startswith("# catalog="):
-                    version = line.partition("=")[2]
-                    continue
-                if not line or line.startswith("#") or line.startswith("feature_name"):
-                    continue
-                try:
-                    name, p, sel = line.split(",")
-                    p_values.append(float(p))
-                    selected.append(bool(int(sel)))
-                except ValueError:
-                    raise DataError(
-                        f"malformed mask row in {path} at line {lineno}: {line!r}"
-                    ) from None
-                names.append(name)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read feature mask {path}: {exc}") from None
-    if version != catalog.version:
-        raise DataError(f"mask built for catalog {version!r}, expected {catalog.version!r}")
-    if names != catalog.names:
-        raise DataError("mask feature names do not match the catalog")
-    return FeatureMask(np.array(selected), np.array(p_values))
+    with read_artifact(path, header=True) as art:
+        for name, p, sel in art:
+            names.append(name)
+            p_values.append(float(p))
+            selected.append(bool(int(sel)))
+        check_catalog("mask", art.meta.get("catalog"), names, catalog)
+        return FeatureMask(np.array(selected), np.array(p_values))

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.signal import sosfilt
 
+from .artifacts import read_artifact, write_artifact
 from .errors import ConfigError, DataError, NumericError
 from .timeseries import TimeSeries
 
@@ -129,18 +131,8 @@ def apply_filter(cascade: FilterCascade, ts: TimeSeries) -> TimeSeries:
         raise DataError(
             f"series sampled at {ts.fs_hz} Hz but filter designed for {cascade.fs_hz} Hz"
         )
-    values = ts.values.tolist()
-    for b0, b1, b2, a1, a2 in cascade.sections:
-        out = [0.0] * len(values)
-        s1 = 0.0
-        s2 = 0.0
-        for i, x in enumerate(values):
-            y = b0 * x + s1
-            s1 = b1 * x - a1 * y + s2
-            s2 = b2 * x - a2 * y
-            out[i] = y
-        values = out
-    return ts.with_values(np.asarray(values))
+    sos = [(b0, b1, b2, 1.0, a1, a2) for b0, b1, b2, a1, a2 in cascade.sections]
+    return ts.with_values(sosfilt(sos, ts.values))
 
 
 def fit_ar(ts: TimeSeries, max_order: int = 64, criterion: str = "aic") -> ArModel:
@@ -246,62 +238,25 @@ def r2_score(actual: TimeSeries, predicted: TimeSeries) -> float:
 
 def save_ar_model(model: ArModel, path: str, header_comments: list[str] | None = None) -> None:
     """Persist as key=value text; floats carry 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for comment in header_comments or []:
-            fh.write(f"# {comment}\n")
-        fh.write(f"p={model.order_p}\n")
-        fh.write(f"c={model.intercept_c:.17g}\n")
-        fh.write("alpha=" + ",".join(f"{v:.17g}" for v in model.coeffs_alpha) + "\n")
-        fh.write(f"sigma2={model.sigma2:.17g}\n")
+    rows = (
+        f"p={model.order_p}",
+        f"c={model.intercept_c:.17g}",
+        "alpha=" + ",".join(f"{v:.17g}" for v in model.coeffs_alpha),
+        f"sigma2={model.sigma2:.17g}",
+    )
+    write_artifact(path, header_comments or [], None, rows)
 
 
 def load_ar_model(path: str) -> ArModel:
-    fields: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    try:
+    with read_artifact(path) as rows:
+        # `alpha=` is the one key whose value spans several cells
+        fields = {}
+        for first, *rest in rows:
+            key, _, value = first.partition("=")
+            fields[key.strip()] = [value, *rest]
         return ArModel(
-            order_p=int(fields["p"]),
-            intercept_c=float(fields["c"]),
-            coeffs_alpha=np.array([float(v) for v in fields["alpha"].split(",")]),
-            sigma2=float(fields["sigma2"]),
+            order_p=int(fields["p"][0]),
+            intercept_c=float(fields["c"][0]),
+            coeffs_alpha=np.array([float(v) for v in fields["alpha"]]),
+            sigma2=float(fields["sigma2"][0]),
         )
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"malformed AR model file {path}: {exc}") from None
-
-
-def save_cascade(cascade: FilterCascade, path: str) -> None:
-    """One section per line, six coefficients (a0 = 1); design metadata in comments."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# order={cascade.order} corner_hz={cascade.corner_hz!r} fs_hz={cascade.fs_hz!r}\n")
-        for b0, b1, b2, a1, a2 in cascade.sections:
-            fh.write(f"{b0:.17g} {b1:.17g} {b2:.17g} 1 {a1:.17g} {a2:.17g}\n")
-
-
-def load_cascade(path: str) -> FilterCascade:
-    sections = []
-    meta: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    key, _, value = token.partition("=")
-                    if value:
-                        meta[key] = float(value)
-                continue
-            parts = [float(v) for v in line.split()]
-            if len(parts) != 6 or parts[3] != 1.0:
-                raise DataError(f"malformed section line in {path}: {line!r}")
-            b0, b1, b2, _, a1, a2 = parts
-            sections.append((b0, b1, b2, a1, a2))
-    if not sections or "order" not in meta or "corner_hz" not in meta or "fs_hz" not in meta:
-        raise DataError(f"malformed cascade file {path}")
-    return FilterCascade(tuple(sections), int(meta["order"]), meta["corner_hz"], meta["fs_hz"])

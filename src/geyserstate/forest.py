@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import read_artifact, write_artifact
 from .errors import ConfigError, DataError
 
 LEAF = -1
@@ -87,6 +88,11 @@ class Forest:
             raise ConfigError("a forest needs at least one tree")
         if self.feature_names and len(self.feature_names) != self.n_features:
             raise ConfigError("feature_names length must match n_features")
+        for tree in self.trees:
+            if tree.feature.max() >= self.n_features:
+                raise ConfigError(
+                    f"a split on feature {tree.feature.max()} exceeds n_features {self.n_features}"
+                )
 
 
 def gini_impurity(class_counts) -> float:
@@ -302,125 +308,76 @@ def predict_forest(forest: Forest, fv: np.ndarray) -> tuple[int, np.ndarray]:
     return int(forest.classes[int(np.argmax(votes))]), votes
 
 
-def predict_matrix(forest: Forest, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise predict_forest; returns (labels, votes matrix)."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise DataError("prediction input must be 2-D")
-    labels = np.empty(matrix.shape[0], dtype=np.int64)
-    votes = np.empty((matrix.shape[0], forest.classes.size), dtype=np.int64)
-    for i in range(matrix.shape[0]):
-        labels[i], votes[i] = predict_forest(forest, matrix[i])
-    return labels, votes
-
-
 # -- persistence -----------------------------------------------------------------
 
 def save_forest(forest: Forest, path: str) -> None:
     """Versioned text format; load(save(f)) reproduces f bit for bit."""
     p = forest.params
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# forest-format v1\n")
-        fh.write(f"# catalog={forest.catalog_version}\n")
-        fh.write("# classes=" + ",".join(str(int(c)) for c in forest.classes) + "\n")
-        fh.write(
-            f"# params n_trees={p.n_trees} max_features={p.max_features} "
-            f"min_samples_leaf={p.min_samples_leaf} max_depth={p.max_depth} "
-            f"bootstrap={int(p.bootstrap)} seed={p.seed}\n"
-        )
-        fh.write(f"# n_features={forest.n_features}\n")
-        if forest.feature_names:
-            fh.write("# feature_names=" + ",".join(forest.feature_names) + "\n")
-        for t, tree in enumerate(forest.trees):
-            fh.write(f"# tree={t} nodes={tree.n_nodes}\n")
-            for i in range(tree.n_nodes):
-                thr = repr(float(tree.threshold[i])) if tree.feature[i] >= 0 else "-"
-                row_counts = ":".join(str(int(c)) for c in tree.counts[i])
-                fh.write(
-                    f"{int(tree.feature[i])},{thr},{int(tree.left[i])},"
-                    f"{int(tree.right[i])},{row_counts}\n"
-                )
+    comments = [
+        "forest-format v1",
+        f"catalog={forest.catalog_version}",
+        "classes=" + ",".join(str(int(c)) for c in forest.classes),
+        f"params n_trees={p.n_trees} max_features={p.max_features} "
+        f"min_samples_leaf={p.min_samples_leaf} max_depth={p.max_depth} "
+        f"bootstrap={int(p.bootstrap)} seed={p.seed}",
+        f"n_features={forest.n_features}",
+    ]
+    if forest.feature_names:
+        comments.append("feature_names=" + ",".join(forest.feature_names))
+    write_artifact(path, comments, None, _node_rows(forest))
+
+
+def _node_rows(forest: Forest):
+    """Each tree's `# tree=` comment, then one row per node."""
+    for t, tree in enumerate(forest.trees):
+        yield f"# tree={t} nodes={tree.n_nodes}"
+        for i in range(tree.n_nodes):
+            thr = repr(float(tree.threshold[i])) if tree.feature[i] >= 0 else "-"
+            row_counts = ":".join(str(int(c)) for c in tree.counts[i])
+            yield (
+                f"{int(tree.feature[i])},{thr},{int(tree.left[i])},"
+                f"{int(tree.right[i])},{row_counts}"
+            )
+
+
+_NODE_DTYPES = (np.int32, np.float64, np.int32, np.int32, np.int64)
 
 
 def load_forest(path: str) -> Forest:
-    classes: np.ndarray | None = None
-    catalog_version = ""
-    feature_names: tuple[str, ...] = ()
-    params_kv: dict[str, str] = {}
-    n_features: int | None = None
-    trees: list[Tree] = []
-    node_rows: list[tuple] = []
-
-    def flush() -> None:
-        if not node_rows:
-            return
-        trees.append(
-            Tree(
-                np.array([r[0] for r in node_rows], dtype=np.int32),
-                np.array([r[1] for r in node_rows], dtype=np.float64),
-                np.array([r[2] for r in node_rows], dtype=np.int32),
-                np.array([r[3] for r in node_rows], dtype=np.int32),
-                np.array([r[4] for r in node_rows], dtype=np.int64),
-            )
-        )
-        node_rows.clear()
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if body.startswith("catalog="):
-                        catalog_version = body.partition("=")[2]
-                    elif body.startswith("classes="):
-                        classes = np.array(
-                            [int(v) for v in body.partition("=")[2].split(",")]
-                        )
-                    elif body.startswith("params "):
-                        for item in body[len("params "):].split():
-                            key, _, value = item.partition("=")
-                            params_kv[key] = value
-                    elif body.startswith("n_features="):
-                        n_features = int(body.partition("=")[2])
-                    elif body.startswith("feature_names="):
-                        feature_names = tuple(body.partition("=")[2].split(","))
-                    elif body.startswith("tree="):
-                        flush()
-                    continue
-                f, thr, lt, rt, raw_counts = line.split(",")
-                node_rows.append(
-                    (
-                        int(f),
-                        float("nan") if thr == "-" else float(thr),
-                        int(lt),
-                        int(rt),
-                        [int(c) for c in raw_counts.split(":")],
-                    )
+    nodes: dict[str, list[tuple]] = {}  # node rows under each `# tree=` comment
+    with read_artifact(path) as art:
+        for f, thr, lt, rt, raw_counts in art:
+            nodes.setdefault(art.meta["tree"], []).append(
+                (
+                    int(f),
+                    float("nan") if thr == "-" else float(thr),
+                    int(lt),
+                    int(rt),
+                    [int(c) for c in raw_counts.split(":")],
                 )
-        flush()
-    except (ValueError, OSError) as exc:
-        raise DataError(f"malformed forest file {path}: {exc}") from exc
-    if classes is None or n_features is None or not trees:
-        raise DataError(f"malformed forest file {path}: missing header or trees")
-    none_or_int = lambda v: None if v == "None" else int(v)
-    params = ForestParams(
-        n_trees=int(params_kv["n_trees"]),
-        max_features=none_or_int(params_kv["max_features"]),
-        min_samples_leaf=int(params_kv["min_samples_leaf"]),
-        max_depth=none_or_int(params_kv["max_depth"]),
-        bootstrap=bool(int(params_kv["bootstrap"])),
-        seed=int(params_kv["seed"]),
-    )
-    if len(trees) != params.n_trees:
-        raise DataError(f"forest file {path} holds {len(trees)} trees, header says {params.n_trees}")
-    return Forest(
-        trees=tuple(trees),
-        classes=classes,
-        params=params,
-        n_features=n_features,
-        catalog_version=catalog_version,
-        feature_names=feature_names,
-    )
+            )
+        meta = art.meta
+        none_or_int = lambda v: None if v == "None" else int(v)
+        params = ForestParams(
+            n_trees=int(meta["n_trees"]),
+            max_features=none_or_int(meta["max_features"]),
+            min_samples_leaf=int(meta["min_samples_leaf"]),
+            max_depth=none_or_int(meta["max_depth"]),
+            bootstrap=bool(int(meta["bootstrap"])),
+            seed=int(meta["seed"]),
+        )
+        if len(nodes) != params.n_trees:
+            raise ValueError(f"holds {len(nodes)} trees, header says {params.n_trees}")
+        trees = tuple(
+            Tree(*(np.array(col, dtype=dt) for col, dt in zip(zip(*rows), _NODE_DTYPES)))
+            for rows in nodes.values()
+        )
+        names = meta.get("feature_names")
+        return Forest(
+            trees=trees,
+            classes=np.array([int(c) for c in meta["classes"].split(",")]),
+            params=params,
+            n_features=int(meta["n_features"]),
+            catalog_version=meta.get("catalog", ""),
+            feature_names=tuple(names.split(",")) if names else (),
+        )

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
+from .artifacts import write_artifact
 from .errors import ConfigError, DataError
 from .timeseries import (
     EventLog,
@@ -271,10 +272,5 @@ def split_train_test(
 def save_classes(ts: TimeSeries, classes: np.ndarray, path: str,
                  header_comments: list[str] | None = None) -> None:
     """Ground-truth per-sample classes: `timestamp_s,class` rows."""
-    times = ts.timestamps()
-    with open(path, "w", encoding="utf-8") as fh:
-        for comment in header_comments or []:
-            fh.write(f"# {comment}\n")
-        fh.write("timestamp_s,class\n")
-        for t, c in zip(times, classes):
-            fh.write(f"{float(t)!r},{int(c)}\n")
+    rows = (f"{float(t)!r},{int(c)}" for t, c in zip(ts.timestamps(), classes))
+    write_artifact(path, header_comments or [], "timestamp_s,class", rows)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_artifact, write_artifact
 from .errors import ConfigError, DataError
 
 CLASS_FAR = 1
@@ -278,18 +279,14 @@ def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
     t0 = 0.0
     prev_t: float | None = None
     period = 1.0 / fs_hz
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
+    with read_artifact(path) as rows:
+        for cells in rows:
             try:
-                fields = [float(p) for p in parts]
+                fields = [float(p) for p in cells]
             except ValueError:
                 if not amplitudes and prev_t is None:
                     continue  # header row
-                raise DataError(f"malformed row at line {lineno}: {line!r}") from None
+                raise
             if len(fields) == 1:
                 value = fields[0]
             elif len(fields) == 2:
@@ -297,51 +294,28 @@ def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
                 if prev_t is None:
                     t0 = t
                 elif abs((t - prev_t) - period) > TIME_TOL_S:
-                    raise DataError(f"non-uniform spacing at line {lineno}")
+                    raise ValueError("non-uniform spacing")
                 prev_t = t
             else:
-                raise DataError(f"malformed row at line {lineno}: expected 1 or 2 columns")
+                raise ValueError("expected 1 or 2 columns")
             if not math.isfinite(value):
-                raise DataError(f"non-finite amplitude at line {lineno}")
+                raise ValueError("non-finite amplitude")
             amplitudes.append(value)
-    if not amplitudes:
-        raise DataError(f"no samples in {path}")
-    return TimeSeries(np.asarray(amplitudes), fs_hz, t0)
+        return TimeSeries(np.asarray(amplitudes), fs_hz, t0)
 
 
 def save_timeseries(ts: TimeSeries, path: str, header_comments: list[str] | None = None) -> None:
     """Write the signal CSV format read by load_timeseries; bit-exact round-trip."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for comment in header_comments or []:
-            fh.write(f"# {comment}\n")
-        fh.write("timestamp_s,amplitude\n")
-        for i, v in enumerate(ts.values):
-            fh.write(f"{ts.time_of(i)!r},{float(v)!r}\n")
+    rows = (f"{ts.time_of(i)!r},{float(v)!r}" for i, v in enumerate(ts.values))
+    write_artifact(path, header_comments or [], "timestamp_s,amplitude", rows)
 
 
 def load_events(path: str) -> EventLog:
     """Read an event file: one onset timestamp per line, `#` comments allowed."""
-    times: list[float] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    times.append(float(line))
-                except ValueError:
-                    raise DataError(
-                        f"malformed event in {path} at line {lineno}: {line!r}"
-                    ) from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read events file {path}: {exc}") from None
-    return EventLog(np.asarray(times))
+    with read_artifact(path) as rows:
+        return EventLog(np.asarray([float(t) for (t,) in rows]))
 
 
 def save_events(events: EventLog, path: str, header_comments: list[str] | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for comment in header_comments or []:
-            fh.write(f"# {comment}\n")
-        for t in events.event_times_s:
-            fh.write(f"{float(t)!r}\n")
+    rows = (repr(float(t)) for t in events.event_times_s)
+    write_artifact(path, header_comments or [], None, rows)

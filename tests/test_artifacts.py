@@ -1,0 +1,78 @@
+"""The artifact layer: one writer, one streaming reader, one error contract."""
+
+import ast
+import pathlib
+
+import pytest
+
+import geyserstate
+from geyserstate.artifacts import read_artifact, write_artifact
+from geyserstate.errors import ConfigError, DataError
+
+PACKAGE = pathlib.Path(geyserstate.__file__).parent
+
+
+def test_only_the_artifact_layer_and_config_open_files():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("artifacts.py", "config.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "open":
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"open() outside artifacts.py: {offenders}"
+
+
+def test_write_then_read_round_trip(tmp_path):
+    path = str(tmp_path / "a.csv")
+    write_artifact(path, ["seed=7", "params k=3 mode=x"], "a,b", ["1,2", "# part=2", "3,4"])
+    assert (tmp_path / "a.csv").read_text() == (
+        "# seed=7\n# params k=3 mode=x\na,b\n1,2\n# part=2\n3,4\n"
+    )
+    seen = []
+    with read_artifact(path, header=True) as art:
+        for cells in art:
+            seen.append((art.meta.get("part"), cells))
+    assert art.header == ["a", "b"]
+    assert art.meta == {"seed": "7", "k": "3", "mode": "x", "part": "2"}
+    assert seen == [(None, ["1", "2"]), ("2", ["3", "4"])]
+
+
+def test_fault_in_a_row_names_file_and_line(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("# seed=1\n1\n\nx\n")
+    with pytest.raises(DataError, match=r"malformed .*a\.csv: .* at line 4"):
+        with read_artifact(str(path)) as art:
+            [float(v) for (v,) in art]
+
+
+def test_fault_after_the_rows_names_file_only(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("1\n")
+    with pytest.raises(DataError) as info:
+        with read_artifact(str(path)) as art:
+            list(art)
+            raise ConfigError("bad value")
+    assert str(info.value).endswith("a.csv: bad value")
+
+
+def test_missing_key_and_undecodable_bytes(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("# n=1\n")
+    with pytest.raises(DataError, match="missing 'k'"):
+        with read_artifact(str(path)) as art:
+            list(art)
+            art.meta["k"]
+    path.write_bytes(b"\xff\xfe1\n")
+    with pytest.raises(DataError, match=r"cannot read .*a\.csv: 'utf-8' codec") as info:
+        with read_artifact(str(path)) as art:
+            list(art)
+    assert "\\x" not in str(info.value)
+
+
+def test_unwritable_path_is_a_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot write"):
+        write_artifact(str(tmp_path / "missing" / "a.csv"), [], None, ["1"])

@@ -264,21 +264,96 @@ def _garbage_mask_row(tiny_cfg, out):
     return run("classify", "--config", tiny_cfg, "--out", out), "feature_mask.csv"
 
 
+def _rewrite_lines(path, edit):
+    lines = read(path).decode().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+
+
 def _truncated_dtw_params(tiny_cfg, out):
     assert _through_train(tiny_cfg, out, "--classifier", "dtw") == 0
-    path = os.path.join(out, "dtw_reference.csv")
-    lines = read(path).decode().splitlines()
-    lines = [l.split(" band_radius=")[0] if l.startswith("# params ") else l for l in lines]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _rewrite_lines(
+        os.path.join(out, "dtw_reference.csv"),
+        lambda lines: [l.split(" band_radius=")[0] if l.startswith("# params ") else l
+                       for l in lines],
+    )
     code = run("classify", "--config", tiny_cfg, "--out", out, "--classifier", "dtw")
     return code, "dtw_reference.csv"
 
 
+def _bogus_dtw_local_cost(tiny_cfg, out):
+    assert _through_train(tiny_cfg, out, "--classifier", "dtw") == 0
+    _rewrite_lines(
+        os.path.join(out, "dtw_reference.csv"),
+        lambda lines: [re.sub(r"local_cost=\w+", "local_cost=bogus", l) for l in lines],
+    )
+    code = run("classify", "--config", tiny_cfg, "--out", out, "--classifier", "dtw")
+    return code, "dtw_reference.csv"
+
+
+def _classify_damaged(name, edit):
+    def damage(tiny_cfg, out):
+        assert _through_train(tiny_cfg, out) == 0
+        _rewrite_lines(os.path.join(out, name), edit)
+        return run("classify", "--config", tiny_cfg, "--out", out), name
+    return damage
+
+
+def _split_on_feature_500(lines):
+    # the first node row after `# tree=0` is the root split
+    root = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    lines[root] = "500," + lines[root].split(",", 1)[1]
+    return lines
+
+
+def _first_p_value_2(lines):
+    row = next(i for i, l in enumerate(lines) if not l.startswith(("#", "feature_name")))
+    name, _, selected = lines[row].split(",")
+    lines[row] = f"{name},2.0,{selected}"
+    return lines
+
+
+def _pef_with_utf16_bom(tiny_cfg, out):
+    assert _through_train(tiny_cfg, out) == 0
+    path = os.path.join(out, "pef.csv")
+    data = read(path)
+    with open(path, "wb") as fh:
+        fh.write(b"\xff\xfe" + data)
+    return run("classify", "--config", tiny_cfg, "--out", out), "pef.csv"
+
+
+def _pef_is_a_directory(tiny_cfg, out):
+    assert _through_train(tiny_cfg, out) == 0
+    path = os.path.join(out, "pef.csv")
+    os.remove(path)
+    os.mkdir(path)
+    return run("classify", "--config", tiny_cfg, "--out", out), "pef.csv"
+
+
 @pytest.mark.parametrize(
-    "damage", [_drop_events, _drop_mask, _garbage_mask_row, _truncated_dtw_params],
+    "damage",
+    [
+        _drop_events,
+        _drop_mask,
+        _garbage_mask_row,
+        _truncated_dtw_params,
+        _classify_damaged(
+            "forest.txt", lambda lines: [l for l in lines if not l.startswith("# params")]
+        ),
+        _pef_with_utf16_bom,
+        _pef_is_a_directory,
+        _classify_damaged("forest.txt", _split_on_feature_500),
+        _bogus_dtw_local_cost,
+        _classify_damaged(
+            "forest.txt", lambda lines: [re.sub(r"n_trees=\d+", "n_trees=0", l) for l in lines]
+        ),
+        _classify_damaged("feature_mask.csv", _first_p_value_2),
+    ],
     ids=["filter-missing-events", "classify-missing-mask", "classify-garbage-mask-row",
-         "classify-dtw-truncated-params"],
+         "classify-dtw-truncated-params", "classify-forest-without-params",
+         "classify-pef-utf16-bom", "classify-pef-is-directory",
+         "classify-forest-split-on-feature-500", "classify-dtw-bogus-local-cost",
+         "classify-forest-zero-trees", "classify-mask-p-value-2"],
 )
 def test_unreadable_artifact_exits_3_naming_file(tiny_cfg, tmp_path, capsys, damage):
     code, name = damage(tiny_cfg, str(tmp_path / "o"))

@@ -22,7 +22,6 @@ from geyserstate.features import (
     extract_features,
     feature_aggregated_linear_trend,
     feature_change_quantiles,
-    feature_fft_pack,
     feature_index_mass_quantile,
     feature_partial_autocorrelation,
     feature_time_reversal_asymmetry,
@@ -186,12 +185,26 @@ def test_pacf_short_series_rejected():
 
 # -- spectral features -------------------------------------------------------------
 
+def spectral_columns(x: np.ndarray, k_max: int) -> dict[str, float]:
+    """The catalog's spectral columns of one window (the fft pack: |FFT| bins,
+    centroid, magnitude-spectrum moments), by name."""
+    catalog = default_catalog(FS, k_max)
+    values = extract_features(x, catalog).values
+    return {
+        name: float(v)
+        for name, v in zip(catalog.names, values)
+        if name.startswith(("fft_magnitude", "spectral", "spectrum"))
+    }
+
+
 def test_fft_pack_matches_naive_dft():
     rng = np.random.default_rng(3)
     x = rng.normal(size=128)
-    values = feature_fft_pack(x, 16, FS)
+    values = spectral_columns(x, 16)
     for k in range(1, 17):
-        assert values[k - 1] == pytest.approx(naive_dft_magnitude(x, k), rel=1e-9)
+        assert values[f"fft_magnitude_k{k:02d}"] == pytest.approx(
+            naive_dft_magnitude(x, k), rel=1e-9
+        )
 
 
 def test_fft_pack_pure_tone():
@@ -199,38 +212,30 @@ def test_fft_pack_pure_tone():
     k = 7
     amp = 2.0
     x = amp * np.sin(2 * np.pi * k * np.arange(n) / n)
-    values = feature_fft_pack(x, 32, FS)
-    mags = values[:32]
+    values = spectral_columns(x, 32)
+    mags = [values[f"fft_magnitude_k{i:02d}"] for i in range(1, 33)]
     assert mags[k - 1] == pytest.approx(amp * n / 2, rel=1e-9)
     others = [m for i, m in enumerate(mags, start=1) if i != k]
     assert max(others) < 1e-6 * mags[k - 1]
-    centroid = values[32]
-    assert centroid == pytest.approx(k * FS / n, rel=1e-6)
+    assert values["spectral_centroid_hz"] == pytest.approx(k * FS / n, rel=1e-6)
 
 
 def test_fft_pack_white_noise_centroid_and_skew():
     rng = np.random.default_rng(19)
     x = rng.normal(size=12000)
-    values = feature_fft_pack(x, 32, FS)
-    centroid = values[32]
-    assert centroid == pytest.approx(FS / 4, rel=0.05)
+    values = spectral_columns(x, 32)
+    assert values["spectral_centroid_hz"] == pytest.approx(FS / 4, rel=0.05)
     # Raw FFT magnitudes of white noise are Rayleigh-like, so the
     # value distribution is right-skewed.
-    skew = values[34]
-    assert 0.2 < skew < 1.2
+    assert 0.2 < values["spectrum_skewness"] < 1.2
 
 
 def test_fft_pack_zero_signal():
-    values = feature_fft_pack(np.zeros(256), 16, FS)
-    assert all(v == 0.0 for v in values[:16])
-    assert math.isnan(values[16])          # centroid undefined
-    assert values[17] == 0.0               # variance of an all-zero spectrum
-    assert math.isnan(values[18]) and math.isnan(values[19])
-
-
-def test_fft_pack_length_guard():
-    with pytest.raises(DataError):
-        feature_fft_pack(np.zeros(40), 32, FS)
+    values = spectral_columns(np.zeros(256), 16)
+    assert all(values[f"fft_magnitude_k{k:02d}"] == 0.0 for k in range(1, 17))
+    assert math.isnan(values["spectral_centroid_hz"])      # centroid undefined
+    assert values["spectrum_variance"] == 0.0               # variance of an all-zero spectrum
+    assert math.isnan(values["spectrum_skewness"]) and math.isnan(values["spectrum_kurtosis"])
 
 
 # -- catalog extraction ------------------------------------------------------------

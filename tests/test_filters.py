@@ -19,11 +19,9 @@ from geyserstate.filters import (
     design_butterworth_highpass,
     fit_ar,
     load_ar_model,
-    load_cascade,
     pef,
     r2_score,
     save_ar_model,
-    save_cascade,
 )
 from geyserstate.timeseries import TimeSeries
 
@@ -80,6 +78,21 @@ def ols_oracle(x, p):
     aic = n_eff * math.log(rss / n_eff) + 2 * (p + 1)
     se = np.sqrt(rss / n_eff * np.diag(np.linalg.inv(gram)))
     return beta, rss, aic, se
+
+
+def transposed_df2_filter(cascade, x):
+    """Per-sample transposed direct form II through each section, zero state."""
+    values = [float(v) for v in x]
+    for b0, b1, b2, a1, a2 in cascade.sections:
+        out = []
+        s1 = s2 = 0.0
+        for v in values:
+            y = b0 * v + s1
+            s1 = b1 * v - a1 * y + s2
+            s2 = b2 * v - a2 * y
+            out.append(y)
+        values = out
+    return np.array(values)
 
 
 # -- butterworth design --------------------------------------------------------
@@ -153,15 +166,6 @@ def test_poles_strictly_inside_unit_circle():
             assert np.max(np.abs(np.roots([1.0, a1, a2]))) < 1.0 - 1e-9
 
 
-def test_cascade_roundtrip(tmp_path):
-    cascade = design_butterworth_highpass(4, 0.1, FS)
-    path = tmp_path / "cascade.txt"
-    save_cascade(cascade, str(path))
-    back = load_cascade(str(path))
-    assert back.sections == cascade.sections
-    assert (back.order, back.corner_hz, back.fs_hz) == (4, 0.1, FS)
-
-
 # -- filter application --------------------------------------------------------
 
 def test_constant_input_rejected():
@@ -205,6 +209,15 @@ def test_impulse_response_decays_out():
         impulse[0] = 1.0
         y = apply_filter(cascade, TimeSeries(impulse, FS)).values
         assert abs(y[-1]) < 1e-12
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+def test_filter_equals_per_sample_recursion(order):
+    rng = np.random.default_rng(order)
+    x = rng.normal(size=5000) * 30.0 + np.cumsum(rng.normal(size=5000))
+    cascade = design_butterworth_highpass(order, 0.1, FS)
+    y = apply_filter(cascade, TimeSeries(x, FS)).values
+    assert np.array_equal(y, transposed_df2_filter(cascade, x))
 
 
 def test_sample_rate_mismatch():

@@ -19,7 +19,6 @@ from geyserstate.forest import (
     grow_tree,
     load_forest,
     predict_forest,
-    predict_matrix,
     save_forest,
     train_forest,
 )
@@ -62,6 +61,12 @@ def make_separable(n_per_class=60, n_noise=3, seed=0, scale=0.3):
     f1 = (labels == 2) * 2.0 + rng.normal(scale=scale, size=n)
     noise = rng.normal(size=(n, n_noise))
     return np.column_stack([f0, f1, noise]), labels
+
+
+def predict_rows(forest, matrix):
+    """predict_forest on each row; returns (labels, votes matrix)."""
+    results = [predict_forest(forest, row) for row in matrix]
+    return np.array([r[0] for r in results]), np.array([r[1] for r in results])
 
 
 # -- gini --------------------------------------------------------------------------
@@ -191,7 +196,7 @@ def test_grow_tree_depth_limit():
 def test_forest_training_labels_recovered():
     matrix, labels = make_separable(seed=1)
     forest = train_forest(matrix, labels, ForestParams(n_trees=30, seed=7))
-    pred, votes = predict_matrix(forest, matrix)
+    pred, votes = predict_rows(forest, matrix)
     assert np.mean(pred == labels) >= 0.99
     assert np.all(votes.sum(axis=1) == 30)
 
@@ -199,7 +204,7 @@ def test_forest_training_labels_recovered():
 def test_forest_single_tree_no_bootstrap_equals_tree():
     matrix, labels = make_separable(seed=2)
     forest = train_forest(matrix, labels, ForestParams(n_trees=1, bootstrap=False, seed=4))
-    pred, votes = predict_matrix(forest, matrix)
+    pred, votes = predict_rows(forest, matrix)
     assert np.all(votes.max(axis=1) == 1)
     assert np.array_equal(pred, labels)
 
@@ -286,7 +291,7 @@ def test_forest_shuffle_stability_macro_f1():
             matrix[train_idx][perm], labels[train_idx][perm],
             ForestParams(n_trees=50, seed=s),
         )
-        pred, _ = predict_matrix(forest, matrix[test_idx])
+        pred, _ = predict_rows(forest, matrix[test_idx])
         f1s.append(macro_f1(labels[test_idx], pred))
     assert max(f1s) - min(f1s) < 0.05
 
@@ -304,6 +309,19 @@ def test_forest_validation_errors():
     forest = train_forest(matrix, labels, ForestParams(n_trees=2, seed=1))
     with pytest.raises(DataError):
         predict_forest(forest, np.zeros(matrix.shape[1] + 1))
+
+
+def test_forest_rejects_split_on_missing_feature():
+    stump = Tree(
+        np.array([2, -1, -1], dtype=np.int32),
+        np.array([0.5, np.nan, np.nan]),
+        np.array([1, -1, -1], dtype=np.int32),
+        np.array([2, -1, -1], dtype=np.int32),
+        np.array([[1, 1], [1, 0], [0, 1]], dtype=np.int64),
+    )
+    Forest((stump,), np.array([1, 2]), ForestParams(n_trees=1), n_features=3)
+    with pytest.raises(ConfigError, match="feature 2"):
+        Forest((stump,), np.array([1, 2]), ForestParams(n_trees=1), n_features=2)
 
 
 def test_forest_round_trip_bit_exact(tmp_path):
