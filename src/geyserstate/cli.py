@@ -2,8 +2,9 @@
 
 Commands: synth | filter | train | classify | eval | pipeline.  Each stage
 reads and writes plain text artifacts in the output directory, so a run can
-be resumed or repeated stage by stage with no hidden state.  All randomness
-flows from one master seed recorded in the artifact headers.
+be resumed or repeated stage by stage with no hidden state.  Each stage's
+work is one private function that both its command and `pipeline` call.
+All randomness flows from one master seed recorded in the artifact headers.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
@@ -11,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -54,6 +56,7 @@ from .filters import (
 from .forest import Forest, load_forest, predict_forest, save_forest, train_forest
 from .synth import generate, save_classes, split_train_test
 from .timeseries import (
+    ALL_CLASSES,
     EventLog,
     LabeledWindow,
     TimeSeries,
@@ -74,8 +77,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-CLASS_IDS = (1, 2, 3)
-
 # plot trace span around each event, seconds before and after onset
 PLOT_BEFORE_S = 240.0
 PLOT_AFTER_S = 180.0
@@ -94,7 +95,7 @@ def _labeled_windows(ts: TimeSeries, events: EventLog, values: dict) -> list[Lab
 
 
 def _class_counts(labeled: list[LabeledWindow]) -> dict[int, int]:
-    counts = {c: 0 for c in CLASS_IDS}
+    counts = {c: 0 for c in ALL_CLASSES}
     for w in labeled:
         counts[w.label] = counts.get(w.label, 0) + 1
     return counts
@@ -163,17 +164,102 @@ def _write_report(out_dir: str, suffix: str, seed: int, truth, preds) -> tuple[s
 
 def _full_votes(raw_votes: np.ndarray, classes: np.ndarray) -> np.ndarray:
     """Expand a votes matrix over forest classes to fixed columns 1..3."""
-    out = np.zeros((raw_votes.shape[0], len(CLASS_IDS)), dtype=np.int64)
+    out = np.zeros((raw_votes.shape[0], len(ALL_CLASSES)), dtype=np.int64)
     for j, c in enumerate(classes):
         out[:, int(c) - 1] = raw_votes[:, j]
     return out
 
 
-def _load_input_series(values: dict, out_dir: str, override: str | None) -> TimeSeries:
+def _check_class_labels(path: str, labels) -> None:
+    """Model files may name only classes 1..3, the columns of every vote table."""
+    bad = sorted({int(c) for c in labels} - set(ALL_CLASSES))
+    if bad:
+        raise DataError(f"malformed {path}: class labels {bad} outside {ALL_CLASSES}")
+
+
+def _labeled_input(values: dict, out_dir: str, override: str | None) -> tuple:
+    """The filtered series (default <out>/pef.csv) and its labeled windows."""
     path = override or os.path.join(out_dir, "pef.csv")
     if not os.path.exists(path):
         raise DataError(f"input signal {path} not found; run the filter stage first")
-    return load_timeseries(path, values["synth.fs_hz"])
+    ts = load_timeseries(path, values["synth.fs_hz"])
+    events = load_events(resolve_paths(values, out_dir)["events"])
+    labeled = _labeled_windows(ts, events, values)
+    if not labeled:
+        raise DataError(f"no windows in {path}; series shorter than one window")
+    return ts, labeled
+
+
+@contextlib.contextmanager
+def _stage(name: str):
+    """Tag any failure inside with the stage name; logs
+    `stage=<name> seconds=<t>` at INFO when the stage exits."""
+    _log.debug("stage %s", name)
+    t0 = time.perf_counter()
+    try:
+        yield
+    except GeyserStateError as exc:
+        raise type(exc)(f"stage {name}: {exc}") from exc
+    finally:
+        _log.info("stage=%s seconds=%.3f", name, time.perf_counter() - t0)
+
+
+# -- one function per stage, shared by the stage's command and the pipeline --------
+# These call the library through the names imported above: bench/tracing.py
+# times each layer by patching those names in this module.
+
+
+def _synthesize(values: dict, seed: int, paths: dict) -> tuple[TimeSeries, EventLog]:
+    """Generate the labeled signal; writes signal.csv, events.csv, classes.csv."""
+    ts, events, classes = generate(synth_config(values, seed))
+    header = _seed_header(seed)
+    save_timeseries(ts, paths["signal"], header)
+    save_events(events, paths["events"], header)
+    save_classes(ts, classes, paths["classes"], header)
+    _log.info("synthesized %d samples at %g Hz with %d events", len(ts), ts.fs_hz, len(events))
+    return ts, events
+
+
+def _highpass(ts: TimeSeries, values: dict, out_dir: str, seed: int) -> TimeSeries:
+    """Butterworth high-pass of the raw signal; writes bh.csv."""
+    cascade = design_butterworth_highpass(
+        values["filter.order"], values["filter.corner_hz"], ts.fs_hz
+    )
+    bh = apply_filter(cascade, ts)
+    save_timeseries(bh, os.path.join(out_dir, "bh.csv"), _seed_header(seed))
+    return bh
+
+
+def _prediction_error(
+    bh: TimeSeries, fit_on: TimeSeries, fit_events: EventLog, values: dict, out_dir: str, seed: int
+) -> tuple:
+    """Fit the AR noise model on fit_on's quiet segment, then run the
+    prediction-error filter over all of bh; writes ar_model.txt and pef.csv.
+
+    Returns (residual, model, held-out one-step R2).  R2 is scored on the
+    part of fit_on after the AR segment, skipping its first p samples (they
+    have no full lag history inside that slice).
+    """
+    segment = select_noise_segment(
+        fit_on, fit_events, values["ar.train_fraction"], label_policy(values)
+    )
+    model = fit_ar(segment, values["ar.max_order"], values["ar.criterion"])
+    seg_end = int(round((segment.t0_s - fit_on.t0_s) * fit_on.fs_hz)) + len(segment)
+    held_out = fit_on.slice(seg_end, len(fit_on))
+    if len(held_out) > model.order_p + 1:
+        tail = held_out.slice(model.order_p, len(held_out))
+        pred = ar_predict_one_step(model, held_out).slice(model.order_p, len(held_out))
+        r2 = r2_score(tail, pred)
+    else:
+        r2 = float("nan")
+    residual = pef(bh, model)
+    header = _seed_header(seed)
+    save_ar_model(model, os.path.join(out_dir, "ar_model.txt"), header)
+    save_timeseries(residual, os.path.join(out_dir, "pef.csv"), header)
+    _log.info(
+        "AR order p=%d, AIC=%.2f, held-out one-step R2=%.4f", model.order_p, model.aic, r2
+    )
+    return residual, model, r2
 
 
 # -- rf train/predict shared by cmd_train, cmd_classify, and the pipeline ----------
@@ -185,7 +271,7 @@ def _rf_fit(
     seed: int,
     catalog: FeatureCatalog,
 ) -> tuple:
-    """Features -> impute -> relevance selection -> forest.
+    """Features -> impute -> relevance selection -> forest; writes nothing.
 
     Returns (forest, selected column indices, training medians, the raw
     (matrix, labels, starts) triple for artifact export, and the mask).
@@ -199,6 +285,36 @@ def _rf_fit(
         filled[:, cols], labels, forest_params(values, seed), catalog.version, names
     )
     return forest, cols, medians, (matrix, labels, starts), mask
+
+
+def _save_rf(
+    out_dir: str, seed: int, catalog: FeatureCatalog, forest: Forest, medians, table, mask
+) -> None:
+    """Writes features.csv, feature_mask.csv, impute.csv and forest.txt."""
+    header = _seed_header(seed)
+    matrix, labels, starts = table
+    save_feature_matrix(
+        matrix, labels, starts, catalog, os.path.join(out_dir, "features.csv"), header
+    )
+    save_feature_mask(mask, catalog, os.path.join(out_dir, "feature_mask.csv"), header)
+    _save_medians(medians, catalog, os.path.join(out_dir, "impute.csv"), seed)
+    save_forest(forest, os.path.join(out_dir, "forest.txt"))
+
+
+def _load_rf(out_dir: str, model_path: str | None, catalog: FeatureCatalog) -> tuple:
+    """Reads what _save_rf wrote; returns (forest, selected columns, medians)."""
+    path = model_path or os.path.join(out_dir, "forest.txt")
+    forest = load_forest(path)
+    _check_class_labels(path, forest.classes)
+    mask = load_feature_mask(os.path.join(out_dir, "feature_mask.csv"), catalog)
+    medians = _load_medians(os.path.join(out_dir, "impute.csv"), catalog)
+    check_catalog("forest", forest.catalog_version, None, catalog)
+    cols = np.flatnonzero(mask.selected)
+    if cols.size != forest.n_features:
+        raise DataError(
+            f"mask selects {cols.size} features but the forest expects {forest.n_features}"
+        )
+    return forest, cols, medians
 
 
 def _rf_predict(
@@ -234,7 +350,7 @@ def _dtw_predict(
     for i, w in enumerate(labeled):
         preds[i] = knn_dtw_classify(reference, w.samples, params)
     per_window = (time.perf_counter() - t0) / max(len(labeled), 1)
-    votes = np.zeros((len(labeled), len(CLASS_IDS)), dtype=np.int64)
+    votes = np.zeros((len(labeled), len(ALL_CLASSES)), dtype=np.int64)
     votes[np.arange(len(labeled)), preds - 1] = 1
     return starts, labels, preds, votes, per_window
 
@@ -243,39 +359,10 @@ def _dtw_predict(
 
 
 def cmd_synth(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
-    cfg = synth_config(values, seed)
-    ts, events, classes = generate(cfg)
     paths = resolve_paths(values, out_dir)
-    header = _seed_header(seed)
-    save_timeseries(ts, paths["signal"], header)
-    save_events(events, paths["events"], header)
-    save_classes(ts, classes, paths["classes"], header)
-    _log.info(
-        "synthesized %d samples at %g Hz with %d events", len(ts), cfg.fs_hz, len(events)
-    )
+    _synthesize(values, seed, paths)
     print(f"wrote {paths['signal']}, {paths['events']}, {paths['classes']}")
     return EXIT_OK
-
-
-def _fit_pef_chain(bh: TimeSeries, events: EventLog, values: dict) -> tuple:
-    """Noise-segment AR fit plus held-out one-step R2; returns (model, r2).
-
-    R2 is scored on the remainder after the training segment, skipping the
-    first p samples of the remainder (they have no full lag history inside
-    the evaluation slice).
-    """
-    policy = label_policy(values)
-    segment = select_noise_segment(bh, events, values["ar.train_fraction"], policy)
-    model = fit_ar(segment, values["ar.max_order"], values["ar.criterion"])
-    seg_end = int(round((segment.t0_s - bh.t0_s) * bh.fs_hz)) + len(segment)
-    held_out = bh.slice(seg_end, len(bh))
-    if len(held_out) > model.order_p + 1:
-        tail = held_out.slice(model.order_p, len(held_out))
-        pred = ar_predict_one_step(model, held_out).slice(model.order_p, len(held_out))
-        r2 = r2_score(tail, pred)
-    else:
-        r2 = float("nan")
-    return model, r2
 
 
 def cmd_filter(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
@@ -284,23 +371,12 @@ def cmd_filter(values: dict, seed: int, out_dir: str, args: argparse.Namespace) 
         raise DataError(f"signal file {paths['signal']} not found; run synth or set paths.signal")
     ts = load_timeseries(paths["signal"], values["synth.fs_hz"])
     events = load_events(paths["events"])
-    cascade = design_butterworth_highpass(
-        values["filter.order"], values["filter.corner_hz"], ts.fs_hz
-    )
-    bh = apply_filter(cascade, ts)
-    header = _seed_header(seed)
-    save_timeseries(bh, os.path.join(out_dir, "bh.csv"), header)
+    bh = _highpass(ts, values, out_dir, seed)
     if args.skip_pef:
         _log.info("high-pass output written; prediction-error stage skipped")
         print(f"wrote {os.path.join(out_dir, 'bh.csv')}")
         return EXIT_OK
-    model, r2 = _fit_pef_chain(bh, events, values)
-    residual = pef(bh, model)
-    save_ar_model(model, os.path.join(out_dir, "ar_model.txt"), header)
-    save_timeseries(residual, os.path.join(out_dir, "pef.csv"), header)
-    _log.info(
-        "AR order p=%d, AIC=%.2f, held-out one-step R2=%.4f", model.order_p, model.aic, r2
-    )
+    _, model, r2 = _prediction_error(bh, bh, events, values, out_dir, seed)
     print(
         f"wrote {os.path.join(out_dir, 'bh.csv')}, {os.path.join(out_dir, 'ar_model.txt')}, "
         f"{os.path.join(out_dir, 'pef.csv')} (p={model.order_p}, R2={r2:.4f})"
@@ -309,65 +385,37 @@ def cmd_filter(values: dict, seed: int, out_dir: str, args: argparse.Namespace) 
 
 
 def cmd_train(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
-    paths = resolve_paths(values, out_dir)
-    ts = _load_input_series(values, out_dir, args.input)
-    events = load_events(paths["events"])
-    labeled = _labeled_windows(ts, events, values)
-    if not labeled:
-        raise DataError("no windows to train on; series shorter than one window")
+    ts, labeled = _labeled_input(values, out_dir, args.input)
     counts = _class_counts(labeled)
     if sum(1 for v in counts.values() if v > 0) < 2:
         raise DataError(f"training data has a single class (window counts {counts})")
-    header = _seed_header(seed)
+    print(f"windows per class: {counts}")
     if args.classifier == "dtw":
         ref_path = os.path.join(out_dir, "dtw_reference.csv")
-        save_reference(labeled, ref_path, dtw_params(values), header)
-        print(f"windows per class: {counts}")
+        save_reference(labeled, ref_path, dtw_params(values), _seed_header(seed))
         print(f"wrote {ref_path}")
         return EXIT_OK
     catalog = default_catalog(ts.fs_hz, values["features.fft_bins"])
-    forest, cols, medians, (matrix, labels, starts), mask = _rf_fit(
-        labeled, values, seed, catalog
-    )
-    save_feature_matrix(
-        matrix, labels, starts, catalog, os.path.join(out_dir, "features.csv"), header
-    )
-    save_feature_mask(mask, catalog, os.path.join(out_dir, "feature_mask.csv"), header)
-    _save_medians(medians, catalog, os.path.join(out_dir, "impute.csv"), seed)
-    save_forest(forest, os.path.join(out_dir, "forest.txt"))
-    print(f"windows per class: {counts}")
+    forest, cols, medians, table, mask = _rf_fit(labeled, values, seed, catalog)
+    _save_rf(out_dir, seed, catalog, forest, medians, table, mask)
     print(f"selected {cols.size} of {len(catalog)} features")
     print(f"wrote {os.path.join(out_dir, 'forest.txt')}")
     return EXIT_OK
 
 
 def cmd_classify(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
-    paths = resolve_paths(values, out_dir)
-    ts = _load_input_series(values, out_dir, args.input)
-    events = load_events(paths["events"])
-    labeled = _labeled_windows(ts, events, values)
-    if not labeled:
-        raise DataError("no windows to classify; series shorter than one window")
+    ts, labeled = _labeled_input(values, out_dir, args.input)
     if args.classifier == "dtw":
         ref_path = args.model or os.path.join(out_dir, "dtw_reference.csv")
         reference, params = load_reference(ref_path)
-        starts, truth, preds, votes, per_window = _dtw_predict(reference, labeled, params)
-        _log.info("mean per-window warping classification latency: %.3f ms", per_window * 1e3)
+        _check_class_labels(ref_path, (label for _, label in reference))
+        result = _dtw_predict(reference, labeled, params)
     else:
         catalog = default_catalog(ts.fs_hz, values["features.fft_bins"])
-        forest = load_forest(args.model or os.path.join(out_dir, "forest.txt"))
-        mask = load_feature_mask(os.path.join(out_dir, "feature_mask.csv"), catalog)
-        medians = _load_medians(os.path.join(out_dir, "impute.csv"), catalog)
-        check_catalog("forest", forest.catalog_version, None, catalog)
-        cols = np.flatnonzero(mask.selected)
-        if cols.size != forest.n_features:
-            raise DataError(
-                f"mask selects {cols.size} features but the forest expects {forest.n_features}"
-            )
-        starts, truth, preds, votes, per_window = _rf_predict(
-            labeled, forest, cols, medians, catalog
-        )
-        _log.info("mean per-window forest prediction latency: %.3f ms", per_window * 1e3)
+        forest, cols, medians = _load_rf(out_dir, args.model, catalog)
+        result = _rf_predict(labeled, forest, cols, medians, catalog)
+    starts, truth, preds, votes, per_window = result
+    _log.info("mean per-window %s prediction latency: %.3f ms", args.classifier, per_window * 1e3)
     pred_path = os.path.join(out_dir, "predictions.csv")
     _write_predictions(pred_path, starts, truth, preds, votes, seed)
     print(f"classified {len(labeled)} windows ({per_window * 1e3:.3f} ms/window)")
@@ -376,12 +424,9 @@ def cmd_classify(values: dict, seed: int, out_dir: str, args: argparse.Namespace
 
 
 def cmd_eval(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
-    paths = resolve_paths(values, out_dir)
     pred_path = args.predictions or os.path.join(out_dir, "predictions.csv")
     starts, truth, preds = _load_predictions(pred_path)
-    ts = _load_input_series(values, out_dir, args.input)
-    events = load_events(paths["events"])
-    expected = _labeled_windows(ts, events, values)
+    _, expected = _labeled_input(values, out_dir, args.input)
     by_start = {round(float(s), 6): i for i, s in enumerate(starts)}
     if len(by_start) != starts.size:
         raise DataError(f"duplicate window starts in {pred_path}")
@@ -403,27 +448,6 @@ def cmd_eval(values: dict, seed: int, out_dir: str, args: argparse.Namespace) ->
 
 
 # -- full pipeline -----------------------------------------------------------------
-
-
-def _stage(name: str):
-    """Context manager tagging any pipeline failure with its stage name.
-
-    Logs `stage=<name> seconds=<t>` at INFO when the stage exits.
-    """
-
-    class _Tag:
-        def __enter__(self):
-            _log.debug("stage %s", name)
-            self.t0 = time.perf_counter()
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            _log.info("stage=%s seconds=%.3f", name, time.perf_counter() - self.t0)
-            if exc is not None and isinstance(exc, GeyserStateError):
-                raise type(exc)(f"stage {name}: {exc}") from exc
-            return False
-
-    return _Tag()
 
 
 def _emit_event_traces(
@@ -496,18 +520,10 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
             raw = load_timeseries(paths["signal"], values["synth.fs_hz"])
             events = load_events(paths["events"])
         else:
-            cfg = synth_config(values, seed)
-            raw, events, classes = generate(cfg)
-            save_timeseries(raw, paths["signal"], header)
-            save_events(events, paths["events"], header)
-            save_classes(raw, classes, paths["classes"], header)
+            raw, events = _synthesize(values, seed, paths)
 
     with _stage("filter"):
-        cascade = design_butterworth_highpass(
-            values["filter.order"], values["filter.corner_hz"], raw.fs_hz
-        )
-        bh = apply_filter(cascade, raw)
-        save_timeseries(bh, os.path.join(out_dir, "bh.csv"), header)
+        bh = _highpass(raw, values, out_dir, seed)
 
     with _stage("split"):
         (bh_train, ev_train), (bh_test, ev_test) = split_train_test(
@@ -522,11 +538,7 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
     with _stage("filter"):
         # AR model is fitted on training-side noise only, then the filter is
         # run over the full series so the test side has no warm-up gap
-        model, r2 = _fit_pef_chain(bh_train, ev_train, values)
-        residual = pef(bh, model)
-        save_ar_model(model, os.path.join(out_dir, "ar_model.txt"), header)
-        save_timeseries(residual, os.path.join(out_dir, "pef.csv"), header)
-        _log.info("AR order p=%d, train-side held-out R2=%.4f", model.order_p, r2)
+        residual, _, _ = _prediction_error(bh, bh_train, ev_train, values, out_dir, seed)
         pef_train = residual.slice(0, split_idx)
         pef_test = residual.slice(split_idx, len(residual))
 
@@ -540,15 +552,8 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
             "train windows per class: %s; test: %s",
             _class_counts(train_pef), _class_counts(test_pef),
         )
-        forest, cols, medians, (matrix, labels, starts), mask = _rf_fit(
-            train_pef, values, seed, catalog
-        )
-        save_feature_matrix(
-            matrix, labels, starts, catalog, os.path.join(out_dir, "features.csv"), header
-        )
-        save_feature_mask(mask, catalog, os.path.join(out_dir, "feature_mask.csv"), header)
-        _save_medians(medians, catalog, os.path.join(out_dir, "impute.csv"), seed)
-        save_forest(forest, os.path.join(out_dir, "forest.txt"))
+        forest, cols, medians, table, mask = _rf_fit(train_pef, values, seed, catalog)
+        _save_rf(out_dir, seed, catalog, forest, medians, table, mask)
 
     with _stage("classify"):
         arm_results = {
@@ -672,7 +677,8 @@ def main(argv: list[str] | None = None) -> int:
             seed = values["seed"]
         out_dir = resolve_out_dir(values, getattr(args, "out", None))
         os.makedirs(out_dir, exist_ok=True)
-        return _COMMANDS[args.command](values, seed, out_dir, args)
+        with _stage(args.command):
+            return _COMMANDS[args.command](values, seed, out_dir, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-
-CLASS_IDS = (1, 2, 3)
+from .timeseries import ALL_CLASSES
 
 
 @dataclass(frozen=True)
@@ -21,7 +20,7 @@ class ConfusionMatrix:
     """counts[i][j] = windows with true class_ids[i] predicted as class_ids[j]."""
 
     counts: np.ndarray
-    class_ids: tuple[int, ...] = CLASS_IDS
+    class_ids: tuple[int, ...] = ALL_CLASSES
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -59,7 +58,7 @@ class ClassMetrics:
 
 
 def confusion_matrix(true_labels, pred_labels,
-                     class_ids: tuple[int, ...] = CLASS_IDS) -> ConfusionMatrix:
+                     class_ids: tuple[int, ...] = ALL_CLASSES) -> ConfusionMatrix:
     true_arr = np.asarray(true_labels)
     pred_arr = np.asarray(pred_labels)
     if true_arr.size != pred_arr.size:

@@ -147,18 +147,12 @@ def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
     return mean, m2, m3, m4
 
 
-def _skewness(x: np.ndarray) -> float:
-    _, m2, m3, _ = _moments(x)
+def _standardized_moment(x: np.ndarray, which: str) -> float:
+    """`skewness` (m3 / m2^1.5) or excess `kurtosis` (m4 / m2^2 - 3) of x."""
+    _, m2, m3, m4 = _moments(x)
     if m2 <= 0.0:
-        raise NumericError("skewness undefined for zero variance")
-    return m3 / m2**1.5
-
-
-def _kurtosis(x: np.ndarray) -> float:
-    _, m2, _, m4 = _moments(x)
-    if m2 <= 0.0:
-        raise NumericError("kurtosis undefined for zero variance")
-    return m4 / m2**2 - 3.0
+        raise NumericError(f"{which} undefined for zero variance")
+    return m3 / m2**1.5 if which == "skewness" else m4 / m2**2 - 3.0
 
 
 def _zero_crossing_rate(x: np.ndarray) -> float:
@@ -326,10 +320,8 @@ def _compute(x: np.ndarray, kind: str, params: tuple, cache: dict) -> float:
         return float(np.mean(x))
     if kind == "variance":
         return float(np.var(x))
-    if kind == "skewness":
-        return _skewness(x)
-    if kind == "kurtosis":
-        return _kurtosis(x)
+    if kind in ("skewness", "kurtosis"):
+        return _standardized_moment(x, kind)
     if kind == "min":
         return float(np.min(x))
     if kind == "max":
@@ -368,12 +360,9 @@ def _compute(x: np.ndarray, kind: str, params: tuple, cache: dict) -> float:
         return _spectral_centroid(_fft_cache(x, cache), params[0], x.size)
     if kind == "spectrum_moment":
         mag = _fft_cache(x, cache)
-        _, m2, m3, m4 = _moments(mag)
         if params[0] == "variance":
-            return m2
-        if m2 <= 0.0:
-            raise NumericError("spectrum moment undefined for a flat spectrum")
-        return m3 / m2**1.5 if params[0] == "skewness" else m4 / m2**2 - 3.0
+            return _moments(mag)[1]
+        return _standardized_moment(mag, params[0])
     raise ConfigError(f"unknown feature kind {kind!r}")
 
 

@@ -11,7 +11,7 @@ supported operation, which is how out-of-bag checks are done.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -247,13 +247,8 @@ def train_forest(
     n, d = matrix.shape
     if params.max_features is not None and params.max_features > d:
         raise ConfigError(f"max_features {params.max_features} exceeds {d} features")
-    effective = params if params.max_features is not None else ForestParams(
-        n_trees=params.n_trees,
-        max_features=max(1, int(math.isqrt(d))),
-        min_samples_leaf=params.min_samples_leaf,
-        max_depth=params.max_depth,
-        bootstrap=params.bootstrap,
-        seed=params.seed,
+    effective = params if params.max_features is not None else replace(
+        params, max_features=max(1, int(math.isqrt(d)))
     )
     y_idx = np.searchsorted(classes, labels)
     trees = []

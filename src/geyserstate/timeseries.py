@@ -271,33 +271,39 @@ def select_noise_segment(
 def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
     """Read a signal CSV: `timestamp_s,amplitude` rows, or one amplitude per line.
 
-    Blank lines, `#` comments, and a leading non-numeric header are skipped.
+    Blank lines, `#` comments, and one non-numeric header as the first row
+    are skipped.  Every row has the width of the first numeric row.
     Two-column rows must be uniformly spaced at 1/fs_hz within 1e-6 s; the
     first row's timestamp becomes t0_s (0.0 for single-column files).
     """
     amplitudes: list[float] = []
     t0 = 0.0
     prev_t: float | None = None
+    width = 0  # columns per row, set by the first numeric row
+    header = False
     period = 1.0 / fs_hz
     with read_artifact(path) as rows:
         for cells in rows:
             try:
                 fields = [float(p) for p in cells]
             except ValueError:
-                if not amplitudes and prev_t is None:
-                    continue  # header row
-                raise
-            if len(fields) == 1:
+                if amplitudes or header:
+                    raise
+                header = True
+                continue
+            if len(fields) != width:
+                if width or len(fields) > 2:
+                    raise ValueError(f"expected {width or '1 or 2'} columns, got {len(fields)}")
+                width = len(fields)
+            if width == 1:
                 value = fields[0]
-            elif len(fields) == 2:
+            else:
                 t, value = fields
                 if prev_t is None:
                     t0 = t
                 elif abs((t - prev_t) - period) > TIME_TOL_S:
                     raise ValueError("non-uniform spacing")
                 prev_t = t
-            else:
-                raise ValueError("expected 1 or 2 columns")
             if not math.isfinite(value):
                 raise ValueError("non-finite amplitude")
             amplitudes.append(value)

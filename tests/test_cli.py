@@ -6,6 +6,7 @@ the module-scoped `compare_runs` fixture executes the full default
 """
 
 import filecmp
+import importlib.util
 import logging
 import os
 import re
@@ -313,6 +314,25 @@ def _first_p_value_2(lines):
     return lines
 
 
+def _classes_line(value):
+    return lambda lines: [f"# classes={value}" if l.startswith("# classes=") else l
+                          for l in lines]
+
+
+def _dtw_first_label_0(tiny_cfg, out):
+    assert _through_train(tiny_cfg, out, "--classifier", "dtw") == 0
+
+    def relabel(lines):
+        row = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+        start, _, rest = lines[row].split(",", 2)
+        lines[row] = f"{start},0,{rest}"
+        return lines
+
+    _rewrite_lines(os.path.join(out, "dtw_reference.csv"), relabel)
+    code = run("classify", "--config", tiny_cfg, "--out", out, "--classifier", "dtw")
+    return code, "dtw_reference.csv"
+
+
 def _pef_with_utf16_bom(tiny_cfg, out):
     assert _through_train(tiny_cfg, out) == 0
     path = os.path.join(out, "pef.csv")
@@ -348,12 +368,16 @@ def _pef_is_a_directory(tiny_cfg, out):
             "forest.txt", lambda lines: [re.sub(r"n_trees=\d+", "n_trees=0", l) for l in lines]
         ),
         _classify_damaged("feature_mask.csv", _first_p_value_2),
+        _classify_damaged("forest.txt", _classes_line("1,2,4")),
+        _classify_damaged("forest.txt", _classes_line("0,1,2")),
+        _dtw_first_label_0,
     ],
     ids=["filter-missing-events", "classify-missing-mask", "classify-garbage-mask-row",
          "classify-dtw-truncated-params", "classify-forest-without-params",
          "classify-pef-utf16-bom", "classify-pef-is-directory",
          "classify-forest-split-on-feature-500", "classify-dtw-bogus-local-cost",
-         "classify-forest-zero-trees", "classify-mask-p-value-2"],
+         "classify-forest-zero-trees", "classify-mask-p-value-2",
+         "classify-forest-class-4", "classify-forest-class-0", "classify-dtw-label-0"],
 )
 def test_unreadable_artifact_exits_3_naming_file(tiny_cfg, tmp_path, capsys, damage):
     code, name = damage(tiny_cfg, str(tmp_path / "o"))
@@ -418,11 +442,36 @@ def test_pipeline_seed_changes_results_not_schema(tiny_cfg, tmp_path):
         assert header(os.path.join(o1, name)) == header(os.path.join(o2, name))
 
 
-def test_stage_logs_its_wall_time(caplog):
+def test_stage_logs_its_wall_time(tiny_cfg, tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="geyserstate.cli")
     with _stage("demo"):
         pass
     assert re.search(r"stage=demo seconds=\d+\.\d{3}", caplog.text)
+    out = str(tmp_path / "o")
+    assert run("synth", "--config", tiny_cfg, "--out", out) == 0
+    assert re.search(r"stage=synth seconds=\d+\.\d{3}", caplog.text)
+    # wall times go to the log only, never into the output directory
+    assert sorted(os.listdir(out)) == ["classes.csv", "events.csv", "signal.csv"]
+
+
+def test_staged_commands_write_what_pipeline_writes(tiny_cfg, tmp_path):
+    """synth + filter and pipeline run the same stage functions: same bytes."""
+    staged, piped = str(tmp_path / "staged"), str(tmp_path / "piped")
+    assert _synth_and_filter(tiny_cfg, staged, "--skip-pef") == 0
+    assert run("pipeline", "--config", tiny_cfg, "--out", piped) == 0
+    for name in ("signal.csv", "events.csv", "classes.csv", "bh.csv"):
+        assert read(os.path.join(staged, name)) == read(os.path.join(piped, name)), name
+
+
+def test_bench_tracing_patches_resolve():
+    """bench/tracing.py wraps these names in place; one that no longer
+    exists would drop out of the per-layer numbers unnoticed."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, name, _, _ in tracing.PATCHES:
+        assert callable(getattr(importlib.import_module(module_name), name)), (module_name, name)
 
 
 # -- full default comparison run (acceptance) ----------------------------------------

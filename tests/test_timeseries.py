@@ -125,6 +125,20 @@ def test_load_nan_amplitude_errors(tmp_path):
         load_timeseries(str(p), 200.0)
 
 
+def test_load_mixed_row_widths_report_line(tmp_path):
+    p = tmp_path / "sig.csv"
+    p.write_text("0.0,1.0\n0.005,2.0\n7.5\n")
+    with pytest.raises(DataError, match="expected 2 columns, got 1 at line 3"):
+        load_timeseries(str(p), 200.0)
+
+
+def test_load_second_non_numeric_row_reports_line(tmp_path):
+    p = tmp_path / "sig.csv"
+    p.write_text("# seed=7\ntimestamp_s,amplitude\nunits_s,counts\n0.0,1.0\n")
+    with pytest.raises(DataError, match=f"{p.name}.*at line 3"):
+        load_timeseries(str(p), 200.0)
+
+
 def test_load_single_column(tmp_path):
     p = tmp_path / "sig.csv"
     p.write_text("1.5\n2.5\n")
