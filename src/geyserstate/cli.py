@@ -148,6 +148,7 @@ def _load_predictions(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             pred_labels.append(int(cells[2]))
         if not starts:
             raise ValueError("no rows")
+    _check_class_labels(path, true_labels + pred_labels)
     return np.asarray(starts), np.asarray(true_labels), np.asarray(pred_labels)
 
 
@@ -171,7 +172,8 @@ def _full_votes(raw_votes: np.ndarray, classes: np.ndarray) -> np.ndarray:
 
 
 def _check_class_labels(path: str, labels) -> None:
-    """Model files may name only classes 1..3, the columns of every vote table."""
+    """Model and predictions files may name only classes 1..3, the columns
+    of every vote table and confusion matrix."""
     bad = sorted({int(c) for c in labels} - set(ALL_CLASSES))
     if bad:
         raise DataError(f"malformed {path}: class labels {bad} outside {ALL_CLASSES}")

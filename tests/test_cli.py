@@ -350,6 +350,20 @@ def _pef_is_a_directory(tiny_cfg, out):
     return run("classify", "--config", tiny_cfg, "--out", out), "pef.csv"
 
 
+def _predicted_label_4(tiny_cfg, out):
+    assert _through_train(tiny_cfg, out) == 0
+    assert run("classify", "--config", tiny_cfg, "--out", out) == 0
+
+    def relabel(lines):
+        row = next(i for i, l in enumerate(lines) if l[:1].isdigit())
+        start, truth, _, rest = lines[row].split(",", 3)
+        lines[row] = f"{start},{truth},4,{rest}"
+        return lines
+
+    _rewrite_lines(os.path.join(out, "predictions.csv"), relabel)
+    return run("eval", "--config", tiny_cfg, "--out", out), "predictions.csv"
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -371,13 +385,15 @@ def _pef_is_a_directory(tiny_cfg, out):
         _classify_damaged("forest.txt", _classes_line("1,2,4")),
         _classify_damaged("forest.txt", _classes_line("0,1,2")),
         _dtw_first_label_0,
+        _predicted_label_4,
     ],
     ids=["filter-missing-events", "classify-missing-mask", "classify-garbage-mask-row",
          "classify-dtw-truncated-params", "classify-forest-without-params",
          "classify-pef-utf16-bom", "classify-pef-is-directory",
          "classify-forest-split-on-feature-500", "classify-dtw-bogus-local-cost",
          "classify-forest-zero-trees", "classify-mask-p-value-2",
-         "classify-forest-class-4", "classify-forest-class-0", "classify-dtw-label-0"],
+         "classify-forest-class-4", "classify-forest-class-0", "classify-dtw-label-0",
+         "eval-predicted-label-4"],
 )
 def test_unreadable_artifact_exits_3_naming_file(tiny_cfg, tmp_path, capsys, damage):
     code, name = damage(tiny_cfg, str(tmp_path / "o"))
@@ -452,6 +468,16 @@ def test_stage_logs_its_wall_time(tiny_cfg, tmp_path, caplog):
     assert re.search(r"stage=synth seconds=\d+\.\d{3}", caplog.text)
     # wall times go to the log only, never into the output directory
     assert sorted(os.listdir(out)) == ["classes.csv", "events.csv", "signal.csv"]
+
+
+def test_filter_verbose_logs_ar_search(tiny_cfg, tmp_path, caplog):
+    caplog.set_level(logging.DEBUG, logger="geyserstate.filters")
+    out = str(tmp_path / "o")
+    assert _synth_and_filter(tiny_cfg, out, "--verbose") == 0
+    assert re.search(r"AR order search: screened 16 orders, refit \d+ by QR", caplog.text)
+    assert sorted(os.listdir(out)) == [
+        "ar_model.txt", "bh.csv", "classes.csv", "events.csv", "pef.csv", "signal.csv"
+    ]
 
 
 def test_staged_commands_write_what_pipeline_writes(tiny_cfg, tmp_path):

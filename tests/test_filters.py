@@ -5,6 +5,7 @@ a direct transfer-function evaluation on the expanded rational polynomial,
 an explicit-recursion AR simulator, and a normal-equation OLS solver.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from geyserstate.errors import ConfigError, DataError, NumericError
 from geyserstate.filters import (
     ArModel,
     FilterCascade,
+    _ols_ar,
+    _screen_orders,
     apply_filter,
     ar_predict_one_step,
     design_butterworth_highpass,
@@ -283,6 +286,124 @@ def test_fit_idempotence_within_three_se():
     assert abs(second.intercept_c - first.intercept_c) <= 3 * se[0]
     for i in range(2):
         assert abs(second.coeffs_alpha[i] - first.coeffs_alpha[i]) <= 3 * se[i + 1]
+
+
+def qr_aic(x, p):
+    """One order's QR fit and its AIC: (beta, rss, aic)."""
+    n = x.size
+    beta, rss = _ols_ar(x, p)
+    return beta, rss, (n - p) * math.log(max(rss / (n - p), 1e-300)) + 2.0 * (p + 1)
+
+
+def full_aic_search(x, max_order):
+    """The AIC search as one QR fit per order: `_ols_ar` at every p, the
+    first p with the smallest AIC wins.  Returns (p, beta, rss, aic)."""
+    best = None
+    for p in range(1, max_order + 1):
+        beta, rss, aic = qr_aic(x, p)
+        if best is None or aic < best[3]:
+            best = (p, beta, rss, aic)
+    return best
+
+
+def _sinusoid(n, noise):
+    t = np.arange(n) / FS
+    return np.sin(2 * np.pi * 5.0 * t) + noise * np.random.default_rng(5).normal(size=n)
+
+
+AIC_SEARCH_SIGNALS = {
+    "ar2": lambda: simulate_ar([0.6, -0.2], 0.0, 1.0, 50000, seed=42),
+    "near-unit-root": lambda: simulate_ar([1.79992, -0.81], 0.0, 0.5, 40000, seed=31),
+    "white-noise": lambda: np.random.default_rng(7).normal(0.0, 2.0, 20000),
+    "sinusoid-plus-1e-3-noise": lambda: _sinusoid(20000, 1e-3),
+    "ar1-dc-offset-1e4": lambda: simulate_ar([0.9], 0.0, 1.0, 20000, seed=3) + 1e4,
+}
+
+
+@pytest.mark.parametrize(
+    "name,max_order",
+    [(name, 8) for name in AIC_SEARCH_SIGNALS] + [("sinusoid-plus-1e-3-noise", 64)],
+)
+def test_aic_search_bit_identical_to_qr_at_every_order(name, max_order):
+    """The screened search returns bitwise the model of a full QR search."""
+    x = AIC_SEARCH_SIGNALS[name]()
+    p, beta, rss, aic = full_aic_search(x, max_order)
+    model = fit_ar(TimeSeries(x, FS), max_order=max_order, criterion="aic")
+    assert model.order_p == p
+    assert model.intercept_c == beta[0]
+    assert np.array_equal(model.coeffs_alpha, beta[1:])
+    assert model.sigma2 == rss / (x.size - p)
+    assert model.aic == aic
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3], ids=["no-offset", "offset-1e3"])
+def test_fit_pure_sinusoid_degenerate(offset):
+    """A pure tone is an exact AR(2): every higher order's design is rank
+    deficient, and QR rejects it even where the screen looks fine."""
+    ts = TimeSeries(_sinusoid(20000, 0.0) + offset, FS)
+    with pytest.raises(NumericError, match="degenerate signal"):
+        fit_ar(ts, max_order=8)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e13])
+def test_fit_extreme_amplitude_degenerate(scale):
+    """QR's rank test compares the lag pivots with the intercept's, so a
+    well-shaped series at 1e-13 or 1e13 scale is rejected; the screen must
+    send it to QR rather than vouch for it."""
+    x = simulate_ar([0.6, -0.2], 0.0, scale, 5000, seed=42)
+    with pytest.raises(NumericError, match="degenerate signal"):
+        fit_ar(TimeSeries(x, FS), max_order=8)
+
+
+def test_fit_raises_when_qr_rejects_only_higher_orders():
+    """At 1e-12 scale QR accepts AR(1)'s design but rejects order 2 and up.
+    The screen's best order is 1, so only its rank-test mirror sends the
+    others to QR, which raises as a full search does."""
+    x = simulate_ar([0.9], 0.0, 10.0**-12.1, 5000, seed=3)
+    _ols_ar(x, 1)
+    with pytest.raises(NumericError, match="degenerate signal"):
+        _ols_ar(x, 2)
+    with pytest.raises(NumericError, match="degenerate signal"):
+        fit_ar(TimeSeries(x, FS), max_order=8)
+
+
+@pytest.mark.parametrize("name", list(AIC_SEARCH_SIGNALS))
+def test_screen_bound_contains_qr_aic(name):
+    """Every order the screen vouches for has its QR AIC inside aic +- tol,
+    and tol is below the 2-unit AIC penalty of one more lag, so the screen
+    can rule orders out."""
+    x = AIC_SEARCH_SIGNALS[name]()
+    aic, lower = _screen_orders(x, 8)
+    for p in range(1, 9):
+        if np.isneginf(lower[p - 1]):
+            continue
+        exact = qr_aic(x, p)[2]
+        tol = aic[p - 1] - lower[p - 1]
+        assert lower[p - 1] <= exact <= aic[p - 1] + tol, p
+        assert tol < 1.0
+
+
+def test_search_exact_for_any_screen_within_its_bound(monkeypatch):
+    """The refit rule alone makes the search exact: a screen that ranks the
+    orders backwards, or vouches for none, still yields the QR winner."""
+    x = simulate_ar([0.6, -0.2], 0.0, 1.0, 20000, seed=42)
+    p, beta, _, aic = full_aic_search(x, 8)
+    exact = np.array([qr_aic(x, q)[2] for q in range(1, 9)])
+    winner = np.arange(1, 9) == p
+    backwards = (-np.arange(1.0, 9.0), exact - 1.0)
+    unvouched_winner = (np.where(winner, np.inf, exact), np.where(winner, -np.inf, exact - 1e-9))
+    for screen in (backwards, unvouched_winner, (np.full(8, np.inf), np.full(8, -np.inf))):
+        monkeypatch.setattr("geyserstate.filters._screen_orders", lambda *_, s=screen: s)
+        model = fit_ar(TimeSeries(x, FS), max_order=8, criterion="aic")
+        assert (model.order_p, model.aic) == (p, aic)
+        assert np.array_equal(model.coeffs_alpha, beta[1:])
+
+
+@pytest.mark.parametrize("name", ["ar2", "ar1-dc-offset-1e4"])
+def test_aic_search_logs_orders_screened_and_refit(name, caplog):
+    caplog.set_level(logging.DEBUG, logger="geyserstate.filters")
+    fit_ar(TimeSeries(AIC_SEARCH_SIGNALS[name](), FS), max_order=8, criterion="aic")
+    assert "AR order search: screened 8 orders, refit 1 by QR" in caplog.text
 
 
 # -- prediction and PEF --------------------------------------------------------
