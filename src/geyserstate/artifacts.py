@@ -9,16 +9,26 @@ the reader collects them into `meta` as it streams, so a comment such as
 Any fault met while reading, including building the domain object inside
 the `with` block, becomes a `DataError` naming the file (and the line when
 the fault is in a row), so an unreadable artifact always exits 3.
+
+It is also the one place that spells a table cell: `write_table` writes
+floats by `repr` (the shortest text that reads back bit for bit), integers
+and booleans by `str` of the integer, and strings as they are.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
+
+import numpy as np
 
 from .errors import DataError, GeyserStateError
 
 _READ_FAULTS = (OSError, ValueError, KeyError, IndexError, GeyserStateError)
+
+# rows spelled per chunk of a table: bounds the text held in memory while a
+# 720k-row series file is written
+_CHUNK_ROWS = 4096
 
 
 def write_artifact(
@@ -35,6 +45,32 @@ def write_artifact(
                 fh.write(row + "\n")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None
+
+
+def _spelled(column) -> tuple[np.ndarray, Callable[[object], str]]:
+    """The column as an array and the function that spells one of its cells."""
+    col = np.asarray(column)
+    if col.dtype.kind == "b":
+        col = col.astype(np.int64)
+    return col, repr if col.dtype.kind == "f" else str
+
+
+def write_table(
+    path: str, comments: Iterable[str], names: Iterable[str] | None, columns: Iterable
+) -> None:
+    """Write equal-length columns as comma-separated rows under a `names` header."""
+    spelled = [_spelled(c) for c in columns]
+    n = len(spelled[0][0]) if spelled else 0
+    if any(len(col) != n for col, _ in spelled):
+        raise ValueError(f"columns of unequal length for {path}")
+
+    def chunks() -> Iterator[str]:
+        # each chunk of rows reaches write_artifact as one multi-line row
+        for lo in range(0, n, _CHUNK_ROWS):
+            cells = [map(spell, col[lo:lo + _CHUNK_ROWS].tolist()) for col, spell in spelled]
+            yield "\n".join(map(",".join, zip(*cells)))
+
+    write_artifact(path, comments, None if names is None else ",".join(names), chunks())
 
 
 class ArtifactReader:

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .artifacts import read_artifact, write_artifact
+from .artifacts import read_artifact, write_artifact, write_table
 from .config import (
     dtw_params,
     forest_params,
@@ -103,9 +103,9 @@ def _class_counts(labeled: list[LabeledWindow]) -> dict[int, int]:
 
 def _save_medians(medians: np.ndarray, catalog: FeatureCatalog, path: str, seed: int) -> None:
     """Training-column medians used to impute NaN cells at inference time."""
-    rows = (f"{name},{float(m)!r}" for name, m in zip(catalog.names, medians))
-    write_artifact(
-        path, [*_seed_header(seed), f"catalog={catalog.version}"], "feature_name,median", rows
+    write_table(
+        path, [*_seed_header(seed), f"catalog={catalog.version}"],
+        ("feature_name", "median"), (catalog.names, medians),
     )
 
 
@@ -129,12 +129,8 @@ def _write_predictions(
     seed: int,
 ) -> None:
     """`window_start_s,true_label,predicted_label,votes_1,votes_2,votes_3`."""
-    rows = (
-        f"{float(s)!r},{int(t)},{int(p)}," + ",".join(str(int(c)) for c in v)
-        for s, t, p, v in zip(starts, true_labels, pred_labels, votes)
-    )
-    header = "window_start_s,true_label,predicted_label,votes_1,votes_2,votes_3"
-    write_artifact(path, _seed_header(seed), header, rows)
+    names = ("window_start_s", "true_label", "predicted_label", "votes_1", "votes_2", "votes_3")
+    write_table(path, _seed_header(seed), names, (starts, true_labels, pred_labels, *votes.T))
 
 
 def _load_predictions(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -282,6 +278,7 @@ def _rf_fit(
     filled, medians = median_impute(matrix)
     mask = select_features(filled, labels, values["features.fdr_q"], values["features.cap"])
     cols = np.flatnonzero(mask.selected)
+    _log.info("selected %d of %d features", cols.size, len(catalog))
     names = tuple(catalog.names[j] for j in cols)
     forest = train_forest(
         filled[:, cols], labels, forest_params(values, seed), catalog.version, names
@@ -471,20 +468,16 @@ def _emit_event_traces(
     plots_dir = os.path.join(out_dir, "plots")
     os.makedirs(plots_dir, exist_ok=True)
     classes = sample_classes(raw, events, label_policy(values))
-    times = raw.timestamps()
+    names = ("timestamp_s", "raw", "bh", "pef", "class")
+    columns = (raw.timestamps(), raw.values, bh.values, residual.values, classes)
     written = []
     for k, e in enumerate(test_events.event_times_s, start=1):
         lo = max(0, int(round((e - PLOT_BEFORE_S - raw.t0_s) * raw.fs_hz)))
         hi = min(len(raw), int(round((e + PLOT_AFTER_S - raw.t0_s) * raw.fs_hz)))
         path = os.path.join(plots_dir, f"event_{k}.csv")
-        rows = (
-            f"{float(times[i])!r},{float(raw.values[i])!r},"
-            f"{float(bh.values[i])!r},{float(residual.values[i])!r},{classes[i]}"
-            for i in range(lo, hi)
-        )
-        write_artifact(
-            path, [*_seed_header(seed), f"event_time_s={float(e)!r}"],
-            "timestamp_s,raw,bh,pef,class", rows,
+        write_table(
+            path, [*_seed_header(seed), f"event_time_s={float(e)!r}"], names,
+            [c[lo:hi] for c in columns],
         )
         written.append(path)
     return written
@@ -524,7 +517,7 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
         else:
             raw, events = _synthesize(values, seed, paths)
 
-    with _stage("filter"):
+    with _stage("highpass"):
         bh = _highpass(raw, values, out_dir, seed)
 
     with _stage("split"):
@@ -537,7 +530,7 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
             bh_test.t0_s, len(bh_train), len(bh_test), len(ev_train), len(ev_test),
         )
 
-    with _stage("filter"):
+    with _stage("pef"):
         # AR model is fitted on training-side noise only, then the filter is
         # run over the full series so the test side has no warm-up gap
         residual, _, _ = _prediction_error(bh, bh_train, ev_train, values, out_dir, seed)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_artifact, write_artifact
+from .artifacts import read_artifact, write_table
 from .errors import ConfigError, DataError
 
 LOCAL_COSTS = ("squared", "absolute")
@@ -175,15 +175,10 @@ def save_reference(windows: list, path: str, params: DtwParams,
         f"band_radius={params.band_radius} downsample_to={params.downsample_to} "
         f"z_normalize={int(params.z_normalize)}",
     ]
-    write_artifact(path, comments, None, (_reference_row(item, params) for item in windows))
-
-
-def _reference_row(item, params: DtwParams) -> str:
-    samples, label = (item.samples, item.label) if hasattr(item, "samples") else item
-    start = getattr(item, "start_s", 0.0)
-    pooled = mean_pool(np.asarray(samples, dtype=np.float64), params.downsample_to)
-    cells = ",".join(repr(float(v)) for v in pooled)
-    return f"{float(start)!r},{int(label)},{cells}"
+    pairs = [(w.samples, w.label) if hasattr(w, "samples") else w for w in windows]
+    starts = [getattr(w, "start_s", 0.0) for w in windows]
+    pooled = np.array([mean_pool(samples, params.downsample_to) for samples, _ in pairs])
+    write_table(path, comments, None, (starts, [label for _, label in pairs], *pooled.T))
 
 
 def load_reference(path: str) -> tuple[list[tuple[np.ndarray, int]], DtwParams]:

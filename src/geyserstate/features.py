@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import mannwhitneyu
 
-from .artifacts import read_artifact, write_artifact
+from .artifacts import read_artifact, write_table
 from .errors import ConfigError, DataError, NumericError
 
 DEFAULT_FFT_BINS = 32
@@ -489,15 +489,11 @@ def save_feature_matrix(
         raise ConfigError("matrix shape does not match catalog")
     if matrix.shape[0] != len(labels) or matrix.shape[0] != len(starts):
         raise ConfigError("labels and starts must match the matrix row count")
-    rows = (
-        f"{float(start)!r},{int(label)}," + ",".join(repr(float(v)) for v in row)
-        for start, label, row in zip(starts, labels, matrix)
-    )
-    write_artifact(
+    write_table(
         path,
         [*(header_comments or []), f"catalog={catalog.version}"],
-        "window_start_s,label," + ",".join(catalog.names),
-        rows,
+        ("window_start_s", "label", *catalog.names),
+        (starts, labels, *matrix.T),
     )
 
 
@@ -528,15 +524,11 @@ def save_feature_mask(
     """`feature_name,p_value,selected` rows in catalog order."""
     if len(catalog) != mask.selected.size:
         raise ConfigError("mask length does not match catalog")
-    rows = (
-        f"{name},{float(p)!r},{int(sel)}"
-        for name, p, sel in zip(catalog.names, mask.p_values, mask.selected)
-    )
-    write_artifact(
+    write_table(
         path,
         [*(header_comments or []), f"catalog={catalog.version}"],
-        "feature_name,p_value,selected",
-        rows,
+        ("feature_name", "p_value", "selected"),
+        (catalog.names, mask.p_values, mask.selected),
     )
 
 

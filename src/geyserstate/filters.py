@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.signal import sosfilt
 
-from .artifacts import read_artifact, write_artifact
+from .artifacts import write_artifact
 from .errors import ConfigError, DataError, NumericError
 from .timeseries import TimeSeries
 
@@ -383,18 +383,3 @@ def save_ar_model(model: ArModel, path: str, header_comments: list[str] | None =
         f"sigma2={model.sigma2:.17g}",
     )
     write_artifact(path, header_comments or [], None, rows)
-
-
-def load_ar_model(path: str) -> ArModel:
-    with read_artifact(path) as rows:
-        # `alpha=` is the one key whose value spans several cells
-        fields = {}
-        for first, *rest in rows:
-            key, _, value = first.partition("=")
-            fields[key.strip()] = [value, *rest]
-        return ArModel(
-            order_p=int(fields["p"][0]),
-            intercept_c=float(fields["c"][0]),
-            coeffs_alpha=np.array([float(v) for v in fields["alpha"]]),
-            sigma2=float(fields["sigma2"][0]),
-        )

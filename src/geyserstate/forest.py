@@ -269,14 +269,6 @@ def train_forest(
     )
 
 
-def bootstrap_rows(forest: Forest, tree_index: int, n_rows: int) -> np.ndarray:
-    """Re-derive tree t's bootstrap index vector from the seeding contract."""
-    if not forest.params.bootstrap:
-        return np.arange(n_rows)
-    rng = np.random.default_rng([forest.params.seed, tree_index])
-    return rng.integers(0, n_rows, size=n_rows)
-
-
 def _tree_vote(tree: Tree, x: np.ndarray) -> int:
     node = 0
     while tree.feature[node] >= 0:

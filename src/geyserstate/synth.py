@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .artifacts import write_artifact
+from .artifacts import write_table
 from .errors import ConfigError, DataError
 from .timeseries import (
     EventLog,
@@ -272,5 +272,4 @@ def split_train_test(
 def save_classes(ts: TimeSeries, classes: np.ndarray, path: str,
                  header_comments: list[str] | None = None) -> None:
     """Ground-truth per-sample classes: `timestamp_s,class` rows."""
-    rows = (f"{float(t)!r},{int(c)}" for t, c in zip(ts.timestamps(), classes))
-    write_artifact(path, header_comments or [], "timestamp_s,class", rows)
+    write_table(path, header_comments or [], ("timestamp_s", "class"), (ts.timestamps(), classes))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_artifact, write_artifact
+from .artifacts import read_artifact, write_table
 from .errors import ConfigError, DataError
 
 CLASS_FAR = 1
@@ -312,8 +312,9 @@ def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
 
 def save_timeseries(ts: TimeSeries, path: str, header_comments: list[str] | None = None) -> None:
     """Write the signal CSV format read by load_timeseries; bit-exact round-trip."""
-    rows = (f"{ts.time_of(i)!r},{float(v)!r}" for i, v in enumerate(ts.values))
-    write_artifact(path, header_comments or [], "timestamp_s,amplitude", rows)
+    write_table(
+        path, header_comments or [], ("timestamp_s", "amplitude"), (ts.timestamps(), ts.values)
+    )
 
 
 def load_events(path: str) -> EventLog:
@@ -323,5 +324,4 @@ def load_events(path: str) -> EventLog:
 
 
 def save_events(events: EventLog, path: str, header_comments: list[str] | None = None) -> None:
-    rows = (repr(float(t)) for t in events.event_times_s)
-    write_artifact(path, header_comments or [], None, rows)
+    write_table(path, header_comments or [], None, (events.event_times_s,))

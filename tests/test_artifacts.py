@@ -3,10 +3,12 @@
 import ast
 import pathlib
 
+import numpy as np
 import pytest
 
 import geyserstate
-from geyserstate.artifacts import read_artifact, write_artifact
+from geyserstate import artifacts
+from geyserstate.artifacts import read_artifact, write_artifact, write_table
 from geyserstate.errors import ConfigError, DataError
 
 PACKAGE = pathlib.Path(geyserstate.__file__).parent
@@ -76,3 +78,36 @@ def test_missing_key_and_undecodable_bytes(tmp_path):
 def test_unwritable_path_is_a_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot write"):
         write_artifact(str(tmp_path / "missing" / "a.csv"), [], None, ["1"])
+
+
+def test_write_table_spells_cells_like_the_per_row_writers(tmp_path):
+    # one row more than a chunk, so the chunk seam is inside the file
+    n = artifacts._CHUNK_ROWS + 1
+    specials = [0.1, -0.0, 5e-324, 1e16, 1 / 3, float("nan"), float("inf")]
+    values = np.resize(np.array(specials), n)
+    times = 123.456 + np.arange(n) / 200
+    labels = np.arange(n, dtype=np.int64) % 3 + 1
+    selected = labels == 2
+    names = [f"f{i}" for i in range(n)]
+    path = tmp_path / "t.csv"
+    write_table(
+        str(path), ["seed=1"], ("timestamp_s", "amplitude", "class", "selected", "name"),
+        (times, values, labels, selected, names),
+    )
+    # the spelling each writer used before write_table, one row at a time
+    rows = "".join(
+        f"{123.456 + i / 200!r},{float(v)!r},{int(c)},{int(sel)},{name}\n"
+        for i, (v, c, sel, name) in enumerate(zip(values, labels, selected, names))
+    )
+    want = "# seed=1\ntimestamp_s,amplitude,class,selected,name\n" + rows
+    assert path.read_bytes() == want.encode()
+
+
+def test_write_table_empty_and_headerless(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(str(path), ["seed=2"], ("a", "b"), (np.empty(0), np.empty(0, dtype=np.int64)))
+    assert path.read_text() == "# seed=2\na,b\n"
+    write_table(str(path), [], None, ([2.5, -1.0],))
+    assert path.read_text() == "2.5\n-1.0\n"
+    with pytest.raises(ValueError, match="unequal length"):
+        write_table(str(path), [], None, ([1.0], [1, 2]))

@@ -442,7 +442,7 @@ def test_pipeline_stage_tag_on_failure(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY_CFG + "filter.corner_hz = 25\n")
     assert run("pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
-    assert "stage filter" in capsys.readouterr().err
+    assert "stage highpass" in capsys.readouterr().err
 
 
 def test_pipeline_seed_changes_results_not_schema(tiny_cfg, tmp_path):
@@ -468,6 +468,15 @@ def test_stage_logs_its_wall_time(tiny_cfg, tmp_path, caplog):
     assert re.search(r"stage=synth seconds=\d+\.\d{3}", caplog.text)
     # wall times go to the log only, never into the output directory
     assert sorted(os.listdir(out)) == ["classes.csv", "events.csv", "signal.csv"]
+
+
+def test_pipeline_logs_each_stage_and_features_kept(tiny_cfg, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="geyserstate.cli")
+    assert run("pipeline", "--config", tiny_cfg, "--out", str(tmp_path / "o")) == 0
+    for name in ("synth", "highpass", "split", "pef", "train", "classify", "eval", "plots"):
+        assert re.search(rf"stage={name} seconds=\d+\.\d{{3}}", caplog.text)
+    assert "stage=filter" not in caplog.text
+    assert re.search(r"selected \d+ of \d+ features", caplog.text)
 
 
 def test_filter_verbose_logs_ar_search(tiny_cfg, tmp_path, caplog):

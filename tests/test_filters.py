@@ -21,7 +21,6 @@ from geyserstate.filters import (
     ar_predict_one_step,
     design_butterworth_highpass,
     fit_ar,
-    load_ar_model,
     pef,
     r2_score,
     save_ar_model,
@@ -490,22 +489,20 @@ def test_r2_validation():
 # -- persistence ---------------------------------------------------------------
 
 def test_ar_model_roundtrip(tmp_path):
+    """Each written line parses back with float()/int() to the exact value."""
     x = simulate_ar([0.6, -0.2], 0.1, 1.0, 5000, seed=23)
     model = fit_ar(TimeSeries(x, FS), max_order=5, criterion="aic")
     path = tmp_path / "ar.txt"
     save_ar_model(model, str(path), header_comments=["seed=23"])
-    back = load_ar_model(str(path))
-    assert back.order_p == model.order_p
-    assert back.intercept_c == model.intercept_c
-    assert np.array_equal(back.coeffs_alpha, model.coeffs_alpha)
-    assert back.sigma2 == model.sigma2
-
-
-def test_ar_model_file_errors(tmp_path):
-    path = tmp_path / "ar.txt"
-    path.write_text("p=2\nc=0.0\n")
-    with pytest.raises(DataError, match="malformed"):
-        load_ar_model(str(path))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# seed=23"
+    fields = dict(line.split("=", 1) for line in lines[1:])
+    assert list(fields) == ["p", "c", "alpha", "sigma2"]
+    assert int(fields["p"]) == model.order_p
+    assert float(fields["c"]) == model.intercept_c
+    alpha = [float(v) for v in fields["alpha"].split(",")]
+    assert np.array_equal(alpha, model.coeffs_alpha)
+    assert float(fields["sigma2"]) == model.sigma2
 
 
 # -- two-stage chain property ----------------------------------------------------

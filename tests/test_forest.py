@@ -14,7 +14,6 @@ from geyserstate.forest import (
     ForestParams,
     Tree,
     best_split,
-    bootstrap_rows,
     gini_impurity,
     grow_tree,
     load_forest,
@@ -231,7 +230,8 @@ def test_forest_out_of_bag_error_small():
     n = labels.size
     in_bag = np.zeros((len(forest.trees), n), dtype=bool)
     for t in range(len(forest.trees)):
-        in_bag[t, bootstrap_rows(forest, t, n)] = True
+        # the seeding contract: tree t's first draw is its bootstrap rows
+        in_bag[t, np.random.default_rng([7, t]).integers(0, n, size=n)] = True
     errors = 0
     scored = 0
     for i in range(n):
