@@ -1,14 +1,19 @@
 """The one place the package opens an artifact file.
 
-Every artifact is plain UTF-8 text: `# ` comment lines, an optional
-column-header line, then one comma-separated row per line.  Comment lines
-may carry `key=value` tokens (`# seed=42`, `# params n_trees=100 ...`);
-the reader collects them into `meta` as it streams, so a comment such as
-`# tree=3` in the middle of a file tells the rows after it apart.
+Every artifact is plain UTF-8 text (a leading byte-order mark is dropped):
+`# ` comment lines, an optional column-header line, then one
+comma-separated row per line.  Comment lines may carry `key=value` tokens
+(`# seed=42`, `# params n_trees=100 ...`); the reader collects them into
+`meta` as it streams, so a comment such as `# tree=3` in the middle of a
+file tells the rows after it apart.
 
 Any fault met while reading, including building the domain object inside
 the `with` block, becomes a `DataError` naming the file (and the line when
 the fault is in a row), so an unreadable artifact always exits 3.
+
+`read_numeric` is the fast read of an all-number table (the 720k-row
+signal files): one `np.loadtxt` call, returning None for anything unusual
+so that the caller re-reads through `read_artifact` for its diagnostics.
 
 It is also the one place that spells a table cell: `write_table` writes
 floats by `repr` (the shortest text that reads back bit for bit), integers
@@ -25,6 +30,10 @@ import numpy as np
 from .errors import DataError, GeyserStateError
 
 _READ_FAULTS = (OSError, ValueError, KeyError, IndexError, GeyserStateError)
+
+# UTF-8 that drops a leading byte-order mark instead of reading it as part
+# of the first cell
+_READ_ENCODING = "utf-8-sig"
 
 # rows spelled per chunk of a table: bounds the text held in memory while a
 # 720k-row series file is written
@@ -113,7 +122,7 @@ def read_artifact(path: str, header: bool = False) -> Iterator[ArtifactReader]:
     """Open `path` for streaming; every fault in the block becomes a DataError."""
     reader = None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding=_READ_ENCODING) as fh:
             reader = ArtifactReader(fh, header)
             yield reader
     except _READ_FAULTS as exc:
@@ -122,3 +131,44 @@ def read_artifact(path: str, header: bool = False) -> Iterator[ArtifactReader]:
         detail = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
         where = f" at line {reader.row_line}" if reader and reader.row_line else ""
         raise DataError(f"{what} {path}: {detail}{where}") from None
+
+
+def _is_numeric(line: str) -> bool:
+    try:
+        [float(cell) for cell in line.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+def read_numeric(path: str) -> np.ndarray | None:
+    """The rows of a comma-separated number table as one 2-D float array.
+
+    Leading blank and `#` lines are skipped, and so is one first row with a
+    cell that `float` rejects (a column header).  `np.loadtxt` parses the
+    rest with no comment character, so it accepts a subset of what
+    `read_artifact` streams: no later comment, whitespace-only line, `1_0`
+    digit group or trailing `# ...`.  The floats it accepts are the ones
+    `float` reads, bit for bit.  Anything unusual (an OS or decode error, a
+    parse error, a header and no row after it) gives None, and the caller
+    re-reads the file with `read_artifact`, which says what is wrong.
+    """
+    skip = 0
+    header = False
+    try:
+        with open(path, "r", encoding=_READ_ENCODING) as fh:
+            for line in fh:
+                text = line.strip()
+                if text and text[0] != "#":
+                    if header or _is_numeric(text):
+                        break
+                    header = True
+                skip += 1
+            else:
+                # no row to parse: loadtxt would warn and return an empty array
+                return None
+        return np.loadtxt(
+            path, delimiter=",", comments=None, skiprows=skip, ndmin=2, encoding=_READ_ENCODING
+        )
+    except (OSError, ValueError):
+        return None

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_artifact, write_table
+from .artifacts import read_artifact, read_numeric, write_table
 from .errors import ConfigError, DataError
 
 CLASS_FAR = 1
@@ -275,7 +275,26 @@ def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
     are skipped.  Every row has the width of the first numeric row.
     Two-column rows must be uniformly spaced at 1/fs_hz within 1e-6 s; the
     first row's timestamp becomes t0_s (0.0 for single-column files).
+
+    A plain file is parsed in one `read_numeric` call and checked column-wise;
+    anything else (and every fault) goes through `_load_streaming`, so the
+    result and every error text are the streaming reader's.
     """
+    period = 1.0 / fs_hz
+    table = read_numeric(path)
+    # a bad fs_hz is left to the streaming loop, whose error names the file
+    if table is not None and table.shape[1] <= 2 and fs_hz > 0:
+        t, values = table[:, 0], table[:, -1]
+        # the streaming loop's spacing test, row for row (a NaN gap passes both)
+        uneven = table.shape[1] == 2 and np.any(np.abs(np.diff(t) - period) > TIME_TOL_S)
+        if not uneven and np.all(np.isfinite(values)):
+            t0 = float(t[0]) if table.shape[1] == 2 else 0.0
+            return TimeSeries(np.ascontiguousarray(values), fs_hz, t0)
+    return _load_streaming(path, fs_hz)
+
+
+def _load_streaming(path: str, fs_hz: float) -> TimeSeries:
+    """`load_timeseries` row by row: the reference result and every diagnostic."""
     amplitudes: list[float] = []
     t0 = 0.0
     prev_t: float | None = None

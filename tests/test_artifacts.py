@@ -1,17 +1,22 @@
-"""The artifact layer: one writer, one streaming reader, one error contract."""
+"""The artifact layer: one writer, a streaming and a numeric reader, one error contract."""
 
 import ast
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
 import geyserstate
 from geyserstate import artifacts
-from geyserstate.artifacts import read_artifact, write_artifact, write_table
+from geyserstate.artifacts import read_artifact, read_numeric, write_artifact, write_table
 from geyserstate.errors import ConfigError, DataError
 
 PACKAGE = pathlib.Path(geyserstate.__file__).parent
+
+
+# calls that open a file by name: open() and numpy's text and binary readers
+FILE_READERS = {"open", "loadtxt", "genfromtxt", "fromfile"}
 
 
 def test_only_the_artifact_layer_and_config_open_files():
@@ -23,9 +28,9 @@ def test_only_the_artifact_layer_and_config_open_files():
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "open":
-                    offenders.append(f"{path.name}:{node.lineno}")
-    assert not offenders, f"open() outside artifacts.py: {offenders}"
+                if name in FILE_READERS:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert not offenders, f"file reads outside artifacts.py: {offenders}"
 
 
 def test_write_then_read_round_trip(tmp_path):
@@ -73,6 +78,47 @@ def test_missing_key_and_undecodable_bytes(tmp_path):
         with read_artifact(str(path)) as art:
             list(art)
     assert "\\x" not in str(info.value)
+
+
+def test_read_numeric_skips_leading_comments_and_one_header(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_bytes(b"\xef\xbb\xbf# seed=3\n\nt,x\n# units\n0.5,1.5\r\n1.0,-0.0\n")
+    table = read_numeric(str(path))
+    assert table.shape == (2, 2)
+    assert table.tolist() == [[0.5, 1.5], [1.0, -0.0]]
+    assert np.signbit(table[1, 1])
+    path.write_text("2.5\n")
+    assert read_numeric(str(path)).shape == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",  # no rows at all
+        "# seed=1\n\n",
+        "t,x\n",  # a header and nothing after it
+        "t,x\nunits,counts\n1,2\n",  # a second non-numeric row
+        "1,2\n# part=2\n3,4\n",  # a comment after the first row
+        "1,2\n   \n3,4\n",  # a whitespace-only line
+        "1_0\n",  # a digit group, which float() reads and loadtxt does not
+        "1,2 # c\n",
+        "1,2\n3\n",  # mixed widths
+    ],
+)
+def test_read_numeric_leaves_anything_unusual_to_the_streaming_reader(tmp_path, text):
+    path = tmp_path / "a.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt's "input contained no data" included
+        assert read_numeric(str(path)) is None
+
+
+def test_read_numeric_faults_give_none(tmp_path):
+    assert read_numeric(str(tmp_path / "missing.csv")) is None
+    assert read_numeric(str(tmp_path)) is None
+    path = tmp_path / "a.csv"
+    path.write_bytes(b"\xff\xfe1\n")
+    assert read_numeric(str(path)) is None
 
 
 def test_unwritable_path_is_a_data_error(tmp_path):

@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+from geyserstate import timeseries
 from geyserstate.cli import _stage, main
 
 TINY_CFG = """
@@ -93,6 +94,25 @@ def test_filter_writes_chain(tiny_cfg, tmp_path, capsys):
     for name in ("bh.csv", "ar_model.txt", "pef.csv"):
         assert os.path.exists(os.path.join(out, name))
     assert "R2=" in capsys.readouterr().out
+
+
+def test_series_files_the_chain_writes_take_the_fast_read(tiny_cfg, tmp_path, monkeypatch):
+    """signal.csv, bh.csv and pef.csv parse in one loadtxt call: a fall back
+    to the streaming reader would cost each read about three times as long."""
+    out = str(tmp_path / "o")
+    assert _synth_and_filter(tiny_cfg, out) == 0
+    paths = [os.path.join(out, name) for name in ("signal.csv", "bh.csv", "pef.csv")]
+    streamed = [timeseries._load_streaming(path, 50.0) for path in paths]
+
+    def no_fallback(path, fs_hz):
+        raise AssertionError(f"{path} fell back to the streaming reader")
+
+    monkeypatch.setattr(timeseries, "_load_streaming", no_fallback)
+    for path, want in zip(paths, streamed):
+        got = timeseries.load_timeseries(path, 50.0)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.t0_s == want.t0_s
+        assert len(got) == 240 * 50
 
 
 def test_filter_skip_pef(tiny_cfg, tmp_path):

@@ -1,8 +1,13 @@
 """Containers, ingestion, labeling, windowing, and noise-segment selection."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from geyserstate import timeseries
 from geyserstate.errors import ConfigError, DataError
 from geyserstate.timeseries import (
     CLASS_ERUPTION,
@@ -172,6 +177,88 @@ def test_load_events_rejects_garbage(tmp_path):
     p.write_text("400.0\noops\n")
     with pytest.raises(DataError, match="line 2"):
         load_events(str(p))
+
+
+def test_utf8_byte_order_mark_keeps_the_first_sample(tmp_path):
+    p = tmp_path / "sig.csv"
+    p.write_bytes(b"\xef\xbb\xbf0.0,1.5\n0.005,2.5\n0.01,3.5\n")
+    for load in (load_timeseries, timeseries._load_streaming):
+        ts = load(str(p), 200.0)
+        assert list(ts.values) == [1.5, 2.5, 3.5]
+        assert ts.t0_s == 0.0
+
+
+def test_utf8_byte_order_mark_in_events(tmp_path):
+    p = tmp_path / "events.csv"
+    p.write_bytes(b"\xef\xbb\xbf400.0\n850.0\n")
+    assert list(load_events(str(p)).event_times_s) == [400.0, 850.0]
+
+
+# -- fast read against the streaming reader ----------------------------------
+
+FS = 200.0
+# lines a file may carry besides its data rows; each one the streaming
+# reader skips, takes for the header, or rejects
+ODD_LINES = [
+    "", "   ", "\t", "# part=2", "#", "timestamp_s,amplitude", "amplitude",
+    "1_0", "1,2 # c", "0.25", "0.0,1.0,2.0", "x,y",
+]
+ODD_CELLS = ["nan", "-inf", "inf", "1e999", "1_0", "2 # c", " 3.5 ", "", "+1", ".5", "-0.0", "x"]
+
+
+@st.composite
+def series_files(draw):
+    """Bytes of a signal file: mostly well formed, with a few edits that may break it."""
+    width = draw(st.sampled_from([1, 2]))
+    t0 = draw(st.sampled_from([0.0, 123.456, 1.5e9]))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6))
+    times = t0 + np.arange(len(values)) / FS
+    rows = [[repr(float(t)), repr(v)][2 - width:] for t, v in zip(times, values)]
+    for _ in range(draw(st.integers(0, 2))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["cell", "gap", "width"]))
+        if kind == "cell":
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(ODD_CELLS))
+        elif kind == "gap" and width == 2:
+            rows[i][0] = repr(float(times[i]) + draw(st.sampled_from([5e-7, 2e-6, 1.0])))
+        elif kind == "width":
+            rows[i] = rows[i][:1] if width == 2 else rows[i] + ["0.0"]
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(ODD_LINES)))
+    header = draw(st.sampled_from([[], ["timestamp_s,amplitude"], ["amplitude"]]))
+    comments = draw(st.lists(st.sampled_from(["# seed=42", "", "#x=1 y=2"]), max_size=2))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(comments + header + lines)
+    if text and draw(st.booleans()):
+        text += newline
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + text.encode()
+
+
+def _outcome(load, path):
+    """What a load gives, compared bit for bit: the samples and t0, or the error text."""
+    try:
+        ts = load(path, FS)
+    except DataError as exc:
+        return "error", str(exc)
+    return "ok", ts.values.tobytes(), struct.pack("<d", ts.t0_s)
+
+
+@settings(
+    max_examples=400,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=series_files())
+def test_fast_read_matches_the_streaming_reader(tmp_path, data):
+    p = tmp_path / "sig.csv"
+    p.write_bytes(data)
+    assert _outcome(load_timeseries, str(p)) == _outcome(timeseries._load_streaming, str(p))
 
 
 # -- labeling -----------------------------------------------------------------
