@@ -3,11 +3,13 @@
 Every key has a default, so an empty (or absent) file is a valid config.
 Unknown keys are rejected rather than ignored: a typo that silently falls
 back to a default is worse than an error.  Values are parsed to the type the
-key declares; optional integers accept `none`.
+key declares; optional integers accept `none`, and no float key accepts
+`nan` or `inf`.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 from .errors import ConfigError
@@ -26,6 +28,13 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 def _parse_optional_int(raw: str):
     low = raw.strip().lower()
     if low in ("none", "null", ""):
@@ -37,7 +46,7 @@ def _parse_float_list(raw: str) -> tuple:
     stripped = raw.strip()
     if not stripped:
         return ()
-    return tuple(float(v) for v in stripped.split(","))
+    return tuple(_parse_float(v) for v in stripped.split(","))
 
 
 def _parse_max_features(raw: str):
@@ -54,43 +63,43 @@ CONFIG_KEYS: dict[str, tuple] = {
     "paths.signal": ("", str),
     "paths.events": ("", str),
     "paths.classes": ("", str),
-    "synth.duration_s": (3600.0, float),
-    "synth.fs_hz": (200.0, float),
-    "synth.day_period_s": (1200.0, float),
-    "synth.seasonal_amplitude": (2000.0, float),
-    "synth.seasonal_period_s": (1200.0, float),
-    "synth.seasonal_phase": (0.0, float),
-    "synth.ar_a1": (1.79992, float),
-    "synth.ar_a2": (-0.81, float),
-    "synth.ar_sigma": (0.5, float),
-    "synth.burst_rate_per_hour": (30.0, float),
-    "synth.burst_amp_lo": (20.0, float),
-    "synth.burst_amp_hi": (60.0, float),
-    "synth.burst_dur_lo_s": (4.0, float),
-    "synth.burst_dur_hi_s": (12.0, float),
-    "synth.burst_freq_lo_hz": (0.2, float),
-    "synth.burst_freq_hi_hz": (0.5, float),
-    "synth.day_active_lo": (0.08, float),
-    "synth.day_active_hi": (0.75, float),
+    "synth.duration_s": (3600.0, _parse_float),
+    "synth.fs_hz": (200.0, _parse_float),
+    "synth.day_period_s": (1200.0, _parse_float),
+    "synth.seasonal_amplitude": (2000.0, _parse_float),
+    "synth.seasonal_period_s": (1200.0, _parse_float),
+    "synth.seasonal_phase": (0.0, _parse_float),
+    "synth.ar_a1": (1.79992, _parse_float),
+    "synth.ar_a2": (-0.81, _parse_float),
+    "synth.ar_sigma": (0.5, _parse_float),
+    "synth.burst_rate_per_hour": (30.0, _parse_float),
+    "synth.burst_amp_lo": (20.0, _parse_float),
+    "synth.burst_amp_hi": (60.0, _parse_float),
+    "synth.burst_dur_lo_s": (4.0, _parse_float),
+    "synth.burst_dur_hi_s": (12.0, _parse_float),
+    "synth.burst_freq_lo_hz": (0.2, _parse_float),
+    "synth.burst_freq_hi_hz": (0.5, _parse_float),
+    "synth.day_active_lo": (0.08, _parse_float),
+    "synth.day_active_hi": (0.75, _parse_float),
     "synth.event_times_s": ((400.0, 850.0, 1660.0, 2200.0, 2780.0, 3320.0), _parse_float_list),
-    "synth.precursor_amplitude": (2.5, float),
-    "synth.chirp_f0_hz": (12.0, float),
-    "synth.chirp_f1_hz": (20.0, float),
-    "synth.eruption_amplitude": (0.6, float),
-    "synth.eruption_tone_hz": (25.0, float),
+    "synth.precursor_amplitude": (2.5, _parse_float),
+    "synth.chirp_f0_hz": (12.0, _parse_float),
+    "synth.chirp_f1_hz": (20.0, _parse_float),
+    "synth.eruption_amplitude": (0.6, _parse_float),
+    "synth.eruption_tone_hz": (25.0, _parse_float),
     "synth.enforce_amplitude_cap": (True, _parse_bool),
     "filter.order": (4, int),
-    "filter.corner_hz": (0.1, float),
+    "filter.corner_hz": (0.1, _parse_float),
     "ar.max_order": (64, int),
     "ar.criterion": ("aic", str),
-    "ar.train_fraction": (0.05, float),
-    "window.length_s": (60.0, float),
-    "window.stride_s": (60.0, float),
-    "labels.class2_start_s": (180.0, float),
-    "labels.class2_end_s": (0.0, float),
-    "labels.class3_len_s": (120.0, float),
+    "ar.train_fraction": (0.05, _parse_float),
+    "window.length_s": (60.0, _parse_float),
+    "window.stride_s": (60.0, _parse_float),
+    "labels.class2_start_s": (180.0, _parse_float),
+    "labels.class2_end_s": (0.0, _parse_float),
+    "labels.class3_len_s": (120.0, _parse_float),
     "labels.window_rule": ("window-end-time", str),
-    "features.fdr_q": (0.05, float),
+    "features.fdr_q": (0.05, _parse_float),
     "features.cap": (100, int),
     "features.fft_bins": (32, int),
     "forest.n_trees": (100, int),
@@ -103,7 +112,7 @@ CONFIG_KEYS: dict[str, tuple] = {
     "dtw.band_radius": (None, _parse_optional_int),
     "dtw.downsample_to": (600, int),
     "dtw.z_normalize": (False, _parse_bool),
-    "split.ratio": (2.0 / 3.0, float),
+    "split.ratio": (2.0 / 3.0, _parse_float),
 }
 
 OUT_DIR_ENV = "GEYSERSTATE_OUT"
@@ -119,7 +128,7 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return values
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

@@ -1,12 +1,15 @@
 """Window feature extraction and statistical feature selection.
 
 The catalog compresses each fixed-length window into a named vector: moments,
-energy, entropy, crossing rate, autocorrelations, partial autocorrelations,
-time-reversal asymmetry, index mass quantiles, aggregated linear trends,
-change quantiles, leading FFT magnitudes, and magnitude-spectrum summaries.
-Features that are undefined for a particular window (skewness of a constant,
-centroid of silence) come out as NaN and are meant to be median-imputed from
-the training matrix before any classifier sees them.
+order statistics, energy, change sums, crossing rate, entropy,
+autocorrelations, partial autocorrelations, time-reversal asymmetry, index
+mass quantiles, aggregated linear trends, change quantiles, leading FFT
+magnitudes, and magnitude-spectrum summaries.  Each family is one function of
+the window that returns its block of columns, so work shared by its columns
+(one moment pass, one Durbin-Levinson recursion, one FFT) runs once.  A family
+sets NaN where a feature is undefined (skewness of a constant, centroid of
+silence); the training matrix medians impute those cells before any
+classifier sees them.
 
 Selection runs a one-vs-rest Mann-Whitney U test per feature and class,
 Bonferroni-corrects over classes, then applies Benjamini-Hochberg FDR across
@@ -17,7 +20,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.stats import mannwhitneyu
@@ -30,30 +35,33 @@ DEFAULT_FDR_Q = 0.05
 DEFAULT_CAP = 100
 MIN_WINDOW_SAMPLES = 64
 
+# One family: its column names and the function of a window that returns
+# exactly one value per name, in that order.
+Family = tuple[tuple[str, ...], Callable[[np.ndarray], Sequence[float]]]
+
 
 @dataclass(frozen=True)
 class FeatureCatalog:
-    """Ordered feature definitions; column identity is positional and named.
+    """Ordered feature families; column identity is positional and named.
 
-    Each entry is (name, kind, params).  The version string pins both the
-    entry list and the sampling rate baked into spectral entries, so any
-    artifact built against one catalog refuses inputs from another.
+    The version string pins both the column list and the sampling rate baked
+    into spectral columns, so any artifact built against one catalog refuses
+    inputs from another.
     """
 
-    entries: tuple[tuple[str, str, tuple], ...]
+    families: tuple[Family, ...]
     version: str
 
     def __post_init__(self) -> None:
-        names = [name for name, _, _ in self.entries]
-        if len(set(names)) != len(names):
+        if len(set(self.names)) != len(self.names):
             raise ConfigError("catalog feature names must be unique")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.names)
 
     @property
     def names(self) -> list[str]:
-        return [name for name, _, _ in self.entries]
+        return [name for names, _ in self.families for name in names]
 
 
 @dataclass(frozen=True)
@@ -92,51 +100,38 @@ class FeatureMask:
 
 
 def default_catalog(fs_hz: float, k_max: int = DEFAULT_FFT_BINS) -> FeatureCatalog:
-    """The shipped catalog: 22 feature families expanded to named columns."""
-    entries: list[tuple[str, str, tuple]] = [
-        ("mean", "mean", ()),
-        ("variance", "variance", ()),
-        ("skewness", "skewness", ()),
-        ("kurtosis", "kurtosis", ()),
-        ("min", "min", ()),
-        ("max", "max", ()),
-        ("median", "median", ()),
-        ("quantile_q05", "quantile", (0.05,)),
-        ("quantile_q95", "quantile", (0.95,)),
-        ("abs_energy", "abs_energy", ()),
-        ("mean_abs_change", "mean_abs_change", ()),
-        ("abs_sum_of_changes", "abs_sum_of_changes", ()),
-        ("zero_crossing_rate", "zero_crossing_rate", ()),
-        ("binned_entropy_16", "binned_entropy", (16,)),
+    """The shipped catalog: 13 feature families, 37 + k_max named columns."""
+    ac_lags, pacf_lags, tra_lags = (1, 5, 10), (1, 2, 3), (1, 10)
+    mass_qs, corridors = (0.25, 0.5, 0.75), ((0.0, 0.7), (0.3, 1.0))
+    families: list[Family] = [
+        (("mean", "variance", "skewness", "kurtosis"), _moment_family),
+        (("min", "max", "median", "quantile_q05", "quantile_q95"), _order_statistics),
+        (("abs_energy",), lambda x: (float(np.dot(x, x)),)),
+        (("mean_abs_change", "abs_sum_of_changes"), _change_sums),
+        (("zero_crossing_rate",), _zero_crossing_rate),
+        (("binned_entropy_16",), partial(_binned_entropy, bins=16)),
+        (tuple(f"autocorrelation_lag{lag}" for lag in ac_lags),
+         partial(_autocorrelations, lags=ac_lags)),
+        (tuple(f"partial_autocorrelation_lag{lag}" for lag in pacf_lags),
+         partial(_partial_autocorrelations, max_lag=pacf_lags[-1])),
+        (tuple(f"time_reversal_asymmetry_lag{lag}" for lag in tra_lags),
+         lambda x: [feature_time_reversal_asymmetry(x, lag) for lag in tra_lags]),
+        (tuple(f"index_mass_quantile_q{int(q * 100)}" for q in mass_qs),
+         partial(_index_mass_quantiles, qs=mass_qs)),
+        (("agg_linear_trend_mean_500_slope", "agg_linear_trend_mean_500_intercept",
+          "agg_linear_trend_mean_500_rvalue", "agg_linear_trend_var_500_slope"),
+         _linear_trends),
+        (tuple(f"change_quantiles_{ql:g}_{qh:g}_{agg}"
+               for ql, qh in corridors for agg in ("mean", "var")),
+         lambda x: [v for ql, qh in corridors for v in _change_quantiles(x, ql, qh)]),
+        ((*(f"fft_magnitude_k{k:02d}" for k in range(1, k_max + 1)), "spectral_centroid_hz",
+          "spectrum_variance", "spectrum_skewness", "spectrum_kurtosis"),
+         partial(_spectrum, fs_hz=fs_hz, k_max=k_max)),
     ]
-    for lag in (1, 5, 10):
-        entries.append((f"autocorrelation_lag{lag}", "autocorrelation", (lag,)))
-    for lag in (1, 2, 3):
-        entries.append((f"partial_autocorrelation_lag{lag}", "partial_autocorrelation", (lag,)))
-    for lag in (1, 10):
-        entries.append((f"time_reversal_asymmetry_lag{lag}", "time_reversal_asymmetry", (lag,)))
-    for q in (0.25, 0.5, 0.75):
-        entries.append((f"index_mass_quantile_q{int(q * 100)}", "index_mass_quantile", (q,)))
-    for component in ("slope", "intercept", "rvalue"):
-        entries.append(
-            (f"agg_linear_trend_mean_500_{component}", "agg_linear_trend", (500, "mean", component))
-        )
-    entries.append(("agg_linear_trend_var_500_slope", "agg_linear_trend", (500, "var", "slope")))
-    for ql, qh in ((0.0, 0.7), (0.3, 1.0)):
-        for agg in ("mean", "var"):
-            entries.append(
-                (f"change_quantiles_{ql:g}_{qh:g}_{agg}", "change_quantiles", (ql, qh, agg))
-            )
-    for k in range(1, k_max + 1):
-        entries.append((f"fft_magnitude_k{k:02d}", "fft_magnitude", (k,)))
-    entries.append(("spectral_centroid_hz", "spectral_centroid", (fs_hz,)))
-    entries.append(("spectrum_variance", "spectrum_moment", ("variance",)))
-    entries.append(("spectrum_skewness", "spectrum_moment", ("skewness",)))
-    entries.append(("spectrum_kurtosis", "spectrum_moment", ("kurtosis",)))
-    return FeatureCatalog(tuple(entries), version=f"v1@{fs_hz:g}Hz")
+    return FeatureCatalog(tuple(families), version=f"v1@{fs_hz:g}Hz")
 
 
-# -- individual feature definitions ---------------------------------------------
+# -- feature families -------------------------------------------------------------
 
 def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
     mean = float(np.mean(x))
@@ -147,36 +142,124 @@ def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
     return mean, m2, m3, m4
 
 
-def _standardized_moment(x: np.ndarray, which: str) -> float:
-    """`skewness` (m3 / m2^1.5) or excess `kurtosis` (m4 / m2^2 - 3) of x."""
-    _, m2, m3, m4 = _moments(x)
+def _skewness_kurtosis(m2: float, m3: float, m4: float) -> tuple[float, float]:
+    """m3 / m2^1.5 and excess m4 / m2^2 - 3; both NaN for zero variance."""
     if m2 <= 0.0:
-        raise NumericError(f"{which} undefined for zero variance")
-    return m3 / m2**1.5 if which == "skewness" else m4 / m2**2 - 3.0
+        return math.nan, math.nan
+    return m3 / m2**1.5, m4 / m2**2 - 3.0
 
 
-def _zero_crossing_rate(x: np.ndarray) -> float:
+def _moment_family(x: np.ndarray) -> tuple[float, ...]:
+    mean, m2, m3, m4 = _moments(x)
+    return (mean, float(np.var(x)), *_skewness_kurtosis(m2, m3, m4))
+
+
+def _order_statistics(x: np.ndarray) -> tuple[float, ...]:
+    return (float(np.min(x)), float(np.max(x)), float(np.median(x)),
+            float(np.quantile(x, 0.05)), float(np.quantile(x, 0.95)))
+
+
+def _change_sums(x: np.ndarray) -> tuple[float, float]:
+    changes = np.abs(np.diff(x))
+    return float(np.mean(changes)), float(np.sum(changes))
+
+
+def _zero_crossing_rate(x: np.ndarray) -> tuple[float]:
     # A sample exactly at zero never counts as a crossing.
-    return float(np.count_nonzero(x[:-1] * x[1:] < 0)) / (x.size - 1)
+    return (float(np.count_nonzero(x[:-1] * x[1:] < 0)) / (x.size - 1),)
 
 
-def _binned_entropy(x: np.ndarray, bins: int) -> float:
+def _binned_entropy(x: np.ndarray, bins: int) -> tuple[float]:
     if float(np.max(x)) == float(np.min(x)):
-        return 0.0
+        return (0.0,)
     counts, _ = np.histogram(x, bins=bins)
     p = counts[counts > 0] / x.size
-    return float(-np.sum(p * np.log(p)))
+    return (float(-np.sum(p * np.log(p))),)
 
 
-def _autocorrelation(x: np.ndarray, lag: int) -> float:
-    if lag < 1 or lag >= x.size:
-        raise ConfigError(f"autocorrelation lag {lag} invalid for length {x.size}")
+def _autocorrelations(x: np.ndarray, lags: Sequence[int]) -> list[float]:
     centered = x - np.mean(x)
     denom = float(np.dot(centered, centered))
     if denom <= 0.0:
-        raise NumericError("autocorrelation undefined for zero variance")
-    return float(np.dot(centered[:-lag], centered[lag:])) / denom
+        return [math.nan] * len(lags)
+    return [float(np.dot(centered[:-lag], centered[lag:])) / denom for lag in lags]
 
+
+def _durbin_levinson(x: np.ndarray, max_lag: int) -> list[float]:
+    """phi_kk for k = 1..max_lag, cut short where the recursion is undefined
+    (zero variance, or the innovation variance collapsing to zero)."""
+    centered = x - np.mean(x)
+    n = x.size
+    cov = np.array([float(np.dot(centered[: n - k], centered[k:])) / n for k in range(max_lag + 1)])
+    if cov[0] <= 0.0:
+        return []
+    phi = np.zeros(max_lag + 1)
+    phi[1] = cov[1] / cov[0]
+    v = cov[0] * (1.0 - phi[1] ** 2)
+    pacf = [float(phi[1])]
+    for k in range(2, max_lag + 1):
+        if v <= 0.0:
+            break
+        num = cov[k] - float(np.dot(phi[1:k], cov[1:k][::-1]))
+        phi_kk = num / v
+        phi[1:k] = phi[1:k] - phi_kk * phi[1:k][::-1]
+        phi[k] = phi_kk
+        v *= 1.0 - phi_kk**2
+        pacf.append(float(phi_kk))
+    return pacf
+
+
+def _partial_autocorrelations(x: np.ndarray, max_lag: int) -> list[float]:
+    pacf = _durbin_levinson(x, max_lag)
+    return pacf + [math.nan] * (max_lag - len(pacf))
+
+
+def _index_mass_quantiles(x: np.ndarray, qs: Sequence[float]) -> list[float]:
+    mass = np.cumsum(np.abs(x))
+    total = float(mass[-1])
+    if total <= 0.0:
+        return [math.nan] * len(qs)
+    return [(int(np.searchsorted(mass, q * total, side="left")) + 1) / x.size for q in qs]
+
+
+def _linear_trends(x: np.ndarray, chunk_len: int = 500) -> list[float]:
+    """Slope, intercept and r of the chunk-mean trend, then the chunk-variance slope."""
+    if x.size // chunk_len < 2:
+        return [math.nan] * 4
+    by_mean = feature_aggregated_linear_trend(x, chunk_len, "mean")
+    return [*by_mean, feature_aggregated_linear_trend(x, chunk_len, "var")[0]]
+
+
+def _change_quantiles(x: np.ndarray, ql: float, qh: float) -> tuple[float, float]:
+    """Mean and variance of |successive differences| inside the [ql, qh]
+    value corridor; both 0 when no adjacent pair lies inside."""
+    lo = float(np.quantile(x, ql))
+    hi = float(np.quantile(x, qh))
+    inside = (x >= lo) & (x <= hi)
+    joined = inside[:-1] & inside[1:]
+    if not joined.any():
+        return 0.0, 0.0
+    diffs = np.abs(np.diff(x))[joined]
+    return float(np.mean(diffs)), float(np.var(diffs))
+
+
+def _spectrum(x: np.ndarray, fs_hz: float, k_max: int) -> list[float]:
+    """|FFT| bins 1..k_max, the spectral centroid, then the variance,
+    skewness and kurtosis of the magnitude spectrum, from one rfft."""
+    mag = np.abs(np.fft.rfft(x))
+    if k_max >= mag.size:
+        raise ConfigError(
+            f"features.fft_bins = {k_max} exceeds the {mag.size - 1} nonzero-frequency "
+            f"bins of a {x.size}-sample window"
+        )
+    total = float(np.sum(mag))
+    freqs = np.arange(mag.size) * (fs_hz / x.size)
+    centroid = math.nan if total <= 0.0 else float(np.dot(freqs, mag)) / total
+    _, m2, m3, m4 = _moments(mag)
+    return [*mag[1 : k_max + 1], centroid, m2, *_skewness_kurtosis(m2, m3, m4)]
+
+
+# -- public single-feature functions ------------------------------------------------
 
 def feature_partial_autocorrelation(x: np.ndarray, lag: int) -> float:
     """Lag-k partial autocorrelation via the Durbin-Levinson recursion."""
@@ -185,23 +268,10 @@ def feature_partial_autocorrelation(x: np.ndarray, lag: int) -> float:
         raise ConfigError(f"lag must be >= 1, got {lag}")
     if x.size <= 4 * lag:
         raise DataError(f"need more than {4 * lag} samples for lag {lag}, got {x.size}")
-    centered = x - np.mean(x)
-    n = x.size
-    cov = np.array([float(np.dot(centered[: n - k], centered[k:])) / n for k in range(lag + 1)])
-    if cov[0] <= 0.0:
-        raise NumericError("partial autocorrelation undefined for zero variance")
-    phi = np.zeros(lag + 1)
-    phi[1] = cov[1] / cov[0]
-    v = cov[0] * (1.0 - phi[1] ** 2)
-    for k in range(2, lag + 1):
-        if v <= 0.0:
-            raise NumericError("Durbin-Levinson variance collapsed to zero")
-        num = cov[k] - float(np.dot(phi[1:k], cov[1:k][::-1]))
-        phi_kk = num / v
-        phi[1:k] = phi[1:k] - phi_kk * phi[1:k][::-1]
-        phi[k] = phi_kk
-        v *= 1.0 - phi_kk**2
-    return float(phi[lag])
+    pacf = _durbin_levinson(x, lag)
+    if len(pacf) < lag:
+        raise NumericError("partial autocorrelation undefined: the Durbin-Levinson variance is zero")
+    return pacf[-1]
 
 
 def feature_time_reversal_asymmetry(x: np.ndarray, lag: int) -> float:
@@ -219,15 +289,12 @@ def feature_time_reversal_asymmetry(x: np.ndarray, lag: int) -> float:
 
 def feature_index_mass_quantile(x: np.ndarray, q: float) -> float:
     """Smallest relative index i/n where cumulative |x| mass reaches q of the total."""
-    x = np.asarray(x, dtype=np.float64)
     if not 0 < q < 1:
         raise ConfigError(f"q must lie in (0, 1), got {q}")
-    mass = np.cumsum(np.abs(x))
-    total = float(mass[-1])
-    if total <= 0.0:
+    (value,) = _index_mass_quantiles(np.asarray(x, dtype=np.float64), (q,))
+    if math.isnan(value):
         raise NumericError("index mass quantile undefined for an all-zero series")
-    i = int(np.searchsorted(mass, q * total, side="left"))
-    return (i + 1) / x.size
+    return value
 
 
 def feature_aggregated_linear_trend(
@@ -267,103 +334,22 @@ def feature_aggregated_linear_trend(
 
 def feature_change_quantiles(x: np.ndarray, ql: float, qh: float, aggregator: str) -> float:
     """Aggregate |successive differences| inside the [ql, qh] value corridor."""
-    x = np.asarray(x, dtype=np.float64)
     if not ql < qh:
         raise ConfigError(f"need ql < qh, got {ql} and {qh}")
     if aggregator not in ("mean", "var"):
         raise ConfigError(f"unknown aggregator {aggregator!r}")
-    lo = float(np.quantile(x, ql))
-    hi = float(np.quantile(x, qh))
-    inside = (x >= lo) & (x <= hi)
-    joined = inside[:-1] & inside[1:]
-    if not joined.any():
-        return 0.0
-    diffs = np.abs(np.diff(x))[joined]
-    return float(np.mean(diffs) if aggregator == "mean" else np.var(diffs))
-
-
-def _spectral_centroid(mag: np.ndarray, fs_hz: float, n: int) -> float:
-    total = float(np.sum(mag))
-    if total <= 0.0:
-        return float("nan")
-    freqs = np.arange(mag.size) * (fs_hz / n)
-    return float(np.dot(freqs, mag)) / total
+    mean, var = _change_quantiles(np.asarray(x, dtype=np.float64), ql, qh)
+    return mean if aggregator == "mean" else var
 
 
 def extract_features(
     window: np.ndarray, catalog: FeatureCatalog, window_start_s: float = 0.0
 ) -> FeatureVector:
-    """Evaluate every catalog entry on one window; undefined entries yield NaN."""
+    """Concatenate every family's block of columns for one window."""
     x = np.asarray(window, dtype=np.float64)
     if x.size < MIN_WINDOW_SAMPLES:
         raise DataError(f"window of {x.size} samples is below the {MIN_WINDOW_SAMPLES} minimum")
-    cache: dict[str, object] = {}
-    values = np.empty(len(catalog))
-    for j, (_, kind, params) in enumerate(catalog.entries):
-        try:
-            values[j] = _compute(x, kind, params, cache)
-        except (NumericError, DataError):
-            # undefined on this window (flat spectrum, too few chunks, ...);
-            # the imputation stage owns these cells
-            values[j] = np.nan
-    return FeatureVector(values, window_start_s)
-
-
-def _fft_cache(x: np.ndarray, cache: dict) -> np.ndarray:
-    if "mag" not in cache:
-        cache["mag"] = np.abs(np.fft.rfft(x))
-    return cache["mag"]
-
-
-def _compute(x: np.ndarray, kind: str, params: tuple, cache: dict) -> float:
-    if kind == "mean":
-        return float(np.mean(x))
-    if kind == "variance":
-        return float(np.var(x))
-    if kind in ("skewness", "kurtosis"):
-        return _standardized_moment(x, kind)
-    if kind == "min":
-        return float(np.min(x))
-    if kind == "max":
-        return float(np.max(x))
-    if kind == "median":
-        return float(np.median(x))
-    if kind == "quantile":
-        return float(np.quantile(x, params[0]))
-    if kind == "abs_energy":
-        return float(np.dot(x, x))
-    if kind == "mean_abs_change":
-        return float(np.mean(np.abs(np.diff(x))))
-    if kind == "abs_sum_of_changes":
-        return float(np.sum(np.abs(np.diff(x))))
-    if kind == "zero_crossing_rate":
-        return _zero_crossing_rate(x)
-    if kind == "binned_entropy":
-        return _binned_entropy(x, params[0])
-    if kind == "autocorrelation":
-        return _autocorrelation(x, params[0])
-    if kind == "partial_autocorrelation":
-        return feature_partial_autocorrelation(x, params[0])
-    if kind == "time_reversal_asymmetry":
-        return feature_time_reversal_asymmetry(x, params[0])
-    if kind == "index_mass_quantile":
-        return feature_index_mass_quantile(x, params[0])
-    if kind == "agg_linear_trend":
-        chunk_len, aggregator, component = params
-        slope, intercept, r_value = feature_aggregated_linear_trend(x, chunk_len, aggregator)
-        return {"slope": slope, "intercept": intercept, "rvalue": r_value}[component]
-    if kind == "change_quantiles":
-        return feature_change_quantiles(x, *params)
-    if kind == "fft_magnitude":
-        return float(_fft_cache(x, cache)[params[0]])
-    if kind == "spectral_centroid":
-        return _spectral_centroid(_fft_cache(x, cache), params[0], x.size)
-    if kind == "spectrum_moment":
-        mag = _fft_cache(x, cache)
-        if params[0] == "variance":
-            return _moments(mag)[1]
-        return _standardized_moment(mag, params[0])
-    raise ConfigError(f"unknown feature kind {kind!r}")
+    return FeatureVector(np.concatenate([fn(x) for _, fn in catalog.families]), window_start_s)
 
 
 # -- matrices and selection ------------------------------------------------------

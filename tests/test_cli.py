@@ -431,6 +431,28 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("window.length_s", "nan"), ("window.stride_s", "inf"),
+     ("synth.duration_s", "nan"), ("synth.fs_hz", "inf")],
+)
+def test_non_finite_float_config_exits_2(tmp_path, capsys, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# non-finite\n{key} = {value}\n")
+    assert run("pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert f"bad.cfg:2: bad value for {key}" in capsys.readouterr().err
+
+
+def test_fft_bins_beyond_the_window_spectrum_exits_2(tmp_path, capsys):
+    # a 10 s window at 50 Hz has 500 samples, so bins 1..250 lie above DC
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CFG + "features.fft_bins = 2000\n")
+    assert run("pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "features.fft_bins = 2000" in err
+    assert "250" in err and "500-sample window" in err
+
+
 def test_out_dir_env_override(tiny_cfg, tmp_path, monkeypatch):
     env_dir = str(tmp_path / "env")
     monkeypatch.setenv("GEYSERSTATE_OUT", env_dir)

@@ -75,6 +75,16 @@ def test_line_without_equals_rejected(tmp_path):
         load_config(str(path))
 
 
+def test_utf8_byte_order_mark_is_dropped(tmp_path):
+    text = "forest.n_trees = 50\nsynth.duration_s = 240\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_config(str(marked)) == load_config(str(plain))
+    assert load_config(str(marked))["forest.n_trees"] == 50
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config file"):
         load_config(str(tmp_path / "nope.cfg"))

@@ -9,11 +9,12 @@ Oracles are written independently of the implementation:
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from geyserstate.errors import ConfigError, DataError
+from geyserstate.errors import ConfigError, DataError, NumericError
 from geyserstate.features import (
     FeatureCatalog,
     FeatureMask,
@@ -302,15 +303,175 @@ def test_extract_features_minimum_length():
 def test_autocorrelation_translation_and_scale_invariant():
     rng = np.random.default_rng(8)
     x = rng.normal(size=2000)
-    cat = FeatureCatalog((("ac1", "autocorrelation", (1,)),), version="t")
-    base = extract_features(x, cat).values[0]
-    moved = extract_features(3.0 * x + 11.0, cat).values[0]
+    cat = default_catalog(FS)
+    cols = [j for j, name in enumerate(cat.names) if name.startswith("autocorrelation_lag")]
+    base = extract_features(x, cat).values[cols]
+    moved = extract_features(3.0 * x + 11.0, cat).values[cols]
+    assert len(cols) == 3
     assert moved == pytest.approx(base, rel=1e-10)
 
 
 def test_catalog_rejects_duplicate_names():
     with pytest.raises(ConfigError):
-        FeatureCatalog((("a", "mean", ()), ("a", "max", ())), version="t")
+        FeatureCatalog(((("a",), np.mean), (("a",), np.max)), version="t")
+
+
+# -- family sharing: every column that shares work, against its own formula -----------
+#
+# Each restatement below computes one column alone, the way a per-column
+# dispatch would: its own moment pass, its own Durbin-Levinson run to the
+# column's lag, its own quantiles and line fit.  The family path must give
+# the same bits, and NaN in the same cells.
+
+def _one_moment(x, which):
+    mean = float(np.mean(x))
+    centered = x - mean
+    m2 = float(np.mean(centered**2))
+    m3 = float(np.mean(centered**3))
+    m4 = float(np.mean(centered**4))
+    if which == "variance":
+        return m2
+    if m2 <= 0.0:
+        return math.nan
+    return m3 / m2**1.5 if which == "skewness" else m4 / m2**2 - 3.0
+
+
+def _one_autocorrelation(x, lag):
+    centered = x - np.mean(x)
+    denom = float(np.dot(centered, centered))
+    if denom <= 0.0:
+        return math.nan
+    return float(np.dot(centered[:-lag], centered[lag:])) / denom
+
+
+def _one_pacf(x, lag):
+    centered = x - np.mean(x)
+    n = x.size
+    cov = np.array([float(np.dot(centered[: n - k], centered[k:])) / n for k in range(lag + 1)])
+    if cov[0] <= 0.0:
+        return math.nan
+    phi = np.zeros(lag + 1)
+    phi[1] = cov[1] / cov[0]
+    v = cov[0] * (1.0 - phi[1] ** 2)
+    for k in range(2, lag + 1):
+        if v <= 0.0:
+            return math.nan
+        num = cov[k] - float(np.dot(phi[1:k], cov[1:k][::-1]))
+        phi_kk = num / v
+        phi[1:k] = phi[1:k] - phi_kk * phi[1:k][::-1]
+        phi[k] = phi_kk
+        v *= 1.0 - phi_kk**2
+    return float(phi[lag])
+
+
+def _one_index_mass_quantile(x, q):
+    mass = np.cumsum(np.abs(x))
+    total = float(mass[-1])
+    if total <= 0.0:
+        return math.nan
+    return (int(np.searchsorted(mass, q * total, side="left")) + 1) / x.size
+
+
+def _one_linear_trend(x, aggregator, component):
+    m = x.size // 500
+    if m < 2:
+        return math.nan
+    chunks = x[: m * 500].reshape(m, 500)
+    agg = np.mean(chunks, axis=1) if aggregator == "mean" else np.var(chunks, axis=1)
+    k = np.arange(m, dtype=np.float64)
+    k_c = k - k.mean()
+    y_c = agg - agg.mean()
+    sxx = float(np.dot(k_c, k_c))
+    sxy = float(np.dot(k_c, y_c))
+    syy = float(np.dot(y_c, y_c))
+    slope = sxy / sxx
+    if component == "slope":
+        return slope
+    if component == "intercept":
+        return float(agg.mean()) - slope * float(k.mean())
+    return sxy / math.sqrt(sxx * syy) if syy > 0.0 else math.nan
+
+
+def _one_change_quantile(x, ql, qh, aggregator):
+    lo = float(np.quantile(x, ql))
+    hi = float(np.quantile(x, qh))
+    inside = (x >= lo) & (x <= hi)
+    joined = inside[:-1] & inside[1:]
+    if not joined.any():
+        return 0.0
+    diffs = np.abs(np.diff(x))[joined]
+    return float(np.mean(diffs) if aggregator == "mean" else np.var(diffs))
+
+
+def _one_spectrum_moment(x, which):
+    return _one_moment(np.abs(np.fft.rfft(x)), which)
+
+
+SHARED_COLUMNS = {
+    "skewness": partial(_one_moment, which="skewness"),
+    "kurtosis": partial(_one_moment, which="kurtosis"),
+    **{f"spectrum_{which}": partial(_one_spectrum_moment, which=which)
+       for which in ("variance", "skewness", "kurtosis")},
+    **{f"change_quantiles_{ql:g}_{qh:g}_{agg}": partial(_one_change_quantile, ql=ql, qh=qh, aggregator=agg)
+       for ql, qh in ((0.0, 0.7), (0.3, 1.0)) for agg in ("mean", "var")},
+    **{f"agg_linear_trend_{agg}_500_{c}": partial(_one_linear_trend, aggregator=agg, component=c)
+       for agg, c in (("mean", "slope"), ("mean", "intercept"), ("mean", "rvalue"), ("var", "slope"))},
+    **{f"partial_autocorrelation_lag{lag}": partial(_one_pacf, lag=lag) for lag in (1, 2, 3)},
+    **{f"autocorrelation_lag{lag}": partial(_one_autocorrelation, lag=lag) for lag in (1, 5, 10)},
+    **{f"index_mass_quantile_q{int(q * 100)}": partial(_one_index_mass_quantile, q=q)
+       for q in (0.25, 0.5, 0.75)},
+}
+
+
+def _same_bits(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _shape_windows(n: int) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(n)
+    spike = np.zeros(n)
+    spike[n // 3] = 1.0
+    return {
+        "white": rng.normal(size=n),
+        "walk": np.cumsum(rng.normal(size=n)),
+        "constant": np.full(n, 5.0),
+        "zeros": np.zeros(n),
+        "spike": spike,
+    }
+
+
+@pytest.mark.parametrize("n", [64, 3000, 12000])
+def test_family_columns_equal_their_one_column_formula(n):
+    cat = default_catalog(FS)
+    assert len(SHARED_COLUMNS) == 22 and set(SHARED_COLUMNS) <= set(cat.names)
+    nan_cells = 0
+    for shape, x in _shape_windows(n).items():
+        by_name = dict(zip(cat.names, extract_features(x, cat).values))
+        for name, one_column in SHARED_COLUMNS.items():
+            expected = one_column(x)
+            assert _same_bits(by_name[name], expected), (n, shape, name, by_name[name], expected)
+            nan_cells += math.isnan(expected)
+    assert nan_cells > 0  # the NaN rule is exercised, not only the finite path
+
+
+def test_family_pacf_keeps_lags_before_a_collapse():
+    # At this scale the lag-0 covariance is a subnormal number and the
+    # Durbin-Levinson variance after lag 1 rounds to zero: lag 1 keeps its
+    # value while lags 2 and 3 are undefined.  (The moment family cannot
+    # take such a window, so the PACF family runs alone.)
+    cat = FeatureCatalog(
+        tuple(f for f in default_catalog(FS).families if f[0][0].startswith("partial_")), "t"
+    )
+    assert cat.names == [f"partial_autocorrelation_lag{lag}" for lag in (1, 2, 3)]
+    x = np.tile([1e-161, -1e-161], 32)
+    by_name = dict(zip(cat.names, extract_features(x, cat).values))
+    assert by_name["partial_autocorrelation_lag1"] == _one_pacf(x, 1) == -1.0
+    assert math.isnan(by_name["partial_autocorrelation_lag2"])
+    assert math.isnan(by_name["partial_autocorrelation_lag3"])
+    with pytest.raises(NumericError):
+        feature_partial_autocorrelation(x, 2)
 
 
 # -- selection ---------------------------------------------------------------------
@@ -458,7 +619,8 @@ def test_feature_matrix_rejects_other_catalog(tmp_path):
 def test_feature_mask_round_trip(tmp_path):
     matrix, labels = _planted_matrix()
     cat = FeatureCatalog(
-        tuple((f"f{i}", "mean", ()) for i in range(matrix.shape[1])), version="t"
+        ((tuple(f"f{i}" for i in range(matrix.shape[1])), lambda x: x[: matrix.shape[1]]),),
+        version="t",
     )
     mask = select_features(matrix, labels)
     path = tmp_path / "mask.csv"
