@@ -34,9 +34,11 @@ from .dtw import knn_dtw_classify, load_reference, save_reference
 from .errors import ConfigError, DataError, GeyserStateError, NumericError
 from .evaluation import evaluate, render_report
 from .features import (
+    MIN_WINDOW_SAMPLES,
     FeatureCatalog,
     build_feature_matrix,
     check_catalog,
+    check_fft_bins,
     default_catalog,
     load_feature_mask,
     median_impute,
@@ -64,6 +66,7 @@ from .timeseries import (
     load_events,
     load_timeseries,
     sample_classes,
+    samples_of,
     save_events,
     save_timeseries,
     select_noise_segment,
@@ -508,6 +511,12 @@ def _evaluate_arm(
 def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
     paths = resolve_paths(values, out_dir)
     header = _seed_header(seed)
+    # every window has the configured length at the configured rate, so a
+    # spectrum wider than a window that extraction takes fails here, before
+    # any series file is written
+    window_samples = samples_of(values["window.length_s"], values["synth.fs_hz"], "window length")
+    if window_samples >= MIN_WINDOW_SAMPLES:
+        check_fft_bins(values["features.fft_bins"], window_samples)
 
     with _stage("synth"):
         if values["paths.signal"]:

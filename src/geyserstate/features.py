@@ -5,11 +5,13 @@ order statistics, energy, change sums, crossing rate, entropy,
 autocorrelations, partial autocorrelations, time-reversal asymmetry, index
 mass quantiles, aggregated linear trends, change quantiles, leading FFT
 magnitudes, and magnitude-spectrum summaries.  Each family is one function of
-the window that returns its block of columns, so work shared by its columns
-(one moment pass, one Durbin-Levinson recursion, one FFT) runs once.  A family
-sets NaN where a feature is undefined (skewness of a constant, centroid of
-silence); the training matrix medians impute those cells before any
-classifier sees them.
+the window and its sorted copy that returns its block of columns, so work
+shared by its columns (one moment pass, one Durbin-Levinson recursion, one
+FFT) runs once.  The window is sorted once, and the median, the two quantiles
+and both change-quantile corridors read that copy instead of each selecting
+from the unsorted samples.  A family sets NaN where a feature is undefined
+(skewness of a constant, centroid of silence); the training matrix medians
+impute those cells before any classifier sees them.
 
 Selection runs a one-vs-rest Mann-Whitney U test per feature and class,
 Bonferroni-corrects over classes, then applies Benjamini-Hochberg FDR across
@@ -35,9 +37,9 @@ DEFAULT_FDR_Q = 0.05
 DEFAULT_CAP = 100
 MIN_WINDOW_SAMPLES = 64
 
-# One family: its column names and the function of a window that returns
-# exactly one value per name, in that order.
-Family = tuple[tuple[str, ...], Callable[[np.ndarray], Sequence[float]]]
+# One family: its column names and the function of a window and its sorted
+# copy that returns exactly one value per name, in that order.
+Family = tuple[tuple[str, ...], Callable[[np.ndarray, np.ndarray], Sequence[float]]]
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ def default_catalog(fs_hz: float, k_max: int = DEFAULT_FFT_BINS) -> FeatureCatal
     families: list[Family] = [
         (("mean", "variance", "skewness", "kurtosis"), _moment_family),
         (("min", "max", "median", "quantile_q05", "quantile_q95"), _order_statistics),
-        (("abs_energy",), lambda x: (float(np.dot(x, x)),)),
+        (("abs_energy",), lambda x, _: (float(np.dot(x, x)),)),
         (("mean_abs_change", "abs_sum_of_changes"), _change_sums),
         (("zero_crossing_rate",), _zero_crossing_rate),
         (("binned_entropy_16",), partial(_binned_entropy, bins=16)),
@@ -115,15 +117,15 @@ def default_catalog(fs_hz: float, k_max: int = DEFAULT_FFT_BINS) -> FeatureCatal
         (tuple(f"partial_autocorrelation_lag{lag}" for lag in pacf_lags),
          partial(_partial_autocorrelations, max_lag=pacf_lags[-1])),
         (tuple(f"time_reversal_asymmetry_lag{lag}" for lag in tra_lags),
-         lambda x: [feature_time_reversal_asymmetry(x, lag) for lag in tra_lags]),
+         lambda x, _: [feature_time_reversal_asymmetry(x, lag) for lag in tra_lags]),
         (tuple(f"index_mass_quantile_q{int(q * 100)}" for q in mass_qs),
-         partial(_index_mass_quantiles, qs=mass_qs)),
+         lambda x, _: _index_mass_quantiles(x, mass_qs)),
         (("agg_linear_trend_mean_500_slope", "agg_linear_trend_mean_500_intercept",
           "agg_linear_trend_mean_500_rvalue", "agg_linear_trend_var_500_slope"),
          _linear_trends),
         (tuple(f"change_quantiles_{ql:g}_{qh:g}_{agg}"
                for ql, qh in corridors for agg in ("mean", "var")),
-         lambda x: [v for ql, qh in corridors for v in _change_quantiles(x, ql, qh)]),
+         partial(_change_quantiles, corridors=corridors)),
         ((*(f"fft_magnitude_k{k:02d}" for k in range(1, k_max + 1)), "spectral_centroid_hz",
           "spectrum_variance", "spectrum_skewness", "spectrum_kurtosis"),
          partial(_spectrum, fs_hz=fs_hz, k_max=k_max)),
@@ -143,41 +145,43 @@ def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
 
 
 def _skewness_kurtosis(m2: float, m3: float, m4: float) -> tuple[float, float]:
-    """m3 / m2^1.5 and excess m4 / m2^2 - 3; both NaN for zero variance."""
-    if m2 <= 0.0:
-        return math.nan, math.nan
-    return m3 / m2**1.5, m4 / m2**2 - 3.0
+    """m3 / m2^1.5 and excess m4 / m2^2 - 3; each NaN where its power of m2
+    is zero (zero variance, or a variance so small that the power underflows)."""
+    scale3, scale4 = m2**1.5, m2**2
+    return (m3 / scale3 if scale3 > 0.0 else math.nan,
+            m4 / scale4 - 3.0 if scale4 > 0.0 else math.nan)
 
 
-def _moment_family(x: np.ndarray) -> tuple[float, ...]:
+def _moment_family(x: np.ndarray, _: np.ndarray) -> tuple[float, ...]:
     mean, m2, m3, m4 = _moments(x)
     return (mean, float(np.var(x)), *_skewness_kurtosis(m2, m3, m4))
 
 
-def _order_statistics(x: np.ndarray) -> tuple[float, ...]:
-    return (float(np.min(x)), float(np.max(x)), float(np.median(x)),
-            float(np.quantile(x, 0.05)), float(np.quantile(x, 0.95)))
+def _order_statistics(x: np.ndarray, xs: np.ndarray) -> tuple[float, ...]:
+    # min and max read x itself, which keeps its NaN and signed-zero answers
+    q05, q95 = np.quantile(xs, (0.05, 0.95))
+    return float(np.min(x)), float(np.max(x)), float(np.median(xs)), float(q05), float(q95)
 
 
-def _change_sums(x: np.ndarray) -> tuple[float, float]:
+def _change_sums(x: np.ndarray, _: np.ndarray) -> tuple[float, float]:
     changes = np.abs(np.diff(x))
     return float(np.mean(changes)), float(np.sum(changes))
 
 
-def _zero_crossing_rate(x: np.ndarray) -> tuple[float]:
+def _zero_crossing_rate(x: np.ndarray, _: np.ndarray) -> tuple[float]:
     # A sample exactly at zero never counts as a crossing.
     return (float(np.count_nonzero(x[:-1] * x[1:] < 0)) / (x.size - 1),)
 
 
-def _binned_entropy(x: np.ndarray, bins: int) -> tuple[float]:
+def _binned_entropy(x: np.ndarray, _: np.ndarray, bins: int) -> tuple[float]:
     if float(np.max(x)) == float(np.min(x)):
         return (0.0,)
-    counts, _ = np.histogram(x, bins=bins)
+    counts = np.histogram(x, bins=bins)[0]
     p = counts[counts > 0] / x.size
     return (float(-np.sum(p * np.log(p))),)
 
 
-def _autocorrelations(x: np.ndarray, lags: Sequence[int]) -> list[float]:
+def _autocorrelations(x: np.ndarray, _: np.ndarray, lags: Sequence[int]) -> list[float]:
     centered = x - np.mean(x)
     denom = float(np.dot(centered, centered))
     if denom <= 0.0:
@@ -209,7 +213,7 @@ def _durbin_levinson(x: np.ndarray, max_lag: int) -> list[float]:
     return pacf
 
 
-def _partial_autocorrelations(x: np.ndarray, max_lag: int) -> list[float]:
+def _partial_autocorrelations(x: np.ndarray, _: np.ndarray, max_lag: int) -> list[float]:
     pacf = _durbin_levinson(x, max_lag)
     return pacf + [math.nan] * (max_lag - len(pacf))
 
@@ -222,7 +226,7 @@ def _index_mass_quantiles(x: np.ndarray, qs: Sequence[float]) -> list[float]:
     return [(int(np.searchsorted(mass, q * total, side="left")) + 1) / x.size for q in qs]
 
 
-def _linear_trends(x: np.ndarray, chunk_len: int = 500) -> list[float]:
+def _linear_trends(x: np.ndarray, _: np.ndarray, chunk_len: int = 500) -> list[float]:
     """Slope, intercept and r of the chunk-mean trend, then the chunk-variance slope."""
     if x.size // chunk_len < 2:
         return [math.nan] * 4
@@ -230,33 +234,42 @@ def _linear_trends(x: np.ndarray, chunk_len: int = 500) -> list[float]:
     return [*by_mean, feature_aggregated_linear_trend(x, chunk_len, "var")[0]]
 
 
-def _change_quantiles(x: np.ndarray, ql: float, qh: float) -> tuple[float, float]:
-    """Mean and variance of |successive differences| inside the [ql, qh]
-    value corridor; both 0 when no adjacent pair lies inside."""
-    lo = float(np.quantile(x, ql))
-    hi = float(np.quantile(x, qh))
-    inside = (x >= lo) & (x <= hi)
-    joined = inside[:-1] & inside[1:]
-    if not joined.any():
-        return 0.0, 0.0
-    diffs = np.abs(np.diff(x))[joined]
-    return float(np.mean(diffs)), float(np.var(diffs))
+def _change_quantiles(
+    x: np.ndarray, xs: np.ndarray, corridors: Sequence[tuple[float, float]]
+) -> list[float]:
+    """Mean and variance of |successive differences| inside each [ql, qh]
+    value corridor, whose bounds are quantiles of the sorted copy xs; both 0
+    for a corridor that holds no adjacent pair."""
+    bounds = np.quantile(xs, [q for corridor in corridors for q in corridor])
+    changes = np.abs(np.diff(x))
+    out: list[float] = []
+    for lo, hi in bounds.reshape(-1, 2):
+        inside = (x >= lo) & (x <= hi)
+        joined = inside[:-1] & inside[1:]
+        diffs = changes[joined]
+        out += [float(np.mean(diffs)), float(np.var(diffs))] if diffs.size else [0.0, 0.0]
+    return out
 
 
-def _spectrum(x: np.ndarray, fs_hz: float, k_max: int) -> list[float]:
+def _spectrum(x: np.ndarray, _: np.ndarray, fs_hz: float, k_max: int) -> list[float]:
     """|FFT| bins 1..k_max, the spectral centroid, then the variance,
     skewness and kurtosis of the magnitude spectrum, from one rfft."""
+    check_fft_bins(k_max, x.size)
     mag = np.abs(np.fft.rfft(x))
-    if k_max >= mag.size:
-        raise ConfigError(
-            f"features.fft_bins = {k_max} exceeds the {mag.size - 1} nonzero-frequency "
-            f"bins of a {x.size}-sample window"
-        )
     total = float(np.sum(mag))
     freqs = np.arange(mag.size) * (fs_hz / x.size)
     centroid = math.nan if total <= 0.0 else float(np.dot(freqs, mag)) / total
     _, m2, m3, m4 = _moments(mag)
     return [*mag[1 : k_max + 1], centroid, m2, *_skewness_kurtosis(m2, m3, m4)]
+
+
+def check_fft_bins(k_max: int, window_samples: int) -> None:
+    """Refuse more FFT bins than a window of this many samples has above DC."""
+    if k_max > window_samples // 2:
+        raise ConfigError(
+            f"features.fft_bins = {k_max} exceeds the {window_samples // 2} nonzero-frequency "
+            f"bins of a {window_samples}-sample window"
+        )
 
 
 # -- public single-feature functions ------------------------------------------------
@@ -338,18 +351,25 @@ def feature_change_quantiles(x: np.ndarray, ql: float, qh: float, aggregator: st
         raise ConfigError(f"need ql < qh, got {ql} and {qh}")
     if aggregator not in ("mean", "var"):
         raise ConfigError(f"unknown aggregator {aggregator!r}")
-    mean, var = _change_quantiles(np.asarray(x, dtype=np.float64), ql, qh)
+    x = np.asarray(x, dtype=np.float64)
+    mean, var = _change_quantiles(x, np.sort(x), ((ql, qh),))
     return mean if aggregator == "mean" else var
 
 
 def extract_features(
     window: np.ndarray, catalog: FeatureCatalog, window_start_s: float = 0.0
 ) -> FeatureVector:
-    """Concatenate every family's block of columns for one window."""
+    """Concatenate every family's block of columns for one window.
+
+    The window is sorted once, and every median and quantile reads that copy.
+    """
     x = np.asarray(window, dtype=np.float64)
     if x.size < MIN_WINDOW_SAMPLES:
         raise DataError(f"window of {x.size} samples is below the {MIN_WINDOW_SAMPLES} minimum")
-    return FeatureVector(np.concatenate([fn(x) for _, fn in catalog.families]), window_start_s)
+    xs = np.sort(x)
+    return FeatureVector(
+        np.concatenate([fn(x, xs) for _, fn in catalog.families]), window_start_s
+    )
 
 
 # -- matrices and selection ------------------------------------------------------

@@ -204,8 +204,8 @@ def sample_classes(ts: TimeSeries, events: EventLog, policy: LabelPolicy) -> np.
 
 def slice_windows(ts: TimeSeries, window_len_s: float, stride_s: float) -> list[TimeSeries]:
     """Left-aligned windows of window_len_s every stride_s; last partial window dropped."""
-    wlen = _samples_of(window_len_s, ts.fs_hz, "window length")
-    stride = _samples_of(stride_s, ts.fs_hz, "stride")
+    wlen = samples_of(window_len_s, ts.fs_hz, "window length")
+    stride = samples_of(stride_s, ts.fs_hz, "stride")
     if stride <= 0:
         raise ConfigError(f"stride must be positive, got {stride_s}")
     if wlen <= 0:
@@ -219,7 +219,8 @@ def slice_windows(ts: TimeSeries, window_len_s: float, stride_s: float) -> list[
     return [ts.slice(s, s + wlen) for s in range(0, n - wlen + 1, stride)]
 
 
-def _samples_of(seconds: float, fs_hz: float, what: str) -> int:
+def samples_of(seconds: float, fs_hz: float, what: str) -> int:
+    """Whole number of samples in `seconds` at fs_hz; ConfigError names `what` otherwise."""
     count = seconds * fs_hz
     if abs(count - round(count)) > 1e-9:
         raise ConfigError(f"{what} of {seconds} s is not a whole number of samples at {fs_hz} Hz")

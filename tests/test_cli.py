@@ -10,6 +10,7 @@ import importlib.util
 import logging
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -272,19 +273,6 @@ def _drop_events(tiny_cfg, out):
     return run("filter", "--config", tiny_cfg, "--out", out), "events.csv"
 
 
-def _drop_mask(tiny_cfg, out):
-    assert _through_train(tiny_cfg, out) == 0
-    os.remove(os.path.join(out, "feature_mask.csv"))
-    return run("classify", "--config", tiny_cfg, "--out", out), "feature_mask.csv"
-
-
-def _garbage_mask_row(tiny_cfg, out):
-    assert _through_train(tiny_cfg, out) == 0
-    with open(os.path.join(out, "feature_mask.csv"), "a") as fh:
-        fh.write("garbage\n")
-    return run("classify", "--config", tiny_cfg, "--out", out), "feature_mask.csv"
-
-
 def _rewrite_lines(path, edit):
     lines = read(path).decode().splitlines()
     with open(path, "w") as fh:
@@ -388,8 +376,6 @@ def _predicted_label_4(tiny_cfg, out):
     "damage",
     [
         _drop_events,
-        _drop_mask,
-        _garbage_mask_row,
         _truncated_dtw_params,
         _classify_damaged(
             "forest.txt", lambda lines: [l for l in lines if not l.startswith("# params")]
@@ -407,9 +393,8 @@ def _predicted_label_4(tiny_cfg, out):
         _dtw_first_label_0,
         _predicted_label_4,
     ],
-    ids=["filter-missing-events", "classify-missing-mask", "classify-garbage-mask-row",
-         "classify-dtw-truncated-params", "classify-forest-without-params",
-         "classify-pef-utf16-bom", "classify-pef-is-directory",
+    ids=["filter-missing-events", "classify-dtw-truncated-params",
+         "classify-forest-without-params", "classify-pef-utf16-bom", "classify-pef-is-directory",
          "classify-forest-split-on-feature-500", "classify-dtw-bogus-local-cost",
          "classify-forest-zero-trees", "classify-mask-p-value-2",
          "classify-forest-class-4", "classify-forest-class-0", "classify-dtw-label-0",
@@ -418,6 +403,62 @@ def _predicted_label_4(tiny_cfg, out):
 def test_unreadable_artifact_exits_3_naming_file(tiny_cfg, tmp_path, capsys, damage):
     code, name = damage(tiny_cfg, str(tmp_path / "o"))
     assert code == 3
+    assert name in capsys.readouterr().err
+
+
+# -- every file classify reads x {missing, garbage row appended, cut mid-row} ---------
+
+
+@pytest.fixture(scope="module")
+def trained_tiny(tmp_path_factory):
+    """One tiny-config run through train; each fault case damages a copy."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = root / "tiny.cfg"
+    cfg.write_text(TINY_CFG)
+    out = str(root / "o")
+    assert _through_train(str(cfg), out) == 0
+    return str(cfg), out
+
+
+def _cut_mid_row(data):
+    """End the file inside the first cell of its last row.
+
+    A cut inside the last cell would leave a shorter number that still
+    parses, and such a file cannot be told from one written that way."""
+    body = data.rstrip(b"\n")
+    start = body.rfind(b"\n") + 1
+    first_cell = body[start:].split(b",")[0]
+    return body[: start + max(1, len(first_cell) // 2)]
+
+
+CLASSIFY_INPUTS = ("forest.txt", "feature_mask.csv", "impute.csv", "pef.csv", "events.csv")
+INPUT_FAULTS = {
+    "missing": None,
+    "garbage-row": lambda data: data + b"garbage\n",
+    "cut-mid-row": _cut_mid_row,
+}
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    # events.csv holds one number per row, so a cut leaves a number that
+    # still parses ("180.0" cut to "180." is the same event): left out
+    [(name, fault) for name in CLASSIFY_INPUTS for fault in INPUT_FAULTS
+     if (name, fault) != ("events.csv", "cut-mid-row")],
+    ids=lambda v: v,
+)
+def test_classify_input_fault_exits_3_naming_the_file(trained_tiny, tmp_path, capsys, name, fault):
+    cfg, trained = trained_tiny
+    out = str(tmp_path / "o")
+    shutil.copytree(trained, out)
+    path = os.path.join(out, name)
+    if INPUT_FAULTS[fault] is None:
+        os.remove(path)
+    else:
+        damaged = INPUT_FAULTS[fault](read(path))
+        with open(path, "wb") as fh:
+            fh.write(damaged)
+    assert run("classify", "--config", cfg, "--out", out) == 3
     assert name in capsys.readouterr().err
 
 
@@ -451,6 +492,8 @@ def test_fft_bins_beyond_the_window_spectrum_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "features.fft_bins = 2000" in err
     assert "250" in err and "500-sample window" in err
+    # refused before synth: no series file is written
+    assert os.listdir(tmp_path / "o") == []
 
 
 def test_out_dir_env_override(tiny_cfg, tmp_path, monkeypatch):

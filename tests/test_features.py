@@ -13,9 +13,12 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from geyserstate.errors import ConfigError, DataError, NumericError
 from geyserstate.features import (
+    MIN_WINDOW_SAMPLES,
     FeatureCatalog,
     FeatureMask,
     build_feature_matrix,
@@ -300,6 +303,18 @@ def test_extract_features_minimum_length():
         extract_features(np.zeros(63), cat)
 
 
+def test_skewness_and_kurtosis_are_nan_where_a_power_of_the_variance_underflows():
+    cat = default_catalog(FS)
+    # variance 1e-322: m2^1.5 and m2^2 both round to zero
+    tiny = dict(zip(cat.names, extract_features(np.tile([1e-161, -1e-161], 32), cat).values))
+    assert tiny["variance"] > 0.0
+    assert math.isnan(tiny["skewness"]) and math.isnan(tiny["kurtosis"])
+    # variance 1e-200: m2^1.5 = 1e-300 is still normal, m2^2 rounds to zero
+    small = dict(zip(cat.names, extract_features(np.tile([1e-100, -1e-100], 32), cat).values))
+    assert small["skewness"] == 0.0
+    assert math.isnan(small["kurtosis"])
+
+
 def test_autocorrelation_translation_and_scale_invariant():
     rng = np.random.default_rng(8)
     x = rng.normal(size=2000)
@@ -459,12 +474,8 @@ def test_family_columns_equal_their_one_column_formula(n):
 def test_family_pacf_keeps_lags_before_a_collapse():
     # At this scale the lag-0 covariance is a subnormal number and the
     # Durbin-Levinson variance after lag 1 rounds to zero: lag 1 keeps its
-    # value while lags 2 and 3 are undefined.  (The moment family cannot
-    # take such a window, so the PACF family runs alone.)
-    cat = FeatureCatalog(
-        tuple(f for f in default_catalog(FS).families if f[0][0].startswith("partial_")), "t"
-    )
-    assert cat.names == [f"partial_autocorrelation_lag{lag}" for lag in (1, 2, 3)]
+    # value while lags 2 and 3 are undefined.
+    cat = default_catalog(FS)
     x = np.tile([1e-161, -1e-161], 32)
     by_name = dict(zip(cat.names, extract_features(x, cat).values))
     assert by_name["partial_autocorrelation_lag1"] == _one_pacf(x, 1) == -1.0
@@ -472,6 +483,86 @@ def test_family_pacf_keeps_lags_before_a_collapse():
     assert math.isnan(by_name["partial_autocorrelation_lag3"])
     with pytest.raises(NumericError):
         feature_partial_autocorrelation(x, 2)
+
+
+# -- one sorted copy per window ---------------------------------------------------
+#
+# extract_features sorts each window once, and the median and every quantile
+# read that sorted copy.  The reference is the formula on the window as given:
+# np.median and np.quantile of the unsorted samples.
+
+ORDER_COLUMNS = ("median", "quantile_q05", "quantile_q95",
+                 *(name for name in SHARED_COLUMNS if name.startswith("change_quantiles_")))
+
+
+def _unsorted_order_columns(x):
+    return {
+        "median": float(np.median(x)),
+        "quantile_q05": float(np.quantile(x, 0.05)),
+        "quantile_q95": float(np.quantile(x, 0.95)),
+        **{name: SHARED_COLUMNS[name](x) for name in ORDER_COLUMNS[3:]},
+    }
+
+
+@st.composite
+def _order_windows(draw):
+    """64..12000 samples: Gaussian noise, a few tied levels or one constant,
+    at scales from subnormal to 1e300, with some positions overwritten by
+    +-inf, NaN or any other float."""
+    n = draw(st.integers(MIN_WINDOW_SAMPLES, 12000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-315, 1e-300, 1.0, 1e300]))
+    base = draw(st.sampled_from(["noise", "ties", "constant"]))
+    if base == "noise":
+        x = rng.normal(size=n) * scale
+    elif base == "ties":
+        x = rng.integers(-3, 4, size=n) * scale
+    else:
+        x = np.full(n, draw(st.floats(width=64)))
+    specials = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(width=64))
+    for value in draw(st.lists(specials, max_size=3)):
+        count = draw(st.sampled_from([1, 2, n // 10, n // 2]))
+        x[rng.integers(0, n, size=count)] = value
+    # +0.0 and -0.0 compare equal, so which of them a partition leaves at a
+    # given rank depends on the order of the elements, sorted or not; a
+    # window holding both has no order-free answer and is left out
+    zeros = np.signbit(x[x == 0.0])
+    assume(not (zeros.any() and not zeros.all()))
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=_order_windows())
+def test_order_columns_from_the_sorted_copy_equal_the_unsorted_formulas(x):
+    cat = FeatureCatalog(
+        tuple(f for f in default_catalog(FS).families if set(f[0]) & set(ORDER_COLUMNS)), "t"
+    )
+    # inf - inf inside the quantile interpolation and the corridor differences
+    with np.errstate(all="ignore"):
+        got = dict(zip(cat.names, extract_features(x, cat).values))
+        expected = _unsorted_order_columns(x)
+    for name in ORDER_COLUMNS:
+        assert _same_bits(got[name], expected[name]), (name, got[name], expected[name])
+
+
+def test_extract_features_sorts_once_and_every_quantile_reads_the_sorted_copy(monkeypatch):
+    sorts, inputs = [], []
+
+    def spy(fn, record):
+        def call(a, *args, **kwargs):
+            record.append(np.array(a))
+            return fn(a, *args, **kwargs)
+        return call
+
+    x = np.random.default_rng(9).normal(size=12000)
+    xs = np.sort(x)
+    monkeypatch.setattr(np, "sort", spy(np.sort, sorts))
+    monkeypatch.setattr(np, "median", spy(np.median, inputs))
+    monkeypatch.setattr(np, "quantile", spy(np.quantile, inputs))
+    extract_features(x, default_catalog(FS))
+    assert len(sorts) == 1
+    assert len(inputs) == 3  # the median, then one quantile call per family
+    assert all(np.array_equal(a, xs) for a in inputs)
 
 
 # -- selection ---------------------------------------------------------------------
