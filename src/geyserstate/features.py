@@ -30,7 +30,7 @@ import numpy as np
 from scipy.stats import mannwhitneyu
 
 from .artifacts import read_artifact, write_table
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError
 
 DEFAULT_FFT_BINS = 32
 DEFAULT_FDR_Q = 0.05
@@ -136,20 +136,31 @@ def default_catalog(fs_hz: float, k_max: int = DEFAULT_FFT_BINS) -> FeatureCatal
 # -- feature families -------------------------------------------------------------
 
 def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
+    """Mean and central moments 2-4; a power of the deviations that overflows
+    leaves its moment inf or NaN, without a warning."""
     mean = float(np.mean(x))
     centered = x - mean
-    m2 = float(np.mean(centered**2))
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2 = float(np.mean(centered**2))
+        m3 = float(np.mean(centered**3))
+        m4 = float(np.mean(centered**4))
     return mean, m2, m3, m4
 
 
+def _standardized(moment: float, m2: float, power: float) -> float:
+    """moment / m2**power; NaN where that power of m2 is zero (zero variance,
+    or a variance so small that the power underflows) or where the moment or
+    the power overflows."""
+    try:
+        scale = m2**power
+    except OverflowError:
+        return math.nan
+    return moment / scale if 0.0 < scale < math.inf and math.isfinite(moment) else math.nan
+
+
 def _skewness_kurtosis(m2: float, m3: float, m4: float) -> tuple[float, float]:
-    """m3 / m2^1.5 and excess m4 / m2^2 - 3; each NaN where its power of m2
-    is zero (zero variance, or a variance so small that the power underflows)."""
-    scale3, scale4 = m2**1.5, m2**2
-    return (m3 / scale3 if scale3 > 0.0 else math.nan,
-            m4 / scale4 - 3.0 if scale4 > 0.0 else math.nan)
+    """m3 / m2^1.5 and excess m4 / m2^2 - 3, each NaN as `_standardized` says."""
+    return _standardized(m3, m2, 1.5), _standardized(m4, m2, 2) - 3.0
 
 
 def _moment_family(x: np.ndarray, _: np.ndarray) -> tuple[float, ...]:
@@ -274,19 +285,6 @@ def check_fft_bins(k_max: int, window_samples: int) -> None:
 
 # -- public single-feature functions ------------------------------------------------
 
-def feature_partial_autocorrelation(x: np.ndarray, lag: int) -> float:
-    """Lag-k partial autocorrelation via the Durbin-Levinson recursion."""
-    x = np.asarray(x, dtype=np.float64)
-    if lag < 1:
-        raise ConfigError(f"lag must be >= 1, got {lag}")
-    if x.size <= 4 * lag:
-        raise DataError(f"need more than {4 * lag} samples for lag {lag}, got {x.size}")
-    pacf = _durbin_levinson(x, lag)
-    if len(pacf) < lag:
-        raise NumericError("partial autocorrelation undefined: the Durbin-Levinson variance is zero")
-    return pacf[-1]
-
-
 def feature_time_reversal_asymmetry(x: np.ndarray, lag: int) -> float:
     """Mean of x_{t+2L}^2 x_{t+L} - x_{t+L} x_t^2; zero for time-symmetric input."""
     x = np.asarray(x, dtype=np.float64)
@@ -300,16 +298,6 @@ def feature_time_reversal_asymmetry(x: np.ndarray, lag: int) -> float:
     return float(np.mean(a * a * b - b * c * c))
 
 
-def feature_index_mass_quantile(x: np.ndarray, q: float) -> float:
-    """Smallest relative index i/n where cumulative |x| mass reaches q of the total."""
-    if not 0 < q < 1:
-        raise ConfigError(f"q must lie in (0, 1), got {q}")
-    (value,) = _index_mass_quantiles(np.asarray(x, dtype=np.float64), (q,))
-    if math.isnan(value):
-        raise NumericError("index mass quantile undefined for an all-zero series")
-    return value
-
-
 def feature_aggregated_linear_trend(
     x: np.ndarray, chunk_len: int, aggregator: str
 ) -> tuple[float, float, float]:
@@ -321,18 +309,13 @@ def feature_aggregated_linear_trend(
     x = np.asarray(x, dtype=np.float64)
     if chunk_len < 2:
         raise ConfigError(f"chunk_len must be >= 2, got {chunk_len}")
-    if aggregator not in ("mean", "var", "min", "max"):
+    if aggregator not in ("mean", "var"):
         raise ConfigError(f"unknown aggregator {aggregator!r}")
     m = x.size // chunk_len
     if m < 2:
         raise DataError(f"need at least 2 chunks of {chunk_len}, got {m}")
     chunks = x[: m * chunk_len].reshape(m, chunk_len)
-    agg = {
-        "mean": np.mean,
-        "var": np.var,
-        "min": np.min,
-        "max": np.max,
-    }[aggregator](chunks, axis=1)
+    agg = (np.mean if aggregator == "mean" else np.var)(chunks, axis=1)
     k = np.arange(m, dtype=np.float64)
     k_c = k - k.mean()
     y_c = agg - agg.mean()
@@ -343,17 +326,6 @@ def feature_aggregated_linear_trend(
     intercept = float(agg.mean()) - slope * float(k.mean())
     r_value = sxy / math.sqrt(sxx * syy) if syy > 0.0 else float("nan")
     return slope, intercept, r_value
-
-
-def feature_change_quantiles(x: np.ndarray, ql: float, qh: float, aggregator: str) -> float:
-    """Aggregate |successive differences| inside the [ql, qh] value corridor."""
-    if not ql < qh:
-        raise ConfigError(f"need ql < qh, got {ql} and {qh}")
-    if aggregator not in ("mean", "var"):
-        raise ConfigError(f"unknown aggregator {aggregator!r}")
-    x = np.asarray(x, dtype=np.float64)
-    mean, var = _change_quantiles(x, np.sort(x), ((ql, qh),))
-    return mean if aggregator == "mean" else var
 
 
 def extract_features(

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
 from scipy.signal import sosfilt
 
 from .artifacts import write_artifact
@@ -32,8 +32,6 @@ SUPPORTED_ORDERS = (2, 4, 6, 8)
 OLS_RESIDUAL_TOL = 1e-8
 
 _POLE_MARGIN = 1e-9
-
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 _log = logging.getLogger(__name__)
 
@@ -143,169 +141,69 @@ def apply_filter(cascade: FilterCascade, ts: TimeSeries) -> TimeSeries:
 def fit_ar(ts: TimeSeries, max_order: int = 64, criterion: str = "aic") -> ArModel:
     """OLS fit of an AR(p) model, order chosen by AIC over 1..max_order.
 
-    Each candidate p regresses x_t on [1, x_{t-1}, ..., x_{t-p}] over
-    t = p+1..n via QR factorization (`_ols_ar`) and scores
-    AIC(p) = (n-p) * ln(RSS / (n-p)) + 2 (p+1); the first p with the
-    smallest AIC wins.  criterion="fixed" skips the search and fits exactly
-    p = max_order.
-
-    The search screens every order from one lagged Gram matrix
-    (`_screen_orders`), then runs `_ols_ar` only on the orders that can win:
-    those whose screened AIC, less its error bound, is at most the best
-    exact AIC, plus every order the screen cannot vouch for.  An order left
-    out has an exact AIC above the minimum, so the model returned, and any
-    NumericError raised, are those of running `_ols_ar` at every order.
+    Every order is scored on the rows all orders share, t = P..n-1 with
+    P = max_order (Akaike 1974; Box & Jenkins), so a change of units shifts
+    every order's AIC alike and cannot move the choice.  One Householder QR
+    of the lag design [1, x_{t-1}, ..., x_{t-P}, x_t] scores them all: the
+    blocks are nested, so order p's RSS is the sum of squares of the target
+    column of R below row p + 1, and AIC(p) = m ln(RSS_p / m) + 2 (p+1) with
+    m = n - P.  The first p with the smallest AIC wins, and `_ols_ar` fits it
+    on those same rows.  `_ols_ar`'s rank rule runs once, on the diagonal of
+    the full R, whose leading p + 1 entries are order p's pivots.
+    criterion="fixed" fits exactly p = max_order on rows t = p..n-1.
     """
     if criterion not in ("aic", "fixed"):
         raise ConfigError(f"criterion must be 'aic' or 'fixed', got {criterion!r}")
     if max_order < 1:
         raise ConfigError(f"max_order must be >= 1, got {max_order}")
     n = len(ts)
-    if n <= max_order + 10:
+    # at least 10 rows, and more rows than the P + 1 columns of the design
+    if n < max(max_order + 11, 2 * max_order + 2):
         raise DataError(f"series of {n} samples too short for max_order {max_order}")
     x = ts.values
     if criterion == "fixed":
-        beta, rss = _ols_ar(x, max_order)
-        return _ar_model(n, max_order, beta, rss)
-    aic, lower = _screen_orders(x, max_order)
-    unvouched = np.isneginf(lower)
-    first = set((np.flatnonzero(unvouched) + 1).tolist())
-    if not unvouched.all():
-        first.add(int(np.argmin(aic)) + 1)
-    # ascending, so the first order `_ols_ar` rejects raises, as in a full loop
-    exact = {p: _ols_ar(x, p) for p in sorted(first)}
-    best = min(_aic(n, p, rss) for p, (_, rss) in exact.items())
-    for p in (np.flatnonzero(lower <= best) + 1).tolist():
-        if p not in exact:
-            exact[p] = _ols_ar(x, p)
-    _log.debug("AR order search: screened %d orders, refit %d by QR", max_order, len(exact))
-    # min keeps the first of equal AICs: the strict-< rule of a full loop
-    p = min(sorted(exact), key=lambda q: _aic(n, q, exact[q][1]))
-    return _ar_model(n, p, *exact[p])
+        return _ar_model(n, n - max_order, max_order, *_ols_ar(x, max_order))
+    big_p, m = max_order, n - max_order
+    # Fortran order lets LAPACK factor the design in place, without a copy
+    design = np.empty((m, big_p + 2), order="F")
+    design[:, 0] = 1.0
+    for i in range(1, big_p + 1):
+        design[:, i] = x[big_p - i : n - i]
+    design[:, -1] = x[big_p:]
+    r = qr(design, overwrite_a=True, mode="raw", check_finite=False)[1]
+    del design
+    _check_rank(np.diag(r)[:-1], n)
+    # rss[p + 1] = squares of the target column of R below row p + 1
+    rss = np.cumsum(r[::-1, -1] ** 2)[::-1]
+    p = int(np.argmin([_aic(m, q, float(rss[q + 1])) for q in range(1, big_p + 1)])) + 1
+    _log.debug("AR order search: screened %d orders on %d common rows from one QR, refit p=%d",
+               big_p, m, p)
+    return _ar_model(n, m, p, *_ols_ar(x[big_p - p :], p))
 
 
-def _aic(n: int, p: int, rss: float) -> float:
-    n_eff = n - p
-    return n_eff * math.log(max(rss / n_eff, 1e-300)) + 2.0 * (p + 1)
+def _aic(m: int, p: int, rss: float) -> float:
+    """AIC of an AR(p) fit with this RSS over m rows."""
+    return m * math.log(max(rss / m, 1e-300)) + 2.0 * (p + 1)
 
 
-def _ar_model(n: int, p: int, beta: np.ndarray, rss: float) -> ArModel:
+def _ar_model(n: int, m: int, p: int, beta: np.ndarray, rss: float) -> ArModel:
+    """The model of a fit over m rows of an n-sample series."""
     return ArModel(
         order_p=p,
         intercept_c=float(beta[0]),
         coeffs_alpha=beta[1:],
-        sigma2=float(rss / (n - p)),
+        sigma2=float(rss / m),
         n_train=n,
-        aic=float(_aic(n, p, rss)),
+        aic=float(_aic(m, p, rss)),
     )
 
 
-def _gamma(k: float) -> float:
-    """Relative error bound of k rounded operations, k u / (1 - k u)."""
-    ku = k * _UNIT_ROUNDOFF
-    return ku / (1.0 - ku) if ku < 0.5 else math.inf
-
-
-def _screen_orders(x: np.ndarray, max_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """AIC of every order 1..max_order from one Gram matrix, with error bounds.
-
-    Returns (aic, lower), indexed by p - 1: the screened AIC of order p and
-    a lower bound, aic - tol, on the AIC `_ols_ar` computes for it.  Where
-    the screen cannot vouch for an order, aic is +inf and lower is -inf.
-
-    One lag matrix over rows t = P..n-1 (P = max_order) holds the columns
-    [1, x_{t-1}, ..., x_{t-P}, x_t] of the mean-centered series; RSS with an
-    intercept does not depend on a constant shift, and centering keeps a DC
-    offset out of the Gram.  Walking p = P..1, row t = p joins the Gram, so
-    each order's block [1, lags 1..p, x_t] is exact for its rows t = p..n-1.
-    Pivot j of its Cholesky factor is the residual norm r_j of column j
-    regressed on the columns before it, with coefficients b_j (row j of the
-    inverse unit factor, b_jj = 1); the last pivot squared is the RSS.
-
-    Bound (u = eps/2, gamma_k = k u / (1 - k u), m = n - p rows, a_i the
-    columns): forming and factoring the Gram is backward stable,
-    |dG| <= gamma_{n+3} |a|^T |a| (Higham, Accuracy and Stability, Thms 3.5
-    and 10.3), which moves r_j^2 by at most gamma_{n+3} S_j^2 with
-    S_j = sum_i |b_ji| |a_i| over the centered columns; S_j^2 / r_j^2 is the
-    condition number of that pivot.  Householder QR on the raw columns is
-    backward stable with gamma_{n(p+2)} (Thm 19.4), so the pivots and RSS
-    `_ols_ar` computes lie within 6 gamma_{n(p+2)} S'_j r_j of the exact
-    r_j^2, S'_j as S_j over the raw columns.  With d_j the sum of both
-    relative errors and d the RSS's,
-    tol = m (-ln(1 - d)) + 8 u (|AIC| + 2 (p+1)), the last term for the
-    rounding of the AIC formula.
-
-    Unvouched are the orders where the block is not positive definite, the
-    RSS is not a positive normal number, some d_j >= 1/2, or a design pivot
-    is below 1e-6 of its column norm (the Gram has lost half its digits).
-    So are the orders where one of `_ols_ar`'s checks could fire: its rank
-    test, min r_j <= max(n, p+1) eps max r_j over the design pivots, for
-    some pivots within their d_j; and its normal-equation residual check,
-    whose residual is about 3 sqrt(n (p+2)) u |A| S'_RSS in the usual model
-    where rounding errors grow with the square root of the operation count.
-    The worst case, linear in it, would flag every order of a long
-    white-noise series.
-    """
-    n = x.size
-    big_p = max_order
-    mean = float(x.mean())
-    xc = x - mean
-    lags = np.empty((n - big_p, big_p + 2))
-    lags[:, 0] = 1.0
-    for i in range(1, big_p + 1):
-        lags[:, i] = xc[big_p - i : n - i]
-    lags[:, -1] = xc[big_p:]
-    gram = lags.T @ lags
-    del lags
-    aic = np.full(big_p, np.inf)
-    lower = np.full(big_p, -np.inf)
-    row = np.zeros(big_p + 2)
-    row[0] = 1.0
-    with np.errstate(all="ignore"):
-        for p in range(big_p, 0, -1):
-            if p < big_p:
-                # row t = p; its lags beyond p are never read again
-                row[1 : p + 1] = xc[p - 1 :: -1]
-                row[-1] = xc[p]
-                gram += np.outer(row, row)
-            idx = np.r_[: p + 1, big_p + 1]
-            g = gram[np.ix_(idx, idx)]
-            try:
-                chol = np.linalg.cholesky(g)
-            except np.linalg.LinAlgError:
-                continue
-            m = n - p
-            pivots = np.diag(chol)
-            norms = np.sqrt(np.diag(g))
-            rss = float(pivots[-1] ** 2)
-            if not (np.min(pivots[:-1] / norms[:-1]) >= 1e-6 and m * 1e-300 < rss < math.inf):
-                continue
-            coef = solve_triangular(chol / pivots, np.eye(p + 2), lower=True, unit_diagonal=True)
-            s_c = np.abs(coef) @ norms
-            # the same combinations of the raw columns x_i = xc_i + mean
-            raw_norms = np.sqrt(np.maximum(np.diag(g) + 2 * mean * g[0] + mean * mean * m, 0.0))
-            raw_norms[0] = norms[0]
-            coef[:, 0] -= mean * coef[:, 1:].sum(axis=1)
-            s_u = np.abs(coef) @ raw_norms
-            d = _gamma(n + 3) * s_c**2 / pivots**2 + 6 * _gamma(n * (p + 2)) * s_u / pivots
-            if not np.max(d) < 0.5:
-                continue
-            # QR's rank test, min r_j <= max(n, p+1) eps max r_j, with each r_j^2 within d_j
-            piv_sq, d_piv = pivots[:-1] ** 2, d[:-1]
-            rank_tol = (max(n, p + 1) * 2 * _UNIT_ROUNDOFF) ** 2
-            if not np.min(piv_sq * (1 - d_piv)) > rank_tol * np.max(piv_sq * (1 + d_piv)):
-                continue
-            # `_ols_ar`'s normal-equation residual check
-            raw_aty = g[:-1, -1] + mean * (g[0, :-1] + g[0, -1]) + mean * mean * m
-            raw_aty[0] = g[0, -1] + mean * m
-            a_norm = np.linalg.norm(raw_norms[:-1])
-            resid = 3 * math.sqrt(n * (p + 2)) * _UNIT_ROUNDOFF * a_norm * s_u[-1]
-            if not resid <= OLS_RESIDUAL_TOL * np.linalg.norm(raw_aty):
-                continue
-            aic[p - 1] = _aic(n, p, rss)
-            tol = m * -math.log1p(-d[-1]) + 8 * _UNIT_ROUNDOFF * (abs(aic[p - 1]) + 2 * (p + 1))
-            lower[p - 1] = aic[p - 1] - tol
-    return aic, lower
+def _check_rank(diag: np.ndarray, n: int) -> None:
+    """Reject a design whose QR pivots (the diagonal of R) show a rank
+    deficiency, for a series of n samples."""
+    diag = np.abs(diag)
+    if diag.min() <= max(n, diag.size) * np.finfo(np.float64).eps * max(diag.max(), 1.0):
+        raise NumericError("degenerate signal: AR design matrix is rank deficient")
 
 
 def _ols_ar(x: np.ndarray, p: int) -> tuple[np.ndarray, float]:
@@ -317,9 +215,7 @@ def _ols_ar(x: np.ndarray, p: int) -> tuple[np.ndarray, float]:
     for i in range(1, p + 1):
         a[:, i] = x[p - i : n - i]
     q, r = np.linalg.qr(a)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= max(n, p + 1) * np.finfo(np.float64).eps * max(diag.max(), 1.0):
-        raise NumericError("degenerate signal: AR design matrix is rank deficient")
+    _check_rank(np.diag(r), n)
     beta = solve_triangular(r, q.T @ y)
     resid = y - a @ beta
     check = np.linalg.norm(a.T @ resid)

@@ -411,12 +411,13 @@ def test_unreadable_artifact_exits_3_naming_file(tiny_cfg, tmp_path, capsys, dam
 
 @pytest.fixture(scope="module")
 def trained_tiny(tmp_path_factory):
-    """One tiny-config run through train; each fault case damages a copy."""
+    """One tiny-config run through classify; each fault case damages a copy."""
     root = tmp_path_factory.mktemp("trained")
     cfg = root / "tiny.cfg"
     cfg.write_text(TINY_CFG)
     out = str(root / "o")
     assert _through_train(str(cfg), out) == 0
+    assert run("classify", "--config", str(cfg), "--out", out) == 0
     return str(cfg), out
 
 
@@ -431,7 +432,13 @@ def _cut_mid_row(data):
     return body[: start + max(1, len(first_cell) // 2)]
 
 
-CLASSIFY_INPUTS = ("forest.txt", "feature_mask.csv", "impute.csv", "pef.csv", "events.csv")
+# the files each command reads besides its config
+COMMAND_INPUTS = {
+    "classify": ("forest.txt", "feature_mask.csv", "impute.csv", "pef.csv", "events.csv"),
+    "filter": ("signal.csv", "events.csv"),
+    "train": ("pef.csv", "events.csv"),
+    "eval": ("predictions.csv", "pef.csv", "events.csv"),
+}
 INPUT_FAULTS = {
     "missing": None,
     "garbage-row": lambda data: data + b"garbage\n",
@@ -439,15 +446,24 @@ INPUT_FAULTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "name, fault",
-    # events.csv holds one number per row, so a cut leaves a number that
-    # still parses ("180.0" cut to "180." is the same event): left out
-    [(name, fault) for name in CLASSIFY_INPUTS for fault in INPUT_FAULTS
-     if (name, fault) != ("events.csv", "cut-mid-row")],
-    ids=lambda v: v,
-)
-def test_classify_input_fault_exits_3_naming_the_file(trained_tiny, tmp_path, capsys, name, fault):
+def _input_fault_cases():
+    for command, names in COMMAND_INPUTS.items():
+        for name in names:
+            for fault in INPUT_FAULTS:
+                # events.csv holds one number per row, so a cut leaves a
+                # number that still parses ("180.0" cut to "180." is the
+                # same event): left out
+                if (name, fault) == ("events.csv", "cut-mid-row"):
+                    continue
+                # classify's cases are named by file and fault alone
+                prefix = "" if command == "classify" else f"{command}-"
+                yield pytest.param(command, name, fault, id=f"{prefix}{name}-{fault}")
+
+
+@pytest.mark.parametrize("command, name, fault", list(_input_fault_cases()))
+def test_classify_input_fault_exits_3_naming_the_file(
+    trained_tiny, tmp_path, capsys, command, name, fault
+):
     cfg, trained = trained_tiny
     out = str(tmp_path / "o")
     shutil.copytree(trained, out)
@@ -458,7 +474,7 @@ def test_classify_input_fault_exits_3_naming_the_file(trained_tiny, tmp_path, ca
         damaged = INPUT_FAULTS[fault](read(path))
         with open(path, "wb") as fh:
             fh.write(damaged)
-    assert run("classify", "--config", cfg, "--out", out) == 3
+    assert run(command, "--config", cfg, "--out", out) == 3
     assert name in capsys.readouterr().err
 
 
@@ -568,7 +584,10 @@ def test_filter_verbose_logs_ar_search(tiny_cfg, tmp_path, caplog):
     caplog.set_level(logging.DEBUG, logger="geyserstate.filters")
     out = str(tmp_path / "o")
     assert _synth_and_filter(tiny_cfg, out, "--verbose") == 0
-    assert re.search(r"AR order search: screened 16 orders, refit \d+ by QR", caplog.text)
+    assert re.search(
+        r"AR order search: screened 16 orders on \d+ common rows from one QR, refit p=\d+",
+        caplog.text,
+    )
     assert sorted(os.listdir(out)) == [
         "ar_model.txt", "bh.csv", "classes.csv", "events.csv", "pef.csv", "signal.csv"
     ]

@@ -9,6 +9,7 @@ Oracles are written independently of the implementation:
 
 import itertools
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -16,18 +17,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geyserstate.errors import ConfigError, DataError, NumericError
+from geyserstate.errors import ConfigError, DataError
 from geyserstate.features import (
     MIN_WINDOW_SAMPLES,
     FeatureCatalog,
     FeatureMask,
     build_feature_matrix,
     default_catalog,
+    _change_quantiles,
+    _index_mass_quantiles,
+    _partial_autocorrelations,
     extract_features,
     feature_aggregated_linear_trend,
-    feature_change_quantiles,
-    feature_index_mass_quantile,
-    feature_partial_autocorrelation,
     feature_time_reversal_asymmetry,
     load_feature_mask,
     load_feature_matrix,
@@ -107,14 +108,15 @@ def test_time_reversal_asymmetry_too_short():
 
 
 def test_index_mass_quantile_hand_values():
-    assert feature_index_mass_quantile(np.array([1.0, 1.0, 1.0, 1.0]), 0.5) == pytest.approx(0.5)
-    assert feature_index_mass_quantile(np.array([4.0, 0.0, 0.0, 0.0]), 0.5) == pytest.approx(0.25)
-    assert feature_index_mass_quantile(np.array([0.0, 0.0, 0.0, 4.0]), 0.5) == pytest.approx(1.0)
+    assert _index_mass_quantiles(np.array([1.0, 1.0, 1.0, 1.0]), (0.5,)) == [0.5]
+    assert _index_mass_quantiles(np.array([4.0, 0.0, 0.0, 0.0]), (0.5,)) == [0.25]
+    assert _index_mass_quantiles(np.array([0.0, 0.0, 0.0, 4.0]), (0.5,)) == [1.0]
 
 
 def test_index_mass_quantile_sign_insensitive():
     x = np.array([1.0, -3.0, 2.0, -1.0, 5.0, 0.5, -2.0, 4.0])
-    assert feature_index_mass_quantile(x, 0.4) == feature_index_mass_quantile(np.abs(x), 0.4)
+    qs = (0.25, 0.4, 0.75)
+    assert _index_mass_quantiles(x, qs) == _index_mass_quantiles(np.abs(x), qs)
 
 
 def test_agg_linear_trend_on_ramp():
@@ -137,10 +139,16 @@ def test_agg_linear_trend_needs_two_chunks():
         feature_aggregated_linear_trend(np.arange(600, dtype=np.float64), 500, "mean")
 
 
+def change_quantiles(x, ql, qh):
+    """(mean, var) of the change-quantile family for one corridor."""
+    return _change_quantiles(x, np.sort(x), ((ql, qh),))
+
+
 def test_change_quantiles_alternating():
     x = np.tile([0.0, 10.0], 100)
-    assert feature_change_quantiles(x, 0.0, 1.0, "mean") == pytest.approx(10.0)
-    assert feature_change_quantiles(x, 0.0, 1.0, "var") == pytest.approx(0.0)
+    mean, var = change_quantiles(x, 0.0, 1.0)
+    assert mean == pytest.approx(10.0)
+    assert var == pytest.approx(0.0)
 
 
 def test_change_quantiles_empty_corridor_is_zero():
@@ -148,12 +156,7 @@ def test_change_quantiles_empty_corridor_is_zero():
     # corridor admits only the zero samples, which are never adjacent; an
     # empty pair set aggregates to 0 by definition.
     x = np.tile([0.0, 10.0], 100)
-    assert feature_change_quantiles(x, 0.1, 0.2, "mean") == 0.0
-
-
-def test_change_quantiles_rejects_bad_corridor():
-    with pytest.raises(ConfigError):
-        feature_change_quantiles(np.arange(100.0), 0.7, 0.3, "mean")
+    assert change_quantiles(x, 0.1, 0.2) == [0.0, 0.0]
 
 
 # -- partial autocorrelation -------------------------------------------------------
@@ -161,10 +164,9 @@ def test_change_quantiles_rejects_bad_corridor():
 def test_pacf_matches_yule_walker_solve():
     rng = np.random.default_rng(11)
     x = rng.normal(size=4000)
+    pacf = _partial_autocorrelations(x, None, max_lag=5)
     for lag in (1, 2, 3, 5):
-        mine = feature_partial_autocorrelation(x, lag)
-        oracle = yule_walker_pacf(x, lag)
-        assert mine == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        assert pacf[lag - 1] == pytest.approx(yule_walker_pacf(x, lag), rel=1e-9, abs=1e-12)
 
 
 def test_pacf_of_ar1_cuts_off_after_lag_one():
@@ -177,14 +179,10 @@ def test_pacf_of_ar1_cuts_off_after_lag_one():
     for t in range(1, n + 500):
         x[t] = alpha * x[t - 1] + e[t]
     x = x[500:]
-    assert feature_partial_autocorrelation(x, 1) == pytest.approx(alpha, abs=0.03)
-    assert abs(feature_partial_autocorrelation(x, 2)) < 0.03
-    assert abs(feature_partial_autocorrelation(x, 3)) < 0.03
-
-
-def test_pacf_short_series_rejected():
-    with pytest.raises(DataError):
-        feature_partial_autocorrelation(np.arange(8.0), 2)
+    lag1, lag2, lag3 = _partial_autocorrelations(x, None, max_lag=3)
+    assert lag1 == pytest.approx(alpha, abs=0.03)
+    assert abs(lag2) < 0.03
+    assert abs(lag3) < 0.03
 
 
 # -- spectral features -------------------------------------------------------------
@@ -313,6 +311,22 @@ def test_skewness_and_kurtosis_are_nan_where_a_power_of_the_variance_underflows(
     small = dict(zip(cat.names, extract_features(np.tile([1e-100, -1e-100], 32), cat).values))
     assert small["skewness"] == 0.0
     assert math.isnan(small["kurtosis"])
+
+
+def test_moments_that_overflow_are_nan_without_a_warning():
+    # deviations of 1e80: m4 = mean(1e320) and m2^2 = 1e320 overflow, m3 and
+    # m2^1.5 = 1e240 do not; the magnitude spectrum (one Nyquist bin of
+    # 6.4e81) overflows the same way
+    cat = default_catalog(FS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        by_name = dict(zip(cat.names, extract_features(np.tile([1e80, -1e80], 32), cat).values))
+    assert by_name["variance"] == pytest.approx(1e160)
+    assert by_name["skewness"] == 0.0
+    assert math.isnan(by_name["kurtosis"])
+    assert math.isfinite(by_name["spectrum_variance"])
+    assert math.isfinite(by_name["spectrum_skewness"])
+    assert math.isnan(by_name["spectrum_kurtosis"])
 
 
 def test_autocorrelation_translation_and_scale_invariant():
@@ -481,8 +495,6 @@ def test_family_pacf_keeps_lags_before_a_collapse():
     assert by_name["partial_autocorrelation_lag1"] == _one_pacf(x, 1) == -1.0
     assert math.isnan(by_name["partial_autocorrelation_lag2"])
     assert math.isnan(by_name["partial_autocorrelation_lag3"])
-    with pytest.raises(NumericError):
-        feature_partial_autocorrelation(x, 2)
 
 
 # -- one sorted copy per window ---------------------------------------------------

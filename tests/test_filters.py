@@ -7,16 +7,17 @@ an explicit-recursion AR simulator, and a normal-equation OLS solver.
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from geyserstate.errors import ConfigError, DataError, NumericError
 from geyserstate.filters import (
     ArModel,
     FilterCascade,
     _ols_ar,
-    _screen_orders,
     apply_filter,
     ar_predict_one_step,
     design_butterworth_highpass,
@@ -236,7 +237,8 @@ def test_fit_recovers_ar2_and_respects_aic():
     model = fit_ar(ts, max_order=8, criterion="aic")
     assert model.coeffs_alpha[0] == pytest.approx(0.6, abs=0.02)
     assert model.coeffs_alpha[1] == pytest.approx(-0.2, abs=0.02)
-    oracle_aics = [ols_oracle(x, p)[2] for p in range(1, 9)]
+    # every order scored on the rows they share, t = 8..n-1
+    oracle_aics = [ols_oracle(x[8 - p :], p)[2] for p in range(1, 9)]
     assert model.aic == pytest.approx(min(oracle_aics), abs=1e-6)
 
 
@@ -268,6 +270,11 @@ def test_fit_validation():
     ts = TimeSeries(np.arange(30.0), FS)
     with pytest.raises(DataError, match="too short"):
         fit_ar(ts, max_order=64)
+    # 100 samples leave 36 rows for the 65 columns of an order-64 design
+    noise = TimeSeries(np.random.default_rng(0).normal(size=100), FS)
+    for criterion in ("aic", "fixed"):
+        with pytest.raises(DataError, match="too short"):
+            fit_ar(noise, max_order=64, criterion=criterion)
     with pytest.raises(ConfigError, match="criterion"):
         fit_ar(ts, max_order=2, criterion="bic")
     with pytest.raises(ConfigError, match="max_order"):
@@ -287,19 +294,15 @@ def test_fit_idempotence_within_three_se():
         assert abs(second.coeffs_alpha[i] - first.coeffs_alpha[i]) <= 3 * se[i + 1]
 
 
-def qr_aic(x, p):
-    """One order's QR fit and its AIC: (beta, rss, aic)."""
-    n = x.size
-    beta, rss = _ols_ar(x, p)
-    return beta, rss, (n - p) * math.log(max(rss / (n - p), 1e-300)) + 2.0 * (p + 1)
-
-
 def full_aic_search(x, max_order):
-    """The AIC search as one QR fit per order: `_ols_ar` at every p, the
-    first p with the smallest AIC wins.  Returns (p, beta, rss, aic)."""
+    """The AIC search as one QR fit per order on the rows every order
+    shares, t = P..n-1: `_ols_ar(x[P-p:], p)` at every p, and the first p
+    with the smallest AIC wins.  Returns (p, beta, rss, aic)."""
+    m = x.size - max_order
     best = None
     for p in range(1, max_order + 1):
-        beta, rss, aic = qr_aic(x, p)
+        beta, rss = _ols_ar(x[max_order - p :], p)
+        aic = m * math.log(max(rss / m, 1e-300)) + 2.0 * (p + 1)
         if best is None or aic < best[3]:
             best = (p, beta, rss, aic)
     return best
@@ -324,21 +327,34 @@ AIC_SEARCH_SIGNALS = {
     [(name, 8) for name in AIC_SEARCH_SIGNALS] + [("sinusoid-plus-1e-3-noise", 64)],
 )
 def test_aic_search_bit_identical_to_qr_at_every_order(name, max_order):
-    """The screened search returns bitwise the model of a full QR search."""
+    """The one-QR search picks the order of a per-order QR search on the
+    common rows and returns bitwise `_ols_ar(x[P-p:], p)`."""
     x = AIC_SEARCH_SIGNALS[name]()
     p, beta, rss, aic = full_aic_search(x, max_order)
     model = fit_ar(TimeSeries(x, FS), max_order=max_order, criterion="aic")
     assert model.order_p == p
     assert model.intercept_c == beta[0]
     assert np.array_equal(model.coeffs_alpha, beta[1:])
-    assert model.sigma2 == rss / (x.size - p)
+    assert model.sigma2 == rss / (x.size - max_order)
     assert model.aic == aic
+    assert model.n_train == x.size
+
+
+def test_aic_order_does_not_depend_on_units():
+    """Scaling the series by s shifts every order's AIC by m ln s^2 alike,
+    so an AR(2) gets one order at every scale from 1e-6 to 1e6."""
+    x = lfilter([1.0], [1.0, -0.6, 0.2], np.random.default_rng(0).normal(size=20000))
+    chosen = {
+        k: fit_ar(TimeSeries(x * 10.0**k, FS), max_order=16, criterion="aic").order_p
+        for k in range(-6, 7)
+    }
+    assert len(set(chosen.values())) == 1, chosen
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e3], ids=["no-offset", "offset-1e3"])
 def test_fit_pure_sinusoid_degenerate(offset):
     """A pure tone is an exact AR(2): every higher order's design is rank
-    deficient, and QR rejects it even where the screen looks fine."""
+    deficient, and QR rejects it."""
     ts = TimeSeries(_sinusoid(20000, 0.0) + offset, FS)
     with pytest.raises(NumericError, match="degenerate signal"):
         fit_ar(ts, max_order=8)
@@ -347,17 +363,15 @@ def test_fit_pure_sinusoid_degenerate(offset):
 @pytest.mark.parametrize("scale", [1e-13, 1e13])
 def test_fit_extreme_amplitude_degenerate(scale):
     """QR's rank test compares the lag pivots with the intercept's, so a
-    well-shaped series at 1e-13 or 1e13 scale is rejected; the screen must
-    send it to QR rather than vouch for it."""
+    well-shaped series at 1e-13 or 1e13 scale is rejected."""
     x = simulate_ar([0.6, -0.2], 0.0, scale, 5000, seed=42)
     with pytest.raises(NumericError, match="degenerate signal"):
         fit_ar(TimeSeries(x, FS), max_order=8)
 
 
 def test_fit_raises_when_qr_rejects_only_higher_orders():
-    """At 1e-12 scale QR accepts AR(1)'s design but rejects order 2 and up.
-    The screen's best order is 1, so only its rank-test mirror sends the
-    others to QR, which raises as a full search does."""
+    """At 1e-12 scale QR accepts AR(1)'s design but rejects order 2 and up,
+    so the search raises even though order 1 alone would fit."""
     x = simulate_ar([0.9], 0.0, 10.0**-12.1, 5000, seed=3)
     _ols_ar(x, 1)
     with pytest.raises(NumericError, match="degenerate signal"):
@@ -366,43 +380,15 @@ def test_fit_raises_when_qr_rejects_only_higher_orders():
         fit_ar(TimeSeries(x, FS), max_order=8)
 
 
-@pytest.mark.parametrize("name", list(AIC_SEARCH_SIGNALS))
-def test_screen_bound_contains_qr_aic(name):
-    """Every order the screen vouches for has its QR AIC inside aic +- tol,
-    and tol is below the 2-unit AIC penalty of one more lag, so the screen
-    can rule orders out."""
-    x = AIC_SEARCH_SIGNALS[name]()
-    aic, lower = _screen_orders(x, 8)
-    for p in range(1, 9):
-        if np.isneginf(lower[p - 1]):
-            continue
-        exact = qr_aic(x, p)[2]
-        tol = aic[p - 1] - lower[p - 1]
-        assert lower[p - 1] <= exact <= aic[p - 1] + tol, p
-        assert tol < 1.0
-
-
-def test_search_exact_for_any_screen_within_its_bound(monkeypatch):
-    """The refit rule alone makes the search exact: a screen that ranks the
-    orders backwards, or vouches for none, still yields the QR winner."""
-    x = simulate_ar([0.6, -0.2], 0.0, 1.0, 20000, seed=42)
-    p, beta, _, aic = full_aic_search(x, 8)
-    exact = np.array([qr_aic(x, q)[2] for q in range(1, 9)])
-    winner = np.arange(1, 9) == p
-    backwards = (-np.arange(1.0, 9.0), exact - 1.0)
-    unvouched_winner = (np.where(winner, np.inf, exact), np.where(winner, -np.inf, exact - 1e-9))
-    for screen in (backwards, unvouched_winner, (np.full(8, np.inf), np.full(8, -np.inf))):
-        monkeypatch.setattr("geyserstate.filters._screen_orders", lambda *_, s=screen: s)
-        model = fit_ar(TimeSeries(x, FS), max_order=8, criterion="aic")
-        assert (model.order_p, model.aic) == (p, aic)
-        assert np.array_equal(model.coeffs_alpha, beta[1:])
-
-
 @pytest.mark.parametrize("name", ["ar2", "ar1-dc-offset-1e4"])
 def test_aic_search_logs_orders_screened_and_refit(name, caplog):
     caplog.set_level(logging.DEBUG, logger="geyserstate.filters")
     fit_ar(TimeSeries(AIC_SEARCH_SIGNALS[name](), FS), max_order=8, criterion="aic")
-    assert "AR order search: screened 8 orders, refit 1 by QR" in caplog.text
+    rows = AIC_SEARCH_SIGNALS[name]().size - 8
+    assert re.search(
+        rf"AR order search: screened 8 orders on {rows} common rows from one QR, refit p=\d+$",
+        caplog.text, re.M,
+    )
 
 
 # -- prediction and PEF --------------------------------------------------------
