@@ -123,8 +123,8 @@ def render_report(
     if len(per_class) != len(cm.class_ids):
         raise ConfigError("need one metrics entry per class")
     lines = ["confusion matrix (rows true, columns predicted)"]
-    header = "        " + "".join(f"pred {c:>2}" for c in cm.class_ids)
-    lines.append(header)
+    # each 7-wide `pred c` cell right-aligns over its 7-wide count column
+    lines.append(" " * 7 + "".join(f"{f'pred {c}':>7}" for c in cm.class_ids))
     for i, c in enumerate(cm.class_ids):
         row = "".join(f"{int(v):>7}" for v in cm.counts[i])
         lines.append(f"true {c:>2}{row}")

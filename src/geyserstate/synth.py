@@ -17,7 +17,7 @@ isolate components by subtraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import lfilter
@@ -25,6 +25,7 @@ from scipy.signal import lfilter
 from .artifacts import write_table
 from .errors import ConfigError, DataError
 from .timeseries import (
+    CLASS_FAR,
     EventLog,
     LabelPolicy,
     TimeSeries,
@@ -107,7 +108,7 @@ def _check_events(config: SynthConfig) -> None:
         return
     if np.any(np.diff(times) <= 0):
         raise DataError("event times must be strictly increasing")
-    envelope = config.precursor_lead_s + config.eruption_len_s
+    envelope = config.label_policy.envelope_s
     if np.any(np.diff(times) <= envelope):
         raise DataError(
             f"events must be separated by more than the labeled envelope ({envelope:g} s)"
@@ -229,39 +230,25 @@ def split_train_test(
 ) -> tuple[tuple[TimeSeries, EventLog], tuple[TimeSeries, EventLog]]:
     """Chronological split at the quiet sample nearest duration*ratio.
 
-    The boundary must land where the class is 1 and no upcoming event's
-    precursor window reaches back across it, so each side's labels are
-    self-contained given its own event subset.
+    The boundary must land outside every event's envelope
+    ``[e - class2_start_s, e + class3_len_s)``, so each side's labels are
+    self-contained given its own event subset.  Of two legal points equally
+    near the request, the later one wins.
     """
     policy = policy or LabelPolicy()
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"split ratio must lie in (0, 1), got {ratio}")
     n = len(ts)
-    classes = sample_classes(ts, events, policy)
-    times = ts.timestamps()
-    event_times = np.asarray(events.event_times_s, dtype=np.float64)
-
-    def acceptable(idx: int) -> bool:
-        if classes[idx] != 1:
-            return False
-        upcoming = event_times[event_times > times[idx]]
-        if upcoming.size == 0:
-            return True
-        return upcoming[0] - times[idx] > policy.class2_start_s
-
-    want = int(round(n * ratio))
-    want = min(max(want, 1), n - 1)
-    split_idx = None
-    for offset in range(max(want, n - want) + 1):
-        for candidate in (want + offset, want - offset):
-            if 1 <= candidate <= n - 1 and acceptable(candidate):
-                split_idx = candidate
-                break
-        if split_idx is not None:
-            break
-    if split_idx is None:
+    # closing the pre-onset gap makes Class-1 exactly "outside every envelope"
+    gapless = replace(policy, class2_end_s=0.0)
+    legal = np.flatnonzero(sample_classes(ts, events, gapless)[1:] == CLASS_FAR) + 1
+    if legal.size == 0:
         raise DataError("no quiet split point exists outside event envelopes")
-    boundary_time = times[split_idx]
+    want = min(max(int(round(n * ratio)), 1), n - 1)
+    # argmin keeps the first of equal distances; read backwards, that is the later point
+    split_idx = int(legal[-1 - np.argmin(np.abs(legal - want)[::-1])])
+    boundary_time = ts.time_of(split_idx)
+    event_times = events.event_times_s
     head = ts.slice(0, split_idx)
     tail = ts.slice(split_idx, n)
     head_events = EventLog(tuple(float(e) for e in event_times[event_times < boundary_time]))

@@ -2,15 +2,17 @@
 
 A recording is a uniformly sampled :class:`TimeSeries` plus an
 :class:`EventLog` of eruption onset times.  A :class:`LabelPolicy` turns the
-pair into a per-timestamp state:
+pair into a per-timestamp state, for any event ``e``:
 
-* Class-1: quiet, more than ``class2_start_s`` before the next eruption;
 * Class-2: precursor, inside ``[e - class2_start_s, e - class2_end_s)``;
-* Class-3: eruption, inside ``[e, e + class3_len_s)``.
+* Class-3: eruption, inside ``[e, e + class3_len_s)``;
+* Class-1: quiet, everywhere else.
 
 Class-3 takes precedence where intervals touch.  Timestamp comparisons honor
 a 1 microsecond guard so that samples landing exactly on a class boundary are
 classified identically regardless of how their timestamps were computed.
+:func:`sample_classes` is the one implementation of this rule; window labels,
+the train/test split and the AR noise segment all read it.
 """
 
 from __future__ import annotations
@@ -94,10 +96,10 @@ class TimeSeries:
 class EventLog:
     """Strictly increasing eruption onset timestamps, seconds since epoch.
 
-    Labeling assumes consecutive events are separated by more than the
-    policy's labeled envelope (300 s at defaults); generators and loaders
-    enforce that, the labeling functions resolve any residual overlap in
-    favor of Class-3.
+    Events may sit closer together than the policy's labeled envelope
+    (300 s at defaults): only the synthetic generator requires that gap, and
+    :func:`load_events` checks no more than the order.  :func:`sample_classes`
+    resolves overlapping spans, Class-3 over Class-2.
     """
 
     event_times_s: np.ndarray
@@ -120,9 +122,9 @@ class EventLog:
 class LabelPolicy:
     """Class geometry around each eruption onset, offsets in seconds.
 
-    ``window_label_rule`` picks how a whole window inherits a class:
-    ``window-end-time`` (causal: the class at the window's final timestamp)
-    or ``majority-sample``.
+    ``window_label_rule`` picks how a whole window inherits a class from
+    :func:`sample_classes` of its samples: ``window-end-time`` (causal: the
+    class of its last sample) or ``majority-sample`` (the most common class).
     """
 
     class2_start_s: float = 180.0
@@ -161,21 +163,6 @@ class LabeledWindow:
             raise DataError(f"label must be one of {ALL_CLASSES}, got {self.label}")
 
 
-def class_of_sample(t_s: float, events: EventLog, policy: LabelPolicy) -> int:
-    """Class of the single timestamp ``t_s``; total over all inputs (no events -> Class-1)."""
-    times = events.event_times_s
-    if times.size == 0:
-        return CLASS_FAR
-    i = int(np.searchsorted(times, t_s + TIME_TOL_S, side="right"))
-    if i > 0 and t_s < times[i - 1] + policy.class3_len_s - TIME_TOL_S:
-        return CLASS_ERUPTION
-    if i < times.size:
-        e = times[i]
-        if e - policy.class2_start_s - TIME_TOL_S <= t_s < e - policy.class2_end_s - TIME_TOL_S:
-            return CLASS_PRECURSOR
-    return CLASS_FAR
-
-
 def _snap(x: float, tol: float) -> float:
     """Round to the nearest integer when within tol; kills float timestamp jitter."""
     r = round(x)
@@ -193,10 +180,18 @@ def _index_range(ts: TimeSeries, lo_s: float, hi_s: float) -> tuple[int, int]:
 def sample_classes(ts: TimeSeries, events: EventLog, policy: LabelPolicy) -> np.ndarray:
     """Per-sample class array; Class-3 painted last so it wins at shared boundaries."""
     cls = np.full(len(ts), CLASS_FAR, dtype=np.int64)
-    for e in events.event_times_s:
+    # only events whose spans can reach the series paint it (one sample of
+    # slack), so labelling many short windows does not visit every event each time
+    slack = 1.0 / ts.fs_hz
+    first, last = np.searchsorted(events.event_times_s, (
+        ts.t0_s - policy.class3_len_s - slack,
+        ts.t0_s + ts.duration_s + policy.class2_start_s + slack,
+    ))
+    near = events.event_times_s[first:last]
+    for e in near:
         lo, hi = _index_range(ts, e - policy.class2_start_s, e - policy.class2_end_s)
         cls[lo:hi] = CLASS_PRECURSOR
-    for e in events.event_times_s:
+    for e in near:
         lo, hi = _index_range(ts, e, e + policy.class3_len_s)
         cls[lo:hi] = CLASS_ERUPTION
     return cls
@@ -230,14 +225,19 @@ def samples_of(seconds: float, fs_hz: float, what: str) -> int:
 def label_windows(
     windows: list[TimeSeries], events: EventLog, policy: LabelPolicy
 ) -> list[LabeledWindow]:
-    """Attach a class to each window per the policy's window_label_rule."""
+    """Attach a class to each window per the policy's window_label_rule.
+
+    Both rules read :func:`sample_classes` of the window: ``window-end-time``
+    its last entry, ``majority-sample`` the most common class (the lower one
+    on a tie).
+    """
     out = []
     for w in windows:
+        cls = sample_classes(w, events, policy)
         if policy.window_label_rule == "window-end-time":
-            label = class_of_sample(w.time_of(len(w) - 1), events, policy)
+            label = int(cls[-1])
         else:
-            counts = np.bincount(sample_classes(w, events, policy), minlength=4)[1:]
-            label = int(np.argmax(counts)) + 1
+            label = int(np.argmax(np.bincount(cls, minlength=4)[1:])) + 1
         out.append(LabeledWindow(w.values, w.t0_s, label))
     return out
 

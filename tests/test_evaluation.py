@@ -5,6 +5,8 @@ three methods as published; the tests verify that recomputing F1 from each
 printed P/R pair lands within +/-0.005 of the printed F1.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,18 @@ def test_render_report_published_f1_column():
         assert printed in text
     assert csv_text.splitlines()[0] == "class,precision,recall,f1,support"
     assert "macro," in csv_text and "weighted," in csv_text
+
+
+def test_render_report_header_names_sit_over_their_counts():
+    cm, per_class, averages = evaluate([1, 2, 2, 3, 3, 3], [3, 2, 2, 1, 3, 3])
+    lines = render_report(cm, per_class, averages)[0].splitlines()
+    header, rows = lines[1], lines[2:5]
+    cells = list(re.finditer(r"pred +\d", header))
+    assert [m.group()[-1] for m in cells] == ["1", "2", "3"]
+    assert all(header[m.start() - 1] == " " for m in cells)
+    for row in rows:
+        counts = list(re.finditer(r"\d+", row))[1:]  # the first is the row's own class
+        assert [m.end() for m in counts] == [m.end() for m in cells]
 
 
 def test_render_report_empty_class_row():

@@ -7,6 +7,8 @@ normal-equations computation.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geyserstate.errors import ConfigError, DataError
 from geyserstate.filters import apply_filter, design_butterworth_highpass, fit_ar
@@ -16,7 +18,7 @@ from geyserstate.synth import (
     save_classes,
     split_train_test,
 )
-from geyserstate.timeseries import EventLog, LabelPolicy, TimeSeries
+from geyserstate.timeseries import EventLog, LabelPolicy, TimeSeries, sample_classes
 
 
 def ar2_stationary_variance(a1: float, a2: float, sigma: float) -> float:
@@ -200,6 +202,76 @@ def test_split_without_quiet_point_errors():
     policy = LabelPolicy(class2_start_s=250.0, class3_len_s=60.0)
     with pytest.raises(DataError):
         split_train_test(ts, events, ratio=0.5, policy=policy)
+
+
+def split_index_by_search(ts, events, ratio, policy):
+    """Reference split point: walk outwards from round(n*ratio), the later
+    candidate first at each distance, to the first quiet sample that no
+    upcoming event's precursor span reaches back across; None if there is none."""
+    n = len(ts)
+    classes = sample_classes(ts, events, policy)
+    times = ts.timestamps()
+    event_times = events.event_times_s
+
+    def acceptable(idx):
+        if classes[idx] != 1:
+            return False
+        upcoming = event_times[event_times > times[idx]]
+        return upcoming.size == 0 or upcoming[0] - times[idx] > policy.class2_start_s
+
+    want = min(max(int(round(n * ratio)), 1), n - 1)
+    for offset in range(max(want, n - want) + 1):
+        for candidate in (want + offset, want - offset):
+            if 1 <= candidate <= n - 1 and acceptable(candidate):
+                return candidate
+    return None
+
+
+@st.composite
+def split_cases(draw):
+    """Rates, offsets and event times on a power-of-two grid, so that every
+    boundary comparison of the reference search is exact."""
+    fs = draw(st.sampled_from([1.0, 2.0, 8.0]))
+    t0 = draw(st.sampled_from([0.0, 0.5, 2.0**30 + 0.25]))
+    n = draw(st.integers(2, 300))
+    quarter = 1.0 / (4.0 * fs)
+    start_q = draw(st.integers(1, 120))
+    policy = LabelPolicy(
+        class2_start_s=start_q * quarter,
+        class2_end_s=draw(st.integers(0, start_q - 1)) * quarter,
+        class3_len_s=draw(st.integers(1, 120)) * quarter,
+    )
+    onsets = draw(st.lists(st.integers(-120, 4 * n + 120), max_size=5, unique=True))
+    events = EventLog(np.array([t0 + q * quarter for q in sorted(onsets)]))
+    ratio = draw(st.floats(0.01, 0.99))
+    return TimeSeries(np.zeros(n), fs, t0), events, ratio, policy
+
+
+# request t = 50 inside the envelope [41, 60): legal 40 and 60 tie, 60 wins
+_TIE = (TimeSeries(np.zeros(100), 1.0), EventLog((50.0,)), 0.5,
+        LabelPolicy(class2_start_s=9.0, class3_len_s=10.0))
+# request t = 50 inside [30, 62) with a pre-onset gap: nearest legal is 62
+_GAP = (TimeSeries(np.zeros(100), 1.0), EventLog((50.0,)), 0.5,
+        LabelPolicy(class2_start_s=20.0, class2_end_s=15.0, class3_len_s=12.0))
+
+
+@settings(max_examples=300, deadline=None)
+@example(case=_TIE)
+@example(case=_GAP)
+@given(case=split_cases())
+def test_split_matches_candidate_search(case):
+    ts, events, ratio, policy = case
+    expected = split_index_by_search(ts, events, ratio, policy)
+    if expected is None:
+        with pytest.raises(DataError, match="no quiet split point"):
+            split_train_test(ts, events, ratio, policy)
+        return
+    (head, head_ev), (tail, tail_ev) = split_train_test(ts, events, ratio, policy)
+    assert len(head) == expected and len(tail) == len(ts) - expected
+    boundary = ts.time_of(expected)
+    times = events.event_times_s
+    assert np.array_equal(head_ev.event_times_s, times[times < boundary])
+    assert np.array_equal(tail_ev.event_times_s, times[times >= boundary])
 
 
 def test_split_ratio_validation():

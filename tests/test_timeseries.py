@@ -1,5 +1,6 @@
 """Containers, ingestion, labeling, windowing, and noise-segment selection."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -16,7 +17,6 @@ from geyserstate.timeseries import (
     EventLog,
     LabelPolicy,
     TimeSeries,
-    class_of_sample,
     label_windows,
     load_events,
     load_timeseries,
@@ -263,35 +263,41 @@ def test_fast_read_matches_the_streaming_reader(tmp_path, data):
 
 # -- labeling -----------------------------------------------------------------
 
-def test_class_of_sample_paper_offsets():
+def classes_at(times_s, events, policy, fs=200.0):
+    """`sample_classes` of an fs grid starting 1 s before the earliest time, read at each time."""
+    t0 = min(times_s) - 1.0
+    n = int(round((max(times_s) - t0) * fs)) + 1
+    cls = sample_classes(make_ts(n, fs=fs, t0=t0), events, policy)
+    return [int(cls[int(round((t - t0) * fs))]) for t in times_s]
+
+
+def test_sample_classes_paper_offsets():
     events = EventLog(np.array([10000.0]))
-    assert class_of_sample(9860.0, events, POLICY) == CLASS_PRECURSOR  # 140 s before
-    assert class_of_sample(9760.0, events, POLICY) == CLASS_FAR  # 240 s: beyond 3 min
-    assert class_of_sample(9400.0, events, POLICY) == CLASS_FAR
-    assert class_of_sample(10030.0, events, POLICY) == CLASS_ERUPTION
+    # 140 s before: precursor; 240 s and 600 s before: beyond 3 min; 30 s after: eruption
+    assert classes_at([9860.0, 9760.0, 9400.0, 10030.0], events, POLICY) == [
+        CLASS_PRECURSOR, CLASS_FAR, CLASS_FAR, CLASS_ERUPTION,
+    ]
 
 
-def test_class_of_sample_boundaries():
+def test_sample_classes_boundaries():
     events = EventLog(np.array([1000.0]))
-    assert class_of_sample(1000.0 - 180.0, events, POLICY) == CLASS_PRECURSOR
-    assert class_of_sample(1000.0 - 180.0 - 0.005, events, POLICY) == CLASS_FAR
-    assert class_of_sample(1000.0, events, POLICY) == CLASS_ERUPTION
-    assert class_of_sample(1000.0 - 0.005, events, POLICY) == CLASS_PRECURSOR
-    assert class_of_sample(1000.0 + 120.0, events, POLICY) == CLASS_FAR
-    assert class_of_sample(1000.0 + 120.0 - 0.005, events, POLICY) == CLASS_ERUPTION
+    times = [820.0, 819.995, 1000.0, 999.995, 1120.0, 1119.995]
+    assert classes_at(times, events, POLICY) == [
+        CLASS_PRECURSOR, CLASS_FAR, CLASS_ERUPTION, CLASS_PRECURSOR, CLASS_FAR, CLASS_ERUPTION,
+    ]
 
 
-def test_class_of_sample_gap_policy():
+def test_sample_classes_gap_policy():
     """class2_end_s > 0 reopens the unlabeled gap right before the onset."""
     gap = LabelPolicy(class2_end_s=60.0)
     events = EventLog(np.array([1000.0]))
-    assert class_of_sample(970.0, events, gap) == CLASS_FAR
-    assert class_of_sample(940.0 - 0.005, events, gap) == CLASS_PRECURSOR
-    assert class_of_sample(940.0, events, gap) == CLASS_FAR
+    assert classes_at([970.0, 939.995, 940.0], events, gap) == [
+        CLASS_FAR, CLASS_PRECURSOR, CLASS_FAR,
+    ]
 
 
-def test_class_of_sample_no_events_is_quiet():
-    assert class_of_sample(5.0, EventLog(np.array([])), POLICY) == CLASS_FAR
+def test_sample_classes_no_events_is_quiet():
+    assert np.all(sample_classes(make_ts(2000, t0=5.0), EventLog(np.array([])), POLICY) == CLASS_FAR)
 
 
 def test_labeling_partition_on_dense_grid():
@@ -302,11 +308,6 @@ def test_labeling_partition_on_dense_grid():
     assert set(np.unique(cls)) == {CLASS_FAR, CLASS_PRECURSOR, CLASS_ERUPTION}
     assert int(np.sum(cls == CLASS_ERUPTION)) == 2 * 120 * 200
     assert int(np.sum(cls == CLASS_PRECURSOR)) == 2 * 180 * 200
-    # spot-check agreement with the scalar classifier across boundaries
-    t = ts.timestamps()
-    rng = np.random.default_rng(3)
-    for i in rng.integers(0, len(ts), size=500):
-        assert cls[i] == class_of_sample(t[i], events, POLICY)
 
 
 def test_sample_classes_with_epoch_scale_t0():
@@ -390,6 +391,60 @@ def test_label_windows_majority_tie_prefers_lower_class():
     windows = slice_windows(ts, 60.0, 60.0)
     labeled = label_windows(windows, events, majority)
     assert labeled[7].label == CLASS_PRECURSOR
+
+
+def test_label_windows_see_a_later_events_precursor():
+    """Class-2 is [e - class2_start_s, e - class2_end_s) for any event e, not
+    only the next one: the 130 s event's span [70, 110) covers both windows
+    ending before the 100 s onset, past the 100 s event's own span [40, 80)."""
+    policy = LabelPolicy(class2_start_s=60.0, class2_end_s=20.0, class3_len_s=10.0)
+    events = EventLog(np.array([100.0, 130.0]))
+    windows = slice_windows(make_ts(200, fs=1.0), 10.0, 10.0)
+    for rule in ("window-end-time", "majority-sample"):
+        labeled = label_windows(windows, events, dataclasses.replace(policy, window_label_rule=rule))
+        assert [w.start_s for w in labeled[8:10]] == [80.0, 90.0]
+        assert [w.label for w in labeled[8:10]] == [CLASS_PRECURSOR, CLASS_PRECURSOR]
+
+
+@st.composite
+def labeling_cases(draw):
+    """A series, events and policy whose every boundary sits on a quarter-sample
+    grid from t0: a boundary is on a sample or 1/(4 fs) s off it, never within
+    the 1 us guard of one, so window and series clocks cannot round apart."""
+    fs = draw(st.sampled_from([1.0, 2.5, 7.5, 10.0, 200.0]))
+    t0 = draw(st.sampled_from([0.0, 0.1, 1.5e9, 1.7e9 + 0.25]))
+    n = draw(st.integers(8, 240))
+    quarter = 1.0 / (4.0 * fs)
+    start_q = draw(st.integers(1, 160))
+    end_q = draw(st.integers(0, start_q - 1))
+    policy = LabelPolicy(
+        class2_start_s=start_q * quarter,
+        class2_end_s=end_q * quarter,
+        class3_len_s=draw(st.integers(1, 160)) * quarter,
+    )
+    onsets = draw(st.lists(st.integers(-160, 4 * n + 160), max_size=6, unique=True))
+    events = EventLog(np.array([t0 + q * quarter for q in sorted(onsets)]))
+    wlen = draw(st.integers(1, n))
+    stride = draw(st.integers(1, 2 * wlen))
+    return TimeSeries(np.zeros(n), fs, t0), events, policy, wlen, stride
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=labeling_cases())
+def test_window_labels_read_the_series_classes(case):
+    ts, events, policy, wlen, stride = case
+    parent = sample_classes(ts, events, policy)
+    windows = slice_windows(ts, wlen / ts.fs_hz, stride / ts.fs_hz)
+    starts = range(0, len(ts) - wlen + 1, stride)
+    assert len(windows) == len(starts)
+    end_rule = label_windows(windows, events, policy)
+    majority = label_windows(
+        windows, events, dataclasses.replace(policy, window_label_rule="majority-sample")
+    )
+    for s, end_w, major_w in zip(starts, end_rule, majority):
+        span = parent[s : s + wlen]
+        assert end_w.label == span[-1]
+        assert major_w.label == int(np.argmax(np.bincount(span, minlength=4)[1:])) + 1
 
 
 # -- noise segment ------------------------------------------------------------
