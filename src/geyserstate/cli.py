@@ -32,7 +32,7 @@ from .config import (
 )
 from .dtw import knn_dtw_classify, load_reference, save_reference
 from .errors import ConfigError, DataError, GeyserStateError, NumericError
-from .evaluation import evaluate, render_report
+from .evaluation import Scores, evaluate, render_report
 from .features import (
     MIN_WINDOW_SAMPLES,
     FeatureCatalog,
@@ -151,15 +151,15 @@ def _load_predictions(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.asarray(starts), np.asarray(true_labels), np.asarray(pred_labels)
 
 
-def _write_report(out_dir: str, suffix: str, seed: int, truth, preds) -> tuple[str, dict]:
+def _write_report(out_dir: str, suffix: str, seed: int, truth, preds) -> tuple[str, Scores]:
     """Score one set of predictions into report<suffix>.txt and .csv;
-    returns (the text report, the average metrics)."""
-    cm, per_class, averages = evaluate(truth, preds)
-    text, csv_text = render_report(cm, per_class, averages)
+    returns (the text report, the scores)."""
+    scores = evaluate(truth, preds)
+    text, csv_text = render_report(scores)
     for ext, body in ((".txt", text), (".csv", csv_text)):
         path = os.path.join(out_dir, f"report{suffix}{ext}")
         write_artifact(path, _seed_header(seed), None, body.splitlines())
-    return text, averages
+    return text, scores
 
 
 def _full_votes(raw_votes: np.ndarray, classes: np.ndarray) -> np.ndarray:
@@ -212,10 +212,11 @@ def _stage(name: str):
 
 def _synthesize(values: dict, seed: int, paths: dict) -> tuple[TimeSeries, EventLog]:
     """Generate the labeled signal; writes signal.csv, events.csv, classes.csv."""
-    ts, events, classes = generate(synth_config(values, seed))
+    ts, events = generate(synth_config(values, seed))
     header = _seed_header(seed)
     save_timeseries(ts, paths["signal"], header)
     save_events(events, paths["events"], header)
+    classes = sample_classes(ts, events, label_policy(values))
     save_classes(ts, classes, paths["classes"], header)
     _log.info("synthesized %d samples at %g Hz with %d events", len(ts), ts.fs_hz, len(events))
     return ts, events
@@ -308,13 +309,21 @@ def _load_rf(out_dir: str, model_path: str | None, catalog: FeatureCatalog) -> t
     path = model_path or os.path.join(out_dir, "forest.txt")
     forest = load_forest(path)
     _check_class_labels(path, forest.classes)
-    mask = load_feature_mask(os.path.join(out_dir, "feature_mask.csv"), catalog)
+    mask_path = os.path.join(out_dir, "feature_mask.csv")
+    mask = load_feature_mask(mask_path, catalog)
     medians = _load_medians(os.path.join(out_dir, "impute.csv"), catalog)
     check_catalog("forest", forest.catalog_version, None, catalog)
     cols = np.flatnonzero(mask.selected)
     if cols.size != forest.n_features:
         raise DataError(
-            f"mask selects {cols.size} features but the forest expects {forest.n_features}"
+            f"{mask_path} selects {cols.size} features but the forest expects "
+            f"{forest.n_features}"
+        )
+    names = tuple(catalog.names[j] for j in cols)
+    if forest.feature_names and names != forest.feature_names:
+        raise DataError(
+            f"{mask_path} selects {', '.join(names)} but the forest was trained on "
+            f"{', '.join(forest.feature_names)}"
         )
     return forest, cols, medians
 
@@ -492,20 +501,16 @@ def _evaluate_arm(
     result: tuple,
     seed: int,
     canonical: bool,
-) -> dict:
-    """Persist one arm's predictions and report; returns its average metrics."""
+) -> tuple[np.ndarray, Scores]:
+    """Persist one arm's predictions and report; returns (window starts, scores)."""
     starts, truth, preds, votes, per_window = result
     suffix = "" if canonical else f"_{name}"
     _write_predictions(
         os.path.join(out_dir, f"predictions{suffix}.csv"), starts, truth, preds, votes, seed
     )
-    _, averages = _write_report(out_dir, suffix, seed, truth, preds)
+    _, scores = _write_report(out_dir, suffix, seed, truth, preds)
     _log.info("arm %s: %.3f ms/window", name, per_window * 1e3)
-    return {
-        "starts": starts,
-        "macro": averages["macro"],
-        "weighted": averages["support_weighted"],
-    }
+    return starts, scores
 
 
 def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
@@ -577,26 +582,29 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
             arm_results["dtw_pef"] = _dtw_predict(train_pef, test_pef, params)
 
     with _stage("eval"):
-        summaries = {}
+        scores = {}
+        all_starts = set()
         for name, result in arm_results.items():
-            summaries[name] = _evaluate_arm(
+            starts, scores[name] = _evaluate_arm(
                 name, out_dir, result, seed, canonical=not args.compare
             )
+            all_starts.add(tuple(starts.tolist()))
+        m, w = Scores.MACRO, Scores.WEIGHTED
         if args.compare:
-            all_starts = [tuple(s["starts"].tolist()) for s in summaries.values()]
-            if len(set(all_starts)) != 1:
+            if len(all_starts) != 1:
                 raise DataError("comparison arms disagree on window starts")
             rows = ["method,precision,recall,f1,weighted_f1"]
             for name in ("rf_pef", "rf_nopef", "dtw_pef"):
-                m = summaries[name]["macro"]
-                w = summaries[name]["weighted"]
-                rows.append(f"{name},{m.precision:.6f},{m.recall:.6f},{m.f1:.6f},{w.f1:.6f}")
+                s = scores[name]
+                cells = (s.precision[m], s.recall[m], s.f1[m], s.f1[w])
+                rows.append(",".join([name, *(f"{v:.6f}" for v in cells)]))
             write_artifact(os.path.join(out_dir, "comparison.csv"), header, None, rows)
             for row in rows:
                 print(row)
         else:
-            m = summaries["rf_pef"]["macro"]
-            print(f"macro precision={m.precision:.4f} recall={m.recall:.4f} f1={m.f1:.4f}")
+            s = scores["rf_pef"]
+            print(f"macro precision={s.precision[m]:.4f} recall={s.recall[m]:.4f} "
+                  f"f1={s.f1[m]:.4f}")
 
     with _stage("plots"):
         _emit_event_traces(out_dir, raw, bh, residual, events, ev_test, values, seed)

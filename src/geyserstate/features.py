@@ -137,13 +137,12 @@ def default_catalog(fs_hz: float, k_max: int = DEFAULT_FFT_BINS) -> FeatureCatal
 
 def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
     """Mean and central moments 2-4; a power of the deviations that overflows
-    leaves its moment inf or NaN, without a warning."""
+    leaves its moment inf or NaN."""
     mean = float(np.mean(x))
     centered = x - mean
-    with np.errstate(over="ignore", invalid="ignore"):
-        m2 = float(np.mean(centered**2))
-        m3 = float(np.mean(centered**3))
-        m4 = float(np.mean(centered**4))
+    m2 = float(np.mean(centered**2))
+    m3 = float(np.mean(centered**3))
+    m4 = float(np.mean(centered**4))
     return mean, m2, m3, m4
 
 
@@ -334,14 +333,16 @@ def extract_features(
     """Concatenate every family's block of columns for one window.
 
     The window is sorted once, and every median and quantile reads that copy.
+    A sum or product that overflows in a very loud window leaves its column
+    inf or NaN, without a warning.
     """
     x = np.asarray(window, dtype=np.float64)
     if x.size < MIN_WINDOW_SAMPLES:
         raise DataError(f"window of {x.size} samples is below the {MIN_WINDOW_SAMPLES} minimum")
     xs = np.sort(x)
-    return FeatureVector(
-        np.concatenate([fn(x, xs) for _, fn in catalog.families]), window_start_s
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.concatenate([fn(x, xs) for _, fn in catalog.families])
+    return FeatureVector(values, window_start_s)
 
 
 # -- matrices and selection ------------------------------------------------------

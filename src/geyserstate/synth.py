@@ -193,8 +193,8 @@ def _event_components(config: SynthConfig, ts_template: TimeSeries) -> np.ndarra
     return out
 
 
-def generate(config: SynthConfig) -> tuple[TimeSeries, EventLog, np.ndarray]:
-    """Build the layered signal; returns (series, events, per-sample classes)."""
+def generate(config: SynthConfig) -> tuple[TimeSeries, EventLog]:
+    """Build the layered signal; returns (series, events)."""
     _check_stationary(config.ar_coefficients)
     _check_events(config)
     n = int(round(config.duration_s * config.fs_hz))
@@ -217,9 +217,7 @@ def generate(config: SynthConfig) -> tuple[TimeSeries, EventLog, np.ndarray]:
                 f"{AMPLITUDE_CAP:.0%} of peak noise amplitude {peak_noise:g}"
             )
     ts = TimeSeries(seasonal + ambient + bursts + events, config.fs_hz)
-    log = EventLog(tuple(float(e) for e in config.event_times_s))
-    classes = sample_classes(ts, log, config.label_policy)
-    return ts, log, classes
+    return ts, EventLog(tuple(float(e) for e in config.event_times_s))
 
 
 def split_train_test(

@@ -17,6 +17,7 @@ import pytest
 
 from geyserstate import timeseries
 from geyserstate.cli import _stage, main
+from geyserstate.config import label_policy, load_config
 
 TINY_CFG = """
 synth.duration_s = 240
@@ -71,6 +72,21 @@ def test_synth_creates_missing_out_dir(tiny_cfg, tmp_path):
     nested = str(tmp_path / "deep" / "er")
     assert run("synth", "--config", tiny_cfg, "--out", nested) == 0
     assert os.path.exists(os.path.join(nested, "signal.csv"))
+
+
+def test_synth_classes_follow_the_pre_onset_gap(tmp_path):
+    cfg = tmp_path / "gap.cfg"
+    cfg.write_text(TINY_CFG + "labels.class2_end_s = 5\n")
+    out = str(tmp_path / "o")
+    assert run("synth", "--config", str(cfg), "--out", out) == 0
+    values = load_config(str(cfg))
+    ts = timeseries.load_timeseries(os.path.join(out, "signal.csv"), values["synth.fs_hz"])
+    events = timeseries.load_events(os.path.join(out, "events.csv"))
+    written = np.loadtxt(os.path.join(out, "classes.csv"), delimiter=",", skiprows=2)
+    expected = timeseries.sample_classes(ts, events, label_policy(values))
+    assert np.array_equal(written[:, 1], expected)
+    # 95.0 to 99.98 s, the 5 s before the onset at 100 s, is class 1
+    assert written[4749, 1] == 2 and set(written[4750:5000, 1]) == {1}
 
 
 def test_synth_nonstationary_ambient_rejected(tmp_path, capsys):
@@ -322,6 +338,15 @@ def _first_p_value_2(lines):
     return lines
 
 
+def _mask_flag_moved(lines):
+    # as many features selected as the forest was trained on, but one other
+    rows = [i for i, l in enumerate(lines) if not l.startswith(("#", "feature_name"))]
+    on = next(i for i in rows if lines[i].endswith(",1"))
+    off = next(i for i in rows if lines[i].endswith(",0"))
+    lines[on], lines[off] = lines[on][:-1] + "0", lines[off][:-1] + "1"
+    return lines
+
+
 def _classes_line(value):
     return lambda lines: [f"# classes={value}" if l.startswith("# classes=") else l
                           for l in lines]
@@ -388,6 +413,7 @@ def _predicted_label_4(tiny_cfg, out):
             "forest.txt", lambda lines: [re.sub(r"n_trees=\d+", "n_trees=0", l) for l in lines]
         ),
         _classify_damaged("feature_mask.csv", _first_p_value_2),
+        _classify_damaged("feature_mask.csv", _mask_flag_moved),
         _classify_damaged("forest.txt", _classes_line("1,2,4")),
         _classify_damaged("forest.txt", _classes_line("0,1,2")),
         _dtw_first_label_0,
@@ -396,7 +422,7 @@ def _predicted_label_4(tiny_cfg, out):
     ids=["filter-missing-events", "classify-dtw-truncated-params",
          "classify-forest-without-params", "classify-pef-utf16-bom", "classify-pef-is-directory",
          "classify-forest-split-on-feature-500", "classify-dtw-bogus-local-cost",
-         "classify-forest-zero-trees", "classify-mask-p-value-2",
+         "classify-forest-zero-trees", "classify-mask-p-value-2", "classify-mask-flag-moved",
          "classify-forest-class-4", "classify-forest-class-0", "classify-dtw-label-0",
          "eval-predicted-label-4"],
 )

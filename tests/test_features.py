@@ -327,6 +327,22 @@ def test_moments_that_overflow_are_nan_without_a_warning():
     assert math.isfinite(by_name["spectrum_variance"])
     assert math.isfinite(by_name["spectrum_skewness"])
     assert math.isnan(by_name["spectrum_kurtosis"])
+    # louder windows overflow in the other families too: the lag products of
+    # time reversal asymmetry at 1e110; np.var, abs_energy, the zero-crossing
+    # product, autocorrelation and PACF at 1e160; the change-quantile
+    # variance at 1e300
+    for amplitude, overflowed in (
+        (1e110, ("time_reversal_asymmetry_lag1",)),
+        (1e160, ("variance", "abs_energy", "autocorrelation_lag1",
+                 "partial_autocorrelation_lag1")),
+        (1e300, ("change_quantiles_0_0.7_var",)),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = extract_features(np.tile([amplitude, -amplitude], 32), cat).values
+        by_name = dict(zip(cat.names, values))
+        assert by_name["mean"] == 0.0
+        assert not any(math.isfinite(by_name[name]) for name in overflowed)
 
 
 def test_autocorrelation_translation_and_scale_invariant():
