@@ -137,18 +137,13 @@ def _write_predictions(
 
 
 def _load_predictions(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    starts: list[float] = []
-    true_labels: list[int] = []
-    pred_labels: list[int] = []
     with read_artifact(path, header=True) as art:
-        for cells in art:
-            starts.append(float(cells[0]))
-            true_labels.append(int(cells[1]))
-            pred_labels.append(int(cells[2]))
-        if not starts:
+        rows = [(float(cells[0]), int(cells[1]), int(cells[2])) for cells in art]
+        if not rows:
             raise ValueError("no rows")
-    _check_class_labels(path, true_labels + pred_labels)
-    return np.asarray(starts), np.asarray(true_labels), np.asarray(pred_labels)
+    starts, true_labels, pred_labels = (np.asarray(column) for column in zip(*rows))
+    _check_class_labels(path, np.concatenate([true_labels, pred_labels]))
+    return starts, true_labels, pred_labels
 
 
 def _write_report(out_dir: str, suffix: str, seed: int, truth, preds) -> tuple[str, Scores]:
@@ -170,12 +165,12 @@ def _full_votes(raw_votes: np.ndarray, classes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_class_labels(path: str, labels) -> None:
+def _check_class_labels(path: str, labels: np.ndarray) -> None:
     """Model and predictions files may name only classes 1..3, the columns
     of every vote table and confusion matrix."""
-    bad = sorted({int(c) for c in labels} - set(ALL_CLASSES))
-    if bad:
-        raise DataError(f"malformed {path}: class labels {bad} outside {ALL_CLASSES}")
+    bad = np.setdiff1d(labels, ALL_CLASSES)
+    if bad.size:
+        raise DataError(f"malformed {path}: class labels {bad.tolist()} outside {ALL_CLASSES}")
 
 
 def _labeled_input(values: dict, out_dir: str, override: str | None) -> tuple:
@@ -350,7 +345,8 @@ def _rf_predict(
 
 
 def _dtw_predict(
-    reference: list,
+    refs: np.ndarray,
+    ref_labels: np.ndarray,
     labeled: list[LabeledWindow],
     params,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
@@ -359,7 +355,7 @@ def _dtw_predict(
     preds = np.empty(len(labeled), dtype=np.int64)
     t0 = time.perf_counter()
     for i, w in enumerate(labeled):
-        preds[i] = knn_dtw_classify(reference, w.samples, params)
+        preds[i] = knn_dtw_classify(refs, ref_labels, w.samples, params)
     per_window = (time.perf_counter() - t0) / max(len(labeled), 1)
     votes = np.zeros((len(labeled), len(ALL_CLASSES)), dtype=np.int64)
     votes[np.arange(len(labeled)), preds - 1] = 1
@@ -418,9 +414,9 @@ def cmd_classify(values: dict, seed: int, out_dir: str, args: argparse.Namespace
     ts, labeled = _labeled_input(values, out_dir, args.input)
     if args.classifier == "dtw":
         ref_path = args.model or os.path.join(out_dir, "dtw_reference.csv")
-        reference, params = load_reference(ref_path)
-        _check_class_labels(ref_path, (label for _, label in reference))
-        result = _dtw_predict(reference, labeled, params)
+        refs, ref_labels, params = load_reference(ref_path)
+        _check_class_labels(ref_path, ref_labels)
+        result = _dtw_predict(refs, ref_labels, labeled, params)
     else:
         catalog = default_catalog(ts.fs_hz, values["features.fft_bins"])
         forest, cols, medians = _load_rf(out_dir, args.model, catalog)
@@ -576,10 +572,10 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
                 test_bh, forest_b, cols_b, medians_b, catalog
             )
             params = dtw_params(values)
-            save_reference(
+            refs, ref_labels = save_reference(
                 train_pef, os.path.join(out_dir, "dtw_reference.csv"), params, header
             )
-            arm_results["dtw_pef"] = _dtw_predict(train_pef, test_pef, params)
+            arm_results["dtw_pef"] = _dtw_predict(refs, ref_labels, test_pef, params)
 
     with _stage("eval"):
         scores = {}

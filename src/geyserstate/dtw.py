@@ -2,12 +2,13 @@
 
 Distances run on mean-pooled windows (12000-sample windows pool to 600 by
 default) because the full quadratic grid is two orders of magnitude more
-work per pair without changing the neighbor ranking in practice.  One
-kernel, `_dtw_batch`, holds the warping recurrence: it sweeps anti-diagonals
-for a whole stack of equal-length references at once, keeping three rolling
-(n+1, R) diagonal buffers, so memory is O(R*n) and neither the cost matrix
-nor the (n+1)^2 accumulator is ever built.  `dtw_distance` is the R = 1 case
-and `knn_dtw_classify` makes one sweep per reference length.
+work per pair without changing the neighbor ranking in practice.  The
+references are the pooled (R, n) matrix and (R,) label array that
+`dtw_reference.csv` holds.  One kernel, `_dtw_batch`, holds the warping
+recurrence: it sweeps anti-diagonals over the whole reference matrix at
+once, keeping three rolling (n+1, R) diagonal buffers, so memory is O(R*n)
+and neither the cost matrix nor the (n+1)^2 accumulator is ever built.
+`dtw_distance` is the R = 1 case; `knn_dtw_classify` makes one sweep per query.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .artifacts import read_artifact, write_table
 from .errors import ConfigError, DataError
+from .timeseries import LabeledWindow
 
 LOCAL_COSTS = ("squared", "absolute")
 
@@ -59,9 +61,10 @@ def mean_pool(x: np.ndarray, target: int) -> np.ndarray:
 
 
 def _z_normalize(x: np.ndarray) -> np.ndarray:
-    centered = x - x.mean()
-    sd = centered.std()
-    return centered / sd if sd > 0 else centered
+    """Centre each row (or the one series); scale it to unit deviation unless constant."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    sd = centered.std(axis=-1, keepdims=True)
+    return np.divide(centered, sd, out=centered, where=sd > 0)
 
 
 def _dtw_batch(refs: np.ndarray, query: np.ndarray, params: DtwParams) -> np.ndarray:
@@ -125,37 +128,24 @@ def dtw_distance(a: np.ndarray, b: np.ndarray, params: DtwParams | None = None) 
     return float(_dtw_batch(a[None, :], b, params)[0])
 
 
-def knn_dtw_classify(train: list, query: np.ndarray, params: DtwParams | None = None) -> int:
-    """Label of the k nearest training windows under the warping distance.
+def knn_dtw_classify(refs: np.ndarray, labels: np.ndarray, query: np.ndarray,
+                     params: DtwParams) -> int:
+    """Label of the k nearest rows of the pooled (R, n) reference matrix.
 
     Majority vote; a vote tie goes to the tied class with the smallest
     neighbor distance, and an exact distance tie to the lowest class label.
-    Training windows are (samples, label) pairs or objects with .samples
-    and .label; everything is pooled (and optionally z-normalized) first.
-    Windows of equal pooled length share one `_dtw_batch` sweep.
+    Only the query is pooled here; with `z_normalize` the query and every
+    reference row are z-normalized before the one `_dtw_batch` sweep.
     """
-    params = params or DtwParams()
-    if not train:
+    if len(labels) == 0:
         raise DataError("classification needs a non-empty training set")
-    prepared = []
-    labels = []
-    for item in train:
-        samples, label = (item.samples, item.label) if hasattr(item, "samples") else item
-        w = mean_pool(np.asarray(samples, dtype=np.float64), params.downsample_to)
-        prepared.append(_z_normalize(w) if params.z_normalize else w)
-        labels.append(int(label))
-    q = mean_pool(np.asarray(query, dtype=np.float64), params.downsample_to)
+    q = mean_pool(query, params.downsample_to)
     if params.z_normalize:
-        q = _z_normalize(q)
-    groups: dict[int, list[int]] = {}
-    for i, w in enumerate(prepared):
-        groups.setdefault(w.size, []).append(i)
-    distances = np.empty(len(prepared))
-    for members in groups.values():
-        distances[members] = _dtw_batch(np.stack([prepared[i] for i in members]), q, params)
+        refs, q = _z_normalize(refs), _z_normalize(q)
+    distances = _dtw_batch(refs, q, params)
     order = np.argsort(distances, kind="stable")
     top = order[: min(params.k_neighbors, order.size)]
-    top_labels = np.array([labels[i] for i in top])
+    top_labels = labels[top]
     top_dist = distances[top]
     classes, votes = np.unique(top_labels, return_counts=True)
     tied = classes[votes == votes.max()]
@@ -165,9 +155,10 @@ def knn_dtw_classify(train: list, query: np.ndarray, params: DtwParams | None = 
     return min(best_per_class)[1]
 
 
-def save_reference(windows: list, path: str, params: DtwParams,
-                   header_comments: list[str] | None = None) -> None:
-    """Persist pooled labeled reference windows for the neighbor classifier."""
+def save_reference(windows: list[LabeledWindow], path: str, params: DtwParams,
+                   header_comments: list[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Pool the labeled training windows once into the (R, n) reference
+    matrix, persist it with its labels, and return (refs, labels)."""
     comments = [
         *(header_comments or []),
         "dtw-reference v1",
@@ -175,18 +166,19 @@ def save_reference(windows: list, path: str, params: DtwParams,
         f"band_radius={params.band_radius} downsample_to={params.downsample_to} "
         f"z_normalize={int(params.z_normalize)}",
     ]
-    pairs = [(w.samples, w.label) if hasattr(w, "samples") else w for w in windows]
-    starts = [getattr(w, "start_s", 0.0) for w in windows]
-    pooled = np.array([mean_pool(samples, params.downsample_to) for samples, _ in pairs])
-    write_table(path, comments, None, (starts, [label for _, label in pairs], *pooled.T))
+    refs = np.array([mean_pool(w.samples, params.downsample_to) for w in windows])
+    labels = np.array([w.label for w in windows], dtype=np.int64)
+    write_table(path, comments, None, ([w.start_s for w in windows], labels, *refs.T))
+    return refs, labels
 
 
-def load_reference(path: str) -> tuple[list[tuple[np.ndarray, int]], DtwParams]:
-    """Inverse of save_reference; returns ((samples, label) pairs, params)."""
+def load_reference(path: str) -> tuple[np.ndarray, np.ndarray, DtwParams]:
+    """Inverse of save_reference: (refs, labels, params)."""
     with read_artifact(path) as art:
-        windows = [(np.array([float(v) for v in cells[2:]]), int(cells[1])) for cells in art]
-        if not windows:
-            raise ValueError("no reference windows")
+        rows = [(int(cells[1]), [float(v) for v in cells[2:]]) for cells in art]
+        widths = sorted({len(samples) for _, samples in rows})
+        if len(widths) != 1 or widths[0] == 0:
+            raise ValueError(f"need reference rows of one nonzero width, got {widths or 'none'}")
         meta = art.meta
         params = DtwParams(
             k_neighbors=int(meta["k_neighbors"]),
@@ -195,4 +187,5 @@ def load_reference(path: str) -> tuple[list[tuple[np.ndarray, int]], DtwParams]:
             downsample_to=int(meta["downsample_to"]),
             z_normalize=bool(int(meta["z_normalize"])),
         )
-    return windows, params
+    labels, refs = zip(*rows)
+    return np.array(refs), np.array(labels, dtype=np.int64), params

@@ -164,7 +164,7 @@ def _skewness_kurtosis(m2: float, m3: float, m4: float) -> tuple[float, float]:
 
 def _moment_family(x: np.ndarray, _: np.ndarray) -> tuple[float, ...]:
     mean, m2, m3, m4 = _moments(x)
-    return (mean, float(np.var(x)), *_skewness_kurtosis(m2, m3, m4))
+    return (mean, m2, *_skewness_kurtosis(m2, m3, m4))
 
 
 def _order_statistics(x: np.ndarray, xs: np.ndarray) -> tuple[float, ...]:

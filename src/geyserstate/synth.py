@@ -223,7 +223,7 @@ def generate(config: SynthConfig) -> tuple[TimeSeries, EventLog]:
 def split_train_test(
     ts: TimeSeries,
     events: EventLog,
-    ratio: float = 14.0 / 18.0,
+    ratio: float,
     policy: LabelPolicy | None = None,
 ) -> tuple[tuple[TimeSeries, EventLog], tuple[TimeSeries, EventLog]]:
     """Chronological split at the quiet sample nearest duration*ratio.

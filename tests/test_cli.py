@@ -5,6 +5,7 @@ the module-scoped `compare_runs` fixture executes the full default
 `pipeline --compare` twice and backs the ordering and determinism checks.
 """
 
+import collections
 import filecmp
 import importlib.util
 import logging
@@ -15,7 +16,7 @@ import shutil
 import numpy as np
 import pytest
 
-from geyserstate import timeseries
+from geyserstate import cli, dtw, timeseries
 from geyserstate.cli import _stage, main
 from geyserstate.config import label_policy, load_config
 
@@ -443,6 +444,7 @@ def trained_tiny(tmp_path_factory):
     cfg.write_text(TINY_CFG)
     out = str(root / "o")
     assert _through_train(str(cfg), out) == 0
+    assert run("train", "--config", str(cfg), "--out", out, "--classifier", "dtw") == 0
     assert run("classify", "--config", str(cfg), "--out", out) == 0
     return str(cfg), out
 
@@ -458,9 +460,19 @@ def _cut_mid_row(data):
     return body[: start + max(1, len(first_cell) // 2)]
 
 
+def _drop_last_row_half(data):
+    """Keep the first half of the last row's cells: a row that ends on a
+    cell boundary, which only a table of fixed width can tell."""
+    body = data.rstrip(b"\n")
+    start = body.rfind(b"\n") + 1
+    cells = body[start:].split(b",")
+    return body[:start] + b",".join(cells[: len(cells) // 2]) + b"\n"
+
+
 # the files each command reads besides its config
 COMMAND_INPUTS = {
     "classify": ("forest.txt", "feature_mask.csv", "impute.csv", "pef.csv", "events.csv"),
+    "classify-dtw": ("dtw_reference.csv",),
     "filter": ("signal.csv", "events.csv"),
     "train": ("pef.csv", "events.csv"),
     "eval": ("predictions.csv", "pef.csv", "events.csv"),
@@ -469,7 +481,9 @@ INPUT_FAULTS = {
     "missing": None,
     "garbage-row": lambda data: data + b"garbage\n",
     "cut-mid-row": _cut_mid_row,
+    "half-last-row": _drop_last_row_half,
 }
+COMMAND_ARGV = {"classify-dtw": ("classify", "--classifier", "dtw")}
 
 
 def _input_fault_cases():
@@ -480,6 +494,11 @@ def _input_fault_cases():
                 # number that still parses ("180.0" cut to "180." is the
                 # same event): left out
                 if (name, fault) == ("events.csv", "cut-mid-row"):
+                    continue
+                # a row cut at a cell boundary is tabled for the reference
+                # matrix only: eval still reads a predictions.csv row whose
+                # vote cells are gone
+                if fault == "half-last-row" and name != "dtw_reference.csv":
                     continue
                 # classify's cases are named by file and fault alone
                 prefix = "" if command == "classify" else f"{command}-"
@@ -500,7 +519,7 @@ def test_classify_input_fault_exits_3_naming_the_file(
         damaged = INPUT_FAULTS[fault](read(path))
         with open(path, "wb") as fh:
             fh.write(damaged)
-    assert run(command, "--config", cfg, "--out", out) == 3
+    assert run(*COMMAND_ARGV.get(command, (command,)), "--config", cfg, "--out", out) == 3
     assert name in capsys.readouterr().err
 
 
@@ -604,6 +623,31 @@ def test_pipeline_logs_each_stage_and_features_kept(tiny_cfg, tmp_path, caplog):
         assert re.search(rf"stage={name} seconds=\d+\.\d{{3}}", caplog.text)
     assert "stage=filter" not in caplog.text
     assert re.search(r"selected \d+ of \d+ features", caplog.text)
+
+
+def test_dtw_pools_each_window_once_and_sweeps_once_per_query(tiny_cfg, tmp_path, monkeypatch):
+    """save_reference pools the training windows once and classify reads them
+    back pooled; each query is pooled once and swept against them once."""
+    counts = collections.Counter()
+    for module, name in ((cli, "knn_dtw_classify"), (dtw, "mean_pool"), (dtw, "_dtw_batch")):
+        def counted(*args, fn=getattr(module, name), name=name):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    def rows(name):
+        return sum(line[:1].isdigit() for line in read(os.path.join(out, name)).decode().splitlines())
+
+    out = str(tmp_path / "o")
+    assert run("pipeline", "--compare", "--config", tiny_cfg, "--out", out) == 0
+    refs, queries = rows("dtw_reference.csv"), rows("predictions_dtw_pef.csv")
+    assert refs > 1 and queries > 1
+    assert counts == {"knn_dtw_classify": queries, "_dtw_batch": queries,
+                      "mean_pool": refs + queries}
+    counts.clear()
+    assert run("classify", "--config", tiny_cfg, "--out", out, "--classifier", "dtw") == 0
+    queries = rows("predictions.csv")
+    assert counts == {"knn_dtw_classify": queries, "_dtw_batch": queries, "mean_pool": queries}
 
 
 def test_filter_verbose_logs_ar_search(tiny_cfg, tmp_path, caplog):

