@@ -17,7 +17,8 @@ so that the caller re-reads through `read_artifact` for its diagnostics.
 
 It is also the one place that spells a table cell: `write_table` writes
 floats by `repr` (the shortest text that reads back bit for bit), integers
-and booleans by `str` of the integer, and strings as they are.
+and booleans by `str` of the integer, and strings as they are.  Its inverse,
+`ArtifactReader.columns`, parses every cell of rows held to one width.
 """
 
 from __future__ import annotations
@@ -115,6 +116,28 @@ class ArtifactReader:
             self.row_line = lineno
             yield cells
             self.row_line = None
+
+    def columns(self, *kinds: type) -> list[np.ndarray]:
+        """The rows as one array per column, the inverse of `write_table`.
+
+        Every row has the width of the header (with `header` set) or else of
+        the first row, and at least one cell per kind.  Cell j is parsed by
+        `kinds[j]` (`float`, `int` or `str`), every cell past the last kind
+        by the last kind.  A table with no rows gives empty columns.
+        """
+        cols, parsers = [[] for _ in kinds], kinds
+        for cells in self:
+            if not cols[0]:  # the first row: fix the width
+                width = len(self.header or cells)
+                if width < len(kinds):
+                    raise ValueError(f"expected at least {len(kinds)} cells, got {width}")
+                parsers = kinds + kinds[-1:] * (width - len(kinds))
+                cols = [[] for _ in parsers]
+            if len(cells) != len(cols):
+                raise ValueError(f"expected {len(cols)} cells, got {len(cells)}")
+            for col, parse, cell in zip(cols, parsers, cells):
+                col.append(parse(cell))
+        return [np.array(col, dtype=parse) for col, parse in zip(cols, parsers)]
 
 
 @contextmanager

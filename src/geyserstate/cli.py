@@ -98,10 +98,8 @@ def _labeled_windows(ts: TimeSeries, events: EventLog, values: dict) -> list[Lab
 
 
 def _class_counts(labeled: list[LabeledWindow]) -> dict[int, int]:
-    counts = {c: 0 for c in ALL_CLASSES}
-    for w in labeled:
-        counts[w.label] = counts.get(w.label, 0) + 1
-    return counts
+    counts = np.bincount([w.label for w in labeled], minlength=len(ALL_CLASSES) + 1)
+    return {c: int(counts[c]) for c in ALL_CLASSES}
 
 
 def _save_medians(medians: np.ndarray, catalog: FeatureCatalog, path: str, seed: int) -> None:
@@ -113,14 +111,10 @@ def _save_medians(medians: np.ndarray, catalog: FeatureCatalog, path: str, seed:
 
 
 def _load_medians(path: str, catalog: FeatureCatalog) -> np.ndarray:
-    names: list[str] = []
-    medians: list[float] = []
     with read_artifact(path, header=True) as art:
-        for name, value in art:
-            names.append(name)
-            medians.append(float(value))
+        names, medians = art.columns(str, float)
         check_catalog("impute file", art.meta.get("catalog"), names, catalog)
-    return np.asarray(medians)
+    return medians
 
 
 def _write_predictions(
@@ -138,10 +132,9 @@ def _write_predictions(
 
 def _load_predictions(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with read_artifact(path, header=True) as art:
-        rows = [(float(cells[0]), int(cells[1]), int(cells[2])) for cells in art]
-        if not rows:
+        starts, true_labels, pred_labels, *_votes = art.columns(float, int, int, int, int, int)
+        if not starts.size:
             raise ValueError("no rows")
-    starts, true_labels, pred_labels = (np.asarray(column) for column in zip(*rows))
     _check_class_labels(path, np.concatenate([true_labels, pred_labels]))
     return starts, true_labels, pred_labels
 
@@ -160,8 +153,7 @@ def _write_report(out_dir: str, suffix: str, seed: int, truth, preds) -> tuple[s
 def _full_votes(raw_votes: np.ndarray, classes: np.ndarray) -> np.ndarray:
     """Expand a votes matrix over forest classes to fixed columns 1..3."""
     out = np.zeros((raw_votes.shape[0], len(ALL_CLASSES)), dtype=np.int64)
-    for j, c in enumerate(classes):
-        out[:, int(c) - 1] = raw_votes[:, j]
+    out[:, classes - 1] = raw_votes
     return out
 
 

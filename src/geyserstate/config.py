@@ -15,7 +15,7 @@ import os
 from .errors import ConfigError
 from .dtw import DtwParams
 from .forest import ForestParams
-from .synth import SynthConfig
+from .synth import DEFAULT_EVENT_TIMES, SynthConfig
 from .timeseries import LabelPolicy
 
 
@@ -81,7 +81,7 @@ CONFIG_KEYS: dict[str, tuple] = {
     "synth.burst_freq_hi_hz": (0.5, _parse_float),
     "synth.day_active_lo": (0.08, _parse_float),
     "synth.day_active_hi": (0.75, _parse_float),
-    "synth.event_times_s": ((400.0, 850.0, 1660.0, 2200.0, 2780.0, 3320.0), _parse_float_list),
+    "synth.event_times_s": (DEFAULT_EVENT_TIMES, _parse_float_list),
     "synth.precursor_amplitude": (2.5, _parse_float),
     "synth.chirp_f0_hz": (12.0, _parse_float),
     "synth.chirp_f1_hz": (20.0, _parse_float),

@@ -175,10 +175,9 @@ def save_reference(windows: list[LabeledWindow], path: str, params: DtwParams,
 def load_reference(path: str) -> tuple[np.ndarray, np.ndarray, DtwParams]:
     """Inverse of save_reference: (refs, labels, params)."""
     with read_artifact(path) as art:
-        rows = [(int(cells[1]), [float(v) for v in cells[2:]]) for cells in art]
-        widths = sorted({len(samples) for _, samples in rows})
-        if len(widths) != 1 or widths[0] == 0:
-            raise ValueError(f"need reference rows of one nonzero width, got {widths or 'none'}")
+        starts, labels, *samples = art.columns(float, int, float)
+        if not starts.size:
+            raise ValueError("no rows")
         meta = art.meta
         params = DtwParams(
             k_neighbors=int(meta["k_neighbors"]),
@@ -187,5 +186,4 @@ def load_reference(path: str) -> tuple[np.ndarray, np.ndarray, DtwParams]:
             downsample_to=int(meta["downsample_to"]),
             z_normalize=bool(int(meta["z_normalize"])),
         )
-    labels, refs = zip(*rows)
-    return np.array(refs), np.array(labels, dtype=np.int64), params
+    return np.column_stack(samples), labels, params

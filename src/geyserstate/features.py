@@ -480,20 +480,12 @@ def load_feature_matrix(
     path: str, catalog: FeatureCatalog
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse of save_feature_matrix; validates catalog version and names."""
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    starts: list[float] = []
     with read_artifact(path, header=True) as art:
-        for cells in art:
-            if len(cells) != len(catalog) + 2:
-                raise ValueError(f"expected {len(catalog) + 2} cells, got {len(cells)}")
-            starts.append(float(cells[0]))
-            labels.append(int(cells[1]))
-            rows.append([float(v) for v in cells[2:]])
+        starts, labels, *features = art.columns(float, int, float)
         check_catalog("matrix", art.meta.get("catalog"), (art.header or [])[2:], catalog)
-        if not rows:
+        if not starts.size:
             raise ValueError("no rows")
-    return np.array(rows), np.array(labels, dtype=np.int64), np.array(starts)
+    return np.column_stack(features), labels, starts
 
 
 def save_feature_mask(
@@ -512,13 +504,7 @@ def save_feature_mask(
 
 
 def load_feature_mask(path: str, catalog: FeatureCatalog) -> FeatureMask:
-    names: list[str] = []
-    p_values: list[float] = []
-    selected: list[bool] = []
     with read_artifact(path, header=True) as art:
-        for name, p, sel in art:
-            names.append(name)
-            p_values.append(float(p))
-            selected.append(bool(int(sel)))
+        names, p_values, selected = art.columns(str, float, int)
         check_catalog("mask", art.meta.get("catalog"), names, catalog)
-        return FeatureMask(np.array(selected), np.array(p_values))
+        return FeatureMask(selected, p_values)

@@ -339,8 +339,9 @@ def save_timeseries(ts: TimeSeries, path: str, header_comments: list[str] | None
 
 def load_events(path: str) -> EventLog:
     """Read an event file: one onset timestamp per line, `#` comments allowed."""
-    with read_artifact(path) as rows:
-        return EventLog(np.asarray([float(t) for (t,) in rows]))
+    with read_artifact(path) as art:
+        (times,) = art.columns(float)
+        return EventLog(times)
 
 
 def save_events(events: EventLog, path: str, header_comments: list[str] | None = None) -> None:

@@ -157,3 +157,77 @@ def test_write_table_empty_and_headerless(tmp_path):
     assert path.read_text() == "2.5\n-1.0\n"
     with pytest.raises(ValueError, match="unequal length"):
         write_table(str(path), [], None, ([1.0], [1, 2]))
+
+
+# -- columns: the inverse of write_table -------------------------------------
+
+
+def _columns(path, *kinds, header=False):
+    with read_artifact(str(path), header=header) as art:
+        return art.columns(*kinds)
+
+
+def test_columns_width_from_the_header(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# catalog=v1\nname,p,selected\na,0.5,1\nb,0.25,0\n")
+    names, p, selected = _columns(path, str, float, int, header=True)
+    assert names.tolist() == ["a", "b"]
+    assert p.dtype == np.float64 and p.tolist() == [0.5, 0.25]
+    assert selected.dtype == np.int64 and selected.tolist() == [1, 0]
+    # a header one cell wider than every row: each row is short
+    path.write_text("name,p,selected,extra\na,0.5,1\n")
+    with pytest.raises(DataError, match=r"t\.csv: expected 4 cells, got 3 at line 2"):
+        _columns(path, str, float, int, header=True)
+
+
+def test_columns_width_from_the_first_row_and_the_last_kind_repeats(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("0.0,1,2.5,3.5,4.5\n60.0,3,-1.0,0.0,1e-3\n")
+    starts, labels, *samples = _columns(path, float, int, float)
+    assert starts.tolist() == [0.0, 60.0]
+    assert labels.dtype == np.int64 and labels.tolist() == [1, 3]
+    assert [s.dtype for s in samples] == [np.float64] * 3
+    assert np.column_stack(samples).tolist() == [[2.5, 3.5, 4.5], [-1.0, 0.0, 1e-3]]
+    # a later cell of the repeated kind is parsed too
+    path.write_text("0.0,1,2.5,3.5\n60.0,3,-1.0,x\n")
+    with pytest.raises(DataError, match=r"t\.csv: could not convert .* at line 2"):
+        _columns(path, float, int, float)
+
+
+def test_columns_short_row_and_bad_cell_name_file_and_line(tmp_path):
+    path = tmp_path / "t.csv"
+    # a row cut on a cell boundary, after a comment and a blank line
+    path.write_text("230.0,1,1,1,0,0\n# note\n\n240.0,1,1\n")
+    with pytest.raises(DataError, match=r"malformed .*t\.csv: expected 6 cells, got 3 at line 4"):
+        _columns(path, float, int)
+    path.write_text("230.0,1,1\n240.0,1.5,1\n")
+    with pytest.raises(DataError, match=r"malformed .*t\.csv: invalid literal .* at line 2"):
+        _columns(path, float, int)
+    # a first row narrower than the kinds
+    path.write_text("230.0,1\n")
+    with pytest.raises(DataError, match=r"expected at least 3 cells, got 2 at line 1"):
+        _columns(path, float, int, float)
+
+
+def test_columns_of_a_table_with_no_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("# seed=1\n")
+    (times,) = _columns(path, float)
+    assert times.dtype == np.float64 and times.size == 0
+    path.write_text("a,b\n")
+    names, values = _columns(path, str, float, header=True)
+    assert names.size == 0 and values.size == 0 and values.dtype == np.float64
+
+
+def test_columns_round_trip_write_table_bit_for_bit(tmp_path):
+    values = np.array([-0.0, 5e-324, 1 / 3, float("nan"), float("inf"), -float("inf")])
+    labels = np.arange(values.size, dtype=np.int64) % 3 + 1
+    names = [f"f{i}" for i in range(values.size)]
+    path = tmp_path / "t.csv"
+    write_table(str(path), ["seed=1"], ("name", "label", "x", "y"),
+                (names, labels, values, values[::-1]))
+    back_names, back_labels, x, y = _columns(path, str, int, float, header=True)
+    assert back_names.tolist() == names
+    assert np.array_equal(back_labels, labels)
+    for got, want in ((x, values), (y, values[::-1])):
+        assert got.tobytes() == want.tobytes()

@@ -20,25 +20,9 @@ from geyserstate import cli, dtw, timeseries
 from geyserstate.cli import _stage, main
 from geyserstate.config import label_policy, load_config
 
-TINY_CFG = """
-synth.duration_s = 240
-synth.fs_hz = 50
-synth.day_period_s = 120
-synth.seasonal_period_s = 120
-synth.event_times_s = 100, 180
-synth.chirp_f0_hz = 8
-synth.chirp_f1_hz = 15
-synth.eruption_tone_hz = 15
-synth.eruption_amplitude = 0.2
-labels.class2_start_s = 30
-labels.class3_len_s = 20
-window.length_s = 10
-window.stride_s = 10
-ar.max_order = 16
-dtw.downsample_to = 100
-features.fft_bins = 16
-forest.n_trees = 30
-"""
+# the tests' tiny config, one copy shared with the CI console-script step
+with open(os.path.join(os.path.dirname(__file__), "tiny.cfg"), encoding="utf-8") as _fh:
+    TINY_CFG = _fh.read()
 
 
 @pytest.fixture()
@@ -433,7 +417,7 @@ def test_unreadable_artifact_exits_3_naming_file(tiny_cfg, tmp_path, capsys, dam
     assert name in capsys.readouterr().err
 
 
-# -- every file classify reads x {missing, garbage row appended, cut mid-row} ---------
+# -- every file a command reads x {missing, garbage row, cut mid-row, half row, ...} -
 
 
 @pytest.fixture(scope="module")
@@ -469,6 +453,15 @@ def _drop_last_row_half(data):
     return body[:start] + b",".join(cells[: len(cells) // 2]) + b"\n"
 
 
+def _first_cell_garbage(data):
+    """Spell the first cell of the first data row (the first line that
+    starts with a number) as `garbage`."""
+    lines = data.split(b"\n")
+    row = next(i for i, line in enumerate(lines) if line[:1].isdigit())
+    lines[row] = b"garbage," + lines[row].split(b",", 1)[1]
+    return b"\n".join(lines)
+
+
 # the files each command reads besides its config
 COMMAND_INPUTS = {
     "classify": ("forest.txt", "feature_mask.csv", "impute.csv", "pef.csv", "events.csv"),
@@ -482,7 +475,10 @@ INPUT_FAULTS = {
     "garbage-row": lambda data: data + b"garbage\n",
     "cut-mid-row": _cut_mid_row,
     "half-last-row": _drop_last_row_half,
+    "first-cell-garbage": _first_cell_garbage,
 }
+# the tables whose first data cell is a number that no later check reads
+FIRST_CELL_FILES = ("dtw_reference.csv", "predictions.csv")
 COMMAND_ARGV = {"classify-dtw": ("classify", "--classifier", "dtw")}
 
 
@@ -492,13 +488,11 @@ def _input_fault_cases():
             for fault in INPUT_FAULTS:
                 # events.csv holds one number per row, so a cut leaves a
                 # number that still parses ("180.0" cut to "180." is the
-                # same event): left out
-                if (name, fault) == ("events.csv", "cut-mid-row"):
+                # same event), and half of a one-cell row is an empty line,
+                # the same file with one event fewer: both left out
+                if name == "events.csv" and fault in ("cut-mid-row", "half-last-row"):
                     continue
-                # a row cut at a cell boundary is tabled for the reference
-                # matrix only: eval still reads a predictions.csv row whose
-                # vote cells are gone
-                if fault == "half-last-row" and name != "dtw_reference.csv":
+                if fault == "first-cell-garbage" and name not in FIRST_CELL_FILES:
                     continue
                 # classify's cases are named by file and fault alone
                 prefix = "" if command == "classify" else f"{command}-"

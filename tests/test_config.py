@@ -2,6 +2,7 @@
 
 import pytest
 
+from geyserstate import features
 from geyserstate.config import (
     CONFIG_KEYS,
     OUT_DIR_ENV,
@@ -14,7 +15,11 @@ from geyserstate.config import (
     resolve_paths,
     synth_config,
 )
+from geyserstate.dtw import DtwParams
 from geyserstate.errors import ConfigError
+from geyserstate.forest import ForestParams
+from geyserstate.synth import SynthConfig
+from geyserstate.timeseries import LabelPolicy
 
 
 def test_defaults_are_complete_and_valid():
@@ -25,6 +30,19 @@ def test_defaults_are_complete_and_valid():
     label_policy(values)
     forest_params(values, seed=1)
     dtw_params(values)
+
+
+def test_config_defaults_build_the_dataclass_defaults():
+    # each default has two homes, the config table and the dataclass (or
+    # module constant) a library caller gets; they must not drift apart
+    values = default_config()
+    assert synth_config(values, 42) == SynthConfig()
+    assert forest_params(values, 0) == ForestParams()
+    assert dtw_params(values) == DtwParams()
+    assert label_policy(values) == LabelPolicy()
+    assert values["features.fdr_q"] == features.DEFAULT_FDR_Q
+    assert values["features.cap"] == features.DEFAULT_CAP
+    assert values["features.fft_bins"] == features.DEFAULT_FFT_BINS
 
 
 def test_empty_file_equals_defaults(tmp_path):

@@ -484,3 +484,11 @@ def test_noise_segment_fraction_validation():
     ts = make_ts(100, fs=1.0)
     with pytest.raises(ConfigError):
         select_noise_segment(ts, EventLog(np.array([])), 1.5, POLICY)
+
+
+def test_comments_only_events_file_is_zero_events(tmp_path):
+    # what `synth.event_times_s =` (no events) writes
+    p = tmp_path / "events.csv"
+    save_events(EventLog(np.empty(0)), str(p), header_comments=["seed=1"])
+    assert p.read_text() == "# seed=1\n"
+    assert load_events(str(p)).event_times_s.size == 0
