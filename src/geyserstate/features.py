@@ -7,11 +7,15 @@ mass quantiles, aggregated linear trends, change quantiles, leading FFT
 magnitudes, and magnitude-spectrum summaries.  Each family is one function of
 the window and its sorted copy that returns its block of columns, so work
 shared by its columns (one moment pass, one Durbin-Levinson recursion, one
-FFT) runs once.  The window is sorted once, and the median, the two quantiles
-and both change-quantile corridors read that copy instead of each selecting
-from the unsorted samples.  A family sets NaN where a feature is undefined
-(skewness of a constant, centroid of silence); the training matrix medians
-impute those cells before any classifier sees them.
+FFT) runs once.  The window is sorted once, and the median, the two quantiles,
+both change-quantile corridors and the entropy's bin counts read that copy
+instead of each selecting from the unsorted samples.  Each moment pass takes
+its cube and fourth power as products of the deviations, not libm pow, and
+every dot product is numpy's pairwise sum of products, so no family calls
+BLAS and no column depends on the BLAS thread count.  A family sets NaN
+where a feature is undefined (skewness of a constant, centroid of silence);
+the training matrix medians impute those cells before any classifier sees
+them.
 
 Selection runs a one-vs-rest Mann-Whitney U test per feature and class,
 Bonferroni-corrects over classes, then applies Benjamini-Hochberg FDR across
@@ -108,7 +112,7 @@ def default_catalog(fs_hz: float, k_max: int = DEFAULT_FFT_BINS) -> FeatureCatal
     families: list[Family] = [
         (("mean", "variance", "skewness", "kurtosis"), _moment_family),
         (("min", "max", "median", "quantile_q05", "quantile_q95"), _order_statistics),
-        (("abs_energy",), lambda x, _: (float(np.dot(x, x)),)),
+        (("abs_energy",), lambda x, _: (_dot(x, x),)),
         (("mean_abs_change", "abs_sum_of_changes"), _change_sums),
         (("zero_crossing_rate",), _zero_crossing_rate),
         (("binned_entropy_16",), partial(_binned_entropy, bins=16)),
@@ -135,14 +139,22 @@ def default_catalog(fs_hz: float, k_max: int = DEFAULT_FFT_BINS) -> FeatureCatal
 
 # -- feature families -------------------------------------------------------------
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) by numpy's pairwise summation.  Unlike np.dot it never
+    calls BLAS, so its bits do not depend on the BLAS thread count."""
+    return float(np.add.reduce(a * b))
+
+
 def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
-    """Mean and central moments 2-4; a power of the deviations that overflows
-    leaves its moment inf or NaN."""
+    """Mean and central moments 2-4, from products of the deviations rather
+    than powers (numpy sends a cube or fourth power to libm pow, one element
+    at a time); a product that overflows leaves its moment inf or NaN."""
     mean = float(np.mean(x))
     centered = x - mean
-    m2 = float(np.mean(centered**2))
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
+    sq = centered * centered
+    m2 = float(np.mean(sq))
+    m3 = float(np.mean(sq * centered))
+    m4 = float(np.mean(sq * sq))
     return mean, m2, m3, m4
 
 
@@ -183,20 +195,28 @@ def _zero_crossing_rate(x: np.ndarray, _: np.ndarray) -> tuple[float]:
     return (float(np.count_nonzero(x[:-1] * x[1:] < 0)) / (x.size - 1),)
 
 
-def _binned_entropy(x: np.ndarray, _: np.ndarray, bins: int) -> tuple[float]:
-    if float(np.max(x)) == float(np.min(x)):
+def _sorted_bin_counts(xs: np.ndarray, bins: int) -> np.ndarray:
+    """np.histogram(xs, bins)'s counts, read off the sorted copy xs: bin i
+    holds the samples at or above edge i and below edge i + 1, and the last
+    bin also holds the maximum."""
+    inner = np.histogram_bin_edges(xs, bins, (xs[0], xs[-1]))[1:-1]
+    return np.diff(np.searchsorted(xs, inner, side="left"), prepend=0, append=xs.size)
+
+
+def _binned_entropy(x: np.ndarray, xs: np.ndarray, bins: int) -> tuple[float]:
+    if xs[0] == xs[-1]:
         return (0.0,)
-    counts = np.histogram(x, bins=bins)[0]
+    counts = _sorted_bin_counts(xs, bins)
     p = counts[counts > 0] / x.size
     return (float(-np.sum(p * np.log(p))),)
 
 
 def _autocorrelations(x: np.ndarray, _: np.ndarray, lags: Sequence[int]) -> list[float]:
     centered = x - np.mean(x)
-    denom = float(np.dot(centered, centered))
+    denom = _dot(centered, centered)
     if denom <= 0.0:
         return [math.nan] * len(lags)
-    return [float(np.dot(centered[:-lag], centered[lag:])) / denom for lag in lags]
+    return [_dot(centered[:-lag], centered[lag:]) / denom for lag in lags]
 
 
 def _durbin_levinson(x: np.ndarray, max_lag: int) -> list[float]:
@@ -204,7 +224,7 @@ def _durbin_levinson(x: np.ndarray, max_lag: int) -> list[float]:
     (zero variance, or the innovation variance collapsing to zero)."""
     centered = x - np.mean(x)
     n = x.size
-    cov = np.array([float(np.dot(centered[: n - k], centered[k:])) / n for k in range(max_lag + 1)])
+    cov = np.array([_dot(centered[: n - k], centered[k:]) / n for k in range(max_lag + 1)])
     if cov[0] <= 0.0:
         return []
     phi = np.zeros(max_lag + 1)
@@ -214,7 +234,7 @@ def _durbin_levinson(x: np.ndarray, max_lag: int) -> list[float]:
     for k in range(2, max_lag + 1):
         if v <= 0.0:
             break
-        num = cov[k] - float(np.dot(phi[1:k], cov[1:k][::-1]))
+        num = cov[k] - _dot(phi[1:k], cov[1:k][::-1])
         phi_kk = num / v
         phi[1:k] = phi[1:k] - phi_kk * phi[1:k][::-1]
         phi[k] = phi_kk
@@ -268,7 +288,7 @@ def _spectrum(x: np.ndarray, _: np.ndarray, fs_hz: float, k_max: int) -> list[fl
     mag = np.abs(np.fft.rfft(x))
     total = float(np.sum(mag))
     freqs = np.arange(mag.size) * (fs_hz / x.size)
-    centroid = math.nan if total <= 0.0 else float(np.dot(freqs, mag)) / total
+    centroid = math.nan if total <= 0.0 else _dot(freqs, mag) / total
     _, m2, m3, m4 = _moments(mag)
     return [*mag[1 : k_max + 1], centroid, m2, *_skewness_kurtosis(m2, m3, m4)]
 
@@ -318,9 +338,9 @@ def feature_aggregated_linear_trend(
     k = np.arange(m, dtype=np.float64)
     k_c = k - k.mean()
     y_c = agg - agg.mean()
-    sxx = float(np.dot(k_c, k_c))
-    sxy = float(np.dot(k_c, y_c))
-    syy = float(np.dot(y_c, y_c))
+    sxx = _dot(k_c, k_c)
+    sxy = _dot(k_c, y_c)
+    syy = _dot(y_c, y_c)
     slope = sxy / sxx
     intercept = float(agg.mean()) - slope * float(k.mean())
     r_value = sxy / math.sqrt(sxx * syy) if syy > 0.0 else float("nan")

@@ -9,14 +9,19 @@ Oracles are written independently of the implementation:
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from functools import partial
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import geyserstate
 from geyserstate.errors import ConfigError, DataError
 from geyserstate.features import (
     MIN_WINDOW_SAMPLES,
@@ -27,6 +32,7 @@ from geyserstate.features import (
     _change_quantiles,
     _index_mass_quantiles,
     _partial_autocorrelations,
+    _sorted_bin_counts,
     extract_features,
     feature_aggregated_linear_trend,
     feature_time_reversal_asymmetry,
@@ -346,6 +352,43 @@ def test_moments_that_overflow_are_nan_without_a_warning():
         assert not any(math.isfinite(by_name[name]) for name in overflowed)
 
 
+def _power_skewness_kurtosis(y):
+    """The textbook formula: mean cube and fourth power of the deviations over
+    powers of the mean square."""
+    centered = y - np.mean(y)
+    m2 = np.mean(centered**2)
+    return np.mean(centered**3) / m2**1.5, np.mean(centered**4) / m2**2 - 3.0
+
+
+def _moment_windows():
+    rng = np.random.default_rng(23)
+    noise = rng.normal(size=12000)
+    heavy = rng.standard_t(2, size=12000)
+    return {
+        "noise": noise,
+        "t2": heavy,
+        "walk": np.cumsum(rng.normal(size=12000)),
+        "noise_offset": 1e-50 * noise + 7e-50,
+        "t2_loud": 1e50 * heavy,
+        "short_skewed": rng.exponential(size=MIN_WINDOW_SAMPLES),
+    }
+
+
+@pytest.mark.parametrize("shape", list(_moment_windows()))
+def test_skewness_and_kurtosis_equal_the_power_formula_and_scipy(shape):
+    # the family computes the third and fourth moments from products of the
+    # deviations; they must agree with the powers and with scipy, on the
+    # window and on its magnitude spectrum
+    cat = default_catalog(FS, k_max=16)
+    x = _moment_windows()[shape]
+    by_name = dict(zip(cat.names, extract_features(x, cat).values))
+    for prefix, y in (("", x), ("spectrum_", np.abs(np.fft.rfft(x)))):
+        skewness, kurtosis = by_name[prefix + "skewness"], by_name[prefix + "kurtosis"]
+        assert (skewness, kurtosis) == pytest.approx(_power_skewness_kurtosis(y), rel=1e-12)
+        assert skewness == pytest.approx(scipy.stats.skew(y), rel=1e-12)
+        assert kurtosis == pytest.approx(scipy.stats.kurtosis(y), rel=1e-12)
+
+
 def test_autocorrelation_translation_and_scale_invariant():
     rng = np.random.default_rng(8)
     x = rng.normal(size=2000)
@@ -366,15 +409,16 @@ def test_catalog_rejects_duplicate_names():
 #
 # Each restatement below computes one column alone, the way a per-column
 # dispatch would: its own moment pass, its own Durbin-Levinson run to the
-# column's lag, its own quantiles and line fit.  The family path must give
-# the same bits, and NaN in the same cells.
+# column's lag, its own quantiles and line fit.  It keeps the package's
+# arithmetic (powers as products, dot products as pairwise sums), so the
+# family path must give the same bits, and NaN in the same cells.
 
 def _one_moment(x, which):
     mean = float(np.mean(x))
     centered = x - mean
-    m2 = float(np.mean(centered**2))
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
+    m2 = float(np.mean(centered * centered))
+    m3 = float(np.mean(centered * centered * centered))
+    m4 = float(np.mean((centered * centered) * (centered * centered)))
     if which == "variance":
         return m2
     if m2 <= 0.0:
@@ -382,18 +426,22 @@ def _one_moment(x, which):
     return m3 / m2**1.5 if which == "skewness" else m4 / m2**2 - 3.0
 
 
+def _pairwise_dot(a, b):
+    return float(np.sum(a * b))
+
+
 def _one_autocorrelation(x, lag):
     centered = x - np.mean(x)
-    denom = float(np.dot(centered, centered))
+    denom = _pairwise_dot(centered, centered)
     if denom <= 0.0:
         return math.nan
-    return float(np.dot(centered[:-lag], centered[lag:])) / denom
+    return _pairwise_dot(centered[:-lag], centered[lag:]) / denom
 
 
 def _one_pacf(x, lag):
     centered = x - np.mean(x)
     n = x.size
-    cov = np.array([float(np.dot(centered[: n - k], centered[k:])) / n for k in range(lag + 1)])
+    cov = np.array([_pairwise_dot(centered[: n - k], centered[k:]) / n for k in range(lag + 1)])
     if cov[0] <= 0.0:
         return math.nan
     phi = np.zeros(lag + 1)
@@ -402,7 +450,7 @@ def _one_pacf(x, lag):
     for k in range(2, lag + 1):
         if v <= 0.0:
             return math.nan
-        num = cov[k] - float(np.dot(phi[1:k], cov[1:k][::-1]))
+        num = cov[k] - _pairwise_dot(phi[1:k], cov[1:k][::-1])
         phi_kk = num / v
         phi[1:k] = phi[1:k] - phi_kk * phi[1:k][::-1]
         phi[k] = phi_kk
@@ -427,9 +475,9 @@ def _one_linear_trend(x, aggregator, component):
     k = np.arange(m, dtype=np.float64)
     k_c = k - k.mean()
     y_c = agg - agg.mean()
-    sxx = float(np.dot(k_c, k_c))
-    sxy = float(np.dot(k_c, y_c))
-    syy = float(np.dot(y_c, y_c))
+    sxx = _pairwise_dot(k_c, k_c)
+    sxy = _pairwise_dot(k_c, y_c)
+    syy = _pairwise_dot(y_c, y_c)
     slope = sxy / sxx
     if component == "slope":
         return slope
@@ -594,6 +642,69 @@ def test_extract_features_sorts_once_and_every_quantile_reads_the_sorted_copy(mo
     assert len(sorts) == 1
     assert len(inputs) == 3  # the median, then one quantile call per family
     assert all(np.array_equal(a, xs) for a in inputs)
+
+
+@st.composite
+def _histogram_windows(draw):
+    """(window, bins): noise or t(2) at scales 1e-30 to 1e30, values rounded
+    to one decimal, small integers, or samples placed on the bin edges
+    themselves."""
+    n = draw(st.integers(2, 3000))
+    bins = draw(st.sampled_from([16, 1, 2, 7, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-30, 1e-10, 1.0, 1e10, 1e30]))
+    kind = draw(st.sampled_from(["noise", "t2", "rounded", "integers", "edges"]))
+    if kind == "noise":
+        x = rng.normal(size=n) * scale
+    elif kind == "t2":
+        x = rng.standard_t(2, size=n) * scale
+    elif kind == "rounded":
+        x = np.round(rng.normal(size=n), 1) * scale
+    elif kind == "integers":
+        x = rng.integers(-8, 9, size=n).astype(np.float64)
+    else:
+        lo, hi = sorted(rng.normal(size=2) * scale)
+        x = np.linspace(lo, hi, bins + 1)[rng.integers(0, bins + 1, size=n)]
+        x[:2] = lo, hi
+    assume(x.min() < x.max())
+    return x, bins
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_histogram_windows())
+def test_bin_counts_from_the_sorted_copy_equal_np_histogram(case):
+    x, bins = case
+    assert np.array_equal(_sorted_bin_counts(np.sort(x), bins), np.histogram(x, bins)[0])
+
+
+# -- no BLAS in the catalog --------------------------------------------------------
+
+_EXTRACT_IN_CHILD = """
+import sys
+import numpy as np
+from geyserstate.features import default_catalog, extract_features
+rng = np.random.default_rng(31)
+for n in (12000, 20000):
+    values = extract_features(rng.normal(size=n), default_catalog(200.0)).values
+    sys.stdout.write(values.tobytes().hex() + "\\n")
+"""
+
+
+def test_features_have_the_same_bits_at_one_and_two_blas_threads():
+    # OpenBLAS splits a dot product over its threads only above about 10k
+    # elements: at 12,000 samples the window's dot products cross that size,
+    # at 20,000 the 10,001-bin spectrum does too
+    src = os.path.dirname(os.path.dirname(geyserstate.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        child = subprocess.run([sys.executable, "-c", _EXTRACT_IN_CHILD], env=env,
+                               capture_output=True, text=True, check=True, timeout=120)
+        outputs.append(child.stdout)
+    assert outputs[0].count("\n") == 2
+    assert outputs[0] == outputs[1]
 
 
 # -- selection ---------------------------------------------------------------------
