@@ -6,8 +6,9 @@ autocorrelations, partial autocorrelations, time-reversal asymmetry, index
 mass quantiles, aggregated linear trends, change quantiles, leading FFT
 magnitudes, and magnitude-spectrum summaries.  Each family is one function of
 the window and its sorted copy that returns its block of columns, so work
-shared by its columns (one moment pass, one Durbin-Levinson recursion, one
-FFT) runs once.  The window is sorted once, and the median, the two quantiles,
+shared by its columns (one moment pass, one set of lag products for the
+autocorrelations and the Durbin-Levinson partial autocorrelations, one FFT)
+runs once.  The window is sorted once, and the median, the two quantiles,
 both change-quantile corridors and the entropy's bin counts read that copy
 instead of each selecting from the unsorted samples.  Each moment pass takes
 its cube and fourth power as products of the deviations, not libm pow, and
@@ -106,7 +107,7 @@ class FeatureMask:
 
 
 def default_catalog(fs_hz: float, k_max: int = DEFAULT_FFT_BINS) -> FeatureCatalog:
-    """The shipped catalog: 13 feature families, 37 + k_max named columns."""
+    """The shipped catalog: 12 feature families, 37 + k_max named columns."""
     ac_lags, pacf_lags, tra_lags = (1, 5, 10), (1, 2, 3), (1, 10)
     mass_qs, corridors = (0.25, 0.5, 0.75), ((0.0, 0.7), (0.3, 1.0))
     families: list[Family] = [
@@ -116,12 +117,11 @@ def default_catalog(fs_hz: float, k_max: int = DEFAULT_FFT_BINS) -> FeatureCatal
         (("mean_abs_change", "abs_sum_of_changes"), _change_sums),
         (("zero_crossing_rate",), _zero_crossing_rate),
         (("binned_entropy_16",), partial(_binned_entropy, bins=16)),
-        (tuple(f"autocorrelation_lag{lag}" for lag in ac_lags),
-         partial(_autocorrelations, lags=ac_lags)),
-        (tuple(f"partial_autocorrelation_lag{lag}" for lag in pacf_lags),
-         partial(_partial_autocorrelations, max_lag=pacf_lags[-1])),
+        ((*(f"autocorrelation_lag{lag}" for lag in ac_lags),
+          *(f"partial_autocorrelation_lag{lag}" for lag in pacf_lags)),
+         partial(_lag_correlations, ac_lags=ac_lags, max_lag=pacf_lags[-1])),
         (tuple(f"time_reversal_asymmetry_lag{lag}" for lag in tra_lags),
-         lambda x, _: [feature_time_reversal_asymmetry(x, lag) for lag in tra_lags]),
+         partial(_time_reversal_asymmetries, lags=tra_lags)),
         (tuple(f"index_mass_quantile_q{int(q * 100)}" for q in mass_qs),
          lambda x, _: _index_mass_quantiles(x, mass_qs)),
         (("agg_linear_trend_mean_500_slope", "agg_linear_trend_mean_500_intercept",
@@ -211,26 +211,33 @@ def _binned_entropy(x: np.ndarray, xs: np.ndarray, bins: int) -> tuple[float]:
     return (float(-np.sum(p * np.log(p))),)
 
 
-def _autocorrelations(x: np.ndarray, _: np.ndarray, lags: Sequence[int]) -> list[float]:
-    centered = x - np.mean(x)
-    denom = _dot(centered, centered)
-    if denom <= 0.0:
-        return [math.nan] * len(lags)
-    return [_dot(centered[:-lag], centered[lag:]) / denom for lag in lags]
-
-
-def _durbin_levinson(x: np.ndarray, max_lag: int) -> list[float]:
-    """phi_kk for k = 1..max_lag, cut short where the recursion is undefined
-    (zero variance, or the innovation variance collapsing to zero)."""
-    centered = x - np.mean(x)
+def _lag_correlations(
+    x: np.ndarray, _: np.ndarray, ac_lags: Sequence[int], max_lag: int
+) -> list[float]:
+    """The autocorrelation at each of ac_lags, then phi_kk for k = 1..max_lag
+    by the Durbin-Levinson recursion.  The window is centered once, and each
+    lag product sum(c[t] * c[t + k]) is taken once for both.  Every column is
+    NaN for a zero variance; a PACF lag after the recursion's innovation
+    variance collapses to zero is NaN, and the lags before it keep their
+    values."""
     n = x.size
-    cov = np.array([_dot(centered[: n - k], centered[k:]) / n for k in range(max_lag + 1)])
+    centered = x - np.mean(x)
+    lags = {0, *ac_lags, *range(1, max_lag + 1)}
+    prods = {k: _dot(centered[: n - k], centered[k:]) for k in lags}
+    if prods[0] <= 0.0:
+        acf = [math.nan] * len(ac_lags)
+    else:
+        acf = [prods[lag] / prods[0] for lag in ac_lags]
+    pacf = [math.nan] * max_lag
+    # the PACF tests the covariance, not the product: a subnormal product
+    # divided by n can round to zero
+    cov = np.array([prods[k] for k in range(max_lag + 1)]) / n
     if cov[0] <= 0.0:
-        return []
+        return acf + pacf
     phi = np.zeros(max_lag + 1)
     phi[1] = cov[1] / cov[0]
     v = cov[0] * (1.0 - phi[1] ** 2)
-    pacf = [float(phi[1])]
+    pacf[0] = float(phi[1])
     for k in range(2, max_lag + 1):
         if v <= 0.0:
             break
@@ -239,13 +246,19 @@ def _durbin_levinson(x: np.ndarray, max_lag: int) -> list[float]:
         phi[1:k] = phi[1:k] - phi_kk * phi[1:k][::-1]
         phi[k] = phi_kk
         v *= 1.0 - phi_kk**2
-        pacf.append(float(phi_kk))
-    return pacf
+        pacf[k - 1] = float(phi_kk)
+    return acf + pacf
 
 
-def _partial_autocorrelations(x: np.ndarray, _: np.ndarray, max_lag: int) -> list[float]:
-    pacf = _durbin_levinson(x, max_lag)
-    return pacf + [math.nan] * (max_lag - len(pacf))
+def _time_reversal_asymmetries(x: np.ndarray, _: np.ndarray, lags: Sequence[int]) -> list[float]:
+    """Mean of x_{t+2L}^2 x_{t+L} - x_{t+L} x_t^2 for each lag L; zero for
+    time-symmetric input."""
+    n = x.size
+    out: list[float] = []
+    for lag in lags:
+        a, b, c = x[2 * lag :], x[lag : n - lag], x[: n - 2 * lag]
+        out.append(float(np.mean(a * a * b - b * c * c)))
+    return out
 
 
 def _index_mass_quantiles(x: np.ndarray, qs: Sequence[float]) -> list[float]:
@@ -257,11 +270,25 @@ def _index_mass_quantiles(x: np.ndarray, qs: Sequence[float]) -> list[float]:
 
 
 def _linear_trends(x: np.ndarray, _: np.ndarray, chunk_len: int = 500) -> list[float]:
-    """Slope, intercept and r of the chunk-mean trend, then the chunk-variance slope."""
-    if x.size // chunk_len < 2:
+    """Slope, intercept and r of a line fitted to the chunk means against the
+    chunk index, then the slope of the chunk variances.  A trailing partial
+    chunk is dropped; r is NaN when the means are constant, and all four are
+    NaN below two chunks."""
+    m = x.size // chunk_len
+    if m < 2:
         return [math.nan] * 4
-    by_mean = feature_aggregated_linear_trend(x, chunk_len, "mean")
-    return [*by_mean, feature_aggregated_linear_trend(x, chunk_len, "var")[0]]
+    chunks = x[: m * chunk_len].reshape(m, chunk_len)
+    k = np.arange(m, dtype=np.float64)
+    k_c = k - k.mean()
+    sxx = _dot(k_c, k_c)
+    means, variances = np.mean(chunks, axis=1), np.var(chunks, axis=1)
+    means_c = means - means.mean()
+    sxy = _dot(k_c, means_c)
+    syy = _dot(means_c, means_c)
+    slope = sxy / sxx
+    intercept = float(means.mean()) - slope * float(k.mean())
+    r_value = sxy / math.sqrt(sxx * syy) if syy > 0.0 else math.nan
+    return [slope, intercept, r_value, _dot(k_c, variances - variances.mean()) / sxx]
 
 
 def _change_quantiles(
@@ -300,51 +327,6 @@ def check_fft_bins(k_max: int, window_samples: int) -> None:
             f"features.fft_bins = {k_max} exceeds the {window_samples // 2} nonzero-frequency "
             f"bins of a {window_samples}-sample window"
         )
-
-
-# -- public single-feature functions ------------------------------------------------
-
-def feature_time_reversal_asymmetry(x: np.ndarray, lag: int) -> float:
-    """Mean of x_{t+2L}^2 x_{t+L} - x_{t+L} x_t^2; zero for time-symmetric input."""
-    x = np.asarray(x, dtype=np.float64)
-    if lag < 1:
-        raise ConfigError(f"lag must be >= 1, got {lag}")
-    if x.size <= 2 * lag:
-        raise DataError(f"need more than {2 * lag} samples for lag {lag}, got {x.size}")
-    a = x[2 * lag :]
-    b = x[lag : x.size - lag]
-    c = x[: x.size - 2 * lag]
-    return float(np.mean(a * a * b - b * c * c))
-
-
-def feature_aggregated_linear_trend(
-    x: np.ndarray, chunk_len: int, aggregator: str
-) -> tuple[float, float, float]:
-    """Aggregate equal chunks, then fit a line over aggregate vs chunk index.
-
-    Returns (slope, intercept, r_value); r_value is NaN when the aggregates
-    are constant.  A trailing partial chunk is dropped.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if chunk_len < 2:
-        raise ConfigError(f"chunk_len must be >= 2, got {chunk_len}")
-    if aggregator not in ("mean", "var"):
-        raise ConfigError(f"unknown aggregator {aggregator!r}")
-    m = x.size // chunk_len
-    if m < 2:
-        raise DataError(f"need at least 2 chunks of {chunk_len}, got {m}")
-    chunks = x[: m * chunk_len].reshape(m, chunk_len)
-    agg = (np.mean if aggregator == "mean" else np.var)(chunks, axis=1)
-    k = np.arange(m, dtype=np.float64)
-    k_c = k - k.mean()
-    y_c = agg - agg.mean()
-    sxx = _dot(k_c, k_c)
-    sxy = _dot(k_c, y_c)
-    syy = _dot(y_c, y_c)
-    slope = sxy / sxx
-    intercept = float(agg.mean()) - slope * float(k.mean())
-    r_value = sxy / math.sqrt(sxx * syy) if syy > 0.0 else float("nan")
-    return slope, intercept, r_value
 
 
 def extract_features(

@@ -93,6 +93,10 @@ class Forest:
                 raise ConfigError(
                     f"a split on feature {tree.feature.max()} exceeds n_features {self.n_features}"
                 )
+            if tree.counts.shape[1] != self.classes.size:
+                raise ConfigError(
+                    f"leaf counts of width {tree.counts.shape[1]} for {self.classes.size} classes"
+                )
 
 
 def gini_impurity(class_counts) -> float:
@@ -332,8 +336,10 @@ _NODE_DTYPES = (np.int32, np.float64, np.int32, np.int32, np.int64)
 
 def load_forest(path: str) -> Forest:
     nodes: dict[str, list[tuple]] = {}  # node rows under each `# tree=` comment
+    stamps: dict[str, int] = {}  # each tree's `nodes=` count
     with read_artifact(path) as art:
         for f, thr, lt, rt, raw_counts in art:
+            stamps[art.meta["tree"]] = int(art.meta["nodes"])
             nodes.setdefault(art.meta["tree"], []).append(
                 (
                     int(f),
@@ -355,6 +361,9 @@ def load_forest(path: str) -> Forest:
         )
         if len(nodes) != params.n_trees:
             raise ValueError(f"holds {len(nodes)} trees, header says {params.n_trees}")
+        for t, rows in nodes.items():
+            if len(rows) != stamps[t]:
+                raise ValueError(f"tree {t} holds {len(rows)} node rows, stamped nodes={stamps[t]}")
         trees = tuple(
             Tree(*(np.array(col, dtype=dt) for col, dt in zip(zip(*rows), _NODE_DTYPES)))
             for rows in nodes.values()

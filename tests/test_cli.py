@@ -316,6 +316,17 @@ def _split_on_feature_500(lines):
     return lines
 
 
+def _fourth_leaf_count(lines):
+    # every node row counts one class more than the forest's three
+    return [l if l.startswith("#") else l + ":99" for l in lines]
+
+
+def _extra_node_row_in_tree_0(lines):
+    # a copy of tree 0's last row (in preorder a leaf), which no split reaches
+    tree_1 = next(i for i, l in enumerate(lines) if l.startswith("# tree=1 "))
+    return lines[:tree_1] + [lines[tree_1 - 1]] + lines[tree_1:]
+
+
 def _first_p_value_2(lines):
     row = next(i for i, l in enumerate(lines) if not l.startswith(("#", "feature_name")))
     name, _, selected = lines[row].split(",")
@@ -403,13 +414,16 @@ def _predicted_label_4(tiny_cfg, out):
         _classify_damaged("forest.txt", _classes_line("0,1,2")),
         _dtw_first_label_0,
         _predicted_label_4,
+        _classify_damaged("forest.txt", _fourth_leaf_count),
+        _classify_damaged("forest.txt", _extra_node_row_in_tree_0),
     ],
     ids=["filter-missing-events", "classify-dtw-truncated-params",
          "classify-forest-without-params", "classify-pef-utf16-bom", "classify-pef-is-directory",
          "classify-forest-split-on-feature-500", "classify-dtw-bogus-local-cost",
          "classify-forest-zero-trees", "classify-mask-p-value-2", "classify-mask-flag-moved",
          "classify-forest-class-4", "classify-forest-class-0", "classify-dtw-label-0",
-         "eval-predicted-label-4"],
+         "eval-predicted-label-4", "classify-forest-fourth-leaf-count",
+         "classify-forest-extra-node-row"],
 )
 def test_unreadable_artifact_exits_3_naming_file(tiny_cfg, tmp_path, capsys, damage):
     code, name = damage(tiny_cfg, str(tmp_path / "o"))
@@ -717,6 +731,18 @@ def test_compare_runs_byte_identical(compare_runs):
     match, mismatch, errors = filecmp.cmpfiles(d1, d2, names, shallow=False)
     assert not mismatch and not errors
     assert sorted(match) == sorted(names)
+
+
+def test_readme_quick_start_table_is_the_comparison(compare_runs):
+    # the README's quick start runs `pipeline --compare --seed 42` at the
+    # defaults, as the fixture does, and shows the table it prints
+    readme = read(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"))
+    lines = readme.decode().splitlines()
+    start = next(i for i, l in enumerate(lines) if l.startswith("method,"))
+    table = lines[start : lines.index("```", start)]
+    csv = read(os.path.join(compare_runs[0], "comparison.csv")).decode().splitlines()
+    assert len(table) == 4
+    assert table == [l for l in csv if not l.startswith("#")]
 
 
 def test_compare_artifacts_and_window_invariant(compare_runs):

@@ -31,11 +31,11 @@ from geyserstate.features import (
     default_catalog,
     _change_quantiles,
     _index_mass_quantiles,
-    _partial_autocorrelations,
+    _lag_correlations,
+    _linear_trends,
     _sorted_bin_counts,
+    _time_reversal_asymmetries,
     extract_features,
-    feature_aggregated_linear_trend,
-    feature_time_reversal_asymmetry,
     load_feature_mask,
     load_feature_matrix,
     median_impute,
@@ -98,19 +98,16 @@ def naive_dft_magnitude(x: np.ndarray, k: int) -> float:
 
 def test_time_reversal_asymmetry_hand_value():
     # t=0: 3^2*2 - 2*1 = 16 ; t=1: 4^2*3 - 3*4 = 36 ; mean = 26
-    assert feature_time_reversal_asymmetry(np.array([1.0, 2.0, 3.0, 4.0]), 1) == pytest.approx(26.0)
+    [value] = _time_reversal_asymmetries(np.array([1.0, 2.0, 3.0, 4.0]), None, (1,))
+    assert value == pytest.approx(26.0)
 
 
 def test_time_reversal_asymmetry_zero_for_symmetric_input():
     # Whole periods of a sine are time-reversible up to edge truncation of
     # the lagged sum, so the statistic is near zero rather than exactly zero.
     x = np.sin(2 * np.pi * np.arange(400) / 100.0)
-    assert abs(feature_time_reversal_asymmetry(x, 1)) < 1e-5
-
-
-def test_time_reversal_asymmetry_too_short():
-    with pytest.raises(DataError):
-        feature_time_reversal_asymmetry(np.array([1.0, 2.0]), 1)
+    [value] = _time_reversal_asymmetries(x, None, (1,))
+    assert abs(value) < 1e-5
 
 
 def test_index_mass_quantile_hand_values():
@@ -127,22 +124,23 @@ def test_index_mass_quantile_sign_insensitive():
 
 def test_agg_linear_trend_on_ramp():
     x = np.arange(3000, dtype=np.float64)
-    slope, intercept, r_value = feature_aggregated_linear_trend(x, 500, "mean")
+    slope, intercept, r_value, _ = _linear_trends(x, None)
     assert slope == pytest.approx(500.0, abs=1e-9)
     assert intercept == pytest.approx(249.5, abs=1e-9)
     assert r_value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_agg_linear_trend_constant_has_nan_rvalue():
-    slope, intercept, r_value = feature_aggregated_linear_trend(np.full(2000, 7.0), 500, "mean")
+    slope, intercept, r_value, _ = _linear_trends(np.full(2000, 7.0), None)
     assert slope == 0.0
     assert intercept == pytest.approx(7.0)
     assert math.isnan(r_value)
 
 
 def test_agg_linear_trend_needs_two_chunks():
-    with pytest.raises(DataError):
-        feature_aggregated_linear_trend(np.arange(600, dtype=np.float64), 500, "mean")
+    # 600 samples hold one whole 500-sample chunk: no line to fit
+    trends = _linear_trends(np.arange(600, dtype=np.float64), None)
+    assert len(trends) == 4 and all(math.isnan(v) for v in trends)
 
 
 def change_quantiles(x, ql, qh):
@@ -170,7 +168,7 @@ def test_change_quantiles_empty_corridor_is_zero():
 def test_pacf_matches_yule_walker_solve():
     rng = np.random.default_rng(11)
     x = rng.normal(size=4000)
-    pacf = _partial_autocorrelations(x, None, max_lag=5)
+    pacf = _lag_correlations(x, None, ac_lags=(), max_lag=5)
     for lag in (1, 2, 3, 5):
         assert pacf[lag - 1] == pytest.approx(yule_walker_pacf(x, lag), rel=1e-9, abs=1e-12)
 
@@ -185,7 +183,7 @@ def test_pacf_of_ar1_cuts_off_after_lag_one():
     for t in range(1, n + 500):
         x[t] = alpha * x[t - 1] + e[t]
     x = x[500:]
-    lag1, lag2, lag3 = _partial_autocorrelations(x, None, max_lag=3)
+    lag1, lag2, lag3 = _lag_correlations(x, None, ac_lags=(), max_lag=3)
     assert lag1 == pytest.approx(alpha, abs=0.03)
     assert abs(lag2) < 0.03
     assert abs(lag3) < 0.03
@@ -458,6 +456,12 @@ def _one_pacf(x, lag):
     return float(phi[lag])
 
 
+def _one_time_reversal_asymmetry(x, lag):
+    n = x.size
+    lead, mid, back = x[2 * lag :], x[lag : n - lag], x[: n - 2 * lag]
+    return float(np.mean(lead * lead * mid - mid * back * back))
+
+
 def _one_index_mass_quantile(x, q):
     mass = np.cumsum(np.abs(x))
     total = float(mass[-1])
@@ -514,6 +518,8 @@ SHARED_COLUMNS = {
        for agg, c in (("mean", "slope"), ("mean", "intercept"), ("mean", "rvalue"), ("var", "slope"))},
     **{f"partial_autocorrelation_lag{lag}": partial(_one_pacf, lag=lag) for lag in (1, 2, 3)},
     **{f"autocorrelation_lag{lag}": partial(_one_autocorrelation, lag=lag) for lag in (1, 5, 10)},
+    **{f"time_reversal_asymmetry_lag{lag}": partial(_one_time_reversal_asymmetry, lag=lag)
+       for lag in (1, 10)},
     **{f"index_mass_quantile_q{int(q * 100)}": partial(_one_index_mass_quantile, q=q)
        for q in (0.25, 0.5, 0.75)},
 }
@@ -541,7 +547,7 @@ def _shape_windows(n: int) -> dict[str, np.ndarray]:
 @pytest.mark.parametrize("n", [64, 3000, 12000])
 def test_family_columns_equal_their_one_column_formula(n):
     cat = default_catalog(FS)
-    assert len(SHARED_COLUMNS) == 23 and set(SHARED_COLUMNS) <= set(cat.names)
+    assert len(SHARED_COLUMNS) == 25 and set(SHARED_COLUMNS) <= set(cat.names)
     nan_cells = 0
     for shape, x in _shape_windows(n).items():
         by_name = dict(zip(cat.names, extract_features(x, cat).values))
