@@ -4,8 +4,7 @@ Every artifact is plain UTF-8 text (a leading byte-order mark is dropped):
 `# ` comment lines, an optional column-header line, then one
 comma-separated row per line.  Comment lines may carry `key=value` tokens
 (`# seed=42`, `# params n_trees=100 ...`); the reader collects them into
-`meta` as it streams, so a comment such as `# tree=3` in the middle of a
-file tells the rows after it apart.
+`meta`.
 
 Any fault met while reading, including building the domain object inside
 the `with` block, becomes a `DataError` naming the file (and the line when
@@ -30,7 +29,8 @@ import numpy as np
 
 from .errors import DataError, GeyserStateError
 
-_READ_FAULTS = (OSError, ValueError, KeyError, IndexError, GeyserStateError)
+# OverflowError: an integer cell beyond int64 fails when its column is built
+_READ_FAULTS = (OSError, ValueError, KeyError, IndexError, OverflowError, GeyserStateError)
 
 # UTF-8 that drops a leading byte-order mark instead of reading it as part
 # of the first cell

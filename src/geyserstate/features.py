@@ -321,11 +321,12 @@ def _spectrum(x: np.ndarray, _: np.ndarray, fs_hz: float, k_max: int) -> list[fl
 
 
 def check_fft_bins(k_max: int, window_samples: int) -> None:
-    """Refuse more FFT bins than a window of this many samples has above DC."""
-    if k_max > window_samples // 2:
+    """Refuse a negative bin count, or more FFT bins than a window of this
+    many samples has above DC; 0 means no FFT columns."""
+    if not 0 <= k_max <= window_samples // 2:
         raise ConfigError(
-            f"features.fft_bins = {k_max} exceeds the {window_samples // 2} nonzero-frequency "
-            f"bins of a {window_samples}-sample window"
+            f"features.fft_bins = {k_max} is outside 0..{window_samples // 2}, the "
+            f"nonzero-frequency bins of a {window_samples}-sample window"
         )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .artifacts import read_artifact, write_artifact
+from .artifacts import read_artifact, write_table
 from .errors import ConfigError, DataError
 
 LEAF = -1
@@ -62,11 +62,14 @@ class Tree:
             raise ConfigError("a tree needs at least one node")
         if np.any(~np.isfinite(self.threshold[internal])):
             raise ConfigError("internal thresholds must be finite")
-        for child in (self.left[internal], self.right[internal]):
-            if child.size and (child.min() < 0 or child.max() >= n):
-                raise ConfigError("internal node children must exist")
-        leaf_sums = self.counts[~internal].sum(axis=1)
-        if np.any(leaf_sums <= 0):
+        # the preorder grow_tree builds: each child after its parent, and
+        # every node but the root the child of one split, so a walk ends
+        children = np.concatenate([self.left[internal], self.right[internal]])
+        if np.any(children <= np.tile(np.flatnonzero(internal), 2)):
+            raise ConfigError("every child must come after its parent")
+        if not np.array_equal(np.sort(children), np.arange(1, n)):
+            raise ConfigError("every node but the root must be the child of exactly one split")
+        if np.any(self.counts[~internal].sum(axis=1) <= 0):
             raise ConfigError("every leaf must hold at least one sample")
 
     @property
@@ -86,6 +89,8 @@ class Forest:
     def __post_init__(self) -> None:
         if not self.trees:
             raise ConfigError("a forest needs at least one tree")
+        if np.any(np.diff(self.classes) <= 0):
+            raise ConfigError("classes must be strictly increasing")
         if self.feature_names and len(self.feature_names) != self.n_features:
             raise ConfigError("feature_names length must match n_features")
         for tree in self.trees:
@@ -301,11 +306,21 @@ def predict_forest(forest: Forest, fv: np.ndarray) -> tuple[int, np.ndarray]:
 
 # -- persistence -----------------------------------------------------------------
 
+def _node_names(classes: np.ndarray) -> list[str]:
+    return ["tree", "feature", "threshold", "left", "right", *(f"count_{c}" for c in classes)]
+
+
 def save_forest(forest: Forest, path: str) -> None:
-    """Versioned text format; load(save(f)) reproduces f bit for bit."""
+    """Versioned text format; load(save(f)) reproduces f bit for bit.
+
+    One row per node, trees in order, under the header
+    `tree,feature,threshold,left,right,count_<c>...` with one count column
+    per class.  `left` and `right` index the rows of the node's own tree,
+    and a leaf's threshold reads `nan`.
+    """
     p = forest.params
     comments = [
-        "forest-format v1",
+        "forest-format v2",
         f"catalog={forest.catalog_version}",
         "classes=" + ",".join(str(int(c)) for c in forest.classes),
         f"params n_trees={p.n_trees} max_features={p.max_features} "
@@ -315,41 +330,20 @@ def save_forest(forest: Forest, path: str) -> None:
     ]
     if forest.feature_names:
         comments.append("feature_names=" + ",".join(forest.feature_names))
-    write_artifact(path, comments, None, _node_rows(forest))
-
-
-def _node_rows(forest: Forest):
-    """Each tree's `# tree=` comment, then one row per node."""
-    for t, tree in enumerate(forest.trees):
-        yield f"# tree={t} nodes={tree.n_nodes}"
-        for i in range(tree.n_nodes):
-            thr = repr(float(tree.threshold[i])) if tree.feature[i] >= 0 else "-"
-            row_counts = ":".join(str(int(c)) for c in tree.counts[i])
-            yield (
-                f"{int(tree.feature[i])},{thr},{int(tree.left[i])},"
-                f"{int(tree.right[i])},{row_counts}"
-            )
-
-
-_NODE_DTYPES = (np.int32, np.float64, np.int32, np.int32, np.int64)
+    trees = forest.trees
+    tree_of = np.repeat(np.arange(len(trees)), [t.n_nodes for t in trees])
+    nodes = [np.concatenate([getattr(t, name) for t in trees])
+             for name in ("feature", "threshold", "left", "right", "counts")]
+    write_table(path, comments, _node_names(forest.classes), (tree_of, *nodes[:4], *nodes[4].T))
 
 
 def load_forest(path: str) -> Forest:
-    nodes: dict[str, list[tuple]] = {}  # node rows under each `# tree=` comment
-    stamps: dict[str, int] = {}  # each tree's `nodes=` count
-    with read_artifact(path) as art:
-        for f, thr, lt, rt, raw_counts in art:
-            stamps[art.meta["tree"]] = int(art.meta["nodes"])
-            nodes.setdefault(art.meta["tree"], []).append(
-                (
-                    int(f),
-                    float("nan") if thr == "-" else float(thr),
-                    int(lt),
-                    int(rt),
-                    [int(c) for c in raw_counts.split(":")],
-                )
-            )
+    with read_artifact(path, header=True) as art:
+        tree_of, *nodes = art.columns(int, int, float, int, int, int)
         meta = art.meta
+        classes = np.array([int(c) for c in meta["classes"].split(",")])
+        if art.header != _node_names(classes):
+            raise ValueError(f"header is not {','.join(_node_names(classes))}")
         none_or_int = lambda v: None if v == "None" else int(v)
         params = ForestParams(
             n_trees=int(meta["n_trees"]),
@@ -359,19 +353,17 @@ def load_forest(path: str) -> Forest:
             bootstrap=bool(int(meta["bootstrap"])),
             seed=int(meta["seed"]),
         )
-        if len(nodes) != params.n_trees:
-            raise ValueError(f"holds {len(nodes)} trees, header says {params.n_trees}")
-        for t, rows in nodes.items():
-            if len(rows) != stamps[t]:
-                raise ValueError(f"tree {t} holds {len(rows)} node rows, stamped nodes={stamps[t]}")
-        trees = tuple(
-            Tree(*(np.array(col, dtype=dt) for col, dt in zip(zip(*rows), _NODE_DTYPES)))
-            for rows in nodes.values()
-        )
+        ids, steps = np.unique(tree_of), np.diff(tree_of)
+        if ids.size != params.n_trees or np.any(ids != np.arange(ids.size)) or np.any(steps < 0):
+            raise ValueError(f"the tree column must run 0..{params.n_trees - 1} in order")
+        # the four node columns, then the counts as one matrix, cut into trees
+        columns = (*nodes[:4], np.column_stack(nodes[4:]))
+        cuts = np.flatnonzero(steps) + 1
+        trees = tuple(Tree(*parts) for parts in zip(*(np.split(c, cuts) for c in columns)))
         names = meta.get("feature_names")
         return Forest(
             trees=trees,
-            classes=np.array([int(c) for c in meta["classes"].split(",")]),
+            classes=classes,
             params=params,
             n_features=int(meta["n_features"]),
             catalog_version=meta.get("catalog", ""),

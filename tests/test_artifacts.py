@@ -209,6 +209,13 @@ def test_columns_short_row_and_bad_cell_name_file_and_line(tmp_path):
         _columns(path, float, int, float)
 
 
+def test_columns_integer_beyond_int64_is_a_data_error(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(f"230.0,{2**63}\n")
+    with pytest.raises(DataError, match=r"malformed .*t\.csv: .*too large"):
+        _columns(path, float, int)
+
+
 def test_columns_of_a_table_with_no_rows(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("# seed=1\n")

@@ -309,22 +309,39 @@ def _classify_damaged(name, edit):
     return damage
 
 
+def _forest_rows(lines):
+    """Indices of forest.txt's node rows: the lines after the header line."""
+    header = next(i for i, l in enumerate(lines) if l.startswith("tree,"))
+    return range(header + 1, len(lines))
+
+
 def _split_on_feature_500(lines):
-    # the first node row after `# tree=0` is the root split
-    root = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-    lines[root] = "500," + lines[root].split(",", 1)[1]
+    # the first node row is tree 0's root split; its second cell is `feature`
+    root = _forest_rows(lines)[0]
+    tree, _, rest = lines[root].split(",", 2)
+    lines[root] = f"{tree},500,{rest}"
     return lines
 
 
 def _fourth_leaf_count(lines):
     # every node row counts one class more than the forest's three
-    return [l if l.startswith("#") else l + ":99" for l in lines]
+    rows = _forest_rows(lines)
+    return [l + ",99" if i in rows else l for i, l in enumerate(lines)]
 
 
 def _extra_node_row_in_tree_0(lines):
     # a copy of tree 0's last row (in preorder a leaf), which no split reaches
-    tree_1 = next(i for i, l in enumerate(lines) if l.startswith("# tree=1 "))
+    tree_1 = next(i for i in _forest_rows(lines) if lines[i].startswith("1,"))
     return lines[:tree_1] + [lines[tree_1 - 1]] + lines[tree_1:]
+
+
+def _child_points_at_root(lines):
+    # tree 0's root routes both ways back to itself: a walk that never ends
+    root = _forest_rows(lines)[0]
+    cells = lines[root].split(",")
+    cells[3:5] = ["0", "0"]
+    lines[root] = ",".join(cells)
+    return lines
 
 
 def _first_p_value_2(lines):
@@ -416,6 +433,9 @@ def _predicted_label_4(tiny_cfg, out):
         _predicted_label_4,
         _classify_damaged("forest.txt", _fourth_leaf_count),
         _classify_damaged("forest.txt", _extra_node_row_in_tree_0),
+        _classify_damaged("forest.txt", _classes_line("1,1,3")),
+        _classify_damaged("forest.txt", _classes_line("3,2,1")),
+        _classify_damaged("forest.txt", _child_points_at_root),
     ],
     ids=["filter-missing-events", "classify-dtw-truncated-params",
          "classify-forest-without-params", "classify-pef-utf16-bom", "classify-pef-is-directory",
@@ -423,7 +443,8 @@ def _predicted_label_4(tiny_cfg, out):
          "classify-forest-zero-trees", "classify-mask-p-value-2", "classify-mask-flag-moved",
          "classify-forest-class-4", "classify-forest-class-0", "classify-dtw-label-0",
          "eval-predicted-label-4", "classify-forest-fourth-leaf-count",
-         "classify-forest-extra-node-row"],
+         "classify-forest-extra-node-row", "classify-forest-classes-1-1-3",
+         "classify-forest-classes-3-2-1", "classify-forest-child-points-at-root"],
 )
 def test_unreadable_artifact_exits_3_naming_file(tiny_cfg, tmp_path, capsys, damage):
     code, name = damage(tiny_cfg, str(tmp_path / "o"))
@@ -553,13 +574,14 @@ def test_non_finite_float_config_exits_2(tmp_path, capsys, key, value):
     assert f"bad.cfg:2: bad value for {key}" in capsys.readouterr().err
 
 
-def test_fft_bins_beyond_the_window_spectrum_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("bins", [2000, -5])
+def test_fft_bins_beyond_the_window_spectrum_exits_2(tmp_path, capsys, bins):
     # a 10 s window at 50 Hz has 500 samples, so bins 1..250 lie above DC
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(TINY_CFG + "features.fft_bins = 2000\n")
+    cfg.write_text(TINY_CFG + f"features.fft_bins = {bins}\n")
     assert run("pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
-    assert "features.fft_bins = 2000" in err
+    assert f"features.fft_bins = {bins}" in err
     assert "250" in err and "500-sample window" in err
     # refused before synth: no series file is written
     assert os.listdir(tmp_path / "o") == []

@@ -324,6 +324,36 @@ def test_forest_rejects_split_on_missing_feature():
         Forest((stump,), np.array([1, 2]), ForestParams(n_trees=1), n_features=2)
 
 
+def _stump(left, right, extra_leaves=0):
+    """A root split with the given children over 3 + extra_leaves nodes."""
+    n = 3 + extra_leaves
+    return Tree(
+        np.array([0] + [-1] * (n - 1), dtype=np.int32),
+        np.array([0.5] + [np.nan] * (n - 1)),
+        np.array([left] + [-1] * (n - 1), dtype=np.int32),
+        np.array([right] + [-1] * (n - 1), dtype=np.int32),
+        np.ones((n, 2), dtype=np.int64),
+    )
+
+
+def test_tree_rejects_a_shape_a_walk_could_loop_in():
+    _stump(1, 2)
+    with pytest.raises(ConfigError, match="after its parent"):
+        _stump(0, 2)  # the root's left child is the root: a walk never ends
+    with pytest.raises(ConfigError, match="exactly one split"):
+        _stump(1, 1)  # node 1 has two parents, node 2 none
+    with pytest.raises(ConfigError, match="exactly one split"):
+        _stump(1, 2, extra_leaves=1)  # node 3 has no parent
+
+
+def test_forest_rejects_classes_not_strictly_increasing():
+    stump = _stump(1, 2)
+    Forest((stump,), np.array([1, 2]), ForestParams(n_trees=1), n_features=1)
+    for classes in ([1, 1], [2, 1]):
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            Forest((stump,), np.array(classes), ForestParams(n_trees=1), n_features=1)
+
+
 def test_forest_round_trip_bit_exact(tmp_path):
     matrix, labels = make_separable(seed=9)
     forest = train_forest(
@@ -349,11 +379,27 @@ def test_forest_round_trip_bit_exact(tmp_path):
     assert path.read_text() == again.read_text()
 
 
+# a one-stump forest in the v1 layout: `# tree=` comments, `-` for a leaf's
+# threshold and `:`-joined counts, with no header line
+V1_STUMP = """\
+# forest-format v1
+# catalog=
+# classes=1,2
+# params n_trees=1 max_features=1 min_samples_leaf=1 max_depth=None bootstrap=0 seed=0
+# n_features=1
+# tree=0 nodes=3
+0,0.5,1,2,1:1
+-1,-,-1,-1,1:0
+-1,-,-1,-1,0:1
+"""
+
+
 def test_forest_file_errors(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("# forest-format v1\nnot,a,node\n")
-    with pytest.raises(DataError):
-        load_forest(str(path))
+    for text in ("# forest-format v1\nnot,a,node\n", V1_STUMP):
+        path.write_text(text)
+        with pytest.raises(DataError):
+            load_forest(str(path))
 
 
 # -- prediction latency ------------------------------------------------------------
