@@ -10,7 +10,9 @@ shared by its columns (one moment pass, one set of lag products for the
 autocorrelations and the Durbin-Levinson partial autocorrelations, one FFT)
 runs once.  The window is sorted once, and the median, the two quantiles,
 both change-quantile corridors and the entropy's bin counts read that copy
-instead of each selecting from the unsorted samples.  Each moment pass takes
+instead of each selecting from the unsorted samples: a quantile or median
+is read off it by index with numpy's own arithmetic, so nothing calls
+np.quantile or np.median and the bits are theirs.  Each moment pass takes
 its cube and fourth power as products of the deviations, not libm pow, and
 every dot product is numpy's pairwise sum of products, so no family calls
 BLAS and no column depends on the BLAS thread count.  A family sets NaN
@@ -179,10 +181,46 @@ def _moment_family(x: np.ndarray, _: np.ndarray) -> tuple[float, ...]:
     return (mean, m2, *_skewness_kurtosis(m2, m3, m4))
 
 
+def _sorted_quantiles(xs: np.ndarray, qs: Sequence[float]) -> list[float]:
+    """np.quantile(xs, qs) with its default method, 'linear' (Hyndman & Fan
+    1996, definition 7), read off the sorted copy xs with numpy's arithmetic
+    and so its bits: the virtual index (n - 1) * q, its floor and the next
+    index, and numpy's `_lerp`, which counts down from the upper value at a
+    fraction of 0.5 or more.  At n - 1 numpy reads the last value at both
+    ends, with the fraction taken from index -1.  Every quantile is the NaN
+    that sorts last when xs holds one."""
+    n, last = xs.size, float(xs[-1])
+    if math.isnan(last):
+        return [last] * len(qs)
+    out = []
+    for q in qs:
+        v = (n - 1) * q
+        lo = int(v)
+        lo, hi, t = (lo, lo + 1, v - lo) if lo < n - 1 else (n - 1, n - 1, v + 1)
+        a, b = float(xs[lo]), float(xs[hi])
+        diff = b - a
+        out.append(b - diff * (1.0 - t) if t >= 0.5 else a + diff * t)
+    return out
+
+
+def _sorted_median(xs: np.ndarray) -> float:
+    """np.median(xs) read off the sorted copy xs: the middle value, or the
+    mean of the middle two, summed from +0.0 as np.mean sums (so a median of
+    -0.0 reads +0.0); the NaN that sorts last when xs holds one.  Not the
+    0.5 quantile, whose interpolation rounds differently."""
+    n, last = xs.size, float(xs[-1])
+    if math.isnan(last):
+        return last
+    h = n // 2
+    if n % 2:
+        return 0.0 + float(xs[h])
+    return (0.0 + float(xs[h - 1]) + float(xs[h])) / 2
+
+
 def _order_statistics(x: np.ndarray, xs: np.ndarray) -> tuple[float, ...]:
     # min and max read x itself, which keeps its NaN and signed-zero answers
-    q05, q95 = np.quantile(xs, (0.05, 0.95))
-    return float(np.min(x)), float(np.max(x)), float(np.median(xs)), float(q05), float(q95)
+    q05, q95 = _sorted_quantiles(xs, (0.05, 0.95))
+    return float(np.min(x)), float(np.max(x)), _sorted_median(xs), q05, q95
 
 
 def _change_sums(x: np.ndarray, _: np.ndarray) -> tuple[float, float]:
@@ -204,8 +242,13 @@ def _sorted_bin_counts(xs: np.ndarray, bins: int) -> np.ndarray:
 
 
 def _binned_entropy(x: np.ndarray, xs: np.ndarray, bins: int) -> tuple[float]:
+    """Entropy of the window's histogram over `bins` equal bins spanning its
+    range; 0 for a constant window, NaN when the span xs[-1] - xs[0] is not
+    finite (it overflows, or the window holds inf or NaN)."""
     if xs[0] == xs[-1]:
         return (0.0,)
+    if not math.isfinite(float(xs[-1]) - float(xs[0])):
+        return (math.nan,)
     counts = _sorted_bin_counts(xs, bins)
     p = counts[counts > 0] / x.size
     return (float(-np.sum(p * np.log(p))),)
@@ -297,10 +340,10 @@ def _change_quantiles(
     """Mean and variance of |successive differences| inside each [ql, qh]
     value corridor, whose bounds are quantiles of the sorted copy xs; both 0
     for a corridor that holds no adjacent pair."""
-    bounds = np.quantile(xs, [q for corridor in corridors for q in corridor])
+    bounds = _sorted_quantiles(xs, [q for corridor in corridors for q in corridor])
     changes = np.abs(np.diff(x))
     out: list[float] = []
-    for lo, hi in bounds.reshape(-1, 2):
+    for lo, hi in zip(bounds[::2], bounds[1::2]):
         inside = (x >= lo) & (x <= hi)
         joined = inside[:-1] & inside[1:]
         diffs = changes[joined]
@@ -336,8 +379,8 @@ def extract_features(
     """Concatenate every family's block of columns for one window.
 
     The window is sorted once, and every median and quantile reads that copy.
-    A sum or product that overflows in a very loud window leaves its column
-    inf or NaN, without a warning.
+    A sum, product or span that overflows in a very loud window leaves its
+    column inf or NaN, without a warning.
     """
     x = np.asarray(window, dtype=np.float64)
     if x.size < MIN_WINDOW_SAMPLES:

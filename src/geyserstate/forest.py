@@ -46,7 +46,8 @@ class Tree:
     """Flat node arrays; node 0 is the root.
 
     Internal nodes have feature >= 0 and route x[feature] <= threshold to
-    `left`.  Leaves have feature == LEAF and carry per-class sample counts.
+    `left`.  Leaves have feature == LEAF, no children (left == right ==
+    LEAF) and a NaN threshold, and carry per-class sample counts.
     """
 
     feature: np.ndarray
@@ -57,11 +58,19 @@ class Tree:
 
     def __post_init__(self) -> None:
         n = self.feature.size
-        internal = self.feature >= 0
+        if {len(a) for a in (self.threshold, self.left, self.right, self.counts)} != {n}:
+            raise ConfigError("the five node arrays must have one length")
         if n == 0:
             raise ConfigError("a tree needs at least one node")
+        if np.any(self.feature < LEAF):
+            raise ConfigError(f"a feature index below {LEAF}")
+        internal = self.feature >= 0
         if np.any(~np.isfinite(self.threshold[internal])):
             raise ConfigError("internal thresholds must be finite")
+        leaf = ~internal
+        bare = (self.left[leaf] == LEAF) & (self.right[leaf] == LEAF) & np.isnan(self.threshold[leaf])
+        if not np.all(bare):
+            raise ConfigError("a leaf must have no children and a NaN threshold")
         # the preorder grow_tree builds: each child after its parent, and
         # every node but the root the child of one split, so a walk ends
         children = np.concatenate([self.left[internal], self.right[internal]])
@@ -69,7 +78,7 @@ class Tree:
             raise ConfigError("every child must come after its parent")
         if not np.array_equal(np.sort(children), np.arange(1, n)):
             raise ConfigError("every node but the root must be the child of exactly one split")
-        if np.any(self.counts[~internal].sum(axis=1) <= 0):
+        if np.any(self.counts[leaf].sum(axis=1) <= 0):
             raise ConfigError("every leaf must hold at least one sample")
 
     @property
@@ -79,12 +88,26 @@ class Tree:
 
 @dataclass(frozen=True)
 class Forest:
+    """Trees plus the flat node arrays `predict_forest` walks.
+
+    `__post_init__` concatenates the trees' nodes once: child indices are
+    offset by their tree's first node, a leaf's children are the leaf itself
+    (so a walk that reaches it stays there), and each node carries the vote
+    of its counts, the lowest class index among the largest.
+    """
+
     trees: tuple[Tree, ...]
     classes: np.ndarray
     params: ForestParams
     n_features: int
     catalog_version: str = ""
     feature_names: tuple[str, ...] = field(default=())
+    _roots: np.ndarray = field(init=False, repr=False, compare=False)
+    _feature: np.ndarray = field(init=False, repr=False, compare=False)
+    _threshold: np.ndarray = field(init=False, repr=False, compare=False)
+    _left: np.ndarray = field(init=False, repr=False, compare=False)
+    _right: np.ndarray = field(init=False, repr=False, compare=False)
+    _vote: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.trees:
@@ -93,15 +116,31 @@ class Forest:
             raise ConfigError("classes must be strictly increasing")
         if self.feature_names and len(self.feature_names) != self.n_features:
             raise ConfigError("feature_names length must match n_features")
-        for tree in self.trees:
-            if tree.feature.max() >= self.n_features:
-                raise ConfigError(
-                    f"a split on feature {tree.feature.max()} exceeds n_features {self.n_features}"
-                )
-            if tree.counts.shape[1] != self.classes.size:
-                raise ConfigError(
-                    f"leaf counts of width {tree.counts.shape[1]} for {self.classes.size} classes"
-                )
+        widths = np.array([t.counts.shape[1] for t in self.trees])
+        if np.any(widths != self.classes.size):
+            raise ConfigError(
+                f"leaf counts of width {widths[widths != self.classes.size][0]} "
+                f"for {self.classes.size} classes"
+            )
+        flat = {name: np.concatenate([getattr(t, name) for t in self.trees])
+                for name in ("feature", "threshold", "left", "right", "counts")}
+        feature = flat["feature"].astype(np.intp)
+        if feature.max() >= self.n_features:
+            raise ConfigError(
+                f"a split on feature {feature.max()} exceeds n_features {self.n_features}"
+            )
+        sizes = [t.n_nodes for t in self.trees]
+        roots = np.cumsum([0, *sizes[:-1]])
+        leaf, node, offset = feature == LEAF, np.arange(feature.size), np.repeat(roots, sizes)
+        for name, value in (
+            ("_roots", roots),
+            ("_feature", feature),
+            ("_threshold", flat["threshold"]),
+            ("_left", np.where(leaf, node, flat["left"] + offset)),
+            ("_right", np.where(leaf, node, flat["right"] + offset)),
+            ("_vote", np.argmax(flat["counts"], axis=1)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 def gini_impurity(class_counts) -> float:
@@ -278,29 +317,29 @@ def train_forest(
     )
 
 
-def _tree_vote(tree: Tree, x: np.ndarray) -> int:
-    node = 0
-    while tree.feature[node] >= 0:
-        if x[tree.feature[node]] <= tree.threshold[node]:
-            node = tree.left[node]
-        else:
-            node = tree.right[node]
-    return int(np.argmax(tree.counts[node]))  # argmax tie -> lowest class index
-
-
 def predict_forest(forest: Forest, fv: np.ndarray) -> tuple[int, np.ndarray]:
     """Majority vote over trees; returns (label, votes per class).
 
-    Vote ties go to the lowest class label.
+    Every tree is walked at once over the forest's flat node arrays: from the
+    roots, each level is one gather and one `np.where(x[feature] <= threshold,
+    left, right)`, until no node moves: a leaf's children are the leaf itself.
+    A NaN feature goes right, as it fails the comparison.  A leaf votes for
+    the lowest class index among its largest counts, and a vote tie goes to
+    the lowest class label.
     """
     x = np.asarray(fv, dtype=np.float64)
     if x.ndim != 1 or x.size != forest.n_features:
         raise DataError(
             f"feature vector of length {x.size} does not match forest dimension {forest.n_features}"
         )
-    votes = np.zeros(forest.classes.size, dtype=np.int64)
-    for tree in forest.trees:
-        votes[_tree_vote(tree, x)] += 1
+    nodes = forest._roots
+    while True:
+        moved = np.where(x[forest._feature[nodes]] <= forest._threshold[nodes],
+                         forest._left[nodes], forest._right[nodes])
+        if np.array_equal(moved, nodes):
+            break
+        nodes = moved
+    votes = np.bincount(forest._vote[nodes], minlength=forest.classes.size)
     return int(forest.classes[int(np.argmax(votes))]), votes
 
 

@@ -344,6 +344,16 @@ def _child_points_at_root(lines):
     return lines
 
 
+def _leaf_with_a_child(lines):
+    # tree 0's first leaf row gains a left child and a threshold, as in
+    # `0,-1,0.5,3,-1,...`, which no walk reads but a re-save would write back
+    leaf = next(i for i in _forest_rows(lines) if lines[i].split(",")[1] == "-1")
+    cells = lines[leaf].split(",")
+    cells[2:4] = ["0.5", "3"]
+    lines[leaf] = ",".join(cells)
+    return lines
+
+
 def _first_p_value_2(lines):
     row = next(i for i, l in enumerate(lines) if not l.startswith(("#", "feature_name")))
     name, _, selected = lines[row].split(",")
@@ -436,6 +446,7 @@ def _predicted_label_4(tiny_cfg, out):
         _classify_damaged("forest.txt", _classes_line("1,1,3")),
         _classify_damaged("forest.txt", _classes_line("3,2,1")),
         _classify_damaged("forest.txt", _child_points_at_root),
+        _classify_damaged("forest.txt", _leaf_with_a_child),
     ],
     ids=["filter-missing-events", "classify-dtw-truncated-params",
          "classify-forest-without-params", "classify-pef-utf16-bom", "classify-pef-is-directory",
@@ -444,7 +455,8 @@ def _predicted_label_4(tiny_cfg, out):
          "classify-forest-class-4", "classify-forest-class-0", "classify-dtw-label-0",
          "eval-predicted-label-4", "classify-forest-fourth-leaf-count",
          "classify-forest-extra-node-row", "classify-forest-classes-1-1-3",
-         "classify-forest-classes-3-2-1", "classify-forest-child-points-at-root"],
+         "classify-forest-classes-3-2-1", "classify-forest-child-points-at-root",
+         "classify-forest-leaf-with-a-child"],
 )
 def test_unreadable_artifact_exits_3_naming_file(tiny_cfg, tmp_path, capsys, damage):
     code, name = damage(tiny_cfg, str(tmp_path / "o"))

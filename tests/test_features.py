@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import geyserstate
@@ -34,6 +34,8 @@ from geyserstate.features import (
     _lag_correlations,
     _linear_trends,
     _sorted_bin_counts,
+    _sorted_median,
+    _sorted_quantiles,
     _time_reversal_asymmetries,
     extract_features,
     load_feature_mask,
@@ -350,6 +352,25 @@ def test_moments_that_overflow_are_nan_without_a_warning():
         assert not any(math.isfinite(by_name[name]) for name in overflowed)
 
 
+@pytest.mark.parametrize(
+    "x",
+    [np.tile([1.7e308, -1.7e308], 32),
+     np.clip(np.random.default_rng(3).normal(size=12000), -1.0, 1.0) * 1.7e308,
+     np.r_[np.zeros(63), math.inf],
+     np.r_[np.zeros(63), math.nan]],
+    ids=["alternating-1.7e308", "clipped-noise-1.7e308", "one-inf", "one-nan"],
+)
+def test_binned_entropy_is_nan_when_the_span_is_not_finite(x):
+    # xs[-1] - xs[0] overflows (or is inf or NaN), so there are no finite bin
+    # edges; a constant window at the same scale still fills one bin
+    cat = default_catalog(FS)
+    column = cat.names.index("binned_entropy_16")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(extract_features(x, cat).values[column])
+        assert extract_features(np.full(64, x[0]), cat).values[column] == 0.0
+
+
 def _power_skewness_kurtosis(y):
     """The textbook formula: mean cube and fourth power of the deviations over
     powers of the mean square."""
@@ -590,11 +611,11 @@ def _unsorted_order_columns(x):
 
 
 @st.composite
-def _order_windows(draw):
-    """64..12000 samples: Gaussian noise, a few tied levels or one constant,
-    at scales from subnormal to 1e300, with some positions overwritten by
-    +-inf, NaN or any other float."""
-    n = draw(st.integers(MIN_WINDOW_SAMPLES, 12000))
+def _order_windows(draw, min_samples=MIN_WINDOW_SAMPLES):
+    """min_samples..12000 samples: Gaussian noise, a few tied levels or one
+    constant, at scales from subnormal to 1e300, with some positions
+    overwritten by +-inf, NaN or any other float."""
+    n = draw(st.integers(min_samples, 12000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([1e-315, 1e-300, 1.0, 1e300]))
     base = draw(st.sampled_from(["noise", "ties", "constant"]))
@@ -630,8 +651,34 @@ def test_order_columns_from_the_sorted_copy_equal_the_unsorted_formulas(x):
         assert _same_bits(got[name], expected[name]), (name, got[name], expected[name])
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.one_of(_order_windows(min_samples=1),
+                st.lists(st.floats(width=64), min_size=1, max_size=9).map(np.array)),
+    qs=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                min_size=1, max_size=4),
+)
+@example(x=np.array([-0.0]), qs=[0.0, 1.0])  # numpy's fraction at n - 1 keeps -0.0
+@example(x=np.array([1.0, math.inf]), qs=[1.0])  # inf - inf: NaN at the top
+@example(x=np.array([-math.inf, 1.0, 2.0]), qs=[0.0])
+@example(x=np.arange(64.0), qs=[0.0, 0.05, 0.95, 1.0])
+@example(x=np.arange(65.0), qs=[0.0, 0.3, 0.7, 1.0])
+def test_sorted_readouts_equal_np_quantile_and_np_median(x, qs):
+    zeros = np.signbit(x[x == 0.0])
+    assume(not (zeros.any() and not zeros.all()))  # as in _order_windows
+    xs = np.sort(x)
+    with np.errstate(all="ignore"):
+        expected, median = np.quantile(x, qs), float(np.median(x))
+        got = _sorted_quantiles(xs, qs)
+    assert len(got) == len(qs)
+    assert all(_same_bits(g, float(e)) for g, e in zip(got, expected)), (got, expected)
+    assert _same_bits(_sorted_median(xs), median)
+
+
 def test_extract_features_sorts_once_and_every_quantile_reads_the_sorted_copy(monkeypatch):
-    sorts, inputs = [], []
+    # the median and every quantile are read off the one sorted copy: nothing
+    # selects from the samples again, sorted or not
+    calls = {name: [] for name in ("sort", "median", "quantile", "partition")}
 
     def spy(fn, record):
         def call(a, *args, **kwargs):
@@ -639,15 +686,11 @@ def test_extract_features_sorts_once_and_every_quantile_reads_the_sorted_copy(mo
             return fn(a, *args, **kwargs)
         return call
 
-    x = np.random.default_rng(9).normal(size=12000)
-    xs = np.sort(x)
-    monkeypatch.setattr(np, "sort", spy(np.sort, sorts))
-    monkeypatch.setattr(np, "median", spy(np.median, inputs))
-    monkeypatch.setattr(np, "quantile", spy(np.quantile, inputs))
-    extract_features(x, default_catalog(FS))
-    assert len(sorts) == 1
-    assert len(inputs) == 3  # the median, then one quantile call per family
-    assert all(np.array_equal(a, xs) for a in inputs)
+    for name, record in calls.items():
+        monkeypatch.setattr(np, name, spy(getattr(np, name), record))
+    extract_features(np.random.default_rng(9).normal(size=12000), default_catalog(FS))
+    assert {name: len(record) for name, record in calls.items()} == {
+        "sort": 1, "median": 0, "quantile": 0, "partition": 0}
 
 
 @st.composite

@@ -5,8 +5,12 @@ consecutive distinct sorted values, scoring each candidate with a naive
 gini computation, independent of the production implementation.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geyserstate.errors import ConfigError, DataError
 from geyserstate.forest import (
@@ -400,6 +404,113 @@ def test_forest_file_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(DataError):
             load_forest(str(path))
+
+
+# -- the flat walk against the per-tree walk -----------------------------------------
+
+def per_tree_vote(forest, x):
+    """The walk predict_forest replaced, kept as the oracle: each tree in
+    turn from its root, x[feature] <= threshold going left, and the reached
+    leaf voting for its argmax count (lowest class index on a tie)."""
+    votes = np.zeros(forest.classes.size, dtype=np.int64)
+    for tree in forest.trees:
+        node = 0
+        while tree.feature[node] >= 0:
+            if x[tree.feature[node]] <= tree.threshold[node]:
+                node = tree.left[node]
+            else:
+                node = tree.right[node]
+        votes[int(np.argmax(tree.counts[node]))] += 1
+    return int(forest.classes[int(np.argmax(votes))]), votes
+
+
+# a few levels shared by the built trees' thresholds and the queries, so
+# that a query often equals a threshold exactly
+LEVELS = (-1.0, 0.0, 0.5, 2.0)
+
+
+@st.composite
+def _built_tree(draw, n_features, n_classes):
+    """A random preorder tree: root-leaf trees, splits on LEVELS, and leaf
+    counts drawn from 0..2, so leaves often tie between classes."""
+    nodes = []  # (feature, threshold, left, right, counts), leaves as built
+
+    def build(depth):
+        node = len(nodes)
+        counts = draw(st.lists(st.integers(0, 2), min_size=n_classes, max_size=n_classes)
+                      .filter(lambda c: sum(c) > 0))
+        nodes.append((-1, math.nan, -1, -1, counts))
+        if depth < 4 and draw(st.booleans()):
+            split = (draw(st.integers(0, n_features - 1)), draw(st.sampled_from(LEVELS)))
+            left = build(depth + 1)
+            nodes[node] = (*split, left, build(depth + 1), counts)
+        return node
+
+    build(0)
+    feature, threshold, left, right, counts = (np.array(column) for column in zip(*nodes))
+    return Tree(feature, threshold, left, right, counts)
+
+
+@st.composite
+def _forests(draw):
+    """A forest from train_forest at random parameters on rows of LEVELS
+    and noise, or one of up to six hand-built trees, few enough that their
+    votes often tie."""
+    n_features = draw(st.integers(1, 4))
+    classes = np.array(draw(st.sampled_from([[1, 2], [1, 2, 3], [0, 5, 7, 9]])))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(4, 40))
+        matrix = np.where(rng.random((n, n_features)) < 0.5,
+                          rng.choice(LEVELS, size=(n, n_features)),
+                          rng.normal(size=(n, n_features)))
+        labels = classes[np.arange(n) % classes.size]
+        params = ForestParams(
+            n_trees=draw(st.integers(1, 12)),
+            max_depth=draw(st.one_of(st.none(), st.integers(1, 6))),
+            min_samples_leaf=draw(st.integers(1, 4)),
+            bootstrap=draw(st.booleans()),
+            seed=draw(st.integers(0, 1000)),
+        )
+        return train_forest(matrix, labels, params)
+    trees = draw(st.lists(_built_tree(n_features, classes.size), min_size=1, max_size=6))
+    return Forest(tuple(trees), classes, ForestParams(n_trees=len(trees)), n_features)
+
+
+@settings(max_examples=150, deadline=None)
+@given(forest=_forests(), data=st.data())
+def test_flat_walk_equals_the_per_tree_walk(forest, data):
+    thresholds = [t for tree in forest.trees for t in tree.threshold.tolist()
+                  if not math.isnan(t)]
+    value = st.one_of(
+        st.sampled_from([*LEVELS, math.nan, math.inf, -math.inf]),
+        st.sampled_from(thresholds) if thresholds else st.nothing(),
+        st.floats(-3.0, 3.0),
+    )
+    for _ in range(5):
+        x = np.array(data.draw(st.lists(value, min_size=forest.n_features,
+                                        max_size=forest.n_features)))
+        label, votes = predict_forest(forest, x)
+        oracle_label, oracle_votes = per_tree_vote(forest, x)
+        assert label == oracle_label
+        assert votes.tolist() == oracle_votes.tolist()
+
+
+def test_leaf_with_children_or_a_threshold_is_rejected():
+    def stump(**cells):
+        arrays = {"feature": [0, -1, -1], "threshold": [0.5, math.nan, math.nan],
+                  "left": [1, -1, -1], "right": [2, -1, -1], **cells}
+        return Tree(*(np.array(arrays[k]) for k in ("feature", "threshold", "left", "right")),
+                    np.ones((3, 2), dtype=np.int64))
+
+    stump()
+    for cells in ({"left": [1, 2, -1]}, {"right": [2, -1, 0]}, {"threshold": [0.5, 0.5, math.nan]}):
+        with pytest.raises(ConfigError, match="a leaf must have no children"):
+            stump(**cells)
+    with pytest.raises(ConfigError, match="below -1"):
+        stump(feature=[0, -2, -1])
+    with pytest.raises(ConfigError, match="one length"):
+        stump(right=[2, -1])
 
 
 # -- prediction latency ------------------------------------------------------------
