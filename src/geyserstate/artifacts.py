@@ -14,16 +14,23 @@ the fault is in a row), so an unreadable artifact always exits 3.
 signal files): one `np.loadtxt` call, returning None for anything unusual
 so that the caller re-reads through `read_artifact` for its diagnostics.
 
-It is also the one place that spells a table cell: `write_table` writes
-floats by `repr` (the shortest text that reads back bit for bit), integers
-and booleans by `str` of the integer, and strings as they are.  Its inverse,
+It is also the one place that spells a table cell.  `write_tables` writes
+the tables of one command in one chunked pass: floats by `repr` (the
+shortest text that reads back bit for bit), integers and booleans by `str`
+of the integer, and strings as they are.  A column that several tables of
+the pass hold (the time grid of signal.csv, classes.csv, bh.csv and pef.csv,
+the rows the event traces repeat) is spelled once per cell, and memory holds
+only one chunk of text.  `write_table` is its one-table case and
+`write_artifact` its one-string-column case.  Their inverse,
 `ArtifactReader.columns`, parses every cell of rows held to one width.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
+import os
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager, suppress
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -41,20 +48,21 @@ _READ_ENCODING = "utf-8-sig"
 _CHUNK_ROWS = 4096
 
 
-def write_artifact(
-    path: str, comments: Iterable[str], header: str | None, rows: Iterable[str]
-) -> None:
-    """Write `# <comment>` lines, the header line if any, then one line per row."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for comment in comments:
-                fh.write(f"# {comment}\n")
-            if header is not None:
-                fh.write(header + "\n")
-            for row in rows:
-                fh.write(row + "\n")
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from None
+class Table(NamedTuple):
+    """One file of a write pass: rows `start:stop` of equal-length `columns`
+    under `# <comment>` lines and a `names` header (none when None).
+
+    The row range follows slice rules, so a reversed range gives a file with
+    no rows.  Tables of one pass that hold the same column object share its
+    spelled cells.
+    """
+
+    path: str
+    comments: Iterable[str]
+    names: Iterable[str] | None
+    columns: Sequence
+    start: int = 0
+    stop: int | None = None
 
 
 def _spelled(column) -> tuple[np.ndarray, Callable[[object], str]]:
@@ -65,22 +73,95 @@ def _spelled(column) -> tuple[np.ndarray, Callable[[object], str]]:
     return col, repr if col.dtype.kind == "f" else str
 
 
+def _merged(ranges: list[tuple[int, int]]) -> list[list[int]]:
+    """Sorted non-empty row ranges with the ones that overlap or touch joined."""
+    out: list[list[int]] = []
+    for lo, hi in sorted(ranges):
+        if out and lo <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return out
+
+
+def write_tables(tables: Sequence[Table]) -> None:
+    """Write every table in one pass that spells each needed cell once.
+
+    Rows go out in chunks of `_CHUNK_ROWS`.  In each chunk a column is
+    spelled once over the rows that its tables cover there, and every table
+    takes its rows from that text, so memory holds one chunk of text per
+    column.  A table that cannot be opened or written is a `DataError`
+    naming it; the pass then closes and removes every table it opened, so
+    none is left half-written.
+    """
+    spelled: dict[int, tuple[np.ndarray, Callable[[object], str]]] = {}
+    spans = []  # per table: (first row, end row, keys of its columns)
+    for table in tables:
+        keys = [id(c) for c in table.columns]
+        for key, column in zip(keys, table.columns):
+            if key not in spelled:
+                spelled[key] = _spelled(column)
+        n = len(spelled[keys[0]][0]) if keys else 0
+        if any(len(spelled[k][0]) != n for k in keys):
+            raise ValueError(f"columns of unequal length for {table.path}")
+        lo, hi, _ = slice(table.start, table.stop).indices(n)
+        spans.append((lo, max(lo, hi), keys))
+
+    opened: list[tuple[str, TextIO]] = []
+    path = None
+    try:
+        for table in tables:
+            path = table.path
+            fh = open(path, "w", encoding="utf-8")
+            opened.append((path, fh))
+            fh.writelines(f"# {comment}\n" for comment in table.comments)
+            if table.names is not None:
+                fh.write(",".join(table.names) + "\n")
+        end = max((hi for _, hi, _ in spans), default=0)
+        for c0 in range(0, end, _CHUNK_ROWS):
+            c1 = c0 + _CHUNK_ROWS
+            rows = [(max(lo, c0), min(hi, c1), keys) for lo, hi, keys in spans]
+            wanted: dict[int, list[tuple[int, int]]] = {}
+            for a, b, keys in rows:
+                if a < b:
+                    for key in keys:
+                        wanted.setdefault(key, []).append((a, b))
+            # each column's text over each merged range: (first row, end row, cells)
+            text = {}
+            for key, ranges in wanted.items():
+                col, spell = spelled[key]
+                text[key] = [(a, b, list(map(spell, col[a:b].tolist())))
+                             for a, b in _merged(ranges)]
+            for (path, fh), (a, b, keys) in zip(opened, rows):
+                if a < b:
+                    cells = [next(s[a - p:b - p] for p, q, s in text[k] if p <= a and b <= q)
+                             for k in keys]
+                    fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for path, fh in opened:
+            fh.close()
+    except BaseException as exc:
+        for name, fh in opened:
+            with suppress(OSError):
+                fh.close()
+            with suppress(OSError):
+                os.remove(name)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc}") from None
+        raise
+
+
 def write_table(
-    path: str, comments: Iterable[str], names: Iterable[str] | None, columns: Iterable
+    path: str, comments: Iterable[str], names: Iterable[str] | None, columns: Sequence
 ) -> None:
     """Write equal-length columns as comma-separated rows under a `names` header."""
-    spelled = [_spelled(c) for c in columns]
-    n = len(spelled[0][0]) if spelled else 0
-    if any(len(col) != n for col, _ in spelled):
-        raise ValueError(f"columns of unequal length for {path}")
+    write_tables([Table(path, comments, names, columns)])
 
-    def chunks() -> Iterator[str]:
-        # each chunk of rows reaches write_artifact as one multi-line row
-        for lo in range(0, n, _CHUNK_ROWS):
-            cells = [map(spell, col[lo:lo + _CHUNK_ROWS].tolist()) for col, spell in spelled]
-            yield "\n".join(map(",".join, zip(*cells)))
 
-    write_artifact(path, comments, None if names is None else ",".join(names), chunks())
+def write_artifact(
+    path: str, comments: Iterable[str], header: str | None, rows: Iterable[str]
+) -> None:
+    """Write `# <comment>` lines, the header line if any, then one line per row."""
+    write_table(path, comments, None if header is None else (header,), (list(rows),))
 
 
 class ArtifactReader:

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .artifacts import read_artifact, write_artifact, write_table
+from .artifacts import Table, read_artifact, write_artifact, write_table, write_tables
 from .config import (
     dtw_params,
     forest_params,
@@ -56,7 +56,10 @@ from .filters import (
     save_ar_model,
 )
 from .forest import Forest, load_forest, predict_forest, save_forest, train_forest
-from .synth import generate, save_classes, split_train_test
+# save_classes and save_timeseries write one series file alone; the commands
+# write theirs in one pass (write_tables), and bench/tracing.py still wraps
+# both names here
+from .synth import classes_table, generate, save_classes, split_train_test
 from .timeseries import (
     ALL_CLASSES,
     EventLog,
@@ -70,6 +73,7 @@ from .timeseries import (
     save_events,
     save_timeseries,
     select_noise_segment,
+    series_table,
     slice_windows,
 )
 
@@ -198,32 +202,27 @@ def _stage(name: str):
 
 
 def _synthesize(values: dict, seed: int, paths: dict) -> tuple[TimeSeries, EventLog]:
-    """Generate the labeled signal; writes signal.csv, events.csv, classes.csv."""
+    """Generate the labeled signal; writes events.csv (signal.csv and
+    classes.csv go out in the command's series pass)."""
     ts, events = generate(synth_config(values, seed))
-    header = _seed_header(seed)
-    save_timeseries(ts, paths["signal"], header)
-    save_events(events, paths["events"], header)
-    classes = sample_classes(ts, events, label_policy(values))
-    save_classes(ts, classes, paths["classes"], header)
+    save_events(events, paths["events"], _seed_header(seed))
     _log.info("synthesized %d samples at %g Hz with %d events", len(ts), ts.fs_hz, len(events))
     return ts, events
 
 
-def _highpass(ts: TimeSeries, values: dict, out_dir: str, seed: int) -> TimeSeries:
-    """Butterworth high-pass of the raw signal; writes bh.csv."""
+def _highpass(ts: TimeSeries, values: dict) -> TimeSeries:
+    """Butterworth high-pass of the raw signal."""
     cascade = design_butterworth_highpass(
         values["filter.order"], values["filter.corner_hz"], ts.fs_hz
     )
-    bh = apply_filter(cascade, ts)
-    save_timeseries(bh, os.path.join(out_dir, "bh.csv"), _seed_header(seed))
-    return bh
+    return apply_filter(cascade, ts)
 
 
 def _prediction_error(
     bh: TimeSeries, fit_on: TimeSeries, fit_events: EventLog, values: dict, out_dir: str, seed: int
 ) -> tuple:
     """Fit the AR noise model on fit_on's quiet segment, then run the
-    prediction-error filter over all of bh; writes ar_model.txt and pef.csv.
+    prediction-error filter over all of bh; writes ar_model.txt.
 
     Returns (residual, model, held-out one-step R2).  R2 is scored on the
     part of fit_on after the AR segment, skipping its first p samples (they
@@ -242,9 +241,7 @@ def _prediction_error(
     else:
         r2 = float("nan")
     residual = pef(bh, model)
-    header = _seed_header(seed)
-    save_ar_model(model, os.path.join(out_dir, "ar_model.txt"), header)
-    save_timeseries(residual, os.path.join(out_dir, "pef.csv"), header)
+    save_ar_model(model, os.path.join(out_dir, "ar_model.txt"), _seed_header(seed))
     _log.info(
         "AR order p=%d, AIC=%.2f, held-out one-step R2=%.4f", model.order_p, model.aic, r2
     )
@@ -354,12 +351,75 @@ def _dtw_predict(
     return starts, labels, preds, votes, per_window
 
 
+# -- the series pass: a command's series files, each cell spelled once ---------------
+
+
+def _signal_tables(
+    paths: dict, header: list[str], grid: np.ndarray, raw: TimeSeries, classes: np.ndarray
+) -> list[Table]:
+    """signal.csv and classes.csv of a synthesized series."""
+    return [
+        series_table(paths["signal"], header, grid, raw.values),
+        classes_table(paths["classes"], header, grid, classes),
+    ]
+
+
+def _event_trace_tables(
+    out_dir: str, raw: TimeSeries, test_events: EventLog, columns: tuple, seed: int
+) -> list[Table]:
+    """Per-event trace tables around each held-out event onset.
+
+    Columns: timestamp_s, raw, bh, pef, class (`columns` holds them for the
+    whole series).  The class column carries the per-sample ground truth so
+    a plotting tool can shade the precursor and eruption spans.
+    """
+    plots_dir = os.path.join(out_dir, "plots")
+    os.makedirs(plots_dir, exist_ok=True)
+    names = ("timestamp_s", "raw", "bh", "pef", "class")
+    tables = []
+    for k, e in enumerate(test_events.event_times_s, start=1):
+        lo = max(0, int(round((e - PLOT_BEFORE_S - raw.t0_s) * raw.fs_hz)))
+        hi = min(len(raw), int(round((e + PLOT_AFTER_S - raw.t0_s) * raw.fs_hz)))
+        comments = [*_seed_header(seed), f"event_time_s={float(e)!r}"]
+        tables.append(
+            Table(os.path.join(plots_dir, f"event_{k}.csv"), comments, names, columns, lo, hi)
+        )
+    return tables
+
+
+def _write_pipeline_series(
+    values: dict,
+    seed: int,
+    out_dir: str,
+    paths: dict,
+    raw: TimeSeries,
+    events: EventLog,
+    bh: TimeSeries,
+    residual: TimeSeries,
+    test_events: EventLog,
+) -> None:
+    """pipeline's series files and event traces in one pass, over one time
+    grid and one class array; signal.csv and classes.csv only when the
+    pipeline synthesized (caller-supplied data is left untouched)."""
+    header, grid = _seed_header(seed), raw.timestamps()
+    classes = sample_classes(raw, events, label_policy(values))
+    tables = [] if values["paths.signal"] else _signal_tables(paths, header, grid, raw, classes)
+    tables += [
+        series_table(os.path.join(out_dir, "bh.csv"), header, grid, bh.values),
+        series_table(os.path.join(out_dir, "pef.csv"), header, grid, residual.values),
+    ]
+    traced = (grid, raw.values, bh.values, residual.values, classes)
+    write_tables(tables + _event_trace_tables(out_dir, raw, test_events, traced, seed))
+
+
 # -- commands ----------------------------------------------------------------------
 
 
 def cmd_synth(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
     paths = resolve_paths(values, out_dir)
-    _synthesize(values, seed, paths)
+    ts, events = _synthesize(values, seed, paths)
+    classes = sample_classes(ts, events, label_policy(values))
+    write_tables(_signal_tables(paths, _seed_header(seed), ts.timestamps(), ts, classes))
     print(f"wrote {paths['signal']}, {paths['events']}, {paths['classes']}")
     return EXIT_OK
 
@@ -370,15 +430,21 @@ def cmd_filter(values: dict, seed: int, out_dir: str, args: argparse.Namespace) 
         raise DataError(f"signal file {paths['signal']} not found; run synth or set paths.signal")
     ts = load_timeseries(paths["signal"], values["synth.fs_hz"])
     events = load_events(paths["events"])
-    bh = _highpass(ts, values, out_dir, seed)
+    bh = _highpass(ts, values)
+    bh_path, pef_path = os.path.join(out_dir, "bh.csv"), os.path.join(out_dir, "pef.csv")
+    series = {bh_path: bh}
+    if not args.skip_pef:
+        residual, model, r2 = _prediction_error(bh, bh, events, values, out_dir, seed)
+        series[pef_path] = residual
+    header, grid = _seed_header(seed), ts.timestamps()
+    write_tables([series_table(path, header, grid, s.values) for path, s in series.items()])
     if args.skip_pef:
         _log.info("high-pass output written; prediction-error stage skipped")
-        print(f"wrote {os.path.join(out_dir, 'bh.csv')}")
+        print(f"wrote {bh_path}")
         return EXIT_OK
-    _, model, r2 = _prediction_error(bh, bh, events, values, out_dir, seed)
     print(
-        f"wrote {os.path.join(out_dir, 'bh.csv')}, {os.path.join(out_dir, 'ar_model.txt')}, "
-        f"{os.path.join(out_dir, 'pef.csv')} (p={model.order_p}, R2={r2:.4f})"
+        f"wrote {bh_path}, {os.path.join(out_dir, 'ar_model.txt')}, "
+        f"{pef_path} (p={model.order_p}, R2={r2:.4f})"
     )
     return EXIT_OK
 
@@ -449,40 +515,6 @@ def cmd_eval(values: dict, seed: int, out_dir: str, args: argparse.Namespace) ->
 # -- full pipeline -----------------------------------------------------------------
 
 
-def _emit_event_traces(
-    out_dir: str,
-    raw: TimeSeries,
-    bh: TimeSeries,
-    residual: TimeSeries,
-    events: EventLog,
-    test_events: EventLog,
-    values: dict,
-    seed: int,
-) -> list[str]:
-    """Per-event trace CSVs around each held-out event onset.
-
-    Columns: timestamp_s, raw, bh, pef, class.  The class column carries the
-    per-sample ground truth so a plotting tool can shade the precursor and
-    eruption spans.
-    """
-    plots_dir = os.path.join(out_dir, "plots")
-    os.makedirs(plots_dir, exist_ok=True)
-    classes = sample_classes(raw, events, label_policy(values))
-    names = ("timestamp_s", "raw", "bh", "pef", "class")
-    columns = (raw.timestamps(), raw.values, bh.values, residual.values, classes)
-    written = []
-    for k, e in enumerate(test_events.event_times_s, start=1):
-        lo = max(0, int(round((e - PLOT_BEFORE_S - raw.t0_s) * raw.fs_hz)))
-        hi = min(len(raw), int(round((e + PLOT_AFTER_S - raw.t0_s) * raw.fs_hz)))
-        path = os.path.join(plots_dir, f"event_{k}.csv")
-        write_table(
-            path, [*_seed_header(seed), f"event_time_s={float(e)!r}"], names,
-            [c[lo:hi] for c in columns],
-        )
-        written.append(path)
-    return written
-
-
 def _evaluate_arm(
     name: str,
     out_dir: str,
@@ -520,7 +552,7 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
             raw, events = _synthesize(values, seed, paths)
 
     with _stage("highpass"):
-        bh = _highpass(raw, values, out_dir, seed)
+        bh = _highpass(raw, values)
 
     with _stage("split"):
         (bh_train, ev_train), (bh_test, ev_test) = split_train_test(
@@ -538,6 +570,9 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
         residual, _, _ = _prediction_error(bh, bh_train, ev_train, values, out_dir, seed)
         pef_train = residual.slice(0, split_idx)
         pef_test = residual.slice(split_idx, len(residual))
+
+    with _stage("series"):
+        _write_pipeline_series(values, seed, out_dir, paths, raw, events, bh, residual, ev_test)
 
     with _stage("train"):
         catalog = default_catalog(raw.fs_hz, values["features.fft_bins"])
@@ -593,9 +628,6 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
             s = scores["rf_pef"]
             print(f"macro precision={s.precision[m]:.4f} recall={s.recall[m]:.4f} "
                   f"f1={s.f1[m]:.4f}")
-
-    with _stage("plots"):
-        _emit_event_traces(out_dir, raw, bh, residual, events, ev_test, values, seed)
     return EXIT_OK
 
 

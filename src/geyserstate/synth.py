@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.signal import lfilter
 
-from .artifacts import write_table
+from .artifacts import Table, write_tables
 from .errors import ConfigError, DataError
 from .timeseries import (
     CLASS_FAR,
@@ -254,7 +254,13 @@ def split_train_test(
     return (head, head_events), (tail, tail_events)
 
 
+def classes_table(path: str, comments: list[str], grid: np.ndarray, classes: np.ndarray) -> Table:
+    """Ground-truth per-sample classes for one write pass: `timestamp_s,class`
+    rows of `grid` (the series' `timestamps()`) and `classes`."""
+    return Table(path, comments, ("timestamp_s", "class"), (grid, classes))
+
+
 def save_classes(ts: TimeSeries, classes: np.ndarray, path: str,
                  header_comments: list[str] | None = None) -> None:
-    """Ground-truth per-sample classes: `timestamp_s,class` rows."""
-    write_table(path, header_comments or [], ("timestamp_s", "class"), (ts.timestamps(), classes))
+    """Write one series' classes alone in the format of `classes_table`."""
+    write_tables([classes_table(path, header_comments or [], ts.timestamps(), classes)])

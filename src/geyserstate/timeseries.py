@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_artifact, read_numeric, write_table
+from .artifacts import Table, read_artifact, read_numeric, write_table, write_tables
 from .errors import ConfigError, DataError
 
 CLASS_FAR = 1
@@ -330,11 +330,16 @@ def _load_streaming(path: str, fs_hz: float) -> TimeSeries:
         return TimeSeries(np.asarray(amplitudes), fs_hz, t0)
 
 
+def series_table(path: str, comments: list[str], grid: np.ndarray, values: np.ndarray) -> Table:
+    """The signal CSV format read by load_timeseries, for one write pass:
+    `timestamp_s,amplitude` rows of `grid` (the series' `timestamps()`)
+    and `values`; bit-exact round-trip."""
+    return Table(path, comments, ("timestamp_s", "amplitude"), (grid, values))
+
+
 def save_timeseries(ts: TimeSeries, path: str, header_comments: list[str] | None = None) -> None:
-    """Write the signal CSV format read by load_timeseries; bit-exact round-trip."""
-    write_table(
-        path, header_comments or [], ("timestamp_s", "amplitude"), (ts.timestamps(), ts.values)
-    )
+    """Write one series alone in the format of `series_table`."""
+    write_tables([series_table(path, header_comments or [], ts.timestamps(), ts.values)])
 
 
 def load_events(path: str) -> EventLog:

@@ -1,15 +1,26 @@
 """The artifact layer: one writer, a streaming and a numeric reader, one error contract."""
 
 import ast
+import builtins
+import collections
 import pathlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import geyserstate
 from geyserstate import artifacts
-from geyserstate.artifacts import read_artifact, read_numeric, write_artifact, write_table
+from geyserstate.artifacts import (
+    Table,
+    read_artifact,
+    read_numeric,
+    write_artifact,
+    write_table,
+    write_tables,
+)
 from geyserstate.errors import ConfigError, DataError
 
 PACKAGE = pathlib.Path(geyserstate.__file__).parent
@@ -157,6 +168,130 @@ def test_write_table_empty_and_headerless(tmp_path):
     assert path.read_text() == "2.5\n-1.0\n"
     with pytest.raises(ValueError, match="unequal length"):
         write_table(str(path), [], None, ([1.0], [1, 2]))
+
+
+# -- write_tables: one pass over several tables ------------------------------
+
+
+def _oracle_text(table):
+    """The table's text spelled row by row, apart from the writer: floats by
+    `repr`, integers and booleans by `str` of the integer, strings as they are."""
+
+    def spell(cell):
+        if isinstance(cell, (float, np.floating)):
+            return repr(float(cell))
+        if isinstance(cell, (bool, int, np.bool_, np.integer)):
+            return str(int(cell))
+        return cell
+
+    n = len(table.columns[0])
+    lines = [f"# {c}\n" for c in table.comments]
+    if table.names is not None:
+        lines.append(",".join(table.names) + "\n")
+    for i in range(n)[table.start:table.stop]:
+        lines.append(",".join(spell(col[i]) for col in table.columns) + "\n")
+    return "".join(lines)
+
+
+def _float_cells(tables):
+    """The distinct (float column, row) cells the tables hold."""
+    return {
+        (id(col), i)
+        for t in tables
+        for col in t.columns
+        if np.asarray(col).dtype.kind == "f"
+        for i in range(len(col))[t.start:t.stop]
+    }
+
+
+def _write_and_check(tables, chunk_rows):
+    """write_tables at `chunk_rows` rows per chunk gives the oracle's text and
+    spells each float cell once."""
+    spelled = collections.Counter()
+
+    def counting_repr(value):
+        spelled["cells"] += 1
+        return builtins.repr(value)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(artifacts, "_CHUNK_ROWS", chunk_rows)
+        mp.setattr(artifacts, "repr", counting_repr, raising=False)
+        write_tables(tables)
+    for t in tables:
+        assert pathlib.Path(t.path).read_bytes() == _oracle_text(t).encode(), t.path
+    assert spelled["cells"] == len(_float_cells(tables))
+
+
+# NaN, both infinities, -0.0, the smallest and a larger subnormal, and a
+# float whose repr needs 17 digits
+SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.5e-310, 0.1 + 0.2]
+
+
+@st.composite
+def write_passes(draw):
+    """Columns of one length (float, int, bool, str) and 1-4 tables over them,
+    with row ranges that may be empty, reversed, negative or overlapping."""
+    n = draw(st.integers(0, 24))
+    floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    kinds = {
+        "f": st.lists(floats, min_size=n, max_size=n).map(np.array),
+        "i": st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.int64)),
+        "b": st.lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+        "s": st.lists(st.text("ab-_.", max_size=3), min_size=n, max_size=n),
+    }
+    pool = draw(st.lists(st.sampled_from("fibs").flatmap(kinds.get), min_size=1, max_size=4))
+    bound = st.integers(-n - 2, n + 2)
+    tables = []
+    for k in range(draw(st.integers(1, 4))):
+        cols = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+        names = draw(st.none() | st.just([f"c{j}" for j in range(len(cols))]))
+        start, stop = draw(bound), draw(st.none() | bound)
+        tables.append((f"t{k}.csv", [f"table={k}"], names, cols, start, stop))
+    return tables, draw(st.sampled_from([1, 2, 3, 5, 4096]))
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=write_passes())
+def test_write_tables_matches_a_row_by_row_spelling(tmp_path, case):
+    specs, chunk_rows = case
+    tables = [Table(str(tmp_path / name), *rest) for name, *rest in specs]
+    _write_and_check(tables, chunk_rows)
+
+
+def test_write_tables_shares_cells_across_chunk_seams(tmp_path):
+    """Row ranges that start and end inside 4096-row chunks, overlap, touch,
+    and leave gaps inside one chunk, at the writer's own chunk size."""
+    n = 3 * 4096 + 17
+    rng = np.random.default_rng(3)
+    grid = 1.5e9 + np.arange(n) / 40
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    a[::97] = np.resize(SPECIAL_FLOATS, a[::97].size)
+    classes = rng.integers(1, 4, n)
+    ranges = [(0, n), (4000, 4100), (4100, 9000), (5000, 6000), (6500, 7000),
+              (9000, 5000), (8192, 8192), (12000, None), (-5, None)]
+    tables = [Table(str(tmp_path / "full.csv"), ["seed=1"], ("t", "a"), (grid, a))]
+    tables += [
+        Table(str(tmp_path / f"part{k}.csv"), [], ("t", "a", "b", "class"),
+              (grid, a, b, classes), lo, hi)
+        for k, (lo, hi) in enumerate(ranges)
+    ]
+    _write_and_check(tables, artifacts._CHUNK_ROWS)
+
+
+def test_write_tables_fault_names_the_table_and_leaves_no_file(tmp_path):
+    """A table that cannot be opened is a DataError naming it, and the table
+    opened before it is closed (a leaked handle is a ResourceWarning, an
+    error under `-X dev` and the suite's warning filter) and removed."""
+    first = tmp_path / "first.csv"
+    missing = tmp_path / "missing" / "second.csv"
+    col = np.arange(5000.0)
+    tables = [Table(str(first), ["seed=1"], ("x",), (col,)), Table(str(missing), [], None, (col,))]
+    with pytest.raises(DataError, match=r"cannot write .*missing.second\.csv: "):
+        write_tables(tables)
+    assert not any(tmp_path.iterdir())
 
 
 # -- columns: the inverse of write_table -------------------------------------

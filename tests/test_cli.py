@@ -5,6 +5,7 @@ the module-scoped `compare_runs` fixture executes the full default
 `pipeline --compare` twice and backs the ordering and determinism checks.
 """
 
+import builtins
 import collections
 import filecmp
 import importlib.util
@@ -16,7 +17,7 @@ import shutil
 import numpy as np
 import pytest
 
-from geyserstate import cli, dtw, timeseries
+from geyserstate import artifacts, cli, dtw, timeseries
 from geyserstate.cli import _stage, main
 from geyserstate.config import label_policy, load_config
 
@@ -661,7 +662,7 @@ def test_stage_logs_its_wall_time(tiny_cfg, tmp_path, caplog):
 def test_pipeline_logs_each_stage_and_features_kept(tiny_cfg, tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="geyserstate.cli")
     assert run("pipeline", "--config", tiny_cfg, "--out", str(tmp_path / "o")) == 0
-    for name in ("synth", "highpass", "split", "pef", "train", "classify", "eval", "plots"):
+    for name in ("synth", "highpass", "split", "pef", "series", "train", "classify", "eval"):
         assert re.search(rf"stage={name} seconds=\d+\.\d{{3}}", caplog.text)
     assert "stage=filter" not in caplog.text
     assert re.search(r"selected \d+ of \d+ features", caplog.text)
@@ -712,6 +713,112 @@ def test_staged_commands_write_what_pipeline_writes(tiny_cfg, tmp_path):
     assert run("pipeline", "--config", tiny_cfg, "--out", piped) == 0
     for name in ("signal.csv", "events.csv", "classes.csv", "bh.csv"):
         assert read(os.path.join(staged, name)) == read(os.path.join(piped, name)), name
+
+
+# the logical columns of each series file; None marks an integer column
+SERIES_COLUMNS = {
+    "signal.csv": ("grid", "raw"),
+    "classes.csv": ("grid", None),
+    "bh.csv": ("grid", "bh"),
+    "pef.csv": ("grid", "pef"),
+}
+TRACE_COLUMNS = ("grid", "raw", "bh", "pef", None)
+# free text that does not go through a table's cell spelling
+FREE_TEXT = ("ar_model.txt", "comparison.csv", "report")
+
+
+def _is_float_cell(cell):
+    """repr of a float always has a '.', an exponent, or reads nan or inf;
+    str of an integer never does, and a name does not read as a number."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    try:
+        int(cell)
+    except ValueError:
+        return True
+    return False
+
+
+def _distinct_float_cells(out, names):
+    """Float cells of the named output files, a series cell counted once
+    however many files repeat it: a series cell is keyed by its logical
+    column and the text of its row's timestamp."""
+    series, other = set(), 0
+    for name in names:
+        if os.path.basename(name).startswith(FREE_TEXT):
+            continue
+        columns = SERIES_COLUMNS.get(name, TRACE_COLUMNS if name.startswith("plots") else None)
+        lines = read(os.path.join(out, name)).decode().splitlines()
+        for line in lines:
+            if line.startswith("#"):
+                continue
+            cells = line.split(",")
+            if columns is None:
+                other += sum(map(_is_float_cell, cells))
+            elif _is_float_cell(cells[0]):  # not the header
+                series.update((col, cells[0]) for col in columns if col)
+    return len(series) + other
+
+
+def _count_spelled_floats(monkeypatch):
+    spelled = collections.Counter()
+
+    def counting_repr(value):
+        spelled["floats"] += 1
+        return builtins.repr(value)
+
+    monkeypatch.setattr(artifacts, "repr", counting_repr, raising=False)
+    return spelled
+
+
+def test_each_series_cell_is_spelled_once_per_command(tiny_cfg, tmp_path, monkeypatch):
+    """pipeline --compare and filter spell each (column, row) cell they write
+    once: the time grid that signal, classes, bh and pef share, and the rows
+    the event traces repeat, are not spelled again."""
+    out = str(tmp_path / "o")
+    spelled = _count_spelled_floats(monkeypatch)
+    assert run("pipeline", "--compare", "--config", tiny_cfg, "--out", out) == 0
+    written = [os.path.relpath(os.path.join(base, f), out)
+               for base, _, files in os.walk(out) for f in files]
+    assert "plots/event_1.csv" in written
+    assert spelled["floats"] == _distinct_float_cells(out, written)
+
+    spelled.clear()
+    assert run("filter", "--config", tiny_cfg, "--out", out) == 0
+    # the grid, bh and pef of 240 s at 50 Hz
+    assert spelled["floats"] == _distinct_float_cells(out, ["bh.csv", "pef.csv"]) == 3 * 12000
+
+
+def test_filter_failing_before_its_pass_writes_no_series_file(tmp_path, capsys):
+    """The AR fit fails before the pass: neither bh.csv nor pef.csv exists,
+    not even half-written."""
+    cfg = tmp_path / "long_ar.cfg"
+    cfg.write_text(TINY_CFG + "ar.train_fraction = 0.95\n")
+    out = tmp_path / "o"
+    assert run("synth", "--config", str(cfg), "--out", str(out)) == 0
+    assert run("filter", "--config", str(cfg), "--out", str(out)) == 3
+    assert "no contiguous Class-1 run" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["classes.csv", "events.csv", "signal.csv"]
+
+
+def test_pipeline_failing_after_its_pass_keeps_the_series_files(tiny_cfg, tmp_path, capsys):
+    """A pipeline that fails in train, after the PEF, leaves whole series files."""
+    cfg = tmp_path / "long_windows.cfg"
+    cfg.write_text(TINY_CFG + "window.length_s = 100\nwindow.stride_s = 100\n")
+    out, whole = str(tmp_path / "o"), str(tmp_path / "whole")
+    assert run("pipeline", "--config", str(cfg), "--out", out) == 3
+    assert "split leaves an empty window set" in capsys.readouterr().err
+    # the staged run fits its AR model on the whole series, so only the
+    # files before the PEF can match it byte for byte
+    assert _synth_and_filter(tiny_cfg, whole, "--skip-pef") == 0
+    for name in ("signal.csv", "classes.csv", "bh.csv"):
+        assert read(os.path.join(out, name)) == read(os.path.join(whole, name)), name
+    residual = read(os.path.join(out, "pef.csv"))
+    assert residual.endswith(b"\n")
+    assert len(timeseries.load_timeseries(os.path.join(out, "pef.csv"), 50.0)) == 240 * 50
+    assert os.path.exists(os.path.join(out, "plots", "event_1.csv"))
 
 
 def test_bench_tracing_patches_resolve():
