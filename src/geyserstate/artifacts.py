@@ -20,14 +20,25 @@ shortest text that reads back bit for bit), integers and booleans by `str`
 of the integer, and strings as they are.  A column that several tables of
 the pass hold (the time grid of signal.csv, classes.csv, bh.csv and pef.csv,
 the rows the event traces repeat) is spelled once per cell, and memory holds
-only one chunk of text.  `write_table` is its one-table case and
+only one chunk of text.  A large pass on a process that may use two CPUs
+is split by row over two processes: a forked helper spells the rows from a
+chunk boundary near the middle into anonymous temporary files, which are
+appended to the tables once it exits, so the bytes are those of the
+one-process pass.  `write_table` is its one-table case and
 `write_artifact` its one-string-column case.  Their inverse,
 `ArtifactReader.columns`, parses every cell of rows held to one width.
 """
 
 from __future__ import annotations
 
+import logging
 import os
+import shutil
+import signal
+import tempfile
+import threading
+import time
+import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
 from typing import NamedTuple, TextIO
@@ -46,6 +57,15 @@ _READ_ENCODING = "utf-8-sig"
 # rows spelled per chunk of a table: bounds the text held in memory while a
 # 720k-row series file is written
 _CHUNK_ROWS = 4096
+# a pass of fewer chunks stays in one process.  Forking a 176 MB process,
+# waiting for it and appending its rows cost about 30 ms on a 2-core box,
+# half a chunk of the pipeline's four series files; there the two-process
+# pass tied the one-process pass at 2 chunks and took 2/3 of its time at 8
+_FORK_MIN_CHUNKS = 8
+# the longest failure message a write helper sends back
+_REPORT_BYTES = 1024
+
+_log = logging.getLogger(__name__)
 
 
 class Table(NamedTuple):
@@ -84,15 +104,112 @@ def _merged(ranges: list[tuple[int, int]]) -> list[list[int]]:
     return out
 
 
+def _write_rows(outs, spans, spelled, first: int, last: int) -> None:
+    """Rows `first:last` of every table, chunk by chunk, table k's to `outs[k]`,
+    a (path, text handle) pair; `first` is a chunk boundary.
+
+    In each chunk a column is spelled once over the rows that its tables
+    cover there, and every table takes its rows from that text, so memory
+    holds one chunk of text per column.
+    """
+    for c0 in range(first, last, _CHUNK_ROWS):
+        c1 = min(c0 + _CHUNK_ROWS, last)
+        rows = [(max(lo, c0), min(hi, c1), keys) for lo, hi, keys in spans]
+        wanted: dict[int, list[tuple[int, int]]] = {}
+        for a, b, keys in rows:
+            if a < b:
+                for key in keys:
+                    wanted.setdefault(key, []).append((a, b))
+        # each column's text over each merged range: (first row, end row, cells)
+        text = {}
+        for key, ranges in wanted.items():
+            col, spell = spelled[key]
+            text[key] = [(a, b, list(map(spell, col[a:b].tolist())))
+                         for a, b in _merged(ranges)]
+        for (path, fh), (a, b, keys) in zip(outs, rows):
+            if a < b:
+                cells = [next(s[a - p:b - p] for p, q, s in text[k] if p <= a and b <= q)
+                         for k in keys]
+                try:
+                    fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                except OSError as exc:
+                    raise DataError(f"cannot write {path}: {exc}") from None
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _helper_split(end: int) -> int:
+    """The chunk boundary near the middle of rows `0:end` from which a helper
+    process writes the pass, or `end` when the pass stays in one process."""
+    chunks = -(-end // _CHUNK_ROWS)
+    if (chunks < _FORK_MIN_CHUNKS or not hasattr(os, "fork")
+            or threading.active_count() > 1 or _cpus() < 2):
+        return end
+    return chunks // 2 * _CHUNK_ROWS
+
+
+def _fork_helper(outs, spans, spelled, split: int, end: int) -> tuple[int, int]:
+    """Fork a process that writes rows `split:end` of every table to `outs`.
+
+    Returns its pid and the read end of a pipe.  The helper always leaves
+    through `os._exit`, so it runs no exit handler and flushes none of the
+    buffers it inherited: with code 0 once every table's rows are written
+    and flushed, else with code 1 after sending a `cannot write <path>: ...`
+    message down the pipe.
+    """
+    reader, writer = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process that has other OS threads
+            # forks (OpenBLAS starts its workers at import); the helper calls
+            # no BLAS and takes no lock, so the threads it lacks are not missed
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded", DeprecationWarning
+            )
+            pid = os.fork()
+    except BaseException:
+        os.close(reader)
+        os.close(writer)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            _write_rows(outs, spans, spelled, split, end)
+            for _, fh in outs:
+                fh.flush()
+            code = 0
+        except BaseException as exc:
+            text = str(exc) if isinstance(exc, DataError) else (
+                f"cannot write {outs[0][0]}: write helper failed: {exc!r}")
+            os.write(writer, text.encode()[:_REPORT_BYTES])
+        finally:
+            os._exit(code)
+    os.close(writer)
+    return pid, reader
+
+
 def write_tables(tables: Sequence[Table]) -> None:
     """Write every table in one pass that spells each needed cell once.
 
-    Rows go out in chunks of `_CHUNK_ROWS`.  In each chunk a column is
-    spelled once over the rows that its tables cover there, and every table
-    takes its rows from that text, so memory holds one chunk of text per
-    column.  A table that cannot be opened or written is a `DataError`
-    naming it; the pass then closes and removes every table it opened, so
-    none is left half-written.
+    Rows go out in chunks of `_CHUNK_ROWS` (see `_write_rows`).  When the
+    pass has at least `_FORK_MIN_CHUNKS` chunks, `os.fork` exists, the
+    process may run on two CPUs and no other Python thread is alive, a
+    forked helper writes the rows from a chunk boundary near the middle
+    into one anonymous temporary file per table while this process writes
+    the rows before it; each table then gets its temporary file appended.
+    Either way the files hold the same bytes, and each cell is spelled once
+    by one of the two processes.
+
+    A table that cannot be opened or written is a `DataError` naming it, and
+    so is a helper that fails or exits nonzero.  On any failure, interrupts
+    included, the pass kills and reaps the helper and closes and removes
+    every table it opened, so no process outlives it and no table is left
+    half-written.
     """
     spelled: dict[int, tuple[np.ndarray, Callable[[object], str]]] = {}
     spans = []  # per table: (first row, end row, keys of its columns)
@@ -106,8 +223,13 @@ def write_tables(tables: Sequence[Table]) -> None:
             raise ValueError(f"columns of unequal length for {table.path}")
         lo, hi, _ = slice(table.start, table.stop).indices(n)
         spans.append((lo, max(lo, hi), keys))
+    end = max((hi for _, hi, _ in spans), default=0)
+    split = _helper_split(end)
 
     opened: list[tuple[str, TextIO]] = []
+    temps: list[TextIO] = []  # the helper's rows, one file per table
+    pid = report = None  # the helper until it is reaped, and its pipe
+    waited = 0.0
     path = None
     try:
         for table in tables:
@@ -117,29 +239,35 @@ def write_tables(tables: Sequence[Table]) -> None:
             fh.writelines(f"# {comment}\n" for comment in table.comments)
             if table.names is not None:
                 fh.write(",".join(table.names) + "\n")
-        end = max((hi for _, hi, _ in spans), default=0)
-        for c0 in range(0, end, _CHUNK_ROWS):
-            c1 = c0 + _CHUNK_ROWS
-            rows = [(max(lo, c0), min(hi, c1), keys) for lo, hi, keys in spans]
-            wanted: dict[int, list[tuple[int, int]]] = {}
-            for a, b, keys in rows:
-                if a < b:
-                    for key in keys:
-                        wanted.setdefault(key, []).append((a, b))
-            # each column's text over each merged range: (first row, end row, cells)
-            text = {}
-            for key, ranges in wanted.items():
-                col, spell = spelled[key]
-                text[key] = [(a, b, list(map(spell, col[a:b].tolist())))
-                             for a, b in _merged(ranges)]
-            for (path, fh), (a, b, keys) in zip(opened, rows):
-                if a < b:
-                    cells = [next(s[a - p:b - p] for p, q, s in text[k] if p <= a and b <= q)
-                             for k in keys]
-                    fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        if split < end:
+            for path, _ in opened:
+                temps.append(tempfile.TemporaryFile(
+                    "w+", encoding="utf-8", dir=os.path.dirname(os.path.abspath(path))))
+            outs = [(path, tmp) for (path, _), tmp in zip(opened, temps)]
+            try:
+                pid, report = _fork_helper(outs, spans, spelled, split, end)
+            except OSError:  # no process or pipe to spare: write every row here
+                split = end
+        _write_rows(opened, spans, spelled, 0, split)
+        if pid is not None:
+            t0 = time.perf_counter()
+            status = os.waitpid(pid, 0)[1]
+            pid = None
+            waited = time.perf_counter() - t0
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                text = os.read(report, _REPORT_BYTES).decode(errors="replace")
+                raise DataError(text or f"cannot write {opened[0][0]}: write helper exited {code}")
+            for (path, fh), tmp in zip(opened, temps):
+                fh.flush()
+                tmp.seek(0)
+                shutil.copyfileobj(tmp.buffer, fh.buffer)
         for path, fh in opened:
             fh.close()
     except BaseException as exc:
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         for name, fh in opened:
             with suppress(OSError):
                 fh.close()
@@ -148,6 +276,16 @@ def write_tables(tables: Sequence[Table]) -> None:
         if isinstance(exc, OSError):
             raise DataError(f"cannot write {path}: {exc}") from None
         raise
+    finally:
+        for tmp in temps:
+            with suppress(OSError):
+                tmp.close()
+        if report is not None:
+            os.close(report)
+    _log.debug(
+        "write pass: %d tables, %d rows, %s", len(tables), end,
+        f"helper from row {split}, waited {waited:.3f} s" if split < end else "one process",
+    )
 
 
 def write_table(

@@ -20,7 +20,8 @@ where a feature is undefined (skewness of a constant, centroid of silence);
 the training matrix medians impute those cells before any classifier sees
 them.
 
-Selection runs a one-vs-rest Mann-Whitney U test per feature and class,
+Selection runs a one-vs-rest Mann-Whitney U test per feature and class (one
+scipy call per class and test method over all the columns),
 Bonferroni-corrects over classes, then applies Benjamini-Hochberg FDR across
 features, with a hard cap on the surviving count.
 """
@@ -459,19 +460,24 @@ def select_features(
 
     n_features = matrix.shape[1]
     p_values = np.ones(n_features)
-    testable = np.ptp(matrix, axis=0) > 0.0
-    for j in np.flatnonzero(testable):
-        column = matrix[:, j]
-        best = 1.0
-        for c in classes:
-            group = column[labels == c]
-            rest = column[labels != c]
-            p = float(mannwhitneyu(group, rest, alternative="two-sided").pvalue)
-            best = min(best, p)
-        p_values[j] = min(1.0, best * classes.size)
+    test_idx = np.flatnonzero(np.ptp(matrix, axis=0) > 0.0)
+    columns = matrix[:, test_idx]
+    ordered = np.sort(columns, axis=0)
+    tied = np.any(ordered[1:] == ordered[:-1], axis=0)
+    best = np.ones(test_idx.size)
+    for c in classes:
+        in_class = labels == c
+        # the method scipy's "auto" picks for one column at a time: exact
+        # when the smaller group has at most 8 rows and the column no ties
+        exact = ~tied if min(in_class.sum(), (~in_class).sum()) <= 8 else np.zeros_like(tied)
+        for method, cols in (("exact", exact), ("asymptotic", ~exact)):
+            if cols.any():
+                group, rest = columns[in_class][:, cols], columns[~in_class][:, cols]
+                p = mannwhitneyu(group, rest, alternative="two-sided", axis=0, method=method)
+                best[cols] = np.minimum(best[cols], p.pvalue)
+    p_values[test_idx] = np.minimum(1.0, best * classes.size)
 
     selected = np.zeros(n_features, dtype=bool)
-    test_idx = np.flatnonzero(testable)
     if test_idx.size:
         order = np.sort(p_values[test_idx])
         m = order.size

@@ -2,8 +2,12 @@
 
 import ast
 import builtins
-import collections
+import logging
+import os
 import pathlib
+import re
+import signal
+import time
 import warnings
 
 import numpy as np
@@ -204,22 +208,19 @@ def _float_cells(tables):
     }
 
 
-def _write_and_check(tables, chunk_rows):
+def _write_and_check(tables, chunk_rows, tally):
     """write_tables at `chunk_rows` rows per chunk gives the oracle's text and
-    spells each float cell once."""
-    spelled = collections.Counter()
-
-    def counting_repr(value):
-        spelled["cells"] += 1
-        return builtins.repr(value)
-
+    spells each float cell once, in this process and its helper together;
+    returns the spelling counts of the two."""
+    tally.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(artifacts, "_CHUNK_ROWS", chunk_rows)
-        mp.setattr(artifacts, "repr", counting_repr, raising=False)
         write_tables(tables)
     for t in tables:
         assert pathlib.Path(t.path).read_bytes() == _oracle_text(t).encode(), t.path
-    assert spelled["cells"] == len(_float_cells(tables))
+    counts = tally.counts()
+    assert counts.total() == len(_float_cells(tables))
+    return counts
 
 
 # NaN, both infinities, -0.0, the smallest and a larger subnormal, and a
@@ -251,19 +252,34 @@ def write_passes(draw):
     return tables, draw(st.sampled_from([1, 2, 3, 5, 4096]))
 
 
+def _check_write_pass(tmp_path, tally, case):
+    specs, chunk_rows = case
+    tables = [Table(str(tmp_path / name), *rest) for name, *rest in specs]
+    return _write_and_check(tables, chunk_rows, tally)
+
+
 @settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(case=write_passes())
-def test_write_tables_matches_a_row_by_row_spelling(tmp_path, case):
-    specs, chunk_rows = case
-    tables = [Table(str(tmp_path / name), *rest) for name, *rest in specs]
-    _write_and_check(tables, chunk_rows)
+def test_write_tables_matches_a_row_by_row_spelling(tmp_path, spell_tally, helper_on, case):
+    """With a helper forked for every pass that has a row."""
+    _check_write_pass(tmp_path, spell_tally, case)
 
 
-def test_write_tables_shares_cells_across_chunk_seams(tmp_path):
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=write_passes())
+def test_write_tables_in_one_process_matches_a_row_by_row_spelling(
+    tmp_path, spell_tally, helper_off, case
+):
+    assert _check_write_pass(tmp_path, spell_tally, case)["helper"] == 0
+
+
+def _seam_tables(tmp_path):
     """Row ranges that start and end inside 4096-row chunks, overlap, touch,
-    and leave gaps inside one chunk, at the writer's own chunk size."""
+    and leave gaps inside one chunk, over 4 chunks at the writer's own size."""
     n = 3 * 4096 + 17
     rng = np.random.default_rng(3)
     grid = 1.5e9 + np.arange(n) / 40
@@ -278,7 +294,20 @@ def test_write_tables_shares_cells_across_chunk_seams(tmp_path):
               (grid, a, b, classes), lo, hi)
         for k, (lo, hi) in enumerate(ranges)
     ]
-    _write_and_check(tables, artifacts._CHUNK_ROWS)
+    return tables
+
+
+def test_write_tables_shares_cells_across_chunk_seams(tmp_path, spell_tally, helper_on):
+    """The helper writes rows 8192 on, and spells its share of the cells."""
+    counts = _write_and_check(_seam_tables(tmp_path), artifacts._CHUNK_ROWS, spell_tally)
+    assert counts["helper"] > 0 and counts["parent"] > 0
+
+
+def test_write_tables_in_one_process_shares_cells_across_chunk_seams(
+    tmp_path, spell_tally, helper_off
+):
+    counts = _write_and_check(_seam_tables(tmp_path), artifacts._CHUNK_ROWS, spell_tally)
+    assert counts["helper"] == 0
 
 
 def test_write_tables_fault_names_the_table_and_leaves_no_file(tmp_path):
@@ -292,6 +321,88 @@ def test_write_tables_fault_names_the_table_and_leaves_no_file(tmp_path):
     with pytest.raises(DataError, match=r"cannot write .*missing.second\.csv: "):
         write_tables(tables)
     assert not any(tmp_path.iterdir())
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _tables_spelled_after(monkeypatch, tmp_path, before):
+    """Two tables of 5000 rows in 500-row chunks, so that the helper writes
+    rows 2500 on; `before(value)` runs before each float cell is spelled,
+    in whichever process spells it (the fork copies the patch)."""
+
+    def spell(value):
+        before(value)
+        return builtins.repr(value)
+
+    monkeypatch.setattr(artifacts, "_CHUNK_ROWS", 500)
+    monkeypatch.setattr(artifacts, "repr", spell, raising=False)
+    col = np.arange(5000.0)
+    return [Table(str(tmp_path / name), ["seed=1"], ("x", "y"), (col, col + 0.5))
+            for name in ("first.csv", "second.csv")]
+
+
+def _raise_runtime_error():
+    raise RuntimeError("spelling failed")
+
+
+@pytest.mark.parametrize(
+    "fail, message",
+    [
+        (_raise_runtime_error, r"write helper failed: RuntimeError\('spelling failed'\)"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "write helper exited -9"),
+    ],
+    ids=["raises", "killed"],
+)
+def test_a_failing_helper_is_a_data_error_and_leaves_nothing(
+    tmp_path, monkeypatch, helper_on, fail, message
+):
+    """The helper fails on the row that reads 4000: a DataError naming a
+    table, no table or temporary file left in the directory, and no child
+    process left."""
+    tables = _tables_spelled_after(monkeypatch, tmp_path, lambda v: v == 4000.0 and fail())
+    with pytest.raises(DataError, match=r"cannot write .*first\.csv: " + message):
+        write_tables(tables)
+    assert not any(tmp_path.iterdir())
+    _no_child_left()
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+def test_an_interrupt_in_this_process_kills_and_reaps_the_helper(
+    tmp_path, monkeypatch, helper_on, interrupt
+):
+    """This process is interrupted on the row that reads 100 while the
+    helper sleeps on the one that reads 4000: the interrupt propagates at
+    once, the helper is killed and reaped, and no table is left.  SystemExit
+    is what a SIGTERM handler raises."""
+    parent = os.getpid()
+
+    def before(value):
+        if value == 100.0 and os.getpid() == parent:
+            raise interrupt()
+        if value == 4000.0:
+            time.sleep(60)
+
+    tables = _tables_spelled_after(monkeypatch, tmp_path, before)
+    start = time.perf_counter()
+    with pytest.raises(interrupt):
+        write_tables(tables)
+    assert time.perf_counter() - start < 30
+    assert not any(tmp_path.iterdir())
+    _no_child_left()
+
+
+def test_a_pass_logs_its_split_at_debug_level(tmp_path, helper_on, caplog):
+    col = np.arange(3 * artifacts._CHUNK_ROWS, dtype=np.float64)
+    with caplog.at_level(logging.DEBUG, logger="geyserstate.artifacts"):
+        write_tables([Table(str(tmp_path / "a.csv"), [], None, (col,))])
+    assert re.fullmatch(
+        r"write pass: 1 tables, 12288 rows, helper from row 4096, waited \d+\.\d{3} s",
+        caplog.records[-1].getMessage(),
+    )
+    _no_child_left()
 
 
 # -- columns: the inverse of write_table -------------------------------------

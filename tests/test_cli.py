@@ -5,7 +5,6 @@ the module-scoped `compare_runs` fixture executes the full default
 `pipeline --compare` twice and backs the ordering and determinism checks.
 """
 
-import builtins
 import collections
 import filecmp
 import importlib.util
@@ -762,33 +761,51 @@ def _distinct_float_cells(out, names):
     return len(series) + other
 
 
-def _count_spelled_floats(monkeypatch):
-    spelled = collections.Counter()
-
-    def counting_repr(value):
-        spelled["floats"] += 1
-        return builtins.repr(value)
-
-    monkeypatch.setattr(artifacts, "repr", counting_repr, raising=False)
-    return spelled
+def _written(out):
+    return sorted(os.path.relpath(os.path.join(base, f), out)
+                  for base, _, files in os.walk(out) for f in files)
 
 
-def test_each_series_cell_is_spelled_once_per_command(tiny_cfg, tmp_path, monkeypatch):
+def test_each_series_cell_is_spelled_once_per_command(tiny_cfg, tmp_path, spell_tally):
     """pipeline --compare and filter spell each (column, row) cell they write
     once: the time grid that signal, classes, bh and pef share, and the rows
     the event traces repeat, are not spelled again."""
     out = str(tmp_path / "o")
-    spelled = _count_spelled_floats(monkeypatch)
     assert run("pipeline", "--compare", "--config", tiny_cfg, "--out", out) == 0
-    written = [os.path.relpath(os.path.join(base, f), out)
-               for base, _, files in os.walk(out) for f in files]
+    written = _written(out)
     assert "plots/event_1.csv" in written
-    assert spelled["floats"] == _distinct_float_cells(out, written)
+    assert spell_tally.counts().total() == _distinct_float_cells(out, written)
 
-    spelled.clear()
+    spell_tally.clear()
     assert run("filter", "--config", tiny_cfg, "--out", out) == 0
     # the grid, bh and pef of 240 s at 50 Hz
-    assert spelled["floats"] == _distinct_float_cells(out, ["bh.csv", "pef.csv"]) == 3 * 12000
+    assert spell_tally.counts().total() == _distinct_float_cells(out, ["bh.csv", "pef.csv"])
+    assert spell_tally.counts().total() == 3 * 12000
+
+
+def test_two_process_passes_write_the_one_process_bytes(
+    tiny_cfg, tmp_path, monkeypatch, spell_tally, capsys
+):
+    """pipeline --compare with chunks small enough that its 12,000-row pass
+    forks a helper writes the tree and stdout of the one-process run, and
+    spells each cell once across the two processes."""
+    one, two = str(tmp_path / "one"), str(tmp_path / "two")
+    monkeypatch.setattr(artifacts, "_cpus", lambda: 1)
+    assert run("pipeline", "--compare", "--config", tiny_cfg, "--out", one, "--seed", "3") == 0
+    printed = capsys.readouterr().out
+    assert spell_tally.counts()["helper"] == 0
+
+    spell_tally.clear()
+    monkeypatch.setattr(artifacts, "_cpus", lambda: 2)
+    monkeypatch.setattr(artifacts, "_CHUNK_ROWS", 1000)  # 12 chunks, the helper from row 6000
+    assert run("pipeline", "--compare", "--config", tiny_cfg, "--out", two, "--seed", "3") == 0
+    assert capsys.readouterr().out == printed.replace(one, two)
+    counts = spell_tally.counts()
+    assert counts["helper"] > 0 and counts["parent"] > 0
+    assert _written(two) == _written(one)
+    assert counts.total() == _distinct_float_cells(two, _written(two))
+    match, mismatch, errors = filecmp.cmpfiles(one, two, _written(one), shallow=False)
+    assert not mismatch and not errors
 
 
 def test_filter_failing_before_its_pass_writes_no_series_file(tmp_path, capsys):

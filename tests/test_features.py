@@ -14,14 +14,16 @@ import subprocess
 import sys
 import warnings
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import geyserstate
+from geyserstate import features
 from geyserstate.errors import ConfigError, DataError
 from geyserstate.features import (
     MIN_WINDOW_SAMPLES,
@@ -820,6 +822,71 @@ def test_select_features_p_matches_exact_enumeration():
     mask = select_features(np.column_stack([column, rng.normal(size=16)]), labels)
     expected = min(1.0, 2.0 * exact_mwu_two_sided(a, b))
     assert mask.p_values[0] == pytest.approx(expected, abs=1e-9)
+
+
+def _per_column_p_values(matrix, labels):
+    """select_features' p-values from one `mannwhitneyu` call per (feature,
+    class), each with scipy's own method="auto": the oracle for its calls
+    over whole column groups."""
+    classes = np.unique(labels)
+    p_values = np.ones(matrix.shape[1])
+    for j in np.flatnonzero(np.ptp(matrix, axis=0) > 0.0):
+        best = 1.0
+        for c in classes:
+            group, rest = matrix[labels == c, j], matrix[labels != c, j]
+            best = min(best, float(scipy.stats.mannwhitneyu(group, rest).pvalue))
+        p_values[j] = min(1.0, best * classes.size)
+    return p_values
+
+
+def _one_column_at_a_time(group, rest, alternative, axis, method):
+    """`mannwhitneyu` over a column group as the per-column loop calls it:
+    the method it is handed is ignored, and "auto" picks one per column."""
+    assert axis == 0
+    return SimpleNamespace(pvalue=np.array([
+        scipy.stats.mannwhitneyu(group[:, j], rest[:, j], alternative=alternative).pvalue
+        for j in range(group.shape[1])
+    ]))
+
+
+@st.composite
+def selection_inputs(draw):
+    """2 or 3 classes, some of at most 8 rows, and columns that are constant,
+    tied (a few integer values) or tie-free, some shifted by class."""
+    sizes = draw(st.lists(st.integers(1, 14), min_size=2, max_size=3).filter(
+        lambda s: sum(s) >= 10))
+    labels = np.array(draw(st.permutations(np.repeat(np.arange(1, len(sizes) + 1), sizes))))
+    n = labels.size
+    kinds = {
+        "constant": st.floats(-5, 5).map(lambda v: np.full(n, v)),
+        "tied": st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.float64)),
+        "tie-free": st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n, unique=True).map(
+            np.array),
+    }
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=6)):
+        shift = draw(st.sampled_from([0.0, 0.0, 1.5, 40.0]))
+        columns.append(draw(kinds[kind]) + (shift * labels if kind != "constant" else 0.0))
+    return np.column_stack(columns), labels
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=selection_inputs())
+def test_select_features_batched_rank_tests_equal_the_per_column_loop(tmp_path, case):
+    """The p-values have the loop's bits, and feature_mask.csv its bytes."""
+    matrix, labels = case
+    mask = select_features(matrix, labels)
+    assert mask.p_values.tobytes() == _per_column_p_values(matrix, labels).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(features, "mannwhitneyu", _one_column_at_a_time)
+        looped = select_features(matrix, labels)
+    cat = FeatureCatalog(((tuple(f"f{j}" for j in range(matrix.shape[1])), None),), "t")
+    for name, m in (("batched.csv", mask), ("looped.csv", looped)):
+        save_feature_mask(m, cat, str(tmp_path / name))
+    assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "looped.csv").read_bytes()
 
 
 def test_select_features_validation():
