@@ -483,7 +483,7 @@ def cmd_classify(values: dict, seed: int, out_dir: str, args: argparse.Namespace
     _log.info("mean per-window %s prediction latency: %.3f ms", args.classifier, per_window * 1e3)
     pred_path = os.path.join(out_dir, "predictions.csv")
     _write_predictions(pred_path, starts, truth, preds, votes, seed)
-    print(f"classified {len(labeled)} windows ({per_window * 1e3:.3f} ms/window)")
+    print(f"classified {len(labeled)} windows")
     print(f"wrote {pred_path}")
     return EXIT_OK
 

@@ -5,17 +5,28 @@ Unknown keys are rejected rather than ignored: a typo that silently falls
 back to a default is worse than an error.  Values are parsed to the type the
 key declares; optional integers accept `none`, and no float key accepts
 `nan` or `inf`.
+
+Each default lives in one place.  A `synth.*`, `labels.*`, `forest.*` or
+`dtw.*` key is a field of `SynthConfig`, `LabelPolicy`, `ForestParams` or
+`DtwParams`: it takes its default from the field and its parser from the
+type of that default, so a new field of one of these dataclasses becomes a
+key.  The few exceptions are named once each below.  The
+`features.*` defaults are the constants of `features.py`.  Keys with no
+library home (`out.dir`, `seed`, `paths.*`, `filter.*`, `ar.*`, `window.*`,
+`split.ratio`) keep literal defaults in `_registry`.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from dataclasses import fields
 
 from .errors import ConfigError
 from .dtw import DtwParams
+from .features import DEFAULT_CAP, DEFAULT_FDR_Q, DEFAULT_FFT_BINS
 from .forest import ForestParams
-from .synth import DEFAULT_EVENT_TIMES, SynthConfig
+from .synth import SynthConfig
 from .timeseries import LabelPolicy
 
 
@@ -56,64 +67,63 @@ def _parse_max_features(raw: str):
     return int(raw)
 
 
+# The type of a default picks its key's parser, by exact type so that a bool
+# is not taken for an int; a None default is an optional int.
+_PARSERS = {bool: _parse_bool, int: int, float: _parse_float, str: str, tuple: _parse_float_list}
+
+# The exceptions to "a dataclass field is the key <section>.<field>":
+_RENAMED = {"window_label_rule": "window_rule"}
+_AR_KEYS = ("synth.ar_a1", "synth.ar_a2")  # SynthConfig.ar_coefficients, one key each
+# SynthConfig fields read from the label keys, so that the synthetic ground
+# truth and the label policy share one class geometry
+_FROM_LABELS = {"precursor_lead_s": "labels.class2_start_s", "eruption_len_s": "labels.class3_len_s"}
+
+
+def _key(section: str, name: str) -> str:
+    return f"{section}.{_RENAMED.get(name, name)}"
+
+
+def _field_defaults(section: str, cls) -> dict:
+    """Key -> default for each field of `cls` set by a key of its section."""
+    defaults = {}
+    for f in fields(cls):
+        if f.name == "ar_coefficients":
+            defaults.update(zip(_AR_KEYS, f.default))
+        elif f.name != "seed" and f.name not in _FROM_LABELS:  # the seed is --seed or `seed`
+            defaults[_key(section, f.name)] = f.default
+    return defaults
+
+
+def _registry() -> dict:
+    defaults = {
+        "out.dir": "out",
+        "seed": 42,
+        "paths.signal": "",
+        "paths.events": "",
+        "paths.classes": "",
+        **_field_defaults("synth", SynthConfig),
+        "filter.order": 4,
+        "filter.corner_hz": 0.1,
+        "ar.max_order": 64,
+        "ar.criterion": "aic",
+        "ar.train_fraction": 0.05,
+        "window.length_s": 60.0,
+        "window.stride_s": 60.0,
+        **_field_defaults("labels", LabelPolicy),
+        "features.fdr_q": DEFAULT_FDR_Q,
+        "features.cap": DEFAULT_CAP,
+        "features.fft_bins": DEFAULT_FFT_BINS,
+        **_field_defaults("forest", ForestParams),
+        **_field_defaults("dtw", DtwParams),
+        "split.ratio": 2.0 / 3.0,
+    }
+    keys = {key: (d, _parse_optional_int if d is None else _PARSERS[type(d)]) for key, d in defaults.items()}
+    keys["forest.max_features"] = (None, _parse_max_features)  # also reads `sqrt`
+    return keys
+
+
 # key -> (default value, parser from string)
-CONFIG_KEYS: dict[str, tuple] = {
-    "out.dir": ("out", str),
-    "seed": (42, int),
-    "paths.signal": ("", str),
-    "paths.events": ("", str),
-    "paths.classes": ("", str),
-    "synth.duration_s": (3600.0, _parse_float),
-    "synth.fs_hz": (200.0, _parse_float),
-    "synth.day_period_s": (1200.0, _parse_float),
-    "synth.seasonal_amplitude": (2000.0, _parse_float),
-    "synth.seasonal_period_s": (1200.0, _parse_float),
-    "synth.seasonal_phase": (0.0, _parse_float),
-    "synth.ar_a1": (1.79992, _parse_float),
-    "synth.ar_a2": (-0.81, _parse_float),
-    "synth.ar_sigma": (0.5, _parse_float),
-    "synth.burst_rate_per_hour": (30.0, _parse_float),
-    "synth.burst_amp_lo": (20.0, _parse_float),
-    "synth.burst_amp_hi": (60.0, _parse_float),
-    "synth.burst_dur_lo_s": (4.0, _parse_float),
-    "synth.burst_dur_hi_s": (12.0, _parse_float),
-    "synth.burst_freq_lo_hz": (0.2, _parse_float),
-    "synth.burst_freq_hi_hz": (0.5, _parse_float),
-    "synth.day_active_lo": (0.08, _parse_float),
-    "synth.day_active_hi": (0.75, _parse_float),
-    "synth.event_times_s": (DEFAULT_EVENT_TIMES, _parse_float_list),
-    "synth.precursor_amplitude": (2.5, _parse_float),
-    "synth.chirp_f0_hz": (12.0, _parse_float),
-    "synth.chirp_f1_hz": (20.0, _parse_float),
-    "synth.eruption_amplitude": (0.6, _parse_float),
-    "synth.eruption_tone_hz": (25.0, _parse_float),
-    "synth.enforce_amplitude_cap": (True, _parse_bool),
-    "filter.order": (4, int),
-    "filter.corner_hz": (0.1, _parse_float),
-    "ar.max_order": (64, int),
-    "ar.criterion": ("aic", str),
-    "ar.train_fraction": (0.05, _parse_float),
-    "window.length_s": (60.0, _parse_float),
-    "window.stride_s": (60.0, _parse_float),
-    "labels.class2_start_s": (180.0, _parse_float),
-    "labels.class2_end_s": (0.0, _parse_float),
-    "labels.class3_len_s": (120.0, _parse_float),
-    "labels.window_rule": ("window-end-time", str),
-    "features.fdr_q": (0.05, _parse_float),
-    "features.cap": (100, int),
-    "features.fft_bins": (32, int),
-    "forest.n_trees": (100, int),
-    "forest.max_features": (None, _parse_max_features),
-    "forest.min_samples_leaf": (1, int),
-    "forest.max_depth": (None, _parse_optional_int),
-    "forest.bootstrap": (True, _parse_bool),
-    "dtw.k_neighbors": (1, int),
-    "dtw.local_cost": ("squared", str),
-    "dtw.band_radius": (None, _parse_optional_int),
-    "dtw.downsample_to": (600, int),
-    "dtw.z_normalize": (False, _parse_bool),
-    "split.ratio": (2.0 / 3.0, _parse_float),
-}
+CONFIG_KEYS: dict[str, tuple] = _registry()
 
 OUT_DIR_ENV = "GEYSERSTATE_OUT"
 
@@ -170,63 +180,30 @@ def resolve_paths(values: dict, out_dir: str) -> dict:
     }
 
 
+def _build(cls, section: str, values: dict, **given):
+    """`cls` from the keys of its section; `given` sets the fields without one."""
+    keyed = {f.name: values[_key(section, f.name)] for f in fields(cls) if f.name not in given}
+    return cls(**keyed, **given)
+
+
 def synth_config(values: dict, seed: int) -> SynthConfig:
-    return SynthConfig(
-        duration_s=values["synth.duration_s"],
-        fs_hz=values["synth.fs_hz"],
-        day_period_s=values["synth.day_period_s"],
-        seasonal_amplitude=values["synth.seasonal_amplitude"],
-        seasonal_period_s=values["synth.seasonal_period_s"],
-        seasonal_phase=values["synth.seasonal_phase"],
-        ar_coefficients=(values["synth.ar_a1"], values["synth.ar_a2"]),
-        ar_sigma=values["synth.ar_sigma"],
-        burst_rate_per_hour=values["synth.burst_rate_per_hour"],
-        burst_amp_lo=values["synth.burst_amp_lo"],
-        burst_amp_hi=values["synth.burst_amp_hi"],
-        burst_dur_lo_s=values["synth.burst_dur_lo_s"],
-        burst_dur_hi_s=values["synth.burst_dur_hi_s"],
-        burst_freq_lo_hz=values["synth.burst_freq_lo_hz"],
-        burst_freq_hi_hz=values["synth.burst_freq_hi_hz"],
-        day_active_lo=values["synth.day_active_lo"],
-        day_active_hi=values["synth.day_active_hi"],
-        event_times_s=tuple(values["synth.event_times_s"]),
-        precursor_lead_s=values["labels.class2_start_s"],
-        precursor_amplitude=values["synth.precursor_amplitude"],
-        chirp_f0_hz=values["synth.chirp_f0_hz"],
-        chirp_f1_hz=values["synth.chirp_f1_hz"],
-        eruption_len_s=values["labels.class3_len_s"],
-        eruption_amplitude=values["synth.eruption_amplitude"],
-        eruption_tone_hz=values["synth.eruption_tone_hz"],
-        enforce_amplitude_cap=values["synth.enforce_amplitude_cap"],
+    return _build(
+        SynthConfig,
+        "synth",
+        values,
+        ar_coefficients=tuple(values[key] for key in _AR_KEYS),
         seed=seed,
+        **{name: values[key] for name, key in _FROM_LABELS.items()},
     )
 
 
 def label_policy(values: dict) -> LabelPolicy:
-    return LabelPolicy(
-        class2_start_s=values["labels.class2_start_s"],
-        class2_end_s=values["labels.class2_end_s"],
-        class3_len_s=values["labels.class3_len_s"],
-        window_label_rule=values["labels.window_rule"],
-    )
+    return _build(LabelPolicy, "labels", values)
 
 
 def forest_params(values: dict, seed: int) -> ForestParams:
-    return ForestParams(
-        n_trees=values["forest.n_trees"],
-        max_features=values["forest.max_features"],
-        min_samples_leaf=values["forest.min_samples_leaf"],
-        max_depth=values["forest.max_depth"],
-        bootstrap=values["forest.bootstrap"],
-        seed=seed,
-    )
+    return _build(ForestParams, "forest", values, seed=seed)
 
 
 def dtw_params(values: dict) -> DtwParams:
-    return DtwParams(
-        k_neighbors=values["dtw.k_neighbors"],
-        local_cost=values["dtw.local_cost"],
-        band_radius=values["dtw.band_radius"],
-        downsample_to=values["dtw.downsample_to"],
-        z_normalize=values["dtw.z_normalize"],
-    )
+    return _build(DtwParams, "dtw", values)

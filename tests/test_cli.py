@@ -219,6 +219,20 @@ def test_classify_then_eval_resubstitution(tiny_cfg, tmp_path, capsys):
     assert f1 >= 0.9
 
 
+def test_classify_stdout_is_the_same_on_a_rerun(tiny_cfg, tmp_path, capsys):
+    # the per-window latency is a wall time, so it goes to the log, not stdout
+    out = str(tmp_path / "o")
+    assert _through_train(tiny_cfg, out) == 0
+    capsys.readouterr()
+    stdouts = []
+    for _ in range(2):
+        assert run("classify", "--config", tiny_cfg, "--out", out) == 0
+        stdouts.append(capsys.readouterr().out)
+    assert stdouts[0] == stdouts[1]
+    assert stdouts[0].startswith("classified 24 windows\n")
+    assert "ms/window" not in stdouts[0]
+
+
 def test_classify_catalog_mismatch_exits_3(tiny_cfg, tmp_path, capsys):
     out = str(tmp_path / "o")
     assert _through_train(tiny_cfg, out) == 0

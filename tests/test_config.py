@@ -45,6 +45,51 @@ def test_config_defaults_build_the_dataclass_defaults():
     assert values["features.fft_bins"] == features.DEFAULT_FFT_BINS
 
 
+# every key, so that a dataclass field cannot add or drop one unseen
+KEY_NAMES = {
+    "out.dir", "seed", "paths.signal", "paths.events", "paths.classes",
+    "synth.duration_s", "synth.fs_hz", "synth.day_period_s", "synth.seasonal_amplitude",
+    "synth.seasonal_period_s", "synth.seasonal_phase", "synth.ar_a1", "synth.ar_a2",
+    "synth.ar_sigma", "synth.burst_rate_per_hour", "synth.burst_amp_lo", "synth.burst_amp_hi",
+    "synth.burst_dur_lo_s", "synth.burst_dur_hi_s", "synth.burst_freq_lo_hz",
+    "synth.burst_freq_hi_hz", "synth.day_active_lo", "synth.day_active_hi",
+    "synth.event_times_s", "synth.precursor_amplitude", "synth.chirp_f0_hz", "synth.chirp_f1_hz",
+    "synth.eruption_amplitude", "synth.eruption_tone_hz", "synth.enforce_amplitude_cap",
+    "filter.order", "filter.corner_hz", "ar.max_order", "ar.criterion", "ar.train_fraction",
+    "window.length_s", "window.stride_s",
+    "labels.class2_start_s", "labels.class2_end_s", "labels.class3_len_s", "labels.window_rule",
+    "features.fdr_q", "features.cap", "features.fft_bins",
+    "forest.n_trees", "forest.max_features", "forest.min_samples_leaf", "forest.max_depth",
+    "forest.bootstrap",
+    "dtw.k_neighbors", "dtw.local_cost", "dtw.band_radius", "dtw.downsample_to", "dtw.z_normalize",
+    "split.ratio",
+}
+
+
+def test_key_names_are_pinned():
+    assert set(CONFIG_KEYS) == KEY_NAMES
+
+
+def _spelling(key, default):
+    if key == "forest.max_features":
+        return "sqrt"
+    if default is None:
+        return "none"
+    if isinstance(default, bool):
+        return "true" if default else "false"
+    if isinstance(default, tuple):
+        return ", ".join(repr(v) for v in default)
+    return repr(default) if isinstance(default, float) else str(default)
+
+
+def test_each_default_spelled_out_loads_to_the_defaults(tmp_path):
+    path = tmp_path / "spelled.cfg"
+    path.write_text(
+        "".join(f"{key} = {_spelling(key, default)}\n" for key, (default, _) in CONFIG_KEYS.items())
+    )
+    assert load_config(str(path)) == default_config()
+
+
 def test_empty_file_equals_defaults(tmp_path):
     path = tmp_path / "empty.cfg"
     path.write_text("")
