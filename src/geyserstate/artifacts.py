@@ -27,11 +27,15 @@ appended to the tables once it exits, so the bytes are those of the
 one-process pass.  `write_table` is its one-table case and
 `write_artifact` its one-string-column case.  Their inverse,
 `ArtifactReader.columns`, parses every cell of rows held to one width.
+
+`params_line` and `read_params` are the codec of a model file's `params`
+comment, each value parsed by `parser_for`, the config keys' type table.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import os
 import shutil
 import signal
@@ -41,6 +45,7 @@ import time
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
+from dataclasses import asdict, fields
 from typing import NamedTuple, TextIO
 
 import numpy as np
@@ -414,3 +419,54 @@ def read_numeric(path: str) -> np.ndarray | None:
         )
     except (OSError, ValueError):
         return None
+
+
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
+def _parse_optional_int(raw: str):
+    low = raw.strip().lower()
+    if low in ("none", "null", ""):
+        return None
+    return int(raw)
+
+
+def _parse_float_list(raw: str) -> tuple:
+    stripped = raw.strip()
+    if not stripped:
+        return ()
+    return tuple(_parse_float(v) for v in stripped.split(","))
+
+
+_PARSERS = {bool: _parse_bool, int: int, float: _parse_float, str: str, tuple: _parse_float_list}
+
+
+def parser_for(default) -> Callable[[str], object]:
+    """The parser for the exact type of `default` (a bool is no int); None: optional int."""
+    return _parse_optional_int if default is None else _PARSERS[type(default)]
+
+
+def params_line(params) -> str:
+    """`params <field>=<value> ...` of a dataclass in field order, a bool as 0
+    or 1 and any other value (None too) by `str`."""
+    cells = (f"{k}={int(v) if isinstance(v, bool) else v}" for k, v in asdict(params).items())
+    return "params " + " ".join(cells)
+
+
+def read_params(cls, meta: dict[str, str]):
+    """The inverse of `params_line`; a missing field is a KeyError, and a bad
+    value a ValueError or whatever `cls` raises."""
+    return cls(**{f.name: parser_for(f.default)(meta[f.name]) for f in fields(cls)})

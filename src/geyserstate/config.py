@@ -8,9 +8,9 @@ key declares; optional integers accept `none`, and no float key accepts
 
 Each default lives in one place.  A `synth.*`, `labels.*`, `forest.*` or
 `dtw.*` key is a field of `SynthConfig`, `LabelPolicy`, `ForestParams` or
-`DtwParams`: it takes its default from the field and its parser from the
-type of that default, so a new field of one of these dataclasses becomes a
-key.  The few exceptions are named once each below.  The
+`DtwParams`: it takes its default from the field and its parser from
+`artifacts.parser_for` of that default, so a new field of one of these
+dataclasses becomes a key.  The few exceptions are named once each below.  The
 `features.*` defaults are the constants of `features.py`.  Keys with no
 library home (`out.dir`, `seed`, `paths.*`, `filter.*`, `ar.*`, `window.*`,
 `split.ratio`) keep literal defaults in `_registry`.
@@ -18,10 +18,10 @@ library home (`out.dir`, `seed`, `paths.*`, `filter.*`, `ar.*`, `window.*`,
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import fields
 
+from .artifacts import parser_for
 from .errors import ConfigError
 from .dtw import DtwParams
 from .features import DEFAULT_CAP, DEFAULT_FDR_Q, DEFAULT_FFT_BINS
@@ -30,46 +30,12 @@ from .synth import SynthConfig
 from .timeseries import LabelPolicy
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
-def _parse_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {raw!r}")
-    return value
-
-
-def _parse_optional_int(raw: str):
-    low = raw.strip().lower()
-    if low in ("none", "null", ""):
-        return None
-    return int(raw)
-
-
-def _parse_float_list(raw: str) -> tuple:
-    stripped = raw.strip()
-    if not stripped:
-        return ()
-    return tuple(_parse_float(v) for v in stripped.split(","))
-
-
 def _parse_max_features(raw: str):
     low = raw.strip().lower()
     if low == "sqrt":
         return None  # forest resolves None as floor(sqrt(d))
     return int(raw)
 
-
-# The type of a default picks its key's parser, by exact type so that a bool
-# is not taken for an int; a None default is an optional int.
-_PARSERS = {bool: _parse_bool, int: int, float: _parse_float, str: str, tuple: _parse_float_list}
 
 # The exceptions to "a dataclass field is the key <section>.<field>":
 _RENAMED = {"window_label_rule": "window_rule"}
@@ -117,7 +83,7 @@ def _registry() -> dict:
         **_field_defaults("dtw", DtwParams),
         "split.ratio": 2.0 / 3.0,
     }
-    keys = {key: (d, _parse_optional_int if d is None else _PARSERS[type(d)]) for key, d in defaults.items()}
+    keys = {key: (d, parser_for(d)) for key, d in defaults.items()}
     keys["forest.max_features"] = (None, _parse_max_features)  # also reads `sqrt`
     return keys
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_artifact, write_table
+from .artifacts import params_line, read_artifact, read_params, write_table
 from .errors import ConfigError, DataError
 from .timeseries import LabeledWindow
 
@@ -159,13 +159,7 @@ def save_reference(windows: list[LabeledWindow], path: str, params: DtwParams,
                    header_comments: list[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Pool the labeled training windows once into the (R, n) reference
     matrix, persist it with its labels, and return (refs, labels)."""
-    comments = [
-        *(header_comments or []),
-        "dtw-reference v1",
-        f"params k_neighbors={params.k_neighbors} local_cost={params.local_cost} "
-        f"band_radius={params.band_radius} downsample_to={params.downsample_to} "
-        f"z_normalize={int(params.z_normalize)}",
-    ]
+    comments = [*(header_comments or []), "dtw-reference v1", params_line(params)]
     refs = np.array([mean_pool(w.samples, params.downsample_to) for w in windows])
     labels = np.array([w.label for w in windows], dtype=np.int64)
     write_table(path, comments, None, ([w.start_s for w in windows], labels, *refs.T))
@@ -178,12 +172,4 @@ def load_reference(path: str) -> tuple[np.ndarray, np.ndarray, DtwParams]:
         starts, labels, *samples = art.columns(float, int, float)
         if not starts.size:
             raise ValueError("no rows")
-        meta = art.meta
-        params = DtwParams(
-            k_neighbors=int(meta["k_neighbors"]),
-            local_cost=meta["local_cost"],
-            band_radius=None if meta["band_radius"] == "None" else int(meta["band_radius"]),
-            downsample_to=int(meta["downsample_to"]),
-            z_normalize=bool(int(meta["z_normalize"])),
-        )
-    return np.column_stack(samples), labels, params
+        return np.column_stack(samples), labels, read_params(DtwParams, art.meta)

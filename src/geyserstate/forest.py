@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .artifacts import read_artifact, write_table
+from .artifacts import params_line, read_artifact, read_params, write_table
 from .errors import ConfigError, DataError
 
 LEAF = -1
@@ -357,14 +357,11 @@ def save_forest(forest: Forest, path: str) -> None:
     per class.  `left` and `right` index the rows of the node's own tree,
     and a leaf's threshold reads `nan`.
     """
-    p = forest.params
     comments = [
         "forest-format v2",
         f"catalog={forest.catalog_version}",
         "classes=" + ",".join(str(int(c)) for c in forest.classes),
-        f"params n_trees={p.n_trees} max_features={p.max_features} "
-        f"min_samples_leaf={p.min_samples_leaf} max_depth={p.max_depth} "
-        f"bootstrap={int(p.bootstrap)} seed={p.seed}",
+        params_line(forest.params),
         f"n_features={forest.n_features}",
     ]
     if forest.feature_names:
@@ -383,15 +380,7 @@ def load_forest(path: str) -> Forest:
         classes = np.array([int(c) for c in meta["classes"].split(",")])
         if art.header != _node_names(classes):
             raise ValueError(f"header is not {','.join(_node_names(classes))}")
-        none_or_int = lambda v: None if v == "None" else int(v)
-        params = ForestParams(
-            n_trees=int(meta["n_trees"]),
-            max_features=none_or_int(meta["max_features"]),
-            min_samples_leaf=int(meta["min_samples_leaf"]),
-            max_depth=none_or_int(meta["max_depth"]),
-            bootstrap=bool(int(meta["bootstrap"])),
-            seed=int(meta["seed"]),
-        )
+        params = read_params(ForestParams, meta)
         ids, steps = np.unique(tree_of), np.diff(tree_of)
         if ids.size != params.n_trees or np.any(ids != np.arange(ids.size)) or np.any(steps < 0):
             raise ValueError(f"the tree column must run 0..{params.n_trees - 1} in order")

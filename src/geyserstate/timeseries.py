@@ -275,16 +275,18 @@ def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
     Blank lines, `#` comments, and one non-numeric header as the first row
     are skipped.  Every row has the width of the first numeric row.
     Two-column rows must be uniformly spaced at 1/fs_hz within 1e-6 s; the
-    first row's timestamp becomes t0_s (0.0 for single-column files).
+    first row's timestamp becomes t0_s (0.0 for single-column files).  An
+    fs_hz that is not positive is a ConfigError, before the file is opened.
 
     A plain file is parsed in one `read_numeric` call and checked column-wise;
     anything else (and every fault) goes through `_load_streaming`, so the
     result and every error text are the streaming reader's.
     """
+    if not fs_hz > 0:
+        raise ConfigError(f"fs_hz must be positive, got {fs_hz}")
     period = 1.0 / fs_hz
     table = read_numeric(path)
-    # a bad fs_hz is left to the streaming loop, whose error names the file
-    if table is not None and table.shape[1] <= 2 and fs_hz > 0:
+    if table is not None and table.shape[1] <= 2:
         t, values = table[:, 0], table[:, -1]
         # the streaming loop's spacing test, row for row (a NaN gap passes both)
         uneven = table.shape[1] == 2 and np.any(np.abs(np.diff(t) - period) > TIME_TOL_S)

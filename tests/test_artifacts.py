@@ -25,7 +25,10 @@ from geyserstate.artifacts import (
     write_table,
     write_tables,
 )
+from geyserstate.dtw import LOCAL_COSTS, DtwParams, load_reference, save_reference
 from geyserstate.errors import ConfigError, DataError
+from geyserstate.forest import Forest, ForestParams, Tree, load_forest, save_forest
+from geyserstate.timeseries import LabeledWindow
 
 PACKAGE = pathlib.Path(geyserstate.__file__).parent
 
@@ -484,3 +487,48 @@ def test_columns_round_trip_write_table_bit_for_bit(tmp_path):
     assert np.array_equal(back_labels, labels)
     for got, want in ((x, values), (y, values[::-1])):
         assert got.tobytes() == want.tobytes()
+
+
+# -- the params codec --------------------------------------------------------------
+
+# a split on feature 0 and its two leaves, for forests of any number of trees
+STUMP = Tree(np.array([0, -1, -1]), np.array([0.5, np.nan, np.nan]), np.array([1, -1, -1]),
+             np.array([2, -1, -1]), np.array([[1, 1], [1, 0], [0, 1]]))
+OPTIONAL_INT = st.one_of(st.none(), st.integers(1, 10**6))
+
+
+def _round_trip(tmp_path, forest_params, dtw_params):
+    """The params `load_forest` and `load_reference` read back from the files
+    `save_forest` and `save_reference` write with these params."""
+    forest_path, dtw_path = str(tmp_path / "forest.txt"), str(tmp_path / "dtw_reference.csv")
+    trees = (STUMP,) * forest_params.n_trees
+    save_forest(Forest(trees, np.array([1, 2]), forest_params, n_features=1), forest_path)
+    save_reference([LabeledWindow(np.arange(4.0), 0.0, 1)], dtw_path, dtw_params)
+    return load_forest(forest_path).params, load_reference(dtw_path)[2]
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    forest_params=st.builds(
+        ForestParams, n_trees=st.integers(1, 4), max_features=OPTIONAL_INT,
+        min_samples_leaf=st.integers(1, 10**6), max_depth=OPTIONAL_INT,
+        bootstrap=st.booleans(), seed=st.integers(0, 2**63 - 1),
+    ),
+    dtw_params=st.builds(
+        DtwParams, k_neighbors=st.integers(1, 10**6), local_cost=st.sampled_from(LOCAL_COSTS),
+        band_radius=st.one_of(st.none(), st.integers(0, 10**6)),
+        downsample_to=st.integers(1, 10**6), z_normalize=st.booleans(),
+    ),
+)
+def test_params_round_trip_through_both_model_files(tmp_path, forest_params, dtw_params):
+    assert _round_trip(tmp_path, forest_params, dtw_params) == (forest_params, dtw_params)
+
+
+def test_default_params_lines_of_both_model_files(tmp_path):
+    _round_trip(tmp_path, ForestParams(), DtwParams())
+    assert ("# params n_trees=100 max_features=None min_samples_leaf=1 max_depth=None "
+            "bootstrap=1 seed=0\n") in (tmp_path / "forest.txt").read_text()
+    assert ("# params k_neighbors=1 local_cost=squared band_radius=None downsample_to=600 "
+            "z_normalize=0\n") in (tmp_path / "dtw_reference.csv").read_text()

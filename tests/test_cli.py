@@ -294,33 +294,21 @@ def _rewrite_lines(path, edit):
         fh.write("\n".join(edit(lines)) + "\n")
 
 
-def _truncated_dtw_params(tiny_cfg, out):
-    assert _through_train(tiny_cfg, out, "--classifier", "dtw") == 0
-    _rewrite_lines(
-        os.path.join(out, "dtw_reference.csv"),
-        lambda lines: [l.split(" band_radius=")[0] if l.startswith("# params ") else l
-                       for l in lines],
-    )
-    code = run("classify", "--config", tiny_cfg, "--out", out, "--classifier", "dtw")
-    return code, "dtw_reference.csv"
-
-
-def _bogus_dtw_local_cost(tiny_cfg, out):
-    assert _through_train(tiny_cfg, out, "--classifier", "dtw") == 0
-    _rewrite_lines(
-        os.path.join(out, "dtw_reference.csv"),
-        lambda lines: [re.sub(r"local_cost=\w+", "local_cost=bogus", l) for l in lines],
-    )
-    code = run("classify", "--config", tiny_cfg, "--out", out, "--classifier", "dtw")
-    return code, "dtw_reference.csv"
-
-
 def _classify_damaged(name, edit):
+    """Train, apply `edit` to the lines of `name`, then classify; the DTW
+    classifier when `name` is its reference file."""
+    argv = ("--classifier", "dtw") if name == "dtw_reference.csv" else ()
+
     def damage(tiny_cfg, out):
-        assert _through_train(tiny_cfg, out) == 0
+        assert _through_train(tiny_cfg, out, *argv) == 0
         _rewrite_lines(os.path.join(out, name), edit)
-        return run("classify", "--config", tiny_cfg, "--out", out), name
+        return run("classify", "--config", tiny_cfg, "--out", out, *argv), name
     return damage
+
+
+def _params_sub(pattern, repl):
+    return lambda lines: [re.sub(pattern, repl, l) if l.startswith("# params ") else l
+                          for l in lines]
 
 
 def _forest_rows(lines):
@@ -389,18 +377,11 @@ def _classes_line(value):
                           for l in lines]
 
 
-def _dtw_first_label_0(tiny_cfg, out):
-    assert _through_train(tiny_cfg, out, "--classifier", "dtw") == 0
-
-    def relabel(lines):
-        row = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-        start, _, rest = lines[row].split(",", 2)
-        lines[row] = f"{start},0,{rest}"
-        return lines
-
-    _rewrite_lines(os.path.join(out, "dtw_reference.csv"), relabel)
-    code = run("classify", "--config", tiny_cfg, "--out", out, "--classifier", "dtw")
-    return code, "dtw_reference.csv"
+def _first_row_label_0(lines):
+    row = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    start, _, rest = lines[row].split(",", 2)
+    lines[row] = f"{start},0,{rest}"
+    return lines
 
 
 def _pef_with_utf16_bom(tiny_cfg, out):
@@ -438,22 +419,20 @@ def _predicted_label_4(tiny_cfg, out):
     "damage",
     [
         _drop_events,
-        _truncated_dtw_params,
+        _classify_damaged("dtw_reference.csv", _params_sub(r" band_radius=.*", "")),
         _classify_damaged(
             "forest.txt", lambda lines: [l for l in lines if not l.startswith("# params")]
         ),
         _pef_with_utf16_bom,
         _pef_is_a_directory,
         _classify_damaged("forest.txt", _split_on_feature_500),
-        _bogus_dtw_local_cost,
-        _classify_damaged(
-            "forest.txt", lambda lines: [re.sub(r"n_trees=\d+", "n_trees=0", l) for l in lines]
-        ),
+        _classify_damaged("dtw_reference.csv", _params_sub(r"local_cost=\w+", "local_cost=bogus")),
+        _classify_damaged("forest.txt", _params_sub(r"n_trees=\d+", "n_trees=0")),
         _classify_damaged("feature_mask.csv", _first_p_value_2),
         _classify_damaged("feature_mask.csv", _mask_flag_moved),
         _classify_damaged("forest.txt", _classes_line("1,2,4")),
         _classify_damaged("forest.txt", _classes_line("0,1,2")),
-        _dtw_first_label_0,
+        _classify_damaged("dtw_reference.csv", _first_row_label_0),
         _predicted_label_4,
         _classify_damaged("forest.txt", _fourth_leaf_count),
         _classify_damaged("forest.txt", _extra_node_row_in_tree_0),
@@ -461,6 +440,8 @@ def _predicted_label_4(tiny_cfg, out):
         _classify_damaged("forest.txt", _classes_line("3,2,1")),
         _classify_damaged("forest.txt", _child_points_at_root),
         _classify_damaged("forest.txt", _leaf_with_a_child),
+        _classify_damaged("forest.txt", _params_sub(r"bootstrap=1", "bootstrap=2")),
+        _classify_damaged("dtw_reference.csv", _params_sub(r"z_normalize=0", "z_normalize=2")),
     ],
     ids=["filter-missing-events", "classify-dtw-truncated-params",
          "classify-forest-without-params", "classify-pef-utf16-bom", "classify-pef-is-directory",
@@ -470,7 +451,8 @@ def _predicted_label_4(tiny_cfg, out):
          "eval-predicted-label-4", "classify-forest-fourth-leaf-count",
          "classify-forest-extra-node-row", "classify-forest-classes-1-1-3",
          "classify-forest-classes-3-2-1", "classify-forest-child-points-at-root",
-         "classify-forest-leaf-with-a-child"],
+         "classify-forest-leaf-with-a-child", "classify-forest-bootstrap-2",
+         "classify-dtw-z-normalize-2"],
 )
 def test_unreadable_artifact_exits_3_naming_file(tiny_cfg, tmp_path, capsys, damage):
     code, name = damage(tiny_cfg, str(tmp_path / "o"))
@@ -611,6 +593,25 @@ def test_fft_bins_beyond_the_window_spectrum_exits_2(tmp_path, capsys, bins):
     assert "250" in err and "500-sample window" in err
     # refused before synth: no series file is written
     assert os.listdir(tmp_path / "o") == []
+
+
+@pytest.mark.parametrize("fs_hz", ["0", "-5"])
+@pytest.mark.parametrize("command", ["filter", "train", "classify", "eval", "pipeline"])
+def test_non_positive_fs_hz_exits_2_before_a_series_is_read(
+    trained_tiny, tmp_path, capsys, command, fs_hz
+):
+    # pipeline reads the signal it is given instead of synthesizing one
+    _, trained = trained_tiny
+    out = str(tmp_path / "o")
+    shutil.copytree(trained, out)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        TINY_CFG + f"synth.fs_hz = {fs_hz}\npaths.signal = {os.path.join(out, 'signal.csv')}\n"
+    )
+    assert run(command, "--config", str(cfg), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"fs_hz must be positive, got {float(fs_hz)}" in err
+    assert "Traceback" not in err
 
 
 def test_out_dir_env_override(tiny_cfg, tmp_path, monkeypatch):

@@ -8,11 +8,13 @@ an explicit-recursion AR simulator, and a normal-equation OLS solver.
 import logging
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from geyserstate.config import default_config, label_policy, synth_config
 from geyserstate.errors import ConfigError, DataError, NumericError
 from geyserstate.filters import (
     ArModel,
@@ -26,7 +28,14 @@ from geyserstate.filters import (
     r2_score,
     save_ar_model,
 )
-from geyserstate.timeseries import TimeSeries
+from geyserstate.synth import generate
+from geyserstate.timeseries import (
+    CLASS_ERUPTION,
+    CLASS_PRECURSOR,
+    TimeSeries,
+    sample_classes,
+    select_noise_segment,
+)
 
 FS = 200.0
 
@@ -518,3 +527,45 @@ def test_chain_suppresses_ambient_while_keeping_transient():
     var_bh = float(np.var(x_h.values[5000:45000]))
     var_pef = float(np.var(residual.values[5000:45000]))
     assert var_pef <= 0.5 * var_bh
+
+
+
+def _power_db(num: np.ndarray, den: np.ndarray) -> float:
+    return 10 * math.log10(float(np.sum(num**2)) / float(np.sum(den**2)))
+
+
+def test_pef_raises_the_event_snr_of_the_default_synth():
+    """The paper's filtering claim, measured on the default synth at seed 42
+    (with the amplitude cap off, as in bench/default.cfg).
+
+    By the synth's draw-order contract, the same config with no events gives
+    the noise layers bit for bit, so `full - noise` is the event layer.  The
+    high-pass is linear, and so is the PEF for the model `filter` fits, once
+    its intercept cancels in the difference; so each stage's SNR in the
+    Class-2 and Class-3 spans is exact.  Measured at seed 42: the PEF raises
+    it by 13.1 and 19.8 dB over the high-pass, while the event layer loses
+    11.2 (chirp) and 5.5 dB (tone).  Both floors were fixed beforehand: 6 dB
+    is under half the smallest gain, and -20 dB far below either loss.
+    """
+    values = default_config()
+    values["synth.enforce_amplitude_cap"] = False
+    config, policy = synth_config(values, 42), label_policy(values)
+    raw, events = generate(config)
+    noise, _ = generate(replace(config, event_times_s=()))
+    cascade = design_butterworth_highpass(
+        values["filter.order"], values["filter.corner_hz"], raw.fs_hz
+    )
+    bh, bh_noise = apply_filter(cascade, raw), apply_filter(cascade, noise)
+    segment = select_noise_segment(bh, events, values["ar.train_fraction"], policy)
+    model = fit_ar(segment, values["ar.max_order"], values["ar.criterion"])
+    residual, residual_noise = pef(bh, model), pef(bh_noise, model)
+    classes = sample_classes(raw, events, policy)
+    for cls in (CLASS_PRECURSOR, CLASS_ERUPTION):
+        span = classes == cls
+        noise_bh, noise_pef = bh_noise.values[span], residual_noise.values[span]
+        event_bh = bh.values[span] - noise_bh
+        event_pef = residual.values[span] - noise_pef
+        gain = _power_db(event_pef, noise_pef) - _power_db(event_bh, noise_bh)
+        assert gain >= 6.0, f"class {cls}: the PEF raises the SNR by {gain:.1f} dB"
+        loss = _power_db(event_pef, event_bh)
+        assert loss >= -20.0, f"class {cls}: the PEF takes {-loss:.1f} dB of the events"
