@@ -19,14 +19,17 @@ the tables of one command in one chunked pass: floats by `repr` (the
 shortest text that reads back bit for bit), integers and booleans by `str`
 of the integer, and strings as they are.  A column that several tables of
 the pass hold (the time grid of signal.csv, classes.csv, bh.csv and pef.csv,
-the rows the event traces repeat) is spelled once per cell, and memory holds
-only one chunk of text.  A large pass on a process that may use two CPUs
-is split by row over two processes: a forked helper spells the rows from a
-chunk boundary near the middle into anonymous temporary files, which are
-appended to the tables once it exits, so the bytes are those of the
-one-process pass.  `write_table` is its one-table case and
-`write_artifact` its one-string-column case.  Their inverse,
-`ArtifactReader.columns`, parses every cell of rows held to one width.
+the rows the event traces repeat) is spelled once per cell.  The pass cuts
+the rows into segments at every chunk boundary and every table's first and
+end row; a column is spelled once over a segment for all the tables that
+hold it, and memory holds only one chunk of text.  A large pass on a
+process that may use two CPUs is split by segment over two processes: a
+forked helper spells the segments from a chunk boundary near the middle
+into anonymous temporary files, which are appended to the tables once it
+exits, so the bytes are those of the one-process pass.  `write_table` is
+its one-table case and `write_artifact` its one-string-column case.  Their
+inverse, `ArtifactReader.columns`, parses every cell of rows held to one
+width.
 
 `params_line` and `read_params` are the codec of a model file's `params`
 comment, each value parsed by `parser_for`, the config keys' type table.
@@ -98,47 +101,28 @@ def _spelled(column) -> tuple[np.ndarray, Callable[[object], str]]:
     return col, repr if col.dtype.kind == "f" else str
 
 
-def _merged(ranges: list[tuple[int, int]]) -> list[list[int]]:
-    """Sorted non-empty row ranges with the ones that overlap or touch joined."""
-    out: list[list[int]] = []
-    for lo, hi in sorted(ranges):
-        if out and lo <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return out
+def _write_rows(outs, spans, spelled, bounds: Sequence[int]) -> None:
+    """Rows `bounds[0]:bounds[-1]` of every table, segment by segment, table
+    k's to `outs[k]`, a (path, text handle) pair.
 
-
-def _write_rows(outs, spans, spelled, first: int, last: int) -> None:
-    """Rows `first:last` of every table, chunk by chunk, table k's to `outs[k]`,
-    a (path, text handle) pair; `first` is a chunk boundary.
-
-    In each chunk a column is spelled once over the rows that its tables
-    cover there, and every table takes its rows from that text, so memory
-    holds one chunk of text per column.
+    Consecutive bounds delimit a segment that each table covers whole or not
+    at all.  A column that a covering table holds is spelled once over the
+    segment, and every covering table writes that text whole, so memory
+    holds one segment of text per column.
     """
-    for c0 in range(first, last, _CHUNK_ROWS):
-        c1 = min(c0 + _CHUNK_ROWS, last)
-        rows = [(max(lo, c0), min(hi, c1), keys) for lo, hi, keys in spans]
-        wanted: dict[int, list[tuple[int, int]]] = {}
-        for a, b, keys in rows:
-            if a < b:
-                for key in keys:
-                    wanted.setdefault(key, []).append((a, b))
-        # each column's text over each merged range: (first row, end row, cells)
+    for a, b in zip(bounds, bounds[1:]):
         text = {}
-        for key, ranges in wanted.items():
-            col, spell = spelled[key]
-            text[key] = [(a, b, list(map(spell, col[a:b].tolist())))
-                         for a, b in _merged(ranges)]
-        for (path, fh), (a, b, keys) in zip(outs, rows):
-            if a < b:
-                cells = [next(s[a - p:b - p] for p, q, s in text[k] if p <= a and b <= q)
-                         for k in keys]
-                try:
-                    fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-                except OSError as exc:
-                    raise DataError(f"cannot write {path}: {exc}") from None
+        for (path, fh), (lo, hi, keys) in zip(outs, spans):
+            if a < lo or hi < b:
+                continue
+            for key in keys:
+                if key not in text:
+                    col, spell = spelled[key]
+                    text[key] = list(map(spell, col[a:b].tolist()))
+            try:
+                fh.write("\n".join(map(",".join, zip(*(text[k] for k in keys)))) + "\n")
+            except OSError as exc:
+                raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def _cpus() -> int:
@@ -158,8 +142,9 @@ def _helper_split(end: int) -> int:
     return chunks // 2 * _CHUNK_ROWS
 
 
-def _fork_helper(outs, spans, spelled, split: int, end: int) -> tuple[int, int]:
-    """Fork a process that writes rows `split:end` of every table to `outs`.
+def _fork_helper(outs, spans, spelled, bounds: Sequence[int]) -> tuple[int, int]:
+    """Fork a process that writes the segments between `bounds` of every
+    table to `outs`.
 
     Returns its pid and the read end of a pipe.  The helper always leaves
     through `os._exit`, so it runs no exit handler and flushes none of the
@@ -184,7 +169,7 @@ def _fork_helper(outs, spans, spelled, split: int, end: int) -> tuple[int, int]:
     if pid == 0:
         code = 1
         try:
-            _write_rows(outs, spans, spelled, split, end)
+            _write_rows(outs, spans, spelled, bounds)
             for _, fh in outs:
                 fh.flush()
             code = 0
@@ -201,14 +186,16 @@ def _fork_helper(outs, spans, spelled, split: int, end: int) -> tuple[int, int]:
 def write_tables(tables: Sequence[Table]) -> None:
     """Write every table in one pass that spells each needed cell once.
 
-    Rows go out in chunks of `_CHUNK_ROWS` (see `_write_rows`).  When the
-    pass has at least `_FORK_MIN_CHUNKS` chunks, `os.fork` exists, the
-    process may run on two CPUs and no other Python thread is alive, a
-    forked helper writes the rows from a chunk boundary near the middle
-    into one anonymous temporary file per table while this process writes
-    the rows before it; each table then gets its temporary file appended.
-    Either way the files hold the same bytes, and each cell is spelled once
-    by one of the two processes.
+    Rows go out segment by segment (see `_write_rows`): the segments are cut
+    at every multiple of `_CHUNK_ROWS` and at every table's first and end
+    row, so none is longer than a chunk and each table covers a segment
+    whole or not at all.  When the pass has at least `_FORK_MIN_CHUNKS`
+    chunks, `os.fork` exists, the process may run on two CPUs and no other
+    Python thread is alive, a forked helper writes the segments from a
+    chunk boundary near the middle into one anonymous temporary file per
+    table while this process writes the segments before it; each table
+    then gets its temporary file appended.  Either way the files hold the
+    same bytes, and each cell is spelled once by one of the two processes.
 
     A table that cannot be opened or written is a `DataError` naming it, and
     so is a helper that fails or exits nonzero.  On any failure, interrupts
@@ -229,6 +216,7 @@ def write_tables(tables: Sequence[Table]) -> None:
         lo, hi, _ = slice(table.start, table.stop).indices(n)
         spans.append((lo, max(lo, hi), keys))
     end = max((hi for _, hi, _ in spans), default=0)
+    bounds = sorted({*range(0, end, _CHUNK_ROWS), end}.union(*(s[:2] for s in spans)))
     split = _helper_split(end)
 
     opened: list[tuple[str, TextIO]] = []
@@ -250,10 +238,11 @@ def write_tables(tables: Sequence[Table]) -> None:
                     "w+", encoding="utf-8", dir=os.path.dirname(os.path.abspath(path))))
             outs = [(path, tmp) for (path, _), tmp in zip(opened, temps)]
             try:
-                pid, report = _fork_helper(outs, spans, spelled, split, end)
+                pid, report = _fork_helper(
+                    outs, spans, spelled, [b for b in bounds if b >= split])
             except OSError:  # no process or pipe to spare: write every row here
                 split = end
-        _write_rows(opened, spans, spelled, 0, split)
+        _write_rows(opened, spans, spelled, [b for b in bounds if b <= split])
         if pid is not None:
             t0 = time.perf_counter()
             status = os.waitpid(pid, 0)[1]

@@ -65,6 +65,7 @@ from .timeseries import (
     EventLog,
     LabeledWindow,
     TimeSeries,
+    _index_range,
     label_windows,
     load_events,
     load_timeseries,
@@ -367,7 +368,9 @@ def _signal_tables(
 def _event_trace_tables(
     out_dir: str, raw: TimeSeries, test_events: EventLog, columns: tuple, seed: int
 ) -> list[Table]:
-    """Per-event trace tables around each held-out event onset.
+    """Per-event trace tables around each held-out event onset: the samples t
+    with onset - PLOT_BEFORE_S <= t < onset + PLOT_AFTER_S, the rule that
+    `sample_classes` paints by.
 
     Columns: timestamp_s, raw, bh, pef, class (`columns` holds them for the
     whole series).  The class column carries the per-sample ground truth so
@@ -378,8 +381,7 @@ def _event_trace_tables(
     names = ("timestamp_s", "raw", "bh", "pef", "class")
     tables = []
     for k, e in enumerate(test_events.event_times_s, start=1):
-        lo = max(0, int(round((e - PLOT_BEFORE_S - raw.t0_s) * raw.fs_hz)))
-        hi = min(len(raw), int(round((e + PLOT_AFTER_S - raw.t0_s) * raw.fs_hz)))
+        lo, hi = _index_range(raw, e - PLOT_BEFORE_S, e + PLOT_AFTER_S)
         comments = [*_seed_header(seed), f"event_time_s={float(e)!r}"]
         tables.append(
             Table(os.path.join(plots_dir, f"event_{k}.csv"), comments, names, columns, lo, hi)

@@ -2,12 +2,16 @@
 
 Distances run on mean-pooled windows (12000-sample windows pool to 600 by
 default) because the full quadratic grid is two orders of magnitude more
-work per pair without changing the neighbor ranking in practice.  The
-references are the pooled (R, n) matrix and (R,) label array that
-`dtw_reference.csv` holds.  One kernel, `_dtw_batch`, holds the warping
-recurrence: it sweeps anti-diagonals over the whole reference matrix at
-once, keeping three rolling (n+1, R) diagonal buffers, so memory is O(R*n)
-and neither the cost matrix nor the (n+1)^2 accumulator is ever built.
+work per pair.  The pool is not neutral: at the defaults each pooled
+sample averages a 20-sample span at 200 Hz, so the pooled series has a
+5 Hz Nyquist frequency, below the 12-25 Hz event bands.  ROADMAP item 2
+measured dtw_pef macro F1 at 0.353 with this pool and 0.825 with an RMS
+pool (defaults, seeds 1-12).  The references are the pooled (R, n)
+matrix and (R,) label array that `dtw_reference.csv` holds.  One kernel,
+`_dtw_batch`, holds the warping recurrence: it sweeps anti-diagonals over
+the whole reference matrix at once, keeping three rolling (n+1, R)
+diagonal buffers, so memory is O(R*n) and neither the cost matrix nor the
+(n+1)^2 accumulator is ever built.
 `dtw_distance` is the R = 1 case; `knn_dtw_classify` makes one sweep per query.
 """
 

@@ -201,14 +201,18 @@ def generate(config: SynthConfig) -> tuple[TimeSeries, EventLog]:
     if n < 1:
         raise ConfigError("configured duration yields zero samples")
     rng = np.random.default_rng(config.seed)
-    ambient = _ambient(config, rng, n)
-    bursts = _bursts(config, rng, n)
-    t = np.arange(n) / config.fs_hz
-    seasonal = config.seasonal_amplitude * np.sin(
-        2.0 * math.pi * t / config.seasonal_period_s + config.seasonal_phase
-    )
-    template = TimeSeries(np.zeros(n), config.fs_hz)
-    events = _event_components(config, template)
+    try:
+        ambient = _ambient(config, rng, n)
+        bursts = _bursts(config, rng, n)
+        t = np.arange(n) / config.fs_hz
+        seasonal = config.seasonal_amplitude * np.sin(
+            2.0 * math.pi * t / config.seasonal_period_s + config.seasonal_phase
+        )
+        template = TimeSeries(np.zeros(n), config.fs_hz)
+        events = _event_components(config, template)
+    except MemoryError:
+        raise ConfigError(f"synth.duration_s = {config.duration_s:g} at synth.fs_hz = "
+                          f"{config.fs_hz:g} gives {n} samples, more than memory holds") from None
     if config.enforce_amplitude_cap and config.event_times_s:
         peak_noise = float(np.max(np.abs(ambient + bursts)))
         if config.eruption_amplitude > AMPLITUDE_CAP * peak_noise:

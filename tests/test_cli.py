@@ -82,6 +82,21 @@ def test_synth_nonstationary_ambient_rejected(tmp_path, capsys):
     assert "non-stationary" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+def test_a_duration_beyond_memory_exits_2_naming_the_keys(tmp_path, capsys, command):
+    """5e16 samples: numpy refuses the first layer's array before it
+    allocates anything, and the run stops at a config error, not a
+    MemoryError traceback."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(TINY_CFG + "synth.duration_s = 1e15\n")
+    out = tmp_path / "o"
+    assert run(command, "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "synth.duration_s = 1e+15 at synth.fs_hz = 50 gives 50000000000000000 samples" in err
+    assert "Traceback" not in err
+    assert not (out / "signal.csv").exists()
+
+
 # -- filter ------------------------------------------------------------------------
 
 
@@ -851,6 +866,61 @@ def test_pipeline_failing_after_its_pass_keeps_the_series_files(tiny_cfg, tmp_pa
     assert residual.endswith(b"\n")
     assert len(timeseries.load_timeseries(os.path.join(out, "pef.csv"), 50.0)) == 240 * 50
     assert os.path.exists(os.path.join(out, "plots", "event_1.csv"))
+
+
+def test_an_off_grid_onset_traces_the_samples_that_sample_classes_paints(tmp_path):
+    """A trace holds the samples t with onset - 240 s <= t < onset + 180 s,
+    the rule of the class column it carries; 60.005 s and 480.005 s fall
+    between samples 0.02 s apart, where rounding would start and end one
+    sample early."""
+    raw = timeseries.TimeSeries(np.zeros(600 * 50), 50.0)
+    grid = raw.timestamps()
+    onset = 300.005
+    (table,) = cli._event_trace_tables(
+        str(tmp_path), raw, timeseries.EventLog((onset,)), (grid,) * 5, 3
+    )
+    assert (table.start, table.stop) == (3001, 24001)
+    assert grid[3000] < onset - cli.PLOT_BEFORE_S <= grid[3001]
+    assert grid[24000] < onset + cli.PLOT_AFTER_S <= grid[24001]
+    artifacts.write_tables([table])
+    rows = np.loadtxt(table.path, delimiter=",", skiprows=3)
+    assert np.array_equal(rows[:, 0], grid[3001:24001])
+
+
+def test_pipeline_on_given_files_writes_the_synthesizing_run_bytes(
+    tmp_path, monkeypatch, helper_on, capsys
+):
+    """pipeline --compare on the signal and events a synthesizing run wrote
+    (paths.signal, paths.events) writes every file of that run but
+    signal.csv, events.csv and classes.csv, and leaves the given files as
+    they were.  Its pass wants the raw
+    and class columns only inside the event trace, rows 8,500-29,500 of
+    30,000 (onset 410 s, 600 s at 50 Hz), and the helper takes over at row
+    15,000, inside that trace."""
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(TINY_CFG + "synth.duration_s = 600\nsynth.event_times_s = 100, 180, 300, 410\n")
+    monkeypatch.setattr(artifacts, "_CHUNK_ROWS", 1000)
+    synthesized, given = str(tmp_path / "synthesized"), str(tmp_path / "given")
+    assert run("pipeline", "--compare", "--config", str(cfg), "--out", synthesized) == 0
+    printed = capsys.readouterr().out
+    inputs = {name: read(os.path.join(synthesized, name)) for name in ("signal.csv", "events.csv")}
+    supplied = tmp_path / "supplied.cfg"
+    supplied.write_text(cfg.read_text() + "".join(
+        f"paths.{name} = {os.path.join(synthesized, name + '.csv')}\n"
+        for name in ("signal", "events")
+    ))
+    assert run("pipeline", "--compare", "--config", str(supplied), "--out", given) == 0
+    assert capsys.readouterr().out == printed.replace(synthesized, given)
+    inputs_and_classes = ("signal.csv", "events.csv", "classes.csv")
+    assert _written(given) == [n for n in _written(synthesized) if n not in inputs_and_classes]
+    match, mismatch, errors = filecmp.cmpfiles(synthesized, given, _written(given), shallow=False)
+    assert not mismatch and not errors
+    for name, data in inputs.items():
+        assert read(os.path.join(synthesized, name)) == data
+    # the trace repeats the given signal's text, rows 170 s to 589.98 s
+    trace = read(os.path.join(given, "plots", "event_1.csv")).decode().splitlines()[3:]
+    signal = inputs["signal.csv"].decode().splitlines()[-30000:]
+    assert [row.rsplit(",", 3)[0] for row in trace] == signal[8500:29500]
 
 
 def test_bench_tracing_patches_resolve():
