@@ -118,6 +118,8 @@ def _save_medians(medians: np.ndarray, catalog: FeatureCatalog, path: str, seed:
 def _load_medians(path: str, catalog: FeatureCatalog) -> np.ndarray:
     with read_artifact(path, header=True) as art:
         names, medians = art.columns(str, float)
+        if not np.all(np.isfinite(medians)):
+            raise ValueError("a non-finite median")
         check_catalog("impute file", art.meta.get("catalog"), names, catalog)
     return medians
 

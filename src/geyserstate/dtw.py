@@ -176,4 +176,7 @@ def load_reference(path: str) -> tuple[np.ndarray, np.ndarray, DtwParams]:
         starts, labels, *samples = art.columns(float, int, float)
         if not starts.size:
             raise ValueError("no rows")
-        return np.column_stack(samples), labels, read_params(DtwParams, art.meta)
+        refs = np.column_stack(samples)
+        if not (np.all(np.isfinite(starts)) and np.all(np.isfinite(refs))):
+            raise ValueError("a non-finite number")
+        return refs, labels, read_params(DtwParams, art.meta)

@@ -11,7 +11,7 @@ supported operation, which is how out-of-bag checks are done.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,7 +47,8 @@ class Tree:
 
     Internal nodes have feature >= 0 and route x[feature] <= threshold to
     `left`.  Leaves have feature == LEAF, no children (left == right ==
-    LEAF) and a NaN threshold, and carry per-class sample counts.
+    LEAF) and a NaN threshold, and carry per-class sample counts.  A plain
+    record: the `Forest` that holds it checks its shape.
     """
 
     feature: np.ndarray
@@ -56,31 +57,6 @@ class Tree:
     right: np.ndarray
     counts: np.ndarray
 
-    def __post_init__(self) -> None:
-        n = self.feature.size
-        if {len(a) for a in (self.threshold, self.left, self.right, self.counts)} != {n}:
-            raise ConfigError("the five node arrays must have one length")
-        if n == 0:
-            raise ConfigError("a tree needs at least one node")
-        if np.any(self.feature < LEAF):
-            raise ConfigError(f"a feature index below {LEAF}")
-        internal = self.feature >= 0
-        if np.any(~np.isfinite(self.threshold[internal])):
-            raise ConfigError("internal thresholds must be finite")
-        leaf = ~internal
-        bare = (self.left[leaf] == LEAF) & (self.right[leaf] == LEAF) & np.isnan(self.threshold[leaf])
-        if not np.all(bare):
-            raise ConfigError("a leaf must have no children and a NaN threshold")
-        # the preorder grow_tree builds: each child after its parent, and
-        # every node but the root the child of one split, so a walk ends
-        children = np.concatenate([self.left[internal], self.right[internal]])
-        if np.any(children <= np.tile(np.flatnonzero(internal), 2)):
-            raise ConfigError("every child must come after its parent")
-        if not np.array_equal(np.sort(children), np.arange(1, n)):
-            raise ConfigError("every node but the root must be the child of exactly one split")
-        if np.any(self.counts[leaf].sum(axis=1) <= 0):
-            raise ConfigError("every leaf must hold at least one sample")
-
     @property
     def n_nodes(self) -> int:
         return int(self.feature.size)
@@ -88,9 +64,10 @@ class Tree:
 
 @dataclass(frozen=True)
 class Forest:
-    """Trees plus the flat node arrays `predict_forest` walks.
+    """Trees plus the flat node arrays `predict_forest` walks and `save_forest` writes.
 
-    `__post_init__` concatenates the trees' nodes once: child indices are
+    `__post_init__` concatenates the trees' nodes once and checks every
+    tree on the concatenated arrays.  In the walked arrays child indices are
     offset by their tree's first node, a leaf's children are the leaf itself
     (so a walk that reaches it stays there), and each node carries the vote
     of its counts, the lowest class index among the largest.
@@ -108,6 +85,9 @@ class Forest:
     _left: np.ndarray = field(init=False, repr=False, compare=False)
     _right: np.ndarray = field(init=False, repr=False, compare=False)
     _vote: np.ndarray = field(init=False, repr=False, compare=False)
+    # forest.txt's node table: tree, feature, threshold, left and right
+    # indexed within the tree, and one count column per class
+    _node_columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.trees:
@@ -116,29 +96,52 @@ class Forest:
             raise ConfigError("classes must be strictly increasing")
         if self.feature_names and len(self.feature_names) != self.n_features:
             raise ConfigError("feature_names length must match n_features")
-        widths = np.array([t.counts.shape[1] for t in self.trees])
-        if np.any(widths != self.classes.size):
-            raise ConfigError(
-                f"leaf counts of width {widths[widths != self.classes.size][0]} "
-                f"for {self.classes.size} classes"
-            )
-        flat = {name: np.concatenate([getattr(t, name) for t in self.trees])
-                for name in ("feature", "threshold", "left", "right", "counts")}
-        feature = flat["feature"].astype(np.intp)
+        names = [f.name for f in fields(Tree)]
+        lengths = np.array([[len(getattr(t, name)) for name in names] for t in self.trees])
+        if np.any(lengths != lengths[:, :1]):
+            raise ConfigError("the five node arrays must have one length")
+        sizes = lengths[:, 0]
+        if np.any(sizes == 0):
+            raise ConfigError("a tree needs at least one node")
+        widths = [t.counts.shape[1] for t in self.trees if t.counts.shape[1] != self.classes.size]
+        if widths:
+            raise ConfigError(f"leaf counts of width {widths[0]} for {self.classes.size} classes")
+        feature, threshold, left, right, counts = (
+            np.concatenate([getattr(t, name) for t in self.trees]) for name in names
+        )
+        tree_of = np.repeat(np.arange(sizes.size), sizes)
+        roots = np.cumsum(sizes) - sizes
+        node, offset = np.arange(feature.size), roots[tree_of]
+        if np.any(feature < LEAF):
+            raise ConfigError(f"a feature index below {LEAF}")
+        internal, leaf = feature >= 0, feature == LEAF
+        if np.any(~np.isfinite(threshold[internal])):
+            raise ConfigError("internal thresholds must be finite")
+        if not np.all((left[leaf] == LEAF) & (right[leaf] == LEAF) & np.isnan(threshold[leaf])):
+            raise ConfigError("a leaf must have no children and a NaN threshold")
+        # the preorder grow_tree builds, children indexed within their tree:
+        # each after its parent, and each node but a root of one split, so a walk ends
+        parents = np.tile(np.flatnonzero(internal), 2)
+        children = np.concatenate([left[internal], right[internal]]) + offset[parents]
+        if np.any(children <= parents):
+            raise ConfigError("every child must come after its parent")
+        inside = children < (roots + sizes)[tree_of[parents]]
+        if not (inside.all() and np.array_equal(np.sort(children), node[node != offset])):
+            raise ConfigError("every node but the root must be the child of exactly one split")
+        if np.any(counts[leaf].sum(axis=1) <= 0):
+            raise ConfigError("every leaf must hold at least one sample")
         if feature.max() >= self.n_features:
             raise ConfigError(
                 f"a split on feature {feature.max()} exceeds n_features {self.n_features}"
             )
-        sizes = [t.n_nodes for t in self.trees]
-        roots = np.cumsum([0, *sizes[:-1]])
-        leaf, node, offset = feature == LEAF, np.arange(feature.size), np.repeat(roots, sizes)
         for name, value in (
             ("_roots", roots),
-            ("_feature", feature),
-            ("_threshold", flat["threshold"]),
-            ("_left", np.where(leaf, node, flat["left"] + offset)),
-            ("_right", np.where(leaf, node, flat["right"] + offset)),
-            ("_vote", np.argmax(flat["counts"], axis=1)),
+            ("_feature", feature.astype(np.intp)),
+            ("_threshold", threshold),
+            ("_left", np.where(leaf, node, left + offset)),
+            ("_right", np.where(leaf, node, right + offset)),
+            ("_vote", np.argmax(counts, axis=1)),
+            ("_node_columns", (tree_of, feature, threshold, left, right, *counts.T)),
         ):
             object.__setattr__(self, name, value)
 
@@ -366,11 +369,7 @@ def save_forest(forest: Forest, path: str) -> None:
     ]
     if forest.feature_names:
         comments.append("feature_names=" + ",".join(forest.feature_names))
-    trees = forest.trees
-    tree_of = np.repeat(np.arange(len(trees)), [t.n_nodes for t in trees])
-    nodes = [np.concatenate([getattr(t, name) for t in trees])
-             for name in ("feature", "threshold", "left", "right", "counts")]
-    write_table(path, comments, _node_names(forest.classes), (tree_of, *nodes[:4], *nodes[4].T))
+    write_table(path, comments, _node_names(forest.classes), forest._node_columns)
 
 
 def load_forest(path: str) -> Forest:

@@ -73,6 +73,20 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.duration_s <= 0 or self.fs_hz <= 0 or self.day_period_s <= 0:
             raise ConfigError("duration, sampling rate, and day period must be positive")
+        if self.day_period_s < 1.0 / self.fs_hz:
+            # _bursts loops once per synthetic day
+            raise ConfigError(
+                f"synth.day_period_s = {self.day_period_s:g} is shorter than one sample "
+                f"period, 1 / synth.fs_hz = {1.0 / self.fs_hz:g} s"
+            )
+        if self.seasonal_period_s <= 0:
+            raise ConfigError(
+                f"synth.seasonal_period_s must be positive, got {self.seasonal_period_s:g}"
+            )
+        if self.burst_rate_per_hour < 0:
+            raise ConfigError(
+                f"synth.burst_rate_per_hour must be non-negative, got {self.burst_rate_per_hour:g}"
+            )
         if self.ar_sigma < 0:
             raise ConfigError("ar_sigma must be non-negative")
         if not 0 <= self.day_active_lo < self.day_active_hi <= 1:

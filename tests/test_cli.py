@@ -97,6 +97,32 @@ def test_a_duration_beyond_memory_exits_2_naming_the_keys(tmp_path, capsys, comm
     assert not (out / "signal.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        # rng.poisson refused a negative rate with a ValueError traceback
+        ("synth.burst_rate_per_hour = -1", ["synth.burst_rate_per_hour"]),
+        # a zero period made every seasonal sample non-finite
+        ("synth.seasonal_period_s = 0", ["synth.seasonal_period_s"]),
+        # _bursts looped once per synthetic day: 2.4e11 of them
+        ("synth.day_period_s = 1e-9", ["synth.day_period_s", "synth.fs_hz"]),
+    ],
+    ids=["negative-burst-rate", "zero-seasonal-period", "day-shorter-than-a-sample"],
+)
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+def test_a_synth_value_that_breaks_generation_exits_2_naming_the_key(
+    tmp_path, capsys, command, line, named
+):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CFG + line + "\n")
+    out = tmp_path / "o"
+    assert run(command, "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in named), err
+    assert "Traceback" not in err
+    assert not (out / "signal.csv").exists()
+
+
 # -- filter ------------------------------------------------------------------------
 
 
@@ -399,6 +425,24 @@ def _first_row_label_0(lines):
     return lines
 
 
+def _first_median(value):
+    # impute.csv's first row after its `feature_name,median` header
+    def edit(lines):
+        row = next(i for i, l in enumerate(lines) if l.startswith("feature_name,")) + 1
+        lines[row] = lines[row].rsplit(",", 1)[0] + "," + value
+        return lines
+    return edit
+
+
+def _first_sample_nan(lines):
+    # the first reference row's first pooled sample, after its start and label
+    row = next(i for i, l in enumerate(lines) if not l.startswith("#"))
+    cells = lines[row].split(",")
+    cells[2] = "nan"
+    lines[row] = ",".join(cells)
+    return lines
+
+
 def _pef_with_utf16_bom(tiny_cfg, out):
     assert _through_train(tiny_cfg, out) == 0
     path = os.path.join(out, "pef.csv")
@@ -457,6 +501,9 @@ def _predicted_label_4(tiny_cfg, out):
         _classify_damaged("forest.txt", _leaf_with_a_child),
         _classify_damaged("forest.txt", _params_sub(r"bootstrap=1", "bootstrap=2")),
         _classify_damaged("dtw_reference.csv", _params_sub(r"z_normalize=0", "z_normalize=2")),
+        _classify_damaged("impute.csv", _first_median("nan")),
+        _classify_damaged("impute.csv", _first_median("inf")),
+        _classify_damaged("dtw_reference.csv", _first_sample_nan),
     ],
     ids=["filter-missing-events", "classify-dtw-truncated-params",
          "classify-forest-without-params", "classify-pef-utf16-bom", "classify-pef-is-directory",
@@ -467,7 +514,8 @@ def _predicted_label_4(tiny_cfg, out):
          "classify-forest-extra-node-row", "classify-forest-classes-1-1-3",
          "classify-forest-classes-3-2-1", "classify-forest-child-points-at-root",
          "classify-forest-leaf-with-a-child", "classify-forest-bootstrap-2",
-         "classify-dtw-z-normalize-2"],
+         "classify-dtw-z-normalize-2", "classify-impute-nan-median", "classify-impute-inf-median",
+         "classify-dtw-nan-sample"],
 )
 def test_unreadable_artifact_exits_3_naming_file(tiny_cfg, tmp_path, capsys, damage):
     code, name = damage(tiny_cfg, str(tmp_path / "o"))

@@ -6,6 +6,8 @@ gini computation, independent of the production implementation.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -340,14 +342,33 @@ def _stump(left, right, extra_leaves=0):
     )
 
 
+def _two_class_forest(*trees):
+    return Forest(trees, np.array([1, 2]), ForestParams(n_trees=len(trees)), n_features=1)
+
+
 def test_tree_rejects_a_shape_a_walk_could_loop_in():
-    _stump(1, 2)
+    _two_class_forest(_stump(1, 2))
     with pytest.raises(ConfigError, match="after its parent"):
-        _stump(0, 2)  # the root's left child is the root: a walk never ends
+        _two_class_forest(_stump(0, 2))  # the root's left child is the root: a walk never ends
     with pytest.raises(ConfigError, match="exactly one split"):
-        _stump(1, 1)  # node 1 has two parents, node 2 none
+        _two_class_forest(_stump(1, 1))  # node 1 has two parents, node 2 none
     with pytest.raises(ConfigError, match="exactly one split"):
-        _stump(1, 2, extra_leaves=1)  # node 3 has no parent
+        _two_class_forest(_stump(1, 2, extra_leaves=1))  # node 3 has no parent
+
+
+def test_a_child_cannot_point_into_the_next_tree():
+    # tree 0's second split claims local nodes 4 and 5, which are tree 1's
+    # two non-roots: each non-root of the forest is still one split's child
+    grabbing = Tree(
+        np.array([0, 0, -1], dtype=np.int32),
+        np.array([0.5, 0.5, np.nan]),
+        np.array([1, 4, -1], dtype=np.int32),
+        np.array([2, 5, -1], dtype=np.int32),
+        np.ones((3, 2), dtype=np.int64),
+    )
+    leaves = Tree(*(np.full(3, v) for v in (-1, np.nan, -1, -1)), np.ones((3, 2), dtype=np.int64))
+    with pytest.raises(ConfigError, match="exactly one split"):
+        _two_class_forest(grabbing, leaves)
 
 
 def test_forest_rejects_classes_not_strictly_increasing():
@@ -477,9 +498,9 @@ def _forests(draw):
     return Forest(tuple(trees), classes, ForestParams(n_trees=len(trees)), n_features)
 
 
-@settings(max_examples=150, deadline=None)
-@given(forest=_forests(), data=st.data())
-def test_flat_walk_equals_the_per_tree_walk(forest, data):
+def _queries(forest, data, n=5):
+    """n feature vectors of LEVELS, the forest's thresholds, non-finite
+    values and floats, so that a query often meets a threshold exactly."""
     thresholds = [t for tree in forest.trees for t in tree.threshold.tolist()
                   if not math.isnan(t)]
     value = st.one_of(
@@ -487,9 +508,14 @@ def test_flat_walk_equals_the_per_tree_walk(forest, data):
         st.sampled_from(thresholds) if thresholds else st.nothing(),
         st.floats(-3.0, 3.0),
     )
-    for _ in range(5):
-        x = np.array(data.draw(st.lists(value, min_size=forest.n_features,
-                                        max_size=forest.n_features)))
+    vector = st.lists(value, min_size=forest.n_features, max_size=forest.n_features)
+    return [np.array(data.draw(vector)) for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(forest=_forests(), data=st.data())
+def test_flat_walk_equals_the_per_tree_walk(forest, data):
+    for x in _queries(forest, data):
         label, votes = predict_forest(forest, x)
         oracle_label, oracle_votes = per_tree_vote(forest, x)
         assert label == oracle_label
@@ -503,14 +529,32 @@ def test_leaf_with_children_or_a_threshold_is_rejected():
         return Tree(*(np.array(arrays[k]) for k in ("feature", "threshold", "left", "right")),
                     np.ones((3, 2), dtype=np.int64))
 
-    stump()
+    _two_class_forest(stump())
     for cells in ({"left": [1, 2, -1]}, {"right": [2, -1, 0]}, {"threshold": [0.5, 0.5, math.nan]}):
         with pytest.raises(ConfigError, match="a leaf must have no children"):
-            stump(**cells)
+            _two_class_forest(stump(**cells))
     with pytest.raises(ConfigError, match="below -1"):
-        stump(feature=[0, -2, -1])
+        _two_class_forest(stump(feature=[0, -2, -1]))
     with pytest.raises(ConfigError, match="one length"):
-        stump(right=[2, -1])
+        _two_class_forest(stump(right=[2, -1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(forest=_forests(), data=st.data())
+def test_save_load_save_keeps_the_bytes_and_the_votes(forest, data):
+    # root-only trees, several trees and trained forests all pass the load's checks
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "first.txt"), os.path.join(tmp, "second.txt")
+        save_forest(forest, first)
+        loaded = load_forest(first)
+        save_forest(loaded, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+    for x in _queries(forest, data):
+        label, votes = predict_forest(forest, x)
+        loaded_label, loaded_votes = predict_forest(loaded, x)
+        assert label == loaded_label
+        assert votes.tolist() == loaded_votes.tolist()
 
 
 # -- prediction latency ------------------------------------------------------------

@@ -165,6 +165,14 @@ def test_config_static_validation():
         SynthConfig(day_active_lo=0.8, day_active_hi=0.2)
     with pytest.raises(ConfigError):
         SynthConfig(burst_amp_lo=10.0, burst_amp_hi=5.0)
+    for fields, match in (
+        ({"burst_rate_per_hour": -1.0}, "burst_rate_per_hour"),
+        ({"seasonal_period_s": 0.0}, "seasonal_period_s"),
+        ({"day_period_s": 0.004, "fs_hz": 200.0}, "shorter than one sample period"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            SynthConfig(**fields)
+    SynthConfig(day_period_s=0.005, fs_hz=200.0)  # exactly one sample period
 
 
 # -- splitting ---------------------------------------------------------------------
