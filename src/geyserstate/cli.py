@@ -323,13 +323,13 @@ def _rf_predict(
     catalog: FeatureCatalog,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Returns (starts, true labels, predictions, 3-column votes, mean seconds
-    per forest predict call)."""
+    per window of the whole decision: features, imputation and forest)."""
+    t0 = time.perf_counter()
     matrix, labels, starts = build_feature_matrix(labeled, catalog)
     filled, _ = median_impute(matrix, medians)
     sub = filled[:, cols]
     preds = np.empty(len(labeled), dtype=np.int64)
     raw_votes = np.empty((len(labeled), forest.classes.size), dtype=np.int64)
-    t0 = time.perf_counter()
     for i in range(sub.shape[0]):
         preds[i], raw_votes[i] = predict_forest(forest, sub[i])
     per_window = (time.perf_counter() - t0) / max(sub.shape[0], 1)

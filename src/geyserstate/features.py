@@ -12,8 +12,15 @@ runs once.  The window is sorted once, and the median, the two quantiles,
 both change-quantile corridors and the entropy's bin counts read that copy
 instead of each selecting from the unsorted samples: a quantile or median
 is read off it by index with numpy's own arithmetic, so nothing calls
-np.quantile or np.median and the bits are theirs.  Each moment pass takes
-its cube and fourth power as products of the deviations, not libm pow, and
+np.quantile or np.median and the bits are theirs.  Every other statistic
+over the window is one ufunc call doing the float operations numpy's own
+function does on a 1-D float64 array, without that function's Python
+wrapper: a mean is np.add.reduce, numpy's pairwise sum, divided by the
+count; a variance the same over the squared deviations from that mean;
+min and max are np.minimum.reduce and np.maximum.reduce; a difference is
+np.subtract of the shifted views.  A change-quantile corridor selects its
+pairs with np.compress, not a boolean index.  Each moment pass takes its
+cube and fourth power as products of the deviations, not libm pow, and
 every dot product is numpy's pairwise sum of products, so no family calls
 BLAS and no column depends on the BLAS thread count.  A family sets NaN
 where a feature is undefined (skewness of a constant, centroid of silence);
@@ -142,22 +149,42 @@ def default_catalog(fs_hz: float, k_max: int = DEFAULT_FFT_BINS) -> FeatureCatal
 
 # -- feature families -------------------------------------------------------------
 
+def _mean(a: np.ndarray) -> float:
+    """np.mean(a): the pairwise sum, then one division by the count."""
+    return float(np.add.reduce(a) / a.size)
+
+
+def _mean_var(a: np.ndarray) -> tuple[float, float]:
+    """np.mean(a) and np.var(a), the mean of the squared deviations from
+    that same mean."""
+    mean = np.add.reduce(a) / a.size
+    centered = a - mean
+    np.multiply(centered, centered, out=centered)
+    return float(mean), float(np.add.reduce(centered) / a.size)
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """sum(a * b) by numpy's pairwise summation.  Unlike np.dot it never
     calls BLAS, so its bits do not depend on the BLAS thread count."""
     return float(np.add.reduce(a * b))
 
 
+def _changes(x: np.ndarray) -> np.ndarray:
+    """|np.diff(x)|, in one buffer."""
+    changes = np.subtract(x[1:], x[:-1])
+    return np.abs(changes, out=changes)
+
+
 def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
     """Mean and central moments 2-4, from products of the deviations rather
     than powers (numpy sends a cube or fourth power to libm pow, one element
     at a time); a product that overflows leaves its moment inf or NaN."""
-    mean = float(np.mean(x))
+    mean = _mean(x)
     centered = x - mean
     sq = centered * centered
-    m2 = float(np.mean(sq))
-    m3 = float(np.mean(sq * centered))
-    m4 = float(np.mean(sq * sq))
+    m2 = _mean(sq)
+    m3 = _mean(np.multiply(sq, centered, out=centered))
+    m4 = _mean(np.multiply(sq, sq, out=sq))
     return mean, m2, m3, m4
 
 
@@ -221,12 +248,14 @@ def _sorted_median(xs: np.ndarray) -> float:
 def _order_statistics(x: np.ndarray, xs: np.ndarray) -> tuple[float, ...]:
     # min and max read x itself, which keeps its NaN and signed-zero answers
     q05, q95 = _sorted_quantiles(xs, (0.05, 0.95))
-    return float(np.min(x)), float(np.max(x)), _sorted_median(xs), q05, q95
+    return (float(np.minimum.reduce(x)), float(np.maximum.reduce(x)), _sorted_median(xs),
+            q05, q95)
 
 
 def _change_sums(x: np.ndarray, _: np.ndarray) -> tuple[float, float]:
-    changes = np.abs(np.diff(x))
-    return float(np.mean(changes)), float(np.sum(changes))
+    changes = _changes(x)
+    total = np.add.reduce(changes)
+    return float(total / changes.size), float(total)
 
 
 def _zero_crossing_rate(x: np.ndarray, _: np.ndarray) -> tuple[float]:
@@ -234,25 +263,35 @@ def _zero_crossing_rate(x: np.ndarray, _: np.ndarray) -> tuple[float]:
     return (float(np.count_nonzero(x[:-1] * x[1:] < 0)) / (x.size - 1),)
 
 
-def _sorted_bin_counts(xs: np.ndarray, bins: int) -> np.ndarray:
+def _sorted_bin_counts(xs: np.ndarray, bins: int) -> np.ndarray | None:
     """np.histogram(xs, bins)'s counts, read off the sorted copy xs: bin i
     holds the samples at or above edge i and below edge i + 1, and the last
-    bin also holds the maximum."""
-    inner = np.histogram_bin_edges(xs, bins, (xs[0], xs[-1]))[1:-1]
-    return np.diff(np.searchsorted(xs, inner, side="left"), prepend=0, append=xs.size)
+    bin also holds the maximum.  The edges are np.histogram's,
+    np.linspace(xs[0], xs[-1], bins + 1); None where np.histogram refuses
+    them: a span too narrow for bins + 1 increasing edges."""
+    edges = np.linspace(xs[0], xs[-1], bins + 1)
+    if not np.less(edges[:-1], edges[1:]).all():
+        return None
+    # edge 0 is xs[0], so its index is 0; the last bin ends after the maximum
+    ends = np.searchsorted(xs, edges, side="left")
+    ends[-1] = xs.size
+    return np.subtract(ends[1:], ends[:-1])
 
 
 def _binned_entropy(x: np.ndarray, xs: np.ndarray, bins: int) -> tuple[float]:
     """Entropy of the window's histogram over `bins` equal bins spanning its
     range; 0 for a constant window, NaN when the span xs[-1] - xs[0] is not
-    finite (it overflows, or the window holds inf or NaN)."""
+    finite (it overflows, or the window holds inf or NaN) or too narrow to
+    cut into `bins` bins."""
     if xs[0] == xs[-1]:
         return (0.0,)
     if not math.isfinite(float(xs[-1]) - float(xs[0])):
         return (math.nan,)
     counts = _sorted_bin_counts(xs, bins)
-    p = counts[counts > 0] / x.size
-    return (float(-np.sum(p * np.log(p))),)
+    if counts is None:
+        return (math.nan,)
+    p = np.compress(counts > 0, counts) / x.size
+    return (float(-np.add.reduce(p * np.log(p))),)
 
 
 def _lag_correlations(
@@ -265,9 +304,12 @@ def _lag_correlations(
     variance collapses to zero is NaN, and the lags before it keep their
     values."""
     n = x.size
-    centered = x - np.mean(x)
-    lags = {0, *ac_lags, *range(1, max_lag + 1)}
-    prods = {k: _dot(centered[: n - k], centered[k:]) for k in lags}
+    centered = x - _mean(x)
+    products = np.empty(n)
+    prods = {}
+    for k in {0, *ac_lags, *range(1, max_lag + 1)}:
+        lagged = np.multiply(centered[: n - k], centered[k:], out=products[: n - k])
+        prods[k] = float(np.add.reduce(lagged))
     if prods[0] <= 0.0:
         acf = [math.nan] * len(ac_lags)
     else:
@@ -275,22 +317,28 @@ def _lag_correlations(
     pacf = [math.nan] * max_lag
     # the PACF tests the covariance, not the product: a subnormal product
     # divided by n can round to zero
-    cov = np.array([prods[k] for k in range(max_lag + 1)]) / n
+    cov = [prods[k] / n for k in range(max_lag + 1)]
     if cov[0] <= 0.0:
         return acf + pacf
-    phi = np.zeros(max_lag + 1)
+    # The recursion runs on a handful of Python floats with the bits of the
+    # same steps on numpy arrays: a float's ** is libm pow, as a numpy
+    # scalar's is, and numpy sums fewer than eight terms (max_lag <= 8) left
+    # to right from +0.0.
+    phi = [0.0] * (max_lag + 1)
     phi[1] = cov[1] / cov[0]
     v = cov[0] * (1.0 - phi[1] ** 2)
-    pacf[0] = float(phi[1])
+    pacf[0] = phi[1]
     for k in range(2, max_lag + 1):
         if v <= 0.0:
             break
-        num = cov[k] - _dot(phi[1:k], cov[1:k][::-1])
-        phi_kk = num / v
-        phi[1:k] = phi[1:k] - phi_kk * phi[1:k][::-1]
+        fitted = 0.0
+        for j in range(1, k):
+            fitted += phi[j] * cov[k - j]
+        phi_kk = (cov[k] - fitted) / v
+        phi[1:k] = [phi[j] - phi_kk * phi[k - j] for j in range(1, k)]
         phi[k] = phi_kk
         v *= 1.0 - phi_kk**2
-        pacf[k - 1] = float(phi_kk)
+        pacf[k - 1] = phi_kk
     return acf + pacf
 
 
@@ -298,19 +346,27 @@ def _time_reversal_asymmetries(x: np.ndarray, _: np.ndarray, lags: Sequence[int]
     """Mean of x_{t+2L}^2 x_{t+L} - x_{t+L} x_t^2 for each lag L; zero for
     time-symmetric input."""
     n = x.size
+    squares = x * x
     out: list[float] = []
     for lag in lags:
-        a, b, c = x[2 * lag :], x[lag : n - lag], x[: n - 2 * lag]
-        out.append(float(np.mean(a * a * b - b * c * c)))
+        b, c = x[lag : n - lag], x[: n - 2 * lag]
+        # (a * a) * b - (b * c) * c for a = x[2 * lag:], in two buffers
+        lead = squares[2 * lag :] * b
+        back = b * c
+        back *= c
+        lead -= back
+        out.append(_mean(lead))
     return out
 
 
 def _index_mass_quantiles(x: np.ndarray, qs: Sequence[float]) -> list[float]:
-    mass = np.cumsum(np.abs(x))
+    mass = np.abs(x)
+    np.add.accumulate(mass, out=mass)
     total = float(mass[-1])
     if total <= 0.0:
         return [math.nan] * len(qs)
-    return [(int(np.searchsorted(mass, q * total, side="left")) + 1) / x.size for q in qs]
+    found = np.searchsorted(mass, [q * total for q in qs], side="left")
+    return [(int(i) + 1) / x.size for i in found]
 
 
 def _linear_trends(x: np.ndarray, _: np.ndarray, chunk_len: int = 500) -> list[float]:
@@ -322,17 +378,23 @@ def _linear_trends(x: np.ndarray, _: np.ndarray, chunk_len: int = 500) -> list[f
     if m < 2:
         return [math.nan] * 4
     chunks = x[: m * chunk_len].reshape(m, chunk_len)
+    # np.mean and np.var over axis 1: row sums, then the squared deviations
+    # from the row means
+    means = np.add.reduce(chunks, axis=1) / chunk_len
+    deviations = chunks - means[:, None]
+    deviations *= deviations
+    variances = np.add.reduce(deviations, axis=1) / chunk_len
     k = np.arange(m, dtype=np.float64)
-    k_c = k - k.mean()
+    k_mean, means_mean = _mean(k), _mean(means)
+    k_c = k - k_mean
     sxx = _dot(k_c, k_c)
-    means, variances = np.mean(chunks, axis=1), np.var(chunks, axis=1)
-    means_c = means - means.mean()
+    means_c = means - means_mean
     sxy = _dot(k_c, means_c)
     syy = _dot(means_c, means_c)
     slope = sxy / sxx
-    intercept = float(means.mean()) - slope * float(k.mean())
+    intercept = means_mean - slope * k_mean
     r_value = sxy / math.sqrt(sxx * syy) if syy > 0.0 else math.nan
-    return [slope, intercept, r_value, _dot(k_c, variances - variances.mean()) / sxx]
+    return [slope, intercept, r_value, _dot(k_c, variances - _mean(variances)) / sxx]
 
 
 def _change_quantiles(
@@ -342,13 +404,13 @@ def _change_quantiles(
     value corridor, whose bounds are quantiles of the sorted copy xs; both 0
     for a corridor that holds no adjacent pair."""
     bounds = _sorted_quantiles(xs, [q for corridor in corridors for q in corridor])
-    changes = np.abs(np.diff(x))
+    changes = _changes(x)
     out: list[float] = []
     for lo, hi in zip(bounds[::2], bounds[1::2]):
-        inside = (x >= lo) & (x <= hi)
-        joined = inside[:-1] & inside[1:]
-        diffs = changes[joined]
-        out += [float(np.mean(diffs)), float(np.var(diffs))] if diffs.size else [0.0, 0.0]
+        inside = np.greater_equal(x, lo)
+        inside &= np.less_equal(x, hi)
+        diffs = np.compress(inside[:-1] & inside[1:], changes)
+        out += _mean_var(diffs) if diffs.size else (0.0, 0.0)
     return out
 
 
@@ -357,11 +419,11 @@ def _spectrum(x: np.ndarray, _: np.ndarray, fs_hz: float, k_max: int) -> list[fl
     skewness and kurtosis of the magnitude spectrum, from one rfft."""
     check_fft_bins(k_max, x.size)
     mag = np.abs(np.fft.rfft(x))
-    total = float(np.sum(mag))
-    freqs = np.arange(mag.size) * (fs_hz / x.size)
+    total = float(np.add.reduce(mag))
+    freqs = np.arange(mag.size, dtype=np.float64) * (fs_hz / x.size)
     centroid = math.nan if total <= 0.0 else _dot(freqs, mag) / total
     _, m2, m3, m4 = _moments(mag)
-    return [*mag[1 : k_max + 1], centroid, m2, *_skewness_kurtosis(m2, m3, m4)]
+    return [*mag[1 : k_max + 1].tolist(), centroid, m2, *_skewness_kurtosis(m2, m3, m4)]
 
 
 def check_fft_bins(k_max: int, window_samples: int) -> None:
@@ -388,7 +450,7 @@ def extract_features(
         raise DataError(f"window of {x.size} samples is below the {MIN_WINDOW_SAMPLES} minimum")
     xs = np.sort(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.concatenate([fn(x, xs) for _, fn in catalog.families])
+        values = np.array([v for _, fn in catalog.families for v in fn(x, xs)])
     return FeatureVector(values, window_start_s)
 
 

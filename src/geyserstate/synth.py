@@ -83,6 +83,19 @@ class SynthConfig:
             raise ConfigError(
                 f"synth.seasonal_period_s must be positive, got {self.seasonal_period_s:g}"
             )
+        # a layer's phase, 2π·f·t over its span (2π·t / period for the
+        # seasonal layer), must stay finite, or its samples are NaN
+        for keys, cycles in (
+            (("seasonal_period_s", "duration_s"), self.duration_s / self.seasonal_period_s),
+            (("chirp_f0_hz", "precursor_lead_s"), self.chirp_f0_hz * self.precursor_lead_s),
+            (("chirp_f1_hz", "precursor_lead_s"), self.chirp_f1_hz * self.precursor_lead_s),
+            (("eruption_tone_hz", "eruption_len_s"), self.eruption_tone_hz * self.eruption_len_s),
+            (("burst_freq_lo_hz", "burst_dur_hi_s"), self.burst_freq_lo_hz * self.burst_dur_hi_s),
+            (("burst_freq_hi_hz", "burst_dur_hi_s"), self.burst_freq_hi_hz * self.burst_dur_hi_s),
+        ):
+            if not math.isfinite(2.0 * math.pi * cycles):
+                named = " over ".join(f"synth.{key} = {getattr(self, key):g}" for key in keys)
+                raise ConfigError(f"{named} gives a layer phase that is not finite")
         if self.burst_rate_per_hour < 0:
             raise ConfigError(
                 f"synth.burst_rate_per_hour must be non-negative, got {self.burst_rate_per_hour:g}"

@@ -106,8 +106,15 @@ def test_a_duration_beyond_memory_exits_2_naming_the_keys(tmp_path, capsys, comm
         ("synth.seasonal_period_s = 0", ["synth.seasonal_period_s"]),
         # _bursts looped once per synthetic day: 2.4e11 of them
         ("synth.day_period_s = 1e-9", ["synth.day_period_s", "synth.fs_hz"]),
+        # a layer phase that overflows made that layer's samples non-finite
+        ("synth.seasonal_period_s = 1e-320", ["synth.seasonal_period_s", "synth.duration_s"]),
+        ("synth.chirp_f1_hz = 1e308", ["synth.chirp_f1_hz", "synth.precursor_lead_s"]),
+        ("synth.eruption_tone_hz = 1e308", ["synth.eruption_tone_hz", "synth.eruption_len_s"]),
+        ("synth.burst_freq_hi_hz = 1e308", ["synth.burst_freq_hi_hz", "synth.burst_dur_hi_s"]),
     ],
-    ids=["negative-burst-rate", "zero-seasonal-period", "day-shorter-than-a-sample"],
+    ids=["negative-burst-rate", "zero-seasonal-period", "day-shorter-than-a-sample",
+         "subnormal-seasonal-period", "overflowing-chirp", "overflowing-tone",
+         "overflowing-burst"],
 )
 @pytest.mark.parametrize("command", ["synth", "pipeline"])
 def test_a_synth_value_that_breaks_generation_exits_2_naming_the_key(

@@ -442,9 +442,13 @@ def _one_moment(x, which):
     m4 = float(np.mean((centered * centered) * (centered * centered)))
     if which == "variance":
         return m2
-    if m2 <= 0.0:
+    moment, power = (m3, 1.5) if which == "skewness" else (m4, 2.0)
+    # undefined where that power of the variance underflows to zero or
+    # overflows, or where the moment itself overflowed
+    scale = float(np.float64(m2) ** power)
+    if not (0.0 < scale < math.inf and math.isfinite(moment)):
         return math.nan
-    return m3 / m2**1.5 if which == "skewness" else m4 / m2**2 - 3.0
+    return moment / scale if which == "skewness" else moment / scale - 3.0
 
 
 def _pairwise_dot(a, b):
@@ -528,7 +532,35 @@ def _one_spectrum_moment(x, which):
     return _one_moment(np.abs(np.fft.rfft(x)), which)
 
 
+def _one_spectral_centroid(x):
+    mag = np.abs(np.fft.rfft(x))
+    total = float(np.sum(mag))
+    if total <= 0.0:
+        return math.nan
+    return float(np.sum(np.arange(mag.size) * (FS / x.size) * mag)) / total
+
+
+def _one_binned_entropy(x, bins=16):
+    if x.min() == x.max():
+        return 0.0  # np.histogram would widen a zero span to one unit
+    if not math.isfinite(float(x.max()) - float(x.min())):
+        return math.nan
+    try:
+        counts = np.histogram(x, bins)[0]
+    except ValueError:  # a span too narrow for `bins` distinct edges
+        return math.nan
+    p = counts[counts > 0] / x.size
+    return float(-np.sum(p * np.log(p)))
+
+
 SHARED_COLUMNS = {
+    "mean": lambda x: float(np.mean(x)),
+    "min": lambda x: float(np.min(x)),
+    "max": lambda x: float(np.max(x)),
+    "mean_abs_change": lambda x: float(np.mean(np.abs(np.diff(x)))),
+    "abs_sum_of_changes": lambda x: float(np.sum(np.abs(np.diff(x)))),
+    "binned_entropy_16": _one_binned_entropy,
+    "spectral_centroid_hz": _one_spectral_centroid,
     # the variance column is the family's m2, which must be np.var's bits
     "variance": lambda x: float(np.var(x)),
     "skewness": partial(_one_moment, which="skewness"),
@@ -567,18 +599,55 @@ def _shape_windows(n: int) -> dict[str, np.ndarray]:
     }
 
 
-@pytest.mark.parametrize("n", [64, 3000, 12000])
-def test_family_columns_equal_their_one_column_formula(n):
+@st.composite
+def _catalog_windows(draw):
+    """64..12000 samples of Gaussian or t(2) noise, values rounded to one
+    decimal, small integers, a constant or zeros, at scales from 1e-150 to
+    1e150."""
+    n = draw(st.integers(MIN_WINDOW_SAMPLES, 12000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-150, 1e-50, 1.0, 1e50, 1e150]))
+    kind = draw(st.sampled_from(["noise", "t2", "rounded", "integers", "constant", "zeros"]))
+    if kind == "noise":
+        x = rng.normal(size=n)
+    elif kind == "t2":
+        x = rng.standard_t(2, size=n)
+    elif kind == "rounded":
+        x = np.round(rng.normal(size=n), 1)
+    elif kind == "integers":
+        x = rng.integers(-8, 9, size=n).astype(np.float64)
+    elif kind == "constant":
+        x = np.full(n, rng.normal())
+    else:
+        x = np.zeros(n)
+    return x * scale
+
+
+def _with_shape_windows(test):
+    for n in (64, 3000, 12000):
+        for x in _shape_windows(n).values():
+            test = example(x=x)(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_catalog_windows())
+@_with_shape_windows
+@example(x=np.tile([1.0, 1.0 + 2**-52], 32))  # a span too narrow for 16 bins
+def test_family_columns_equal_their_one_column_formula(x):
     cat = default_catalog(FS)
-    assert len(SHARED_COLUMNS) == 25 and set(SHARED_COLUMNS) <= set(cat.names)
-    nan_cells = 0
-    for shape, x in _shape_windows(n).items():
+    assert len(SHARED_COLUMNS) == 32 and set(SHARED_COLUMNS) <= set(cat.names)
+    # a product or sum that overflows on the loudest windows is inf or NaN
+    # on both sides
+    with np.errstate(all="ignore"):
         by_name = dict(zip(cat.names, extract_features(x, cat).values))
+        nan_cells = 0
         for name, one_column in SHARED_COLUMNS.items():
             expected = one_column(x)
-            assert _same_bits(by_name[name], expected), (n, shape, name, by_name[name], expected)
+            assert _same_bits(by_name[name], expected), (x.size, name, by_name[name], expected)
             nan_cells += math.isnan(expected)
-    assert nan_cells > 0  # the NaN rule is exercised, not only the finite path
+    if not x.any():
+        assert nan_cells > 0  # silence exercises the NaN rule
 
 
 def test_family_pacf_keeps_lags_before_a_collapse():
