@@ -47,6 +47,7 @@ from .features import (
     select_features,
 )
 from .filters import (
+    ArModel,
     apply_filter,
     ar_predict_one_step,
     design_butterworth_highpass,
@@ -213,12 +214,12 @@ def _synthesize(values: dict, seed: int, paths: dict) -> tuple[TimeSeries, Event
     return ts, events
 
 
-def _highpass(ts: TimeSeries, values: dict) -> TimeSeries:
-    """Butterworth high-pass of the raw signal."""
+def _highpass(ts: TimeSeries, values: dict, out: np.ndarray | None = None) -> TimeSeries:
+    """Butterworth high-pass of the raw signal, into `out` (see apply_filter)."""
     cascade = design_butterworth_highpass(
         values["filter.order"], values["filter.corner_hz"], ts.fs_hz
     )
-    return apply_filter(cascade, ts)
+    return apply_filter(cascade, ts, out)
 
 
 def _prediction_error(
@@ -236,19 +237,23 @@ def _prediction_error(
     )
     model = fit_ar(segment, values["ar.max_order"], values["ar.criterion"])
     seg_end = int(round((segment.t0_s - fit_on.t0_s) * fit_on.fs_hz)) + len(segment)
-    held_out = fit_on.slice(seg_end, len(fit_on))
-    if len(held_out) > model.order_p + 1:
-        tail = held_out.slice(model.order_p, len(held_out))
-        pred = ar_predict_one_step(model, held_out).slice(model.order_p, len(held_out))
-        r2 = r2_score(tail, pred)
-    else:
-        r2 = float("nan")
+    r2 = _held_out_r2(model, fit_on.slice(seg_end, len(fit_on)))
     residual = pef(bh, model)
     save_ar_model(model, os.path.join(out_dir, "ar_model.txt"), _seed_header(seed))
     _log.info(
         "AR order p=%d, AIC=%.2f, held-out one-step R2=%.4f", model.order_p, model.aic, r2
     )
     return residual, model, r2
+
+
+def _held_out_r2(model: ArModel, held_out: TimeSeries) -> float:
+    """One-step R2 of the model past the first p samples of held_out (NaN when
+    too few remain); the prediction is dropped on return."""
+    p = model.order_p
+    if len(held_out) <= p + 1:
+        return float("nan")
+    pred = ar_predict_one_step(model, held_out)
+    return r2_score(held_out.slice(p, len(held_out)), pred.slice(p, len(held_out)))
 
 
 # -- rf train/predict shared by cmd_train, cmd_classify, and the pipeline ----------
@@ -434,13 +439,14 @@ def cmd_filter(values: dict, seed: int, out_dir: str, args: argparse.Namespace) 
         raise DataError(f"signal file {paths['signal']} not found; run synth or set paths.signal")
     ts = load_timeseries(paths["signal"], values["synth.fs_hz"])
     events = load_events(paths["events"])
-    bh = _highpass(ts, values)
+    # the raw series is not written again: filter it in its own buffer
+    bh = _highpass(ts, values, out=ts.values)
     bh_path, pef_path = os.path.join(out_dir, "bh.csv"), os.path.join(out_dir, "pef.csv")
     series = {bh_path: bh}
     if not args.skip_pef:
         residual, model, r2 = _prediction_error(bh, bh, events, values, out_dir, seed)
         series[pef_path] = residual
-    header, grid = _seed_header(seed), ts.timestamps()
+    header, grid = _seed_header(seed), bh.timestamps()
     write_tables([series_table(path, header, grid, s.values) for path, s in series.items()])
     if args.skip_pef:
         _log.info("high-pass output written; prediction-error stage skipped")

@@ -8,6 +8,13 @@ on a quiet segment of the stage-1 output and subtracts its one-step
 predictions from the whole series.  Ambient noise falls toward the
 innovation floor, events less: at seed 42 the default synth loses 25.0 dB of
 Class-1 noise, 11.2 of chirp and 5.5 dB of tone (SNR +13.1 and +19.8 dB).
+
+In-place contract: each function does its float arithmetic in buffers it
+returns or drops, in the order of the whole-array expression, so results
+are that expression's bit for bit.  `apply_filter` can write into the
+input's own buffer (`out=ts.values`), holding one block beyond it;
+`ar_predict_one_step` accumulates into its output with one product buffer;
+`pef` subtracts into the prediction; `r2_score` squares in one buffer.
 """
 
 from __future__ import annotations
@@ -32,6 +39,10 @@ SUPPORTED_ORDERS = (2, 4, 6, 8)
 OLS_RESIDUAL_TOL = 1e-8
 
 _POLE_MARGIN = 1e-9
+
+# samples per sosfilt call in apply_filter; sosfilt copies its input, so a
+# whole-series call would hold a second series
+FILTER_BLOCK = 65536
 
 _log = logging.getLogger(__name__)
 
@@ -128,14 +139,29 @@ def design_butterworth_highpass(order: int, corner_hz: float, fs_hz: float) -> F
     return FilterCascade(tuple(sections), order, corner_hz, fs_hz)
 
 
-def apply_filter(cascade: FilterCascade, ts: TimeSeries) -> TimeSeries:
-    """Causal filtering through each section in sequence, zero initial state."""
+def apply_filter(
+    cascade: FilterCascade, ts: TimeSeries, out: np.ndarray | None = None
+) -> TimeSeries:
+    """Causal filtering through each section in sequence, zero initial state.
+
+    The series runs through `sosfilt` in blocks of FILTER_BLOCK samples, the
+    section states carried from block to block: the same recursion per
+    sample as one call, bit for bit, with one block's copy of the input as
+    the only temporary.  The result goes into `out` (a float64 array of
+    len(ts) samples, which may be ts.values itself) or, by default, a new
+    array.
+    """
     if abs(ts.fs_hz - cascade.fs_hz) > 1e-9:
         raise DataError(
             f"series sampled at {ts.fs_hz} Hz but filter designed for {cascade.fs_hz} Hz"
         )
     sos = [(b0, b1, b2, 1.0, a1, a2) for b0, b1, b2, a1, a2 in cascade.sections]
-    return ts.with_values(sosfilt(sos, ts.values))
+    x = ts.values
+    y = np.empty_like(x) if out is None else out
+    zi = np.zeros((len(sos), 2))
+    for a in range(0, x.size, FILTER_BLOCK):
+        y[a : a + FILTER_BLOCK], zi = sosfilt(sos, x[a : a + FILTER_BLOCK], zi=zi)
+    return ts.with_values(y)
 
 
 def fit_ar(ts: TimeSeries, max_order: int = 64, criterion: str = "aic") -> ArModel:
@@ -237,10 +263,11 @@ def ar_predict_one_step(model: ArModel, ts: TimeSeries) -> TimeSeries:
     x = ts.values
     pred = np.empty(n)
     pred[:p] = x[:p]
-    acc = np.full(n - p, model.intercept_c)
+    acc = pred[p:]
+    acc.fill(model.intercept_c)
+    term = np.empty(n - p)
     for i in range(1, p + 1):
-        acc += model.coeffs_alpha[i - 1] * x[p - i : n - i]
-    pred[p:] = acc
+        acc += np.multiply(model.coeffs_alpha[i - 1], x[p - i : n - i], out=term)
     return ts.with_values(pred)
 
 
@@ -248,26 +275,40 @@ def pef(x_h: TimeSeries, model: ArModel) -> TimeSeries:
     """Prediction-error filter: input minus its one-step prediction.
 
     The first p samples are emitted as exact zeros so every series in the
-    pipeline stays index-aligned.
+    pipeline stays index-aligned.  The difference is taken in the
+    prediction's buffer, so the call holds one series beyond its input.
     """
-    pred = ar_predict_one_step(model, x_h)
-    out = x_h.values - pred.values
+    out = ar_predict_one_step(model, x_h).values
+    np.subtract(x_h.values, out, out=out)
     out[: model.order_p] = 0.0
     return x_h.with_values(out)
 
 
 def r2_score(actual: TimeSeries, predicted: TimeSeries) -> float:
-    """Coefficient of determination 1 - RSS/TSS of predicted against actual."""
+    """Coefficient of determination 1 - RSS/TSS of predicted against actual.
+
+    Both sums of squares are taken in one buffer, each square as x * x.  A
+    mean, TSS or RSS that overflows is a NumericError.
+    """
     if len(actual) != len(predicted):
         raise DataError(f"length mismatch: {len(actual)} vs {len(predicted)}")
     if len(actual) < 2:
         raise DataError("need at least 2 samples")
     a = actual.values
-    p = predicted.values
-    tss = float(np.sum((a - a.mean()) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = a.mean()
+        d = a - mean
+        d *= d
+        tss = float(np.sum(d))
+        np.subtract(a, predicted.values, out=d)
+        d *= d
+        rss = float(np.sum(d))
+    for name, value in (("mean", mean), ("TSS", tss), ("RSS", rss)):
+        if not math.isfinite(value):
+            raise NumericError(f"R2 is not finite: the {name} overflows")
     if tss <= 0.0:
         raise NumericError("actual series has zero variance")
-    return 1.0 - float(np.sum((a - p) ** 2)) / tss
+    return 1.0 - rss / tss
 
 
 def save_ar_model(model: ArModel, path: str, header_comments: list[str] | None = None) -> None:

@@ -12,6 +12,12 @@ innovations first, then burst placements day by day; event components use no
 randomness.  Dropping events or the seasonal layer therefore leaves the
 remaining layers bit-identical at the same seed, which tests exploit to
 isolate components by subtraction.
+
+In-place contract: `generate` builds the seasonal layer in the output buffer
+and adds ambient, bursts and events to it in that order, dropping each layer
+once it is added.  Every step is the float operation of the whole-array sum
+seasonal + ambient + bursts + events, in the same order, so the signal is
+that sum bit for bit while at most four series are held.
 """
 
 from __future__ import annotations
@@ -183,10 +189,11 @@ def _bursts(config: SynthConfig, rng: np.random.Generator, n: int) -> np.ndarray
     return out
 
 
-def _event_components(config: SynthConfig, ts_template: TimeSeries) -> np.ndarray:
+def _event_components(config: SynthConfig, n: int) -> np.ndarray:
     fs = config.fs_hz
-    n = len(ts_template)
     out = np.zeros(n)
+    # the layer's own clock: _index_range reads only its rate, t0 and length
+    ts_template = TimeSeries(out, config.fs_hz)
     for e in config.event_times_s:
         # Precursor: chirp sweeping chirp_f0 -> chirp_f1 with an envelope that
         # intensifies toward the eruption.
@@ -220,6 +227,17 @@ def _event_components(config: SynthConfig, ts_template: TimeSeries) -> np.ndarra
     return out
 
 
+def _check_amplitude_cap(config: SynthConfig, ambient: np.ndarray, bursts: np.ndarray) -> None:
+    """The eruption may be at most AMPLITUDE_CAP of the noise layers' peak."""
+    noise = ambient + bursts
+    peak_noise = float(np.max(np.abs(noise, out=noise)))
+    if config.eruption_amplitude > AMPLITUDE_CAP * peak_noise:
+        raise DataError(
+            f"eruption amplitude {config.eruption_amplitude:g} exceeds "
+            f"{AMPLITUDE_CAP:.0%} of peak noise amplitude {peak_noise:g}"
+        )
+
+
 def generate(config: SynthConfig) -> tuple[TimeSeries, EventLog]:
     """Build the layered signal; returns (series, events)."""
     _check_stationary(config.ar_coefficients)
@@ -231,23 +249,26 @@ def generate(config: SynthConfig) -> tuple[TimeSeries, EventLog]:
     try:
         ambient = _ambient(config, rng, n)
         bursts = _bursts(config, rng, n)
-        t = np.arange(n) / config.fs_hz
-        seasonal = config.seasonal_amplitude * np.sin(
-            2.0 * math.pi * t / config.seasonal_period_s + config.seasonal_phase
-        )
-        template = TimeSeries(np.zeros(n), config.fs_hz)
-        events = _event_components(config, template)
+        if config.enforce_amplitude_cap and config.event_times_s:
+            _check_amplitude_cap(config, ambient, bursts)
+        # the seasonal layer, sin(2π t / period + phase) at t = i / fs, in the
+        # output buffer; then each layer is added to it and dropped
+        signal = np.arange(n, dtype=np.float64)
+        signal /= config.fs_hz
+        signal *= 2.0 * math.pi
+        signal /= config.seasonal_period_s
+        signal += config.seasonal_phase
+        np.sin(signal, out=signal)
+        signal *= config.seasonal_amplitude
+        signal += ambient
+        del ambient
+        signal += bursts
+        del bursts
+        signal += _event_components(config, n)
     except MemoryError:
         raise ConfigError(f"synth.duration_s = {config.duration_s:g} at synth.fs_hz = "
                           f"{config.fs_hz:g} gives {n} samples, more than memory holds") from None
-    if config.enforce_amplitude_cap and config.event_times_s:
-        peak_noise = float(np.max(np.abs(ambient + bursts)))
-        if config.eruption_amplitude > AMPLITUDE_CAP * peak_noise:
-            raise DataError(
-                f"eruption amplitude {config.eruption_amplitude:g} exceeds "
-                f"{AMPLITUDE_CAP:.0%} of peak noise amplitude {peak_noise:g}"
-            )
-    ts = TimeSeries(seasonal + ambient + bursts + events, config.fs_hz)
+    ts = TimeSeries(signal, config.fs_hz)
     return ts, EventLog(tuple(float(e) for e in config.event_times_s))
 
 

@@ -13,6 +13,11 @@ a 1 microsecond guard so that samples landing exactly on a class boundary are
 classified identically regardless of how their timestamps were computed.
 :func:`sample_classes` is the one implementation of this rule; window labels,
 the train/test split and the AR noise segment all read it.
+
+Memory: a stage holds one buffer per series it returns.  `sample_classes`
+gives int8 classes, one byte a sample; `load_timeseries` holds the parsed
+table and then one column-sized buffer at a time (the spacing test's gaps,
+then the amplitude copy).
 """
 
 from __future__ import annotations
@@ -61,6 +66,8 @@ class TimeSeries:
         object.__setattr__(self, "values", values)
         if not self.fs_hz > 0:
             raise DataError(f"fs_hz must be positive, got {self.fs_hz}")
+        if not math.isfinite(self.t0_s):
+            raise DataError(f"t0_s must be finite, got {self.t0_s}")
         if values.ndim != 1:
             raise DataError("values must be one-dimensional")
         if values.size == 0:
@@ -178,8 +185,9 @@ def _index_range(ts: TimeSeries, lo_s: float, hi_s: float) -> tuple[int, int]:
 
 
 def sample_classes(ts: TimeSeries, events: EventLog, policy: LabelPolicy) -> np.ndarray:
-    """Per-sample class array; Class-3 painted last so it wins at shared boundaries."""
-    cls = np.full(len(ts), CLASS_FAR, dtype=np.int64)
+    """Per-sample class array, int8 (one byte a sample); Class-3 painted last
+    so it wins at shared boundaries."""
+    cls = np.full(len(ts), CLASS_FAR, dtype=np.int8)
     # only events whose spans can reach the series paint it (one sample of
     # slack), so labelling many short windows does not visit every event each time
     slack = 1.0 / ts.fs_hz
@@ -274,9 +282,10 @@ def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
 
     Blank lines, `#` comments, and one non-numeric header as the first row
     are skipped.  Every row has the width of the first numeric row.
-    Two-column rows must be uniformly spaced at 1/fs_hz within 1e-6 s; the
-    first row's timestamp becomes t0_s (0.0 for single-column files).  An
-    fs_hz that is not positive is a ConfigError, before the file is opened.
+    Two-column rows must carry finite timestamps, uniformly spaced at 1/fs_hz
+    within 1e-6 s; the first row's timestamp becomes t0_s (0.0 for
+    single-column files).  An fs_hz that is not positive is a ConfigError,
+    before the file is opened.
 
     A plain file is parsed in one `read_numeric` call and checked column-wise;
     anything else (and every fault) goes through `_load_streaming`, so the
@@ -288,12 +297,22 @@ def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
     table = read_numeric(path)
     if table is not None and table.shape[1] <= 2:
         t, values = table[:, 0], table[:, -1]
-        # the streaming loop's spacing test, row for row (a NaN gap passes both)
-        uneven = table.shape[1] == 2 and np.any(np.abs(np.diff(t) - period) > TIME_TOL_S)
+        uneven = table.shape[1] == 2 and _uneven(t, period)
         if not uneven and np.all(np.isfinite(values)):
             t0 = float(t[0]) if table.shape[1] == 2 else 0.0
             return TimeSeries(np.ascontiguousarray(values), fs_hz, t0)
     return _load_streaming(path, fs_hz)
+
+
+def _uneven(t: np.ndarray, period: float) -> bool:
+    """The streaming loop's timestamp and spacing tests, row for row: a
+    non-finite timestamp, or a gap off `period` by more than TIME_TOL_S.
+    The gaps are taken in one buffer."""
+    if not np.all(np.isfinite(t)):
+        return True
+    gaps = np.subtract(t[1:], t[:-1])
+    gaps -= period
+    return bool(np.any(np.abs(gaps, out=gaps) > TIME_TOL_S))
 
 
 def _load_streaming(path: str, fs_hz: float) -> TimeSeries:
@@ -321,6 +340,8 @@ def _load_streaming(path: str, fs_hz: float) -> TimeSeries:
                 value = fields[0]
             else:
                 t, value = fields
+                if not math.isfinite(t):
+                    raise ValueError(f"non-finite timestamp {t!r}")
                 if prev_t is None:
                     t0 = t
                 elif abs((t - prev_t) - period) > TIME_TOL_S:

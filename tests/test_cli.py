@@ -12,6 +12,7 @@ import logging
 import os
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -682,6 +683,54 @@ def test_non_positive_fs_hz_exits_2_before_a_series_is_read(
     err = capsys.readouterr().err
     assert f"fs_hz must be positive, got {float(fs_hz)}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "row, cell", [(0, "nan"), (6000, "nan"), (6000, "inf")],
+    ids=["first-row-nan", "mid-file-nan", "mid-file-inf"],
+)
+@pytest.mark.parametrize("command", ["filter", "pipeline"])
+def test_a_non_finite_timestamp_exits_3_naming_it_and_its_line(
+    tiny_cfg, tmp_path, capsys, command, row, cell
+):
+    """A NaN first timestamp was a traceback from the AR segment's offset,
+    and a NaN later one passed the spacing test; an inf one read as a gap."""
+    out = str(tmp_path / "o")
+    assert run("synth", "--config", tiny_cfg, "--out", out, "--seed", "3") == 0
+    signal = os.path.join(out, "signal.csv")
+    with open(signal, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    k = 2 + row  # after the seed comment and the column header
+    lines[k] = f"{cell},{lines[k].split(',')[1]}"
+    with open(signal, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    cfg = tmp_path / "given.cfg"
+    cfg.write_text(
+        TINY_CFG + f"paths.signal = {signal}\npaths.events = {os.path.join(out, 'events.csv')}\n"
+    )
+    assert run(command, "--config", str(cfg), "--out", out, "--seed", "3") == 3
+    err = capsys.readouterr().err
+    assert f"malformed {signal}: non-finite timestamp {float(cell)!r} at line {k + 1}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["filter", "pipeline"])
+def test_an_r2_whose_sums_overflow_exits_4_without_a_warning(tmp_path, capsys, command):
+    """Bursts near the float range: the held-out R2's sums of squares
+    overflow, which printed R2=nan (filter) or went on to a report
+    (pipeline), both exiting 0 with RuntimeWarnings."""
+    cfg = tmp_path / "loud.cfg"
+    cfg.write_text(TINY_CFG + "synth.burst_amp_hi = 1e308\n")
+    out = str(tmp_path / "o")
+    if command == "filter":
+        assert run("synth", "--config", str(cfg), "--out", out, "--seed", "3") == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(command, "--config", str(cfg), "--out", out, "--seed", "3")
+    assert code == 4
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "R2 is not finite" in err and "Traceback" not in err
 
 
 def test_out_dir_env_override(tiny_cfg, tmp_path, monkeypatch):

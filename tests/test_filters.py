@@ -12,11 +12,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.signal import lfilter
+from scipy.signal import lfilter, sosfilt
 
 from geyserstate.config import default_config, label_policy, synth_config
 from geyserstate.errors import ConfigError, DataError, NumericError
 from geyserstate.filters import (
+    FILTER_BLOCK,
     ArModel,
     FilterCascade,
     _ols_ar,
@@ -230,6 +231,26 @@ def test_filter_equals_per_sample_recursion(order):
     cascade = design_butterworth_highpass(order, 0.1, FS)
     y = apply_filter(cascade, TimeSeries(x, FS)).values
     assert np.array_equal(y, transposed_df2_filter(cascade, x))
+
+
+@pytest.mark.parametrize(
+    "n", [1000, FILTER_BLOCK, 2 * FILTER_BLOCK, 2 * FILTER_BLOCK + 777],
+    ids=["below-a-block", "one-block", "two-blocks", "off-a-multiple"],
+)
+@pytest.mark.parametrize("into", ["new", "out", "in-place"])
+def test_filter_over_blocks_equals_one_sosfilt_call(n, into):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n) * 30.0 + np.cumsum(rng.normal(size=n)) + 2000.0
+    cascade = design_butterworth_highpass(4, 0.1, FS)
+    sos = [(b0, b1, b2, 1.0, a1, a2) for b0, b1, b2, a1, a2 in cascade.sections]
+    whole = sosfilt(sos, x)
+    ts = TimeSeries(x.copy(), FS, t0_s=3.0)
+    out = {"new": None, "out": np.empty(n), "in-place": ts.values}[into]
+    y = apply_filter(cascade, ts, out)
+    assert y.values.tobytes() == whole.tobytes()
+    assert y.t0_s == 3.0 and y.fs_hz == FS
+    if out is not None:
+        assert y.values is out
 
 
 def test_sample_rate_mismatch():
@@ -450,6 +471,23 @@ def test_pef_preserves_isolated_spike():
     assert abs(residual[30000]) >= 0.8 * spike
 
 
+def test_one_step_prediction_matches_the_whole_array_sum():
+    """The prediction accumulates in place, term by term in lag order:
+    c + a1 x[t-1] + ... + ap x[t-p], bit for bit."""
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=3000) * 1e3
+    alpha = rng.normal(size=7) * 0.3
+    m = ArModel(order_p=7, intercept_c=0.125, coeffs_alpha=alpha, sigma2=1.0)
+    acc = np.full(x.size - 7, 0.125)
+    for i in range(1, 8):
+        acc = acc + alpha[i - 1] * x[7 - i : x.size - i]
+    pred = ar_predict_one_step(m, TimeSeries(x, FS)).values
+    assert pred[7:].tobytes() == acc.tobytes()
+    assert pred[:7].tobytes() == x[:7].tobytes()
+    resid = pef(TimeSeries(x, FS), m).values
+    assert resid[7:].tobytes() == (x[7:] - acc).tobytes()
+
+
 def test_pef_zero_input_and_alignment():
     m = ArModel(order_p=2, intercept_c=0.0, coeffs_alpha=np.array([0.5, 0.2]), sigma2=1.0)
     zero = TimeSeries(np.full(100, 1e-300), FS)  # effectively zero, passes non-empty checks
@@ -479,6 +517,30 @@ def test_r2_validation():
         r2_score(a, TimeSeries(np.array([1.0, 2.0]), FS))
     with pytest.raises(NumericError, match="zero variance"):
         r2_score(TimeSeries(np.full(3, 2.0), FS), a)
+
+
+@pytest.mark.parametrize(
+    "actual, predicted, named",
+    [
+        ([1e308, 1.7e308, -1e308], [0.0, 0.0, 0.0], "mean"),
+        ([1e308, -1e308, 0.0], [0.0, 0.0, 0.0], "TSS"),
+        ([1.0, 2.0, 3.0], [1e308, -1e308, 0.0], "RSS"),
+    ],
+    ids=["mean", "tss", "rss"],
+)
+def test_r2_whose_sums_overflow_is_a_numeric_error(actual, predicted, named):
+    """No RuntimeWarning (the test config makes one an error) and no NaN."""
+    a = TimeSeries(np.array(actual), FS)
+    with pytest.raises(NumericError, match=f"R2 is not finite: the {named} overflows"):
+        r2_score(a, a.with_values(np.array(predicted)))
+
+
+def test_r2_squares_as_the_power_of_two():
+    rng = np.random.default_rng(29)
+    a = rng.normal(size=4001) * 7.0 + 3.0
+    p = a + rng.normal(size=a.size)
+    expected = 1.0 - float(np.sum((a - p) ** 2)) / float(np.sum((a - a.mean()) ** 2))
+    assert r2_score(TimeSeries(a, FS), TimeSeries(p, FS)) == expected
 
 
 # -- persistence ---------------------------------------------------------------

@@ -5,6 +5,8 @@ AR(2) process; coefficient-recovery standard errors come from an independent
 normal-equations computation.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,9 @@ from geyserstate.errors import ConfigError, DataError
 from geyserstate.filters import apply_filter, design_butterworth_highpass, fit_ar
 from geyserstate.synth import (
     SynthConfig,
+    _ambient,
+    _bursts,
+    _event_components,
     generate,
     save_classes,
     split_train_test,
@@ -44,6 +49,42 @@ def test_generate_deterministic():
     ts_b, ev_b = generate(config)
     assert np.array_equal(ts_a.values, ts_b.values)
     assert np.array_equal(ev_a.event_times_s, ev_b.event_times_s)
+
+
+def layer_sum(config: SynthConfig) -> np.ndarray:
+    """The signal as the sum of its layers, each built whole in its own
+    array: seasonal + ambient + bursts + events, left to right, the random
+    layers drawn in draw order from a fresh Generator."""
+    rng = np.random.default_rng(config.seed)
+    n = int(round(config.duration_s * config.fs_hz))
+    ambient = _ambient(config, rng, n)
+    bursts = _bursts(config, rng, n)
+    t = np.arange(n) / config.fs_hz
+    seasonal = config.seasonal_amplitude * np.sin(
+        2.0 * math.pi * t / config.seasonal_period_s + config.seasonal_phase
+    )
+    return seasonal + ambient + bursts + _event_components(config, n)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SynthConfig(duration_s=240.0, fs_hz=50.0, day_period_s=120.0, seasonal_period_s=120.0,
+                    event_times_s=(100.0, 180.0), chirp_f0_hz=8.0, chirp_f1_hz=15.0,
+                    eruption_tone_hz=15.0, eruption_amplitude=0.2, precursor_lead_s=30.0,
+                    eruption_len_s=20.0, enforce_amplitude_cap=False, seed=3),
+        SynthConfig(enforce_amplitude_cap=False),
+        # every seasonal sample is a signed zero, and so is the ambient layer
+        SynthConfig(duration_s=1200.0, event_times_s=(400.0, 850.0), seasonal_amplitude=0.0,
+                    ar_sigma=0.0, enforce_amplitude_cap=False, seed=7),
+        SynthConfig(duration_s=1200.0, event_times_s=(), seasonal_phase=0.3, seed=11),
+        SynthConfig(),
+    ],
+    ids=["tiny", "default", "signed-zeros", "no-events", "cap-on"],
+)
+def test_generate_is_the_sum_of_its_layers_bit_for_bit(config):
+    ts, _ = generate(config)
+    assert ts.values.tobytes() == layer_sum(config).tobytes()
 
 
 def test_generate_event_count_and_class3_sample_count():

@@ -41,6 +41,12 @@ def test_timeseries_rejects_nan():
         TimeSeries(np.array([1.0, np.nan, 3.0]), 200.0)
 
 
+@pytest.mark.parametrize("t0", [float("nan"), float("inf"), float("-inf")])
+def test_timeseries_rejects_a_non_finite_t0(t0):
+    with pytest.raises(DataError, match="t0_s must be finite"):
+        TimeSeries(np.array([1.0, 2.0]), 200.0, t0)
+
+
 def test_timeseries_rejects_empty_and_bad_fs():
     with pytest.raises(DataError, match="no samples"):
         TimeSeries(np.array([]), 200.0)
@@ -127,6 +133,19 @@ def test_load_nan_amplitude_errors(tmp_path):
     p = tmp_path / "sig.csv"
     p.write_text("0.0,1.0\n0.005,nan\n")
     with pytest.raises(DataError, match="non-finite amplitude at line 2"):
+        load_timeseries(str(p), 200.0)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("nan,1.0\n0.005,2.0\n", 1), ("0.0,1.0\nnan,2.0\n0.01,3.0\n", 2),
+     ("0.0,1.0\n0.005,2.0\n-inf,3.0\n", 3), ("inf,1.0\n", 1)],
+    ids=["first-row", "mid-file", "negative-inf", "one-row"],
+)
+def test_load_non_finite_timestamp_reports_line(tmp_path, text, line):
+    p = tmp_path / "sig.csv"
+    p.write_text(text)
+    with pytest.raises(DataError, match=f"non-finite timestamp [-a-z]+ at line {line}$"):
         load_timeseries(str(p), 200.0)
 
 
