@@ -1,10 +1,10 @@
 """The one place the package opens an artifact file.
 
-Every artifact is plain UTF-8 text (a leading byte-order mark is dropped):
-`# ` comment lines, an optional column-header line, then one
-comma-separated row per line.  Comment lines may carry `key=value` tokens
-(`# seed=42`, `# params n_trees=100 ...`); the reader collects them into
-`meta`.
+Every artifact but a series table's binary copy is plain UTF-8 text (a
+leading byte-order mark is dropped): `# ` comment lines, an optional
+column-header line, then one comma-separated row per line.  Comment lines
+may carry `key=value` tokens (`# seed=42`, `# params n_trees=100 ...`); the
+reader collects them into `meta`.
 
 Any fault met while reading, including building the domain object inside
 the `with` block, becomes a `DataError` naming the file (and the line when
@@ -31,15 +31,25 @@ its one-table case and `write_artifact` its one-string-column case.  Their
 inverse, `ArtifactReader.columns`, parses every cell of rows held to one
 width.
 
+A series table (`Table.twin`) also gets a binary copy beside it,
+`<stem>.f8`, written by the same pass once the table is closed: one line
+`# series-twin v1 csv_sha256=<hex> rows=<n>`, then each column in turn as
+n raw little-endian float64s.  `read_twin` uses a copy only while the
+SHA-256 of the text table is the one in its header, so the text stays the
+source of truth and a copy is safe to delete; the pass deletes a table's
+copy when it opens the table, so none outlives a rewrite.
+
 `params_line` and `read_params` are the codec of a model file's `params`
 comment, each value parsed by `parser_for`, the config keys' type table.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import os
+import re
 import shutil
 import signal
 import tempfile
@@ -72,6 +82,12 @@ _CHUNK_ROWS = 4096
 _FORK_MIN_CHUNKS = 8
 # the longest failure message a write helper sends back
 _REPORT_BYTES = 1024
+# a table is hashed, and a binary copy's timestamps are checked, in blocks
+# of this many bytes
+_BLOCK_BYTES = 1 << 20
+_TWIN_HEADER = "# series-twin v1 csv_sha256={} rows={}\n"
+_TWIN_LINE = re.compile(rb"# series-twin v1 csv_sha256=([0-9a-f]{64}) rows=([0-9]{1,18})\n")
+_TWIN_HEADER_MAX = len(_TWIN_HEADER.format("0" * 64, 10**18 - 1))
 
 _log = logging.getLogger(__name__)
 
@@ -82,7 +98,8 @@ class Table(NamedTuple):
 
     The row range follows slice rules, so a reversed range gives a file with
     no rows.  Tables of one pass that hold the same column object share its
-    spelled cells.
+    spelled cells.  A `twin` table, of float columns, also gets a binary
+    copy at `twin_path(path)`.
     """
 
     path: str
@@ -91,6 +108,36 @@ class Table(NamedTuple):
     columns: Sequence
     start: int = 0
     stop: int | None = None
+    twin: bool = False
+
+
+def twin_path(path: str) -> str | None:
+    """Where the binary copy of the table at `path` goes: `<stem>.f8`, or
+    None for a table whose own name ends in `.f8`."""
+    stem, ext = os.path.splitext(path)
+    return None if ext == ".f8" else stem + ".f8"
+
+
+def _sha256(path: str) -> str:
+    """The SHA-256 of a file, read in blocks into one buffer."""
+    digest = hashlib.sha256()
+    buf = bytearray(_BLOCK_BYTES)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buf):
+            digest.update(view[:size])
+    return digest.hexdigest()
+
+
+def _write_twin(path: str, table_path: str, columns: Sequence[np.ndarray]) -> None:
+    """The binary copy of the closed table at `table_path`, whose rows hold
+    `columns`; each column goes out from its own buffer (`tofile`), so no
+    whole-series temporary is made."""
+    header = _TWIN_HEADER.format(_sha256(table_path), len(columns[0]))
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for col in columns:
+            col.astype("<f8", copy=False).tofile(fh)
 
 
 def _spelled(column) -> tuple[np.ndarray, Callable[[object], str]]:
@@ -197,11 +244,15 @@ def write_tables(tables: Sequence[Table]) -> None:
     then gets its temporary file appended.  Either way the files hold the
     same bytes, and each cell is spelled once by one of the two processes.
 
-    A table that cannot be opened or written is a `DataError` naming it, and
-    so is a helper that fails or exits nonzero.  On any failure, interrupts
-    included, the pass kills and reaps the helper and closes and removes
-    every table it opened, so no process outlives it and no table is left
-    half-written.
+    A `twin` table's old binary copy is deleted as the table is opened, and
+    its new copy is written once every table is closed (`_write_twin`).
+
+    A table or copy that cannot be opened or written is a `DataError` naming
+    it, and so is a helper that fails or exits nonzero.  On any failure,
+    interrupts included, the pass kills and reaps the helper and closes and
+    removes every table it opened and every copy it started, so no process
+    outlives it, no table is left half-written and no copy is left without
+    its table.
     """
     spelled: dict[int, tuple[np.ndarray, Callable[[object], str]]] = {}
     spans = []  # per table: (first row, end row, keys of its columns)
@@ -219,13 +270,20 @@ def write_tables(tables: Sequence[Table]) -> None:
     bounds = sorted({*range(0, end, _CHUNK_ROWS), end}.union(*(s[:2] for s in spans)))
     split = _helper_split(end)
 
+    twins = [twin_path(t.path) if t.twin else None for t in tables]
     opened: list[tuple[str, TextIO]] = []
+    started: list[str] = []  # the binary copies this pass deleted or wrote
     temps: list[TextIO] = []  # the helper's rows, one file per table
     pid = report = None  # the helper until it is reaped, and its pipe
     waited = 0.0
     path = None
     try:
-        for table in tables:
+        for table, twin in zip(tables, twins):
+            if twin is not None:
+                path = twin
+                started.append(twin)
+                with suppress(FileNotFoundError):
+                    os.remove(twin)
             path = table.path
             fh = open(path, "w", encoding="utf-8")
             opened.append((path, fh))
@@ -258,6 +316,10 @@ def write_tables(tables: Sequence[Table]) -> None:
                 shutil.copyfileobj(tmp.buffer, fh.buffer)
         for path, fh in opened:
             fh.close()
+        for table, twin, (lo, hi, keys) in zip(tables, twins, spans):
+            if twin is not None:
+                path = twin
+                _write_twin(twin, table.path, [spelled[k][0][lo:hi] for k in keys])
     except BaseException as exc:
         if pid is not None:
             os.kill(pid, signal.SIGKILL)
@@ -265,6 +327,9 @@ def write_tables(tables: Sequence[Table]) -> None:
         for name, fh in opened:
             with suppress(OSError):
                 fh.close()
+            with suppress(OSError):
+                os.remove(name)
+        for name in started:
             with suppress(OSError):
                 os.remove(name)
         if isinstance(exc, OSError):
@@ -408,6 +473,54 @@ def read_numeric(path: str) -> np.ndarray | None:
         )
     except (OSError, ValueError):
         return None
+
+
+def read_twin(
+    path: str, check: Callable[[np.ndarray], bool]
+) -> tuple[float, np.ndarray] | None:
+    """The first timestamp and the amplitudes of the two-column series table
+    at `path`, from its binary copy, or None when the copy cannot stand in
+    for the table.
+
+    The copy is used only when its header is whole, its length is that of
+    its `rows`, at least one, and the table's SHA-256, taken in blocks, is
+    the one it names.  Its timestamps are then read in blocks, each led by
+    the last timestamp of the block before it, and `check` must pass every
+    block: reading them as one array would hold a second whole-series
+    buffer next to the amplitudes.  Any fault, an OS error included, gives
+    None, and the caller parses the table itself.
+    """
+    twin = twin_path(path)
+    if twin is None:
+        return None
+    try:
+        with open(twin, "rb") as fh:
+            line = _TWIN_LINE.fullmatch(fh.readline(_TWIN_HEADER_MAX))
+            if line is None:
+                return None
+            rows = int(line[2])
+            if not rows or os.fstat(fh.fileno()).st_size != line.end() + 16 * rows:
+                return None
+            if _sha256(path) != line[1].decode():
+                return None
+            step = _BLOCK_BYTES // 8
+            block = np.empty(step + 1, dtype="<f8")
+            for first in range(0, rows, step):
+                size = min(step, rows - first)
+                if fh.readinto(block[1:size + 1].view(np.uint8)) != 8 * size:
+                    return None
+                if not first:
+                    t0 = float(block[1])
+                if not check(block[0 if first else 1:size + 1]):
+                    return None
+                block[0] = block[size]
+            del block  # before the amplitudes' buffer is taken
+            values = np.empty(rows, dtype="<f8")
+            if fh.readinto(values.view(np.uint8)) != 8 * rows:
+                return None
+    except OSError:
+        return None
+    return t0, values
 
 
 def _parse_bool(raw: str) -> bool:

@@ -2,8 +2,12 @@
 
 Commands: synth | filter | train | classify | eval | pipeline.  Each stage
 reads and writes plain text artifacts in the output directory, so a run can
-be resumed or repeated stage by stage with no hidden state.  Each stage's
-work is one private function that both its command and `pipeline` call.
+be resumed or repeated stage by stage with no hidden state.  The one other
+file is the binary copy beside each series table (`signal.f8`, `bh.f8`,
+`pef.f8`): a read takes it only while it names the table's SHA-256, so it
+is a cache of the text's values, and deleting it changes no result.  Each
+stage's work is one private function that both its command and `pipeline`
+call.
 All randomness flows from one master seed recorded in the artifact headers.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.

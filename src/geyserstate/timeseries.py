@@ -15,9 +15,10 @@ classified identically regardless of how their timestamps were computed.
 the train/test split and the AR noise segment all read it.
 
 Memory: a stage holds one buffer per series it returns.  `sample_classes`
-gives int8 classes, one byte a sample; `load_timeseries` holds the parsed
-table and then one column-sized buffer at a time (the spacing test's gaps,
-then the amplitude copy).
+gives int8 classes, one byte a sample.  `load_timeseries` holds the
+amplitudes of a binary copy plus one block of its timestamps, or else the
+parsed table and then one column-sized buffer at a time (the spacing
+test's gaps, then the amplitude copy).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import Table, read_artifact, read_numeric, write_table, write_tables
+from .artifacts import Table, read_artifact, read_numeric, read_twin, write_table, write_tables
 from .errors import ConfigError, DataError
 
 CLASS_FAR = 1
@@ -287,13 +288,20 @@ def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
     single-column files).  An fs_hz that is not positive is a ConfigError,
     before the file is opened.
 
-    A plain file is parsed in one `read_numeric` call and checked column-wise;
-    anything else (and every fault) goes through `_load_streaming`, so the
-    result and every error text are the streaming reader's.
+    A file that a write pass saved with its binary copy (`series_table`) is
+    not parsed: while the file's SHA-256 is the one the copy names, the
+    copy's timestamps and amplitudes get the checks below, and pass them
+    exactly when the file's rows would.  Any other plain file is parsed in
+    one `read_numeric` call and checked column-wise; anything else (and
+    every fault) goes through `_load_streaming`, so the result and every
+    error text are the streaming reader's.
     """
     if not fs_hz > 0:
         raise ConfigError(f"fs_hz must be positive, got {fs_hz}")
     period = 1.0 / fs_hz
+    twin = read_twin(path, lambda t: not _uneven(t, period))
+    if twin is not None and np.all(np.isfinite(twin[1])):
+        return TimeSeries(twin[1], fs_hz, twin[0])
     table = read_numeric(path)
     if table is not None and table.shape[1] <= 2:
         t, values = table[:, 0], table[:, -1]
@@ -356,8 +364,8 @@ def _load_streaming(path: str, fs_hz: float) -> TimeSeries:
 def series_table(path: str, comments: list[str], grid: np.ndarray, values: np.ndarray) -> Table:
     """The signal CSV format read by load_timeseries, for one write pass:
     `timestamp_s,amplitude` rows of `grid` (the series' `timestamps()`)
-    and `values`; bit-exact round-trip."""
-    return Table(path, comments, ("timestamp_s", "amplitude"), (grid, values))
+    and `values`, with the binary copy of both; bit-exact round-trip."""
+    return Table(path, comments, ("timestamp_s", "amplitude"), (grid, values), twin=True)
 
 
 def save_timeseries(ts: TimeSeries, path: str, header_comments: list[str] | None = None) -> None:

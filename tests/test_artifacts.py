@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import errno
 import logging
 import os
 import pathlib
@@ -322,6 +323,44 @@ def test_write_tables_fault_names_the_table_and_leaves_no_file(tmp_path):
     col = np.arange(5000.0)
     tables = [Table(str(first), ["seed=1"], ("x",), (col,)), Table(str(missing), [], None, (col,))]
     with pytest.raises(DataError, match=r"cannot write .*missing.second\.csv: "):
+        write_tables(tables)
+    assert not any(tmp_path.iterdir())
+
+
+def _fail_on_second_copy(monkeypatch):
+    """The pass writes a few bytes of second.f8 and then runs out of disk."""
+    write_twin = artifacts._write_twin
+
+    def failing(path, *args):
+        if os.path.basename(path) != "second.f8":
+            return write_twin(path, *args)
+        with open(path, "wb") as fh:
+            fh.write(b"# series-twin")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(artifacts, "_write_twin", failing)
+
+
+@pytest.mark.parametrize(
+    "fail, message",
+    [
+        ("open", r"cannot write .*missing.second\.csv: "),
+        ("copy", r"cannot write .*second\.f8: .*No space left on device"),
+    ],
+)
+def test_a_failing_pass_leaves_no_copy_without_its_table(tmp_path, monkeypatch, fail, message):
+    """A pass deletes a table's old binary copy as it opens the table, and on
+    a failure removes every copy it started along with every table: one
+    that cannot open its second table, and one that fails while writing its
+    second copy, after the first."""
+    (tmp_path / "first.f8").write_bytes(b"# series-twin v1 from an earlier pass\n")
+    col = np.arange(5000.0)
+    second = tmp_path / "missing" / "second.csv" if fail == "open" else tmp_path / "second.csv"
+    if fail == "copy":
+        _fail_on_second_copy(monkeypatch)
+    tables = [Table(str(path), ["seed=1"], ("t", "a"), (col, col + 0.5), twin=True)
+              for path in (tmp_path / "first.csv", second)]
+    with pytest.raises(DataError, match=message):
         write_tables(tables)
     assert not any(tmp_path.iterdir())
 

@@ -148,11 +148,14 @@ def test_filter_writes_chain(tiny_cfg, tmp_path, capsys):
 
 
 def test_series_files_the_chain_writes_take_the_fast_read(tiny_cfg, tmp_path, monkeypatch):
-    """signal.csv, bh.csv and pef.csv parse in one loadtxt call: a fall back
-    to the streaming reader would cost each read about three times as long."""
+    """signal.csv, bh.csv and pef.csv with no binary copy parse in one
+    loadtxt call: a fall back to the streaming reader would cost each read
+    about three times as long."""
     out = str(tmp_path / "o")
     assert _synth_and_filter(tiny_cfg, out) == 0
     paths = [os.path.join(out, name) for name in ("signal.csv", "bh.csv", "pef.csv")]
+    for path in paths:
+        os.remove(artifacts.twin_path(path))
     streamed = [timeseries._load_streaming(path, 50.0) for path in paths]
 
     def no_fallback(path, fs_hz):
@@ -789,7 +792,7 @@ def test_stage_logs_its_wall_time(tiny_cfg, tmp_path, caplog):
     assert run("synth", "--config", tiny_cfg, "--out", out) == 0
     assert re.search(r"stage=synth seconds=\d+\.\d{3}", caplog.text)
     # wall times go to the log only, never into the output directory
-    assert sorted(os.listdir(out)) == ["classes.csv", "events.csv", "signal.csv"]
+    assert sorted(os.listdir(out)) == ["classes.csv", "events.csv", "signal.csv", "signal.f8"]
 
 
 def test_pipeline_logs_each_stage_and_features_kept(tiny_cfg, tmp_path, caplog):
@@ -835,7 +838,8 @@ def test_filter_verbose_logs_ar_search(tiny_cfg, tmp_path, caplog):
         caplog.text,
     )
     assert sorted(os.listdir(out)) == [
-        "ar_model.txt", "bh.csv", "classes.csv", "events.csv", "pef.csv", "signal.csv"
+        "ar_model.txt", "bh.csv", "bh.f8", "classes.csv", "events.csv", "pef.csv", "pef.f8",
+        "signal.csv", "signal.f8",
     ]
 
 
@@ -880,7 +884,8 @@ def _distinct_float_cells(out, names):
     column and the text of its row's timestamp."""
     series, other = set(), 0
     for name in names:
-        if os.path.basename(name).startswith(FREE_TEXT):
+        # a binary copy holds no spelled cell
+        if os.path.basename(name).startswith(FREE_TEXT) or name.endswith(".f8"):
             continue
         columns = SERIES_COLUMNS.get(name, TRACE_COLUMNS if name.startswith("plots") else None)
         lines = read(os.path.join(out, name)).decode().splitlines()
@@ -943,19 +948,20 @@ def test_two_process_passes_write_the_one_process_bytes(
 
 
 def test_filter_failing_before_its_pass_writes_no_series_file(tmp_path, capsys):
-    """The AR fit fails before the pass: neither bh.csv nor pef.csv exists,
-    not even half-written."""
+    """The AR fit fails before the pass: neither bh.csv nor pef.csv nor a
+    binary copy of either exists, not even half-written."""
     cfg = tmp_path / "long_ar.cfg"
     cfg.write_text(TINY_CFG + "ar.train_fraction = 0.95\n")
     out = tmp_path / "o"
     assert run("synth", "--config", str(cfg), "--out", str(out)) == 0
     assert run("filter", "--config", str(cfg), "--out", str(out)) == 3
     assert "no contiguous Class-1 run" in capsys.readouterr().err
-    assert sorted(os.listdir(out)) == ["classes.csv", "events.csv", "signal.csv"]
+    assert sorted(os.listdir(out)) == ["classes.csv", "events.csv", "signal.csv", "signal.f8"]
 
 
 def test_pipeline_failing_after_its_pass_keeps_the_series_files(tiny_cfg, tmp_path, capsys):
-    """A pipeline that fails in train, after the PEF, leaves whole series files."""
+    """A pipeline that fails in train, after the PEF, leaves whole series
+    files and their binary copies."""
     cfg = tmp_path / "long_windows.cfg"
     cfg.write_text(TINY_CFG + "window.length_s = 100\nwindow.stride_s = 100\n")
     out, whole = str(tmp_path / "o"), str(tmp_path / "whole")
@@ -964,8 +970,9 @@ def test_pipeline_failing_after_its_pass_keeps_the_series_files(tiny_cfg, tmp_pa
     # the staged run fits its AR model on the whole series, so only the
     # files before the PEF can match it byte for byte
     assert _synth_and_filter(tiny_cfg, whole, "--skip-pef") == 0
-    for name in ("signal.csv", "classes.csv", "bh.csv"):
+    for name in ("signal.csv", "classes.csv", "bh.csv", "signal.f8", "bh.f8"):
         assert read(os.path.join(out, name)) == read(os.path.join(whole, name)), name
+    assert os.path.exists(os.path.join(out, "pef.f8"))
     residual = read(os.path.join(out, "pef.csv"))
     assert residual.endswith(b"\n")
     assert len(timeseries.load_timeseries(os.path.join(out, "pef.csv"), 50.0)) == 240 * 50
@@ -996,8 +1003,8 @@ def test_pipeline_on_given_files_writes_the_synthesizing_run_bytes(
 ):
     """pipeline --compare on the signal and events a synthesizing run wrote
     (paths.signal, paths.events) writes every file of that run but
-    signal.csv, events.csv and classes.csv, and leaves the given files as
-    they were.  Its pass wants the raw
+    signal.csv, its binary copy, events.csv and classes.csv, and leaves the
+    given files as they were.  Its pass wants the raw
     and class columns only inside the event trace, rows 8,500-29,500 of
     30,000 (onset 410 s, 600 s at 50 Hz), and the helper takes over at row
     15,000, inside that trace."""
@@ -1015,7 +1022,7 @@ def test_pipeline_on_given_files_writes_the_synthesizing_run_bytes(
     ))
     assert run("pipeline", "--compare", "--config", str(supplied), "--out", given) == 0
     assert capsys.readouterr().out == printed.replace(synthesized, given)
-    inputs_and_classes = ("signal.csv", "events.csv", "classes.csv")
+    inputs_and_classes = ("signal.csv", "signal.f8", "events.csv", "classes.csv")
     assert _written(given) == [n for n in _written(synthesized) if n not in inputs_and_classes]
     match, mismatch, errors = filecmp.cmpfiles(synthesized, given, _written(given), shallow=False)
     assert not mismatch and not errors
