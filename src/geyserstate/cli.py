@@ -1,11 +1,12 @@
 """Command-line driver for the geyser-state pipeline.
 
 Commands: synth | filter | train | classify | eval | pipeline.  Each stage
-reads and writes plain text artifacts in the output directory, so a run can
-be resumed or repeated stage by stage with no hidden state.  The one other
-file is the binary copy beside each series table (`signal.f8`, `bh.f8`,
-`pef.f8`): a read takes it only while it names the table's SHA-256, so it
-is a cache of the text's values, and deleting it changes no result.  Each
+reads and writes its artifacts in the output directory, so a run can be
+resumed or repeated stage by stage with no hidden state.  The series a
+stage hands to the next (`signal.f8`, `bh.f8`, `pef.f8`) are binary series
+files, written by `save_timeseries`; every other artifact is plain text.
+A `.csv` series path that does not exist reads the `.f8` of its stem
+(`resolve_series`), so `<out>/pef.csv` still names the residual.  Each
 stage's work is one private function that both its command and `pipeline`
 call.
 All randomness flows from one master seed recorded in the artifact headers.
@@ -61,10 +62,7 @@ from .filters import (
     save_ar_model,
 )
 from .forest import Forest, load_forest, predict_forest, save_forest, train_forest
-# save_classes and save_timeseries write one series file alone; the commands
-# write theirs in one pass (write_tables), and bench/tracing.py still wraps
-# both names here
-from .synth import classes_table, generate, save_classes, split_train_test
+from .synth import generate, save_classes, split_train_test
 from .timeseries import (
     ALL_CLASSES,
     EventLog,
@@ -74,12 +72,14 @@ from .timeseries import (
     label_windows,
     load_events,
     load_timeseries,
+    remove_series,
+    resolve_series,
     sample_classes,
     samples_of,
     save_events,
     save_timeseries,
     select_noise_segment,
-    series_table,
+    series_path,
     slice_windows,
 )
 
@@ -178,8 +178,8 @@ def _check_class_labels(path: str, labels: np.ndarray) -> None:
 
 
 def _labeled_input(values: dict, out_dir: str, override: str | None) -> tuple:
-    """The filtered series (default <out>/pef.csv) and its labeled windows."""
-    path = override or os.path.join(out_dir, "pef.csv")
+    """The filtered series (default <out>/pef.f8) and its labeled windows."""
+    path = resolve_series(override or os.path.join(out_dir, "pef.f8"))
     if not os.path.exists(path):
         raise DataError(f"input signal {path} not found; run the filter stage first")
     ts = load_timeseries(path, values["synth.fs_hz"])
@@ -210,8 +210,8 @@ def _stage(name: str):
 
 
 def _synthesize(values: dict, seed: int, paths: dict) -> tuple[TimeSeries, EventLog]:
-    """Generate the labeled signal; writes events.csv (signal.csv and
-    classes.csv go out in the command's series pass)."""
+    """Generate the labeled signal; writes events.csv (the caller saves the
+    signal and its classes, `_save_signal`)."""
     ts, events = generate(synth_config(values, seed))
     save_events(events, paths["events"], _seed_header(seed))
     _log.info("synthesized %d samples at %g Hz with %d events", len(ts), ts.fs_hz, len(events))
@@ -363,17 +363,15 @@ def _dtw_predict(
     return starts, labels, preds, votes, per_window
 
 
-# -- the series pass: a command's series files, each cell spelled once ---------------
+# -- the series files and event traces ---------------------------------------------
 
 
-def _signal_tables(
-    paths: dict, header: list[str], grid: np.ndarray, raw: TimeSeries, classes: np.ndarray
-) -> list[Table]:
-    """signal.csv and classes.csv of a synthesized series."""
-    return [
-        series_table(paths["signal"], header, grid, raw.values),
-        classes_table(paths["classes"], header, grid, classes),
-    ]
+def _save_signal(paths: dict, seed: int, raw: TimeSeries, classes: np.ndarray) -> str:
+    """Writes the synthesized signal and its classes; returns the signal's path."""
+    path = series_path(paths["signal"])
+    save_timeseries(raw, path, _seed_header(seed))
+    save_classes(raw, classes, paths["classes"], _seed_header(seed))
+    return path
 
 
 def _event_trace_tables(
@@ -394,9 +392,8 @@ def _event_trace_tables(
     for k, e in enumerate(test_events.event_times_s, start=1):
         lo, hi = _index_range(raw, e - PLOT_BEFORE_S, e + PLOT_AFTER_S)
         comments = [*_seed_header(seed), f"event_time_s={float(e)!r}"]
-        tables.append(
-            Table(os.path.join(plots_dir, f"event_{k}.csv"), comments, names, columns, lo, hi)
-        )
+        path = os.path.join(plots_dir, f"event_{k}.csv")
+        tables.append(Table(path, comments, names, [c[lo:hi] for c in columns]))
     return tables
 
 
@@ -411,18 +408,16 @@ def _write_pipeline_series(
     residual: TimeSeries,
     test_events: EventLog,
 ) -> None:
-    """pipeline's series files and event traces in one pass, over one time
-    grid and one class array; signal.csv and classes.csv only when the
-    pipeline synthesized (caller-supplied data is left untouched)."""
-    header, grid = _seed_header(seed), raw.timestamps()
+    """pipeline's series files and event traces; the signal and its classes
+    only when the pipeline synthesized (caller-supplied data is left
+    untouched)."""
     classes = sample_classes(raw, events, label_policy(values))
-    tables = [] if values["paths.signal"] else _signal_tables(paths, header, grid, raw, classes)
-    tables += [
-        series_table(os.path.join(out_dir, "bh.csv"), header, grid, bh.values),
-        series_table(os.path.join(out_dir, "pef.csv"), header, grid, residual.values),
-    ]
-    traced = (grid, raw.values, bh.values, residual.values, classes)
-    write_tables(tables + _event_trace_tables(out_dir, raw, test_events, traced, seed))
+    if not values["paths.signal"]:
+        _save_signal(paths, seed, raw, classes)
+    save_timeseries(bh, os.path.join(out_dir, "bh.f8"), _seed_header(seed))
+    save_timeseries(residual, os.path.join(out_dir, "pef.f8"), _seed_header(seed))
+    traced = (raw.timestamps(), raw.values, bh.values, residual.values, classes)
+    write_tables(_event_trace_tables(out_dir, raw, test_events, traced, seed))
 
 
 # -- commands ----------------------------------------------------------------------
@@ -431,31 +426,33 @@ def _write_pipeline_series(
 def cmd_synth(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
     paths = resolve_paths(values, out_dir)
     ts, events = _synthesize(values, seed, paths)
-    classes = sample_classes(ts, events, label_policy(values))
-    write_tables(_signal_tables(paths, _seed_header(seed), ts.timestamps(), ts, classes))
-    print(f"wrote {paths['signal']}, {paths['events']}, {paths['classes']}")
+    signal_path = _save_signal(paths, seed, ts, sample_classes(ts, events, label_policy(values)))
+    print(f"wrote {signal_path}, {paths['events']}, {paths['classes']}")
     return EXIT_OK
 
 
 def cmd_filter(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
     paths = resolve_paths(values, out_dir)
-    if not os.path.exists(paths["signal"]):
-        raise DataError(f"signal file {paths['signal']} not found; run synth or set paths.signal")
-    ts = load_timeseries(paths["signal"], values["synth.fs_hz"])
+    signal_path = resolve_series(paths["signal"])
+    if not os.path.exists(signal_path):
+        raise DataError(f"signal file {signal_path} not found; run synth or set paths.signal")
+    ts = load_timeseries(signal_path, values["synth.fs_hz"])
     events = load_events(paths["events"])
     # the raw series is not written again: filter it in its own buffer
     bh = _highpass(ts, values, out=ts.values)
-    bh_path, pef_path = os.path.join(out_dir, "bh.csv"), os.path.join(out_dir, "pef.csv")
-    series = {bh_path: bh}
-    if not args.skip_pef:
-        residual, model, r2 = _prediction_error(bh, bh, events, values, out_dir, seed)
-        series[pef_path] = residual
-    header, grid = _seed_header(seed), bh.timestamps()
-    write_tables([series_table(path, header, grid, s.values) for path, s in series.items()])
+    bh_path, pef_path = os.path.join(out_dir, "bh.f8"), os.path.join(out_dir, "pef.f8")
     if args.skip_pef:
+        # a residual and model of an earlier run would not match this bh
+        remove_series(pef_path)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, "ar_model.txt"))
+        save_timeseries(bh, bh_path, _seed_header(seed))
         _log.info("high-pass output written; prediction-error stage skipped")
         print(f"wrote {bh_path}")
         return EXIT_OK
+    residual, model, r2 = _prediction_error(bh, bh, events, values, out_dir, seed)
+    save_timeseries(bh, bh_path, _seed_header(seed))
+    save_timeseries(residual, pef_path, _seed_header(seed))
     print(
         f"wrote {bh_path}, {os.path.join(out_dir, 'ar_model.txt')}, "
         f"{pef_path} (p={model.order_p}, R2={r2:.4f})"
@@ -675,7 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", parents=[common], help="fit a classifier")
     p_train.add_argument("--classifier", choices=("rf", "dtw"), default="rf")
     p_train.add_argument("--input", metavar="PATH",
-                         help="filtered signal CSV (default: <out>/pef.csv)")
+                         help="filtered series: a .f8 series file or a text table "
+                              "(default: <out>/pef.f8)")
 
     p_classify = sub.add_parser("classify", parents=[common],
                                 help="predict window classes with a fitted model")
@@ -683,14 +681,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--model", metavar="PATH",
                             help="model file (default: <out>/forest.txt or dtw_reference.csv)")
     p_classify.add_argument("--input", metavar="PATH",
-                            help="filtered signal CSV (default: <out>/pef.csv)")
+                            help="filtered series: a .f8 series file or a text table "
+                                 "(default: <out>/pef.f8)")
 
     p_eval = sub.add_parser("eval", parents=[common],
                             help="score predictions against ground truth")
     p_eval.add_argument("--predictions", metavar="PATH",
                         help="predictions CSV (default: <out>/predictions.csv)")
     p_eval.add_argument("--input", metavar="PATH",
-                        help="signal the predictions were made on (default: <out>/pef.csv)")
+                        help="series the predictions were made on (default: <out>/pef.f8)")
 
     p_pipe = sub.add_parser("pipeline", parents=[common],
                             help="run every stage end to end with a held-out split")

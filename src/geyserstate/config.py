@@ -140,7 +140,7 @@ def resolve_out_dir(values: dict, cli_out: str | None) -> str:
 def resolve_paths(values: dict, out_dir: str) -> dict:
     """Blank path keys derive from the output directory."""
     return {
-        "signal": values["paths.signal"] or os.path.join(out_dir, "signal.csv"),
+        "signal": values["paths.signal"] or os.path.join(out_dir, "signal.f8"),
         "events": values["paths.events"] or os.path.join(out_dir, "events.csv"),
         "classes": values["paths.classes"] or os.path.join(out_dir, "classes.csv"),
     }

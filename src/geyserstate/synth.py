@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.signal import lfilter
 
-from .artifacts import Table, write_tables
+from .artifacts import write_table
 from .errors import ConfigError, DataError
 from .timeseries import (
     CLASS_FAR,
@@ -306,13 +306,20 @@ def split_train_test(
     return (head, head_events), (tail, tail_events)
 
 
-def classes_table(path: str, comments: list[str], grid: np.ndarray, classes: np.ndarray) -> Table:
-    """Ground-truth per-sample classes for one write pass: `timestamp_s,class`
-    rows of `grid` (the series' `timestamps()`) and `classes`."""
-    return Table(path, comments, ("timestamp_s", "class"), (grid, classes))
-
-
 def save_classes(ts: TimeSeries, classes: np.ndarray, path: str,
                  header_comments: list[str] | None = None) -> None:
-    """Write one series' classes alone in the format of `classes_table`."""
-    write_tables([classes_table(path, header_comments or [], ts.timestamps(), classes)])
+    """Write the ground-truth classes of `ts` (`sample_classes`) as
+    `start_s,end_s,class` rows, one per run of equal classes.
+
+    A run holds the samples t with start_s <= t < end_s: start_s is the
+    timestamp of its first sample, and end_s that of the sample after its
+    last (`ts.time_of(len(ts))` for the last run), so `_index_range` of the
+    two gives the run's sample range back.
+    """
+    edges = np.flatnonzero(np.diff(classes)) + 1
+    starts = np.concatenate(([0], edges))
+    ends = np.concatenate((edges, [len(classes)]))
+    write_table(
+        path, header_comments or [], ("start_s", "end_s", "class"),
+        (ts.t0_s + starts / ts.fs_hz, ts.t0_s + ends / ts.fs_hz, classes[starts]),
+    )

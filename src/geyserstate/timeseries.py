@@ -14,22 +14,28 @@ classified identically regardless of how their timestamps were computed.
 :func:`sample_classes` is the one implementation of this rule; window labels,
 the train/test split and the AR noise segment all read it.
 
+A series is saved as a binary series file, `<stem>.f8` (see
+`save_timeseries`); text tables are read from callers only.
+
 Memory: a stage holds one buffer per series it returns.  `sample_classes`
 gives int8 classes, one byte a sample.  `load_timeseries` holds the
-amplitudes of a binary copy plus one block of its timestamps, or else the
-parsed table and then one column-sized buffer at a time (the spacing
-test's gaps, then the amplitude copy).
+amplitudes of a series file plus one block of its timestamps, or for a
+text table the parsed table and then one column-sized buffer at a time
+(the spacing test's gaps, then the amplitude copy).  `save_timeseries`
+holds one time grid.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import Table, read_artifact, read_numeric, read_twin, write_table, write_tables
+from .artifacts import read_artifact, read_numeric, read_series, write_series, write_table
 from .errors import ConfigError, DataError
 
 CLASS_FAR = 1
@@ -89,7 +95,12 @@ class TimeSeries:
         return self.t0_s + i / self.fs_hz
 
     def timestamps(self) -> np.ndarray:
-        return self.t0_s + np.arange(len(self)) / self.fs_hz
+        """``t0_s + i / fs_hz`` for every sample, bit for bit, built in place
+        in the one buffer it returns."""
+        grid = np.arange(len(self), dtype=np.float64)
+        grid /= self.fs_hz
+        grid += self.t0_s
+        return grid
 
     def slice(self, start: int, stop: int) -> "TimeSeries":
         """Sample-index slice preserving absolute time alignment."""
@@ -278,49 +289,78 @@ def select_noise_segment(
     return ts.slice(start, start + need)
 
 
+def series_path(path: str) -> str:
+    """The series file `save_timeseries` writes for `path`: `<stem>.f8`."""
+    return os.path.splitext(path)[0] + ".f8"
+
+
+def resolve_series(path: str) -> str:
+    """The file `load_timeseries` reads for `path`: `path` itself, unless
+    it is a `.csv` path that does not exist while its `<stem>.f8` does, in
+    which case that series file."""
+    if os.path.splitext(path)[1] == ".csv" and not os.path.exists(path):
+        if os.path.exists(series_path(path)):
+            return series_path(path)
+    return path
+
+
 def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
-    """Read a signal CSV: `timestamp_s,amplitude` rows, or one amplitude per line.
+    """Read a series: a series file, or a caller's text table.
 
-    Blank lines, `#` comments, and one non-numeric header as the first row
-    are skipped.  Every row has the width of the first numeric row.
-    Two-column rows must carry finite timestamps, uniformly spaced at 1/fs_hz
-    within 1e-6 s; the first row's timestamp becomes t0_s (0.0 for
-    single-column files).  An fs_hz that is not positive is a ConfigError,
-    before the file is opened.
+    `path` is first resolved (`resolve_series`).  A path ending in `.f8` is
+    read strictly as a series file: its timestamps must be finite and
+    uniformly spaced at 1/fs_hz within 1e-6 s, checked block by block, and
+    its amplitudes finite; any fault is a DataError naming the file.
 
-    A file that a write pass saved with its binary copy (`series_table`) is
-    not parsed: while the file's SHA-256 is the one the copy names, the
-    copy's timestamps and amplitudes get the checks below, and pass them
-    exactly when the file's rows would.  Any other plain file is parsed in
-    one `read_numeric` call and checked column-wise; anything else (and
-    every fault) goes through `_load_streaming`, so the result and every
-    error text are the streaming reader's.
+    Any other file is a text table: `timestamp_s,amplitude` rows, or one
+    amplitude per line.  Blank lines, `#` comments, and one non-numeric
+    header as the first row are skipped.  Every row has the width of the
+    first numeric row, and two-column rows get the series file's timestamp
+    checks; the first row's timestamp becomes t0_s (0.0 for single-column
+    files).  The table is parsed in one `read_numeric` call and checked
+    column-wise; anything else (and every fault) goes through
+    `_load_streaming`, so the result and every error text are the
+    streaming reader's.
+
+    An fs_hz that is not positive is a ConfigError, before the file is
+    opened.
     """
     if not fs_hz > 0:
         raise ConfigError(f"fs_hz must be positive, got {fs_hz}")
     period = 1.0 / fs_hz
-    twin = read_twin(path, lambda t: not _uneven(t, period))
-    if twin is not None and np.all(np.isfinite(twin[1])):
-        return TimeSeries(twin[1], fs_hz, twin[0])
+    path = resolve_series(path)
+    if os.path.splitext(path)[1] == ".f8":
+        def check(t: np.ndarray) -> None:
+            fault = _grid_fault(t, period)
+            if fault:
+                raise ValueError(fault)
+
+        t0, values = read_series(path, check)
+        try:
+            return TimeSeries(values, fs_hz, t0)
+        except DataError as exc:  # a non-finite amplitude
+            raise DataError(f"malformed {path}: {exc}") from None
     table = read_numeric(path)
     if table is not None and table.shape[1] <= 2:
         t, values = table[:, 0], table[:, -1]
-        uneven = table.shape[1] == 2 and _uneven(t, period)
+        uneven = table.shape[1] == 2 and _grid_fault(t, period) is not None
         if not uneven and np.all(np.isfinite(values)):
             t0 = float(t[0]) if table.shape[1] == 2 else 0.0
             return TimeSeries(np.ascontiguousarray(values), fs_hz, t0)
     return _load_streaming(path, fs_hz)
 
 
-def _uneven(t: np.ndarray, period: float) -> bool:
+def _grid_fault(t: np.ndarray, period: float) -> str | None:
     """The streaming loop's timestamp and spacing tests, row for row: a
-    non-finite timestamp, or a gap off `period` by more than TIME_TOL_S.
-    The gaps are taken in one buffer."""
+    non-finite timestamp, or a gap off `period` by more than TIME_TOL_S;
+    None when `t` passes both.  The gaps are taken in one buffer."""
     if not np.all(np.isfinite(t)):
-        return True
+        return "non-finite timestamp"
     gaps = np.subtract(t[1:], t[:-1])
     gaps -= period
-    return bool(np.any(np.abs(gaps, out=gaps) > TIME_TOL_S))
+    if np.any(np.abs(gaps, out=gaps) > TIME_TOL_S):
+        return "non-uniform spacing"
+    return None
 
 
 def _load_streaming(path: str, fs_hz: float) -> TimeSeries:
@@ -361,16 +401,26 @@ def _load_streaming(path: str, fs_hz: float) -> TimeSeries:
         return TimeSeries(np.asarray(amplitudes), fs_hz, t0)
 
 
-def series_table(path: str, comments: list[str], grid: np.ndarray, values: np.ndarray) -> Table:
-    """The signal CSV format read by load_timeseries, for one write pass:
-    `timestamp_s,amplitude` rows of `grid` (the series' `timestamps()`)
-    and `values`, with the binary copy of both; bit-exact round-trip."""
-    return Table(path, comments, ("timestamp_s", "amplitude"), (grid, values), twin=True)
+def remove_series(path: str) -> None:
+    """Remove the series saved for `path` (`<stem>.f8`) and any `<stem>.csv`
+    text of it left by an older run; either may be missing."""
+    stem = os.path.splitext(path)[0]
+    for name in (stem + ".f8", stem + ".csv"):
+        with suppress(FileNotFoundError):
+            os.remove(name)
 
 
 def save_timeseries(ts: TimeSeries, path: str, header_comments: list[str] | None = None) -> None:
-    """Write one series alone in the format of `series_table`."""
-    write_tables([series_table(path, header_comments or [], ts.timestamps(), ts.values)])
+    """Write `ts` as the series file `series_path(path)`, the timestamps
+    `ts.timestamps()` and then the amplitudes, each bit for bit; the
+    comments (`key=value` tokens) go on its header line.
+
+    A `<stem>.csv` beside it is removed first, so that no older text stands
+    in for the new series, and so is the old series file: a write that
+    fails leaves neither.
+    """
+    remove_series(path)
+    write_series(series_path(path), header_comments or [], (ts.timestamps(), ts.values))
 
 
 def load_events(path: str) -> EventLog:

@@ -2,13 +2,7 @@
 
 import ast
 import builtins
-import errno
-import logging
-import os
 import pathlib
-import re
-import signal
-import time
 import warnings
 
 import numpy as np
@@ -178,7 +172,7 @@ def test_write_table_empty_and_headerless(tmp_path):
         write_table(str(path), [], None, ([1.0], [1, 2]))
 
 
-# -- write_tables: one pass over several tables ------------------------------
+# -- write_tables: several tables, chunk by chunk ---------------------------------
 
 
 def _oracle_text(table):
@@ -192,39 +186,39 @@ def _oracle_text(table):
             return str(int(cell))
         return cell
 
-    n = len(table.columns[0])
     lines = [f"# {c}\n" for c in table.comments]
     if table.names is not None:
         lines.append(",".join(table.names) + "\n")
-    for i in range(n)[table.start:table.stop]:
+    for i in range(len(table.columns[0])):
         lines.append(",".join(spell(col[i]) for col in table.columns) + "\n")
     return "".join(lines)
 
 
-def _float_cells(tables):
-    """The distinct (float column, row) cells the tables hold."""
-    return {
-        (id(col), i)
-        for t in tables
-        for col in t.columns
-        if np.asarray(col).dtype.kind == "f"
-        for i in range(len(col))[t.start:t.stop]
-    }
-
-
-def _write_and_check(tables, chunk_rows, tally):
-    """write_tables at `chunk_rows` rows per chunk gives the oracle's text and
-    spells each float cell once, in this process and its helper together;
-    returns the spelling counts of the two."""
-    tally.clear()
+def _write_and_check(tables, chunk_rows):
+    """write_tables at `chunk_rows` rows per chunk gives the oracle's text."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(artifacts, "_CHUNK_ROWS", chunk_rows)
         write_tables(tables)
     for t in tables:
         assert pathlib.Path(t.path).read_bytes() == _oracle_text(t).encode(), t.path
-    counts = tally.counts()
-    assert counts.total() == len(_float_cells(tables))
-    return counts
+
+
+def _write_and_check_in_one_process(tables, chunk_rows):
+    """As `_write_and_check`, and every float cell of every table is spelled
+    exactly once, by `repr` in this process: a cell spelled in another
+    process is missing from this count, and one spelled twice adds to it."""
+    spelled = 0
+
+    def counting_repr(value):
+        nonlocal spelled
+        spelled += 1
+        return builtins.repr(value)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(artifacts, "repr", counting_repr, raising=False)
+        _write_and_check(tables, chunk_rows)
+    floats = [col for t in tables for col in t.columns if np.asarray(col).dtype.kind == "f"]
+    assert spelled == sum(len(col) for col in floats)
 
 
 # NaN, both infinities, -0.0, the smallest and a larger subnormal, and a
@@ -234,8 +228,9 @@ SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.5e-
 
 @st.composite
 def write_passes(draw):
-    """Columns of one length (float, int, bool, str) and 1-4 tables over them,
-    with row ranges that may be empty, reversed, negative or overlapping."""
+    """Columns of one length (float, int, bool, str) and 1-4 tables over
+    views of them, with row ranges that may be empty, reversed, negative or
+    overlapping."""
     n = draw(st.integers(0, 24))
     floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
     kinds = {
@@ -251,39 +246,35 @@ def write_passes(draw):
     for k in range(draw(st.integers(1, 4))):
         cols = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
         names = draw(st.none() | st.just([f"c{j}" for j in range(len(cols))]))
-        start, stop = draw(bound), draw(st.none() | bound)
-        tables.append((f"t{k}.csv", [f"table={k}"], names, cols, start, stop))
+        rows = slice(draw(bound), draw(st.none() | bound))
+        tables.append((f"t{k}.csv", [f"table={k}"], names, [c[rows] for c in cols]))
     return tables, draw(st.sampled_from([1, 2, 3, 5, 4096]))
 
 
-def _check_write_pass(tmp_path, tally, case):
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=write_passes())
+def test_write_tables_matches_a_row_by_row_spelling(tmp_path, case):
     specs, chunk_rows = case
-    tables = [Table(str(tmp_path / name), *rest) for name, *rest in specs]
-    return _write_and_check(tables, chunk_rows, tally)
+    _write_and_check([Table(str(tmp_path / name), *rest) for name, *rest in specs], chunk_rows)
 
 
 @settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(case=write_passes())
-def test_write_tables_matches_a_row_by_row_spelling(tmp_path, spell_tally, helper_on, case):
-    """With a helper forked for every pass that has a row."""
-    _check_write_pass(tmp_path, spell_tally, case)
-
-
-@settings(
-    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
-@given(case=write_passes())
-def test_write_tables_in_one_process_matches_a_row_by_row_spelling(
-    tmp_path, spell_tally, helper_off, case
-):
-    assert _check_write_pass(tmp_path, spell_tally, case)["helper"] == 0
+def test_write_tables_in_one_process_matches_a_row_by_row_spelling(tmp_path, case):
+    specs, chunk_rows = case
+    _write_and_check_in_one_process(
+        [Table(str(tmp_path / name), *rest) for name, *rest in specs], chunk_rows
+    )
 
 
 def _seam_tables(tmp_path):
-    """Row ranges that start and end inside 4096-row chunks, overlap, touch,
-    and leave gaps inside one chunk, over 4 chunks at the writer's own size."""
+    """Tables that share cells: views of the same columns that start and end
+    inside 4096-row chunks, overlap, touch, and leave gaps inside one chunk,
+    over 4 chunks at the writer's own size."""
     n = 3 * 4096 + 17
     rng = np.random.default_rng(3)
     grid = 1.5e9 + np.arange(n) / 40
@@ -295,23 +286,18 @@ def _seam_tables(tmp_path):
     tables = [Table(str(tmp_path / "full.csv"), ["seed=1"], ("t", "a"), (grid, a))]
     tables += [
         Table(str(tmp_path / f"part{k}.csv"), [], ("t", "a", "b", "class"),
-              (grid, a, b, classes), lo, hi)
+              [c[lo:hi] for c in (grid, a, b, classes)])
         for k, (lo, hi) in enumerate(ranges)
     ]
     return tables
 
 
-def test_write_tables_shares_cells_across_chunk_seams(tmp_path, spell_tally, helper_on):
-    """The helper writes rows 8192 on, and spells its share of the cells."""
-    counts = _write_and_check(_seam_tables(tmp_path), artifacts._CHUNK_ROWS, spell_tally)
-    assert counts["helper"] > 0 and counts["parent"] > 0
+def test_write_tables_shares_cells_across_chunk_seams(tmp_path):
+    _write_and_check(_seam_tables(tmp_path), artifacts._CHUNK_ROWS)
 
 
-def test_write_tables_in_one_process_shares_cells_across_chunk_seams(
-    tmp_path, spell_tally, helper_off
-):
-    counts = _write_and_check(_seam_tables(tmp_path), artifacts._CHUNK_ROWS, spell_tally)
-    assert counts["helper"] == 0
+def test_write_tables_in_one_process_shares_cells_across_chunk_seams(tmp_path):
+    _write_and_check_in_one_process(_seam_tables(tmp_path), artifacts._CHUNK_ROWS)
 
 
 def test_write_tables_fault_names_the_table_and_leaves_no_file(tmp_path):
@@ -327,124 +313,24 @@ def test_write_tables_fault_names_the_table_and_leaves_no_file(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-def _fail_on_second_copy(monkeypatch):
-    """The pass writes a few bytes of second.f8 and then runs out of disk."""
-    write_twin = artifacts._write_twin
-
-    def failing(path, *args):
-        if os.path.basename(path) != "second.f8":
-            return write_twin(path, *args)
-        with open(path, "wb") as fh:
-            fh.write(b"# series-twin")
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    monkeypatch.setattr(artifacts, "_write_twin", failing)
-
-
-@pytest.mark.parametrize(
-    "fail, message",
-    [
-        ("open", r"cannot write .*missing.second\.csv: "),
-        ("copy", r"cannot write .*second\.f8: .*No space left on device"),
-    ],
-)
-def test_a_failing_pass_leaves_no_copy_without_its_table(tmp_path, monkeypatch, fail, message):
-    """A pass deletes a table's old binary copy as it opens the table, and on
-    a failure removes every copy it started along with every table: one
-    that cannot open its second table, and one that fails while writing its
-    second copy, after the first."""
-    (tmp_path / "first.f8").write_bytes(b"# series-twin v1 from an earlier pass\n")
-    col = np.arange(5000.0)
-    second = tmp_path / "missing" / "second.csv" if fail == "open" else tmp_path / "second.csv"
-    if fail == "copy":
-        _fail_on_second_copy(monkeypatch)
-    tables = [Table(str(path), ["seed=1"], ("t", "a"), (col, col + 0.5), twin=True)
-              for path in (tmp_path / "first.csv", second)]
-    with pytest.raises(DataError, match=message):
-        write_tables(tables)
-    assert not any(tmp_path.iterdir())
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _tables_spelled_after(monkeypatch, tmp_path, before):
-    """Two tables of 5000 rows in 500-row chunks, so that the helper writes
-    rows 2500 on; `before(value)` runs before each float cell is spelled,
-    in whichever process spells it (the fork copies the patch)."""
-
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+def test_an_interrupt_mid_pass_leaves_no_table(tmp_path, monkeypatch, interrupt):
+    """The pass is interrupted on the second table's row that reads 4000,
+    after the first table is written whole: the interrupt propagates, and
+    neither table is left.  SystemExit is what a SIGTERM handler raises."""
     def spell(value):
-        before(value)
+        if value == 4000.5:
+            raise interrupt()
         return builtins.repr(value)
 
     monkeypatch.setattr(artifacts, "_CHUNK_ROWS", 500)
     monkeypatch.setattr(artifacts, "repr", spell, raising=False)
     col = np.arange(5000.0)
-    return [Table(str(tmp_path / name), ["seed=1"], ("x", "y"), (col, col + 0.5))
-            for name in ("first.csv", "second.csv")]
-
-
-def _raise_runtime_error():
-    raise RuntimeError("spelling failed")
-
-
-@pytest.mark.parametrize(
-    "fail, message",
-    [
-        (_raise_runtime_error, r"write helper failed: RuntimeError\('spelling failed'\)"),
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), "write helper exited -9"),
-    ],
-    ids=["raises", "killed"],
-)
-def test_a_failing_helper_is_a_data_error_and_leaves_nothing(
-    tmp_path, monkeypatch, helper_on, fail, message
-):
-    """The helper fails on the row that reads 4000: a DataError naming a
-    table, no table or temporary file left in the directory, and no child
-    process left."""
-    tables = _tables_spelled_after(monkeypatch, tmp_path, lambda v: v == 4000.0 and fail())
-    with pytest.raises(DataError, match=r"cannot write .*first\.csv: " + message):
-        write_tables(tables)
-    assert not any(tmp_path.iterdir())
-    _no_child_left()
-
-
-@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
-def test_an_interrupt_in_this_process_kills_and_reaps_the_helper(
-    tmp_path, monkeypatch, helper_on, interrupt
-):
-    """This process is interrupted on the row that reads 100 while the
-    helper sleeps on the one that reads 4000: the interrupt propagates at
-    once, the helper is killed and reaped, and no table is left.  SystemExit
-    is what a SIGTERM handler raises."""
-    parent = os.getpid()
-
-    def before(value):
-        if value == 100.0 and os.getpid() == parent:
-            raise interrupt()
-        if value == 4000.0:
-            time.sleep(60)
-
-    tables = _tables_spelled_after(monkeypatch, tmp_path, before)
-    start = time.perf_counter()
+    tables = [Table(str(tmp_path / name), ["seed=1"], ("x",), (c,))
+              for name, c in (("first.csv", col), ("second.csv", col + 0.5))]
     with pytest.raises(interrupt):
         write_tables(tables)
-    assert time.perf_counter() - start < 30
     assert not any(tmp_path.iterdir())
-    _no_child_left()
-
-
-def test_a_pass_logs_its_split_at_debug_level(tmp_path, helper_on, caplog):
-    col = np.arange(3 * artifacts._CHUNK_ROWS, dtype=np.float64)
-    with caplog.at_level(logging.DEBUG, logger="geyserstate.artifacts"):
-        write_tables([Table(str(tmp_path / "a.csv"), [], None, (col,))])
-    assert re.fullmatch(
-        r"write pass: 1 tables, 12288 rows, helper from row 4096, waited \d+\.\d{3} s",
-        caplog.records[-1].getMessage(),
-    )
-    _no_child_left()
 
 
 # -- columns: the inverse of write_table -------------------------------------

@@ -49,15 +49,16 @@ def test_synth_deterministic_and_seed_in_header(tiny_cfg, tmp_path):
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert run("synth", "--config", tiny_cfg, "--out", d1, "--seed", "9") == 0
     assert run("synth", "--config", tiny_cfg, "--seed", "9", "--out", d2) == 0
-    for name in ("signal.csv", "events.csv", "classes.csv"):
+    for name in ("signal.f8", "events.csv", "classes.csv"):
         assert read(os.path.join(d1, name)) == read(os.path.join(d2, name))
-    assert read(os.path.join(d1, "signal.csv")).startswith(b"# seed=9\n")
+    assert read(os.path.join(d1, "signal.f8")).startswith(b"# series v2 rows=12000 seed=9\n")
+    assert read(os.path.join(d1, "classes.csv")).startswith(b"# seed=9\n")
 
 
 def test_synth_creates_missing_out_dir(tiny_cfg, tmp_path):
     nested = str(tmp_path / "deep" / "er")
     assert run("synth", "--config", tiny_cfg, "--out", nested) == 0
-    assert os.path.exists(os.path.join(nested, "signal.csv"))
+    assert os.path.exists(os.path.join(nested, "signal.f8"))
 
 
 def test_synth_classes_follow_the_pre_onset_gap(tmp_path):
@@ -66,13 +67,17 @@ def test_synth_classes_follow_the_pre_onset_gap(tmp_path):
     out = str(tmp_path / "o")
     assert run("synth", "--config", str(cfg), "--out", out) == 0
     values = load_config(str(cfg))
-    ts = timeseries.load_timeseries(os.path.join(out, "signal.csv"), values["synth.fs_hz"])
+    ts = timeseries.load_timeseries(os.path.join(out, "signal.f8"), values["synth.fs_hz"])
     events = timeseries.load_events(os.path.join(out, "events.csv"))
     written = np.loadtxt(os.path.join(out, "classes.csv"), delimiter=",", skiprows=2)
     expected = timeseries.sample_classes(ts, events, label_policy(values))
-    assert np.array_equal(written[:, 1], expected)
+    rebuilt = np.zeros_like(expected)
+    for start, end, cls in written:
+        lo, hi = timeseries._index_range(ts, start, end)
+        rebuilt[lo:hi] = cls
+    assert np.array_equal(rebuilt, expected)
     # 95.0 to 99.98 s, the 5 s before the onset at 100 s, is class 1
-    assert written[4749, 1] == 2 and set(written[4750:5000, 1]) == {1}
+    assert [70.0, 95.0, 2] in written.tolist() and [95.0, 100.0, 1] in written.tolist()
 
 
 def test_synth_nonstationary_ambient_rejected(tmp_path, capsys):
@@ -95,7 +100,7 @@ def test_a_duration_beyond_memory_exits_2_naming_the_keys(tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert "synth.duration_s = 1e+15 at synth.fs_hz = 50 gives 50000000000000000 samples" in err
     assert "Traceback" not in err
-    assert not (out / "signal.csv").exists()
+    assert not (out / "signal.f8").exists()
 
 
 @pytest.mark.parametrize(
@@ -128,7 +133,7 @@ def test_a_synth_value_that_breaks_generation_exits_2_naming_the_key(
     err = capsys.readouterr().err
     assert all(key in err for key in named), err
     assert "Traceback" not in err
-    assert not (out / "signal.csv").exists()
+    assert not (out / "signal.f8").exists()
 
 
 # -- filter ------------------------------------------------------------------------
@@ -142,39 +147,52 @@ def _synth_and_filter(tiny_cfg, out, *extra):
 def test_filter_writes_chain(tiny_cfg, tmp_path, capsys):
     out = str(tmp_path / "o")
     assert _synth_and_filter(tiny_cfg, out) == 0
-    for name in ("bh.csv", "ar_model.txt", "pef.csv"):
+    for name in ("bh.f8", "ar_model.txt", "pef.f8"):
         assert os.path.exists(os.path.join(out, name))
     assert "R2=" in capsys.readouterr().out
 
 
 def test_series_files_the_chain_writes_take_the_fast_read(tiny_cfg, tmp_path, monkeypatch):
-    """signal.csv, bh.csv and pef.csv with no binary copy parse in one
-    loadtxt call: a fall back to the streaming reader would cost each read
-    about three times as long."""
+    """signal.f8, bh.f8 and pef.f8 load as series files: neither text reader
+    runs."""
     out = str(tmp_path / "o")
     assert _synth_and_filter(tiny_cfg, out) == 0
-    paths = [os.path.join(out, name) for name in ("signal.csv", "bh.csv", "pef.csv")]
-    for path in paths:
-        os.remove(artifacts.twin_path(path))
-    streamed = [timeseries._load_streaming(path, 50.0) for path in paths]
 
-    def no_fallback(path, fs_hz):
-        raise AssertionError(f"{path} fell back to the streaming reader")
+    def parsed(path, *args):
+        raise AssertionError(f"{path} was parsed as text")
 
-    monkeypatch.setattr(timeseries, "_load_streaming", no_fallback)
-    for path, want in zip(paths, streamed):
-        got = timeseries.load_timeseries(path, 50.0)
-        assert got.values.tobytes() == want.values.tobytes()
-        assert got.t0_s == want.t0_s
-        assert len(got) == 240 * 50
+    monkeypatch.setattr(timeseries, "read_numeric", parsed)
+    monkeypatch.setattr(timeseries, "_load_streaming", parsed)
+    for name in ("signal.f8", "bh.f8", "pef.f8"):
+        assert len(timeseries.load_timeseries(os.path.join(out, name), 50.0)) == 240 * 50
 
 
 def test_filter_skip_pef(tiny_cfg, tmp_path):
     out = str(tmp_path / "o")
     assert _synth_and_filter(tiny_cfg, out, "--skip-pef") == 0
-    assert os.path.exists(os.path.join(out, "bh.csv"))
-    assert not os.path.exists(os.path.join(out, "pef.csv"))
+    assert os.path.exists(os.path.join(out, "bh.f8"))
+    assert not os.path.exists(os.path.join(out, "pef.f8"))
     assert not os.path.exists(os.path.join(out, "ar_model.txt"))
+
+
+def test_filter_skip_pef_removes_an_earlier_residual(tmp_path, capsys):
+    """A residual and AR model of an earlier seed do not outlive a
+    `--skip-pef` run, text left by an older version included: train then
+    has no input, where it used to fit the old residual and exit 0."""
+    cfg = os.path.join(os.path.dirname(__file__), "tiny.cfg")
+    out = str(tmp_path / "o")
+    for command in ("synth", "filter"):
+        assert run(command, "--config", cfg, "--out", out, "--seed", "1") == 0
+    with open(os.path.join(out, "pef.csv"), "w", encoding="utf-8") as fh:
+        fh.write("# seed=1\ntimestamp_s,amplitude\n0.0,1.0\n")
+    assert run("synth", "--config", cfg, "--out", out, "--seed", "2") == 0
+    assert run("filter", "--config", cfg, "--out", out, "--seed", "2", "--skip-pef") == 0
+    for name in ("pef.f8", "pef.csv", "ar_model.txt"):
+        assert not os.path.exists(os.path.join(out, name)), name
+    capsys.readouterr()
+    assert run("train", "--config", cfg, "--out", out, "--seed", "2") == 3
+    err = capsys.readouterr().err
+    assert f"input signal {os.path.join(out, 'pef.f8')} not found; run the filter stage first" in err
 
 
 def test_filter_corner_at_nyquist_exits_2(tmp_path, capsys):
@@ -456,19 +474,19 @@ def _first_sample_nan(lines):
 
 def _pef_with_utf16_bom(tiny_cfg, out):
     assert _through_train(tiny_cfg, out) == 0
-    path = os.path.join(out, "pef.csv")
+    path = os.path.join(out, "pef.f8")
     data = read(path)
     with open(path, "wb") as fh:
         fh.write(b"\xff\xfe" + data)
-    return run("classify", "--config", tiny_cfg, "--out", out), "pef.csv"
+    return run("classify", "--config", tiny_cfg, "--out", out), "pef.f8"
 
 
 def _pef_is_a_directory(tiny_cfg, out):
     assert _through_train(tiny_cfg, out) == 0
-    path = os.path.join(out, "pef.csv")
+    path = os.path.join(out, "pef.f8")
     os.remove(path)
     os.mkdir(path)
-    return run("classify", "--config", tiny_cfg, "--out", out), "pef.csv"
+    return run("classify", "--config", tiny_cfg, "--out", out), "pef.f8"
 
 
 def _predicted_label_4(tiny_cfg, out):
@@ -597,6 +615,25 @@ INPUT_FAULTS = {
 # the tables whose first data cell is a number that no later check reads
 FIRST_CELL_FILES = ("dtw_reference.csv", "predictions.csv")
 COMMAND_ARGV = {"classify-dtw": ("classify", "--classifier", "dtw")}
+# a series a command reads as a caller's text table: its series file's
+# values as `timestamp_s,amplitude` rows, the series file removed, and the
+# command pointed at the table (`--input`, or `paths.signal` for filter)
+TEXT_SERIES = ("pef.csv", "signal.csv")
+
+
+def _given_as_text(cfg, out, name):
+    """The command-line arguments that point a command at `name` as text."""
+    path = os.path.join(out, name)
+    ts = timeseries.load_timeseries(timeseries.series_path(path), 50.0)
+    artifacts.write_table(path, ["seed=0"], ("timestamp_s", "amplitude"),
+                          (ts.timestamps(), ts.values))
+    os.remove(timeseries.series_path(path))
+    if name == "signal.csv":
+        given = os.path.join(out, "given.cfg")
+        with open(given, "w", encoding="utf-8") as fh:
+            fh.write(read(cfg).decode() + f"paths.signal = {path}\n")
+        return ["--config", given]
+    return ["--config", cfg, "--input", path]
 
 
 def _input_fault_cases():
@@ -623,6 +660,7 @@ def test_classify_input_fault_exits_3_naming_the_file(
     cfg, trained = trained_tiny
     out = str(tmp_path / "o")
     shutil.copytree(trained, out)
+    given = _given_as_text(cfg, out, name) if name in TEXT_SERIES else ["--config", cfg]
     path = os.path.join(out, name)
     if INPUT_FAULTS[fault] is None:
         os.remove(path)
@@ -630,7 +668,7 @@ def test_classify_input_fault_exits_3_naming_the_file(
         damaged = INPUT_FAULTS[fault](read(path))
         with open(path, "wb") as fh:
             fh.write(damaged)
-    assert run(*COMMAND_ARGV.get(command, (command,)), "--config", cfg, "--out", out) == 3
+    assert run(*COMMAND_ARGV.get(command, (command,)), *given, "--out", out) == 3
     assert name in capsys.readouterr().err
 
 
@@ -680,7 +718,7 @@ def test_non_positive_fs_hz_exits_2_before_a_series_is_read(
     shutil.copytree(trained, out)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(
-        TINY_CFG + f"synth.fs_hz = {fs_hz}\npaths.signal = {os.path.join(out, 'signal.csv')}\n"
+        TINY_CFG + f"synth.fs_hz = {fs_hz}\npaths.signal = {os.path.join(out, 'signal.f8')}\n"
     )
     assert run(command, "--config", str(cfg), "--out", out) == 2
     err = capsys.readouterr().err
@@ -697,12 +735,14 @@ def test_a_non_finite_timestamp_exits_3_naming_it_and_its_line(
     tiny_cfg, tmp_path, capsys, command, row, cell
 ):
     """A NaN first timestamp was a traceback from the AR segment's offset,
-    and a NaN later one passed the spacing test; an inf one read as a gap."""
+    and a NaN later one passed the spacing test; an inf one read as a gap.
+    The signal is a caller's text table of the synthesized one."""
     out = str(tmp_path / "o")
     assert run("synth", "--config", tiny_cfg, "--out", out, "--seed", "3") == 0
     signal = os.path.join(out, "signal.csv")
-    with open(signal, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    ts = timeseries.load_timeseries(os.path.join(out, "signal.f8"), 50.0)
+    lines = ["# seed=3", "timestamp_s,amplitude"]
+    lines += [f"{t!r},{v!r}" for t, v in zip(ts.timestamps().tolist(), ts.values.tolist())]
     k = 2 + row  # after the seed comment and the column header
     lines[k] = f"{cell},{lines[k].split(',')[1]}"
     with open(signal, "w", encoding="utf-8") as fh:
@@ -740,10 +780,10 @@ def test_out_dir_env_override(tiny_cfg, tmp_path, monkeypatch):
     env_dir = str(tmp_path / "env")
     monkeypatch.setenv("GEYSERSTATE_OUT", env_dir)
     assert run("synth", "--config", tiny_cfg) == 0
-    assert os.path.exists(os.path.join(env_dir, "signal.csv"))
+    assert os.path.exists(os.path.join(env_dir, "signal.f8"))
     flag_dir = str(tmp_path / "flag")
     assert run("synth", "--config", tiny_cfg, "--out", flag_dir) == 0
-    assert os.path.exists(os.path.join(flag_dir, "signal.csv"))
+    assert os.path.exists(os.path.join(flag_dir, "signal.f8"))
 
 
 def test_missing_subcommand_is_usage_error():
@@ -757,7 +797,7 @@ def test_missing_subcommand_is_usage_error():
 def test_pipeline_single_arm_writes_report(tiny_cfg, tmp_path):
     out = str(tmp_path / "o")
     assert run("pipeline", "--config", tiny_cfg, "--out", out, "--seed", "3") == 0
-    for name in ("bh.csv", "pef.csv", "forest.txt", "predictions.csv",
+    for name in ("bh.f8", "pef.f8", "forest.txt", "predictions.csv",
                  "report.txt", "report.csv"):
         assert os.path.exists(os.path.join(out, name))
     assert os.path.exists(os.path.join(out, "plots", "event_1.csv"))
@@ -792,7 +832,7 @@ def test_stage_logs_its_wall_time(tiny_cfg, tmp_path, caplog):
     assert run("synth", "--config", tiny_cfg, "--out", out) == 0
     assert re.search(r"stage=synth seconds=\d+\.\d{3}", caplog.text)
     # wall times go to the log only, never into the output directory
-    assert sorted(os.listdir(out)) == ["classes.csv", "events.csv", "signal.csv", "signal.f8"]
+    assert sorted(os.listdir(out)) == ["classes.csv", "events.csv", "signal.f8"]
 
 
 def test_pipeline_logs_each_stage_and_features_kept(tiny_cfg, tmp_path, caplog):
@@ -838,8 +878,7 @@ def test_filter_verbose_logs_ar_search(tiny_cfg, tmp_path, caplog):
         caplog.text,
     )
     assert sorted(os.listdir(out)) == [
-        "ar_model.txt", "bh.csv", "bh.f8", "classes.csv", "events.csv", "pef.csv", "pef.f8",
-        "signal.csv", "signal.f8",
+        "ar_model.txt", "bh.f8", "classes.csv", "events.csv", "pef.f8", "signal.f8",
     ]
 
 
@@ -848,56 +887,8 @@ def test_staged_commands_write_what_pipeline_writes(tiny_cfg, tmp_path):
     staged, piped = str(tmp_path / "staged"), str(tmp_path / "piped")
     assert _synth_and_filter(tiny_cfg, staged, "--skip-pef") == 0
     assert run("pipeline", "--config", tiny_cfg, "--out", piped) == 0
-    for name in ("signal.csv", "events.csv", "classes.csv", "bh.csv"):
+    for name in ("signal.f8", "events.csv", "classes.csv", "bh.f8"):
         assert read(os.path.join(staged, name)) == read(os.path.join(piped, name)), name
-
-
-# the logical columns of each series file; None marks an integer column
-SERIES_COLUMNS = {
-    "signal.csv": ("grid", "raw"),
-    "classes.csv": ("grid", None),
-    "bh.csv": ("grid", "bh"),
-    "pef.csv": ("grid", "pef"),
-}
-TRACE_COLUMNS = ("grid", "raw", "bh", "pef", None)
-# free text that does not go through a table's cell spelling
-FREE_TEXT = ("ar_model.txt", "comparison.csv", "report")
-
-
-def _is_float_cell(cell):
-    """repr of a float always has a '.', an exponent, or reads nan or inf;
-    str of an integer never does, and a name does not read as a number."""
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    try:
-        int(cell)
-    except ValueError:
-        return True
-    return False
-
-
-def _distinct_float_cells(out, names):
-    """Float cells of the named output files, a series cell counted once
-    however many files repeat it: a series cell is keyed by its logical
-    column and the text of its row's timestamp."""
-    series, other = set(), 0
-    for name in names:
-        # a binary copy holds no spelled cell
-        if os.path.basename(name).startswith(FREE_TEXT) or name.endswith(".f8"):
-            continue
-        columns = SERIES_COLUMNS.get(name, TRACE_COLUMNS if name.startswith("plots") else None)
-        lines = read(os.path.join(out, name)).decode().splitlines()
-        for line in lines:
-            if line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if columns is None:
-                other += sum(map(_is_float_cell, cells))
-            elif _is_float_cell(cells[0]):  # not the header
-                series.update((col, cells[0]) for col in columns if col)
-    return len(series) + other
 
 
 def _written(out):
@@ -905,63 +896,21 @@ def _written(out):
                   for base, _, files in os.walk(out) for f in files)
 
 
-def test_each_series_cell_is_spelled_once_per_command(tiny_cfg, tmp_path, spell_tally):
-    """pipeline --compare and filter spell each (column, row) cell they write
-    once: the time grid that signal, classes, bh and pef share, and the rows
-    the event traces repeat, are not spelled again."""
-    out = str(tmp_path / "o")
-    assert run("pipeline", "--compare", "--config", tiny_cfg, "--out", out) == 0
-    written = _written(out)
-    assert "plots/event_1.csv" in written
-    assert spell_tally.counts().total() == _distinct_float_cells(out, written)
-
-    spell_tally.clear()
-    assert run("filter", "--config", tiny_cfg, "--out", out) == 0
-    # the grid, bh and pef of 240 s at 50 Hz
-    assert spell_tally.counts().total() == _distinct_float_cells(out, ["bh.csv", "pef.csv"])
-    assert spell_tally.counts().total() == 3 * 12000
-
-
-def test_two_process_passes_write_the_one_process_bytes(
-    tiny_cfg, tmp_path, monkeypatch, spell_tally, capsys
-):
-    """pipeline --compare with chunks small enough that its 12,000-row pass
-    forks a helper writes the tree and stdout of the one-process run, and
-    spells each cell once across the two processes."""
-    one, two = str(tmp_path / "one"), str(tmp_path / "two")
-    monkeypatch.setattr(artifacts, "_cpus", lambda: 1)
-    assert run("pipeline", "--compare", "--config", tiny_cfg, "--out", one, "--seed", "3") == 0
-    printed = capsys.readouterr().out
-    assert spell_tally.counts()["helper"] == 0
-
-    spell_tally.clear()
-    monkeypatch.setattr(artifacts, "_cpus", lambda: 2)
-    monkeypatch.setattr(artifacts, "_CHUNK_ROWS", 1000)  # 12 chunks, the helper from row 6000
-    assert run("pipeline", "--compare", "--config", tiny_cfg, "--out", two, "--seed", "3") == 0
-    assert capsys.readouterr().out == printed.replace(one, two)
-    counts = spell_tally.counts()
-    assert counts["helper"] > 0 and counts["parent"] > 0
-    assert _written(two) == _written(one)
-    assert counts.total() == _distinct_float_cells(two, _written(two))
-    match, mismatch, errors = filecmp.cmpfiles(one, two, _written(one), shallow=False)
-    assert not mismatch and not errors
-
-
 def test_filter_failing_before_its_pass_writes_no_series_file(tmp_path, capsys):
-    """The AR fit fails before the pass: neither bh.csv nor pef.csv nor a
-    binary copy of either exists, not even half-written."""
+    """The AR fit fails before any series is saved: neither bh.f8 nor
+    pef.f8 exists, not even half-written."""
     cfg = tmp_path / "long_ar.cfg"
     cfg.write_text(TINY_CFG + "ar.train_fraction = 0.95\n")
     out = tmp_path / "o"
     assert run("synth", "--config", str(cfg), "--out", str(out)) == 0
     assert run("filter", "--config", str(cfg), "--out", str(out)) == 3
     assert "no contiguous Class-1 run" in capsys.readouterr().err
-    assert sorted(os.listdir(out)) == ["classes.csv", "events.csv", "signal.csv", "signal.f8"]
+    assert sorted(os.listdir(out)) == ["classes.csv", "events.csv", "signal.f8"]
 
 
 def test_pipeline_failing_after_its_pass_keeps_the_series_files(tiny_cfg, tmp_path, capsys):
     """A pipeline that fails in train, after the PEF, leaves whole series
-    files and their binary copies."""
+    files."""
     cfg = tmp_path / "long_windows.cfg"
     cfg.write_text(TINY_CFG + "window.length_s = 100\nwindow.stride_s = 100\n")
     out, whole = str(tmp_path / "o"), str(tmp_path / "whole")
@@ -970,12 +919,9 @@ def test_pipeline_failing_after_its_pass_keeps_the_series_files(tiny_cfg, tmp_pa
     # the staged run fits its AR model on the whole series, so only the
     # files before the PEF can match it byte for byte
     assert _synth_and_filter(tiny_cfg, whole, "--skip-pef") == 0
-    for name in ("signal.csv", "classes.csv", "bh.csv", "signal.f8", "bh.f8"):
+    for name in ("signal.f8", "classes.csv", "bh.f8"):
         assert read(os.path.join(out, name)) == read(os.path.join(whole, name)), name
-    assert os.path.exists(os.path.join(out, "pef.f8"))
-    residual = read(os.path.join(out, "pef.csv"))
-    assert residual.endswith(b"\n")
-    assert len(timeseries.load_timeseries(os.path.join(out, "pef.csv"), 50.0)) == 240 * 50
+    assert len(timeseries.load_timeseries(os.path.join(out, "pef.f8"), 50.0)) == 240 * 50
     assert os.path.exists(os.path.join(out, "plots", "event_1.csv"))
 
 
@@ -990,7 +936,8 @@ def test_an_off_grid_onset_traces_the_samples_that_sample_classes_paints(tmp_pat
     (table,) = cli._event_trace_tables(
         str(tmp_path), raw, timeseries.EventLog((onset,)), (grid,) * 5, 3
     )
-    assert (table.start, table.stop) == (3001, 24001)
+    assert all(col.base is grid for col in table.columns)
+    assert np.array_equal(table.columns[0], grid[3001:24001])
     assert grid[3000] < onset - cli.PLOT_BEFORE_S <= grid[3001]
     assert grid[24000] < onset + cli.PLOT_AFTER_S <= grid[24001]
     artifacts.write_tables([table])
@@ -998,40 +945,35 @@ def test_an_off_grid_onset_traces_the_samples_that_sample_classes_paints(tmp_pat
     assert np.array_equal(rows[:, 0], grid[3001:24001])
 
 
-def test_pipeline_on_given_files_writes_the_synthesizing_run_bytes(
-    tmp_path, monkeypatch, helper_on, capsys
-):
+def test_pipeline_on_given_files_writes_the_synthesizing_run_bytes(tmp_path, capsys):
     """pipeline --compare on the signal and events a synthesizing run wrote
     (paths.signal, paths.events) writes every file of that run but
-    signal.csv, its binary copy, events.csv and classes.csv, and leaves the
-    given files as they were.  Its pass wants the raw
-    and class columns only inside the event trace, rows 8,500-29,500 of
-    30,000 (onset 410 s, 600 s at 50 Hz), and the helper takes over at row
-    15,000, inside that trace."""
+    signal.f8, events.csv and classes.csv, and leaves the given files as
+    they were.  The event trace (onset 410 s, 600 s at 50 Hz) repeats the
+    given signal, rows 8,500-29,500."""
     cfg = tmp_path / "long.cfg"
     cfg.write_text(TINY_CFG + "synth.duration_s = 600\nsynth.event_times_s = 100, 180, 300, 410\n")
-    monkeypatch.setattr(artifacts, "_CHUNK_ROWS", 1000)
     synthesized, given = str(tmp_path / "synthesized"), str(tmp_path / "given")
     assert run("pipeline", "--compare", "--config", str(cfg), "--out", synthesized) == 0
     printed = capsys.readouterr().out
-    inputs = {name: read(os.path.join(synthesized, name)) for name in ("signal.csv", "events.csv")}
+    inputs = {name: read(os.path.join(synthesized, name)) for name in ("signal.f8", "events.csv")}
     supplied = tmp_path / "supplied.cfg"
     supplied.write_text(cfg.read_text() + "".join(
-        f"paths.{name} = {os.path.join(synthesized, name + '.csv')}\n"
-        for name in ("signal", "events")
+        f"paths.{key} = {os.path.join(synthesized, name)}\n"
+        for key, name in (("signal", "signal.f8"), ("events", "events.csv"))
     ))
     assert run("pipeline", "--compare", "--config", str(supplied), "--out", given) == 0
     assert capsys.readouterr().out == printed.replace(synthesized, given)
-    inputs_and_classes = ("signal.csv", "signal.f8", "events.csv", "classes.csv")
+    inputs_and_classes = ("signal.f8", "events.csv", "classes.csv")
     assert _written(given) == [n for n in _written(synthesized) if n not in inputs_and_classes]
     match, mismatch, errors = filecmp.cmpfiles(synthesized, given, _written(given), shallow=False)
     assert not mismatch and not errors
     for name, data in inputs.items():
         assert read(os.path.join(synthesized, name)) == data
-    # the trace repeats the given signal's text, rows 170 s to 589.98 s
     trace = read(os.path.join(given, "plots", "event_1.csv")).decode().splitlines()[3:]
-    signal = inputs["signal.csv"].decode().splitlines()[-30000:]
-    assert [row.rsplit(",", 3)[0] for row in trace] == signal[8500:29500]
+    signal = timeseries.load_timeseries(os.path.join(synthesized, "signal.f8"), 50.0)
+    rows = zip(signal.timestamps().tolist()[8500:29500], signal.values.tolist()[8500:29500])
+    assert [row.rsplit(",", 3)[0] for row in trace] == [f"{t!r},{v!r}" for t, v in rows]
 
 
 def test_bench_tracing_patches_resolve():

@@ -165,7 +165,7 @@ def test_out_dir_precedence(monkeypatch):
 def test_paths_derive_from_out_dir(tmp_path):
     values = default_config()
     paths = resolve_paths(values, "runs")
-    assert paths["signal"].endswith("signal.csv") and paths["signal"].startswith("runs")
+    assert paths["signal"].endswith("signal.f8") and paths["signal"].startswith("runs")
     explicit = tmp_path / "given.csv"
     values["paths.signal"] = str(explicit)
     assert resolve_paths(values, "runs")["signal"] == str(explicit)

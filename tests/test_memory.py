@@ -7,13 +7,12 @@ place, in buffers it returns or drops at once; the figure in parentheses
 in each test is the peak of the whole-array expressions this replaced.
 """
 
-import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from geyserstate.artifacts import twin_path
+from geyserstate.artifacts import write_table
 from geyserstate.filters import ArModel, apply_filter, design_butterworth_highpass, pef
 from geyserstate.synth import SynthConfig, generate
 from geyserstate.timeseries import TimeSeries, load_timeseries, save_timeseries
@@ -71,19 +70,18 @@ def test_pef_holds_its_prediction_and_one_product(record):
 
 
 def test_load_timeseries_holds_the_table_and_one_column(record, tmp_path):
-    """With no binary copy: the parsed two-column table and then either the
-    spacing test's gaps or the amplitude copy (4.0)."""
+    """Of a caller's text table: the parsed two-column table and then either
+    the spacing test's gaps or the amplitude copy (4.0)."""
     path = str(tmp_path / "signal.csv")
-    save_timeseries(record, path)
-    os.remove(twin_path(path))
+    write_table(path, [], ("timestamp_s", "amplitude"), (record.timestamps(), record.values))
     loaded, peak = peak_arrays(lambda: load_timeseries(path, CONFIG.fs_hz))
     assert loaded.values.tobytes() == record.values.tobytes()
     assert peak <= 3.5
 
 
-def test_load_timeseries_through_the_binary_copy_holds_the_amplitudes(record, tmp_path):
+def test_load_timeseries_of_a_series_file_holds_the_amplitudes(record, tmp_path):
     """The amplitudes it returns, the finiteness test's booleans, and before
-    them one 1 MiB block of timestamps with its gaps (3.5 parsing the
+    them one 1 MiB block of timestamps with its gaps (3.5 parsing a text
     table).
 
     The timestamps are checked block by block because glibc keeps a freed
@@ -94,8 +92,15 @@ def test_load_timeseries_through_the_binary_copy_holds_the_amplitudes(record, tm
     block it peaked at 133.2-134.2 MB (median 133.5 over 10 runs) against
     the text reader's 133.0-133.6 MB (median 133.4), on 2 vCPUs with one
     BLAS thread."""
-    path = str(tmp_path / "signal.csv")
+    path = str(tmp_path / "signal.f8")
     save_timeseries(record, path)
     loaded, peak = peak_arrays(lambda: load_timeseries(path, CONFIG.fs_hz))
     assert loaded.values.tobytes() == record.values.tobytes()
     assert peak <= 1.25
+
+
+def test_save_timeseries_holds_one_time_grid(record, tmp_path):
+    """The grid `timestamps()` it writes first; each column goes out from
+    its own buffer (2.0 with a whole-series copy of the amplitudes)."""
+    _, peak = peak_arrays(lambda: save_timeseries(record, str(tmp_path / "signal.f8")))
+    assert peak <= 1.1

@@ -336,8 +336,6 @@ def test_save_classes_format(tmp_path):
     classes = np.array([1, 1, 2, 3, 1])
     path = tmp_path / "classes.csv"
     save_classes(ts, classes, str(path), header_comments=["seed=1"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# seed=1"
-    assert lines[1] == "timestamp_s,class"
-    assert lines[2] == "0.0,1"
-    assert lines[4] == "0.2,2"
+    assert path.read_text().splitlines() == [
+        "# seed=1", "start_s,end_s,class", "0.0,0.2,1", "0.2,0.3,2", "0.3,0.4,3", "0.4,0.5,1",
+    ]

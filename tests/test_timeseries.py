@@ -180,7 +180,7 @@ def test_signal_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.values, ts.values)
     assert back.t0_s == ts.t0_s
     save_timeseries(back, str(tmp_path / "sig2.csv"), header_comments=["seed=11"])
-    assert (tmp_path / "sig.csv").read_bytes() == (tmp_path / "sig2.csv").read_bytes()
+    assert (tmp_path / "sig.f8").read_bytes() == (tmp_path / "sig2.f8").read_bytes()
 
 
 def test_events_roundtrip(tmp_path):
