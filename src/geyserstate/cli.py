@@ -20,7 +20,10 @@ import argparse
 import contextlib
 import logging
 import os
+import pickle
+import signal
 import sys
+import threading
 import time
 
 import numpy as np
@@ -188,6 +191,14 @@ def _labeled_input(values: dict, out_dir: str, override: str | None) -> tuple:
     if not labeled:
         raise DataError(f"no windows in {path}; series shorter than one window")
     return ts, labeled
+
+
+def _make_dir(path: str) -> None:
+    """`os.makedirs`; a directory that cannot be made is a DataError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create directory {path}: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -363,6 +374,86 @@ def _dtw_predict(
     return starts, labels, preds, votes, per_window
 
 
+def _fork_refusal() -> str | None:
+    """Why the DTW arm runs in this process, or None when it may fork: a
+    child needs `os.fork` and no other OS thread here (CPython 3.12+ warns,
+    after the fork, when a threaded process forks; OpenBLAS starts its
+    threads at import unless OPENBLAS_NUM_THREADS=1)."""
+    if not hasattr(os, "fork"):
+        return "no os.fork"
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        threads = threading.active_count()
+    return f"{threads} threads" if threads > 1 else None
+
+
+@contextlib.contextmanager
+def _dtw_arm(refs: np.ndarray, ref_labels: np.ndarray, labeled: list[LabeledWindow], params):
+    """Start `_dtw_predict` and yield a function that returns its 5-tuple,
+    re-raising any exception it raised.
+
+    Unless `_fork_refusal` names a reason or `os.fork` fails, the arm runs
+    in a child while the with-body runs; the child sends its result or
+    exception as one pickle down a pipe and always leaves through
+    `os._exit`, so it runs no exit handler and flushes none of the buffers
+    it inherited.  On any exception in the body, interrupts included, the
+    child is killed and reaped.  Otherwise the function runs the arm here.
+    """
+    reason = _fork_refusal()
+    if reason is None:
+        reader, writer = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException as exc:
+            os.close(reader)
+            os.close(writer)
+            if not isinstance(exc, OSError):
+                raise
+            reason = f"os.fork failed: {exc}"
+    if reason is not None:
+        def in_process():
+            _log.info("dtw arm: in process (%s)", reason)
+            return _dtw_predict(refs, ref_labels, labeled, params)
+        yield in_process
+        return
+    if pid == 0:
+        try:
+            t0 = time.perf_counter()
+            try:
+                outcome = _dtw_predict(refs, ref_labels, labeled, params)
+            except BaseException as exc:
+                outcome = exc
+            with os.fdopen(writer, "wb") as fh:
+                fh.write(pickle.dumps((outcome, time.perf_counter() - t0)))
+        finally:
+            os._exit(0)
+    reaped = False
+
+    def from_child():
+        nonlocal reaped
+        with os.fdopen(reader, "rb", closefd=False) as fh:
+            data = fh.read()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        if not data:
+            raise RuntimeError(f"dtw arm: child {pid} sent nothing (wait status {status})")
+        outcome, seconds = pickle.loads(data)
+        _log.info("dtw arm: child pid=%d seconds=%.3f", pid, seconds)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    try:
+        os.close(writer)
+        yield from_child
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(reader)
+
+
 # -- the series files and event traces ---------------------------------------------
 
 
@@ -386,7 +477,7 @@ def _event_trace_tables(
     a plotting tool can shade the precursor and eruption spans.
     """
     plots_dir = os.path.join(out_dir, "plots")
-    os.makedirs(plots_dir, exist_ok=True)
+    _make_dir(plots_dir)
     names = ("timestamp_s", "raw", "bh", "pef", "class")
     tables = []
     for k, e in enumerate(test_events.event_times_s, start=1):
@@ -581,39 +672,46 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
         residual, _, _ = _prediction_error(bh, bh_train, ev_train, values, out_dir, seed)
         pef_train = residual.slice(0, split_idx)
         pef_test = residual.slice(split_idx, len(residual))
-
-    with _stage("series"):
-        _write_pipeline_series(values, seed, out_dir, paths, raw, events, bh, residual, ev_test)
-
-    with _stage("train"):
-        catalog = default_catalog(raw.fs_hz, values["features.fft_bins"])
         train_pef = _labeled_windows(pef_train, ev_train, values)
         test_pef = _labeled_windows(pef_test, ev_test, values)
-        if not train_pef or not test_pef:
-            raise DataError("split leaves an empty window set on one side")
-        _log.info(
-            "train windows per class: %s; test: %s",
-            _class_counts(train_pef), _class_counts(test_pef),
-        )
-        forest, cols, medians, table, mask = _rf_fit(train_pef, values, seed, catalog)
-        _save_rf(out_dir, seed, catalog, forest, medians, table, mask)
 
-    with _stage("classify"):
-        arm_results = {
-            "rf_pef": _rf_predict(test_pef, forest, cols, medians, catalog)
-        }
-        if args.compare:
-            train_bh = _labeled_windows(bh_train, ev_train, values)
-            test_bh = _labeled_windows(bh_test, ev_test, values)
-            forest_b, cols_b, medians_b, _, _ = _rf_fit(train_bh, values, seed, catalog)
-            arm_results["rf_nopef"] = _rf_predict(
-                test_bh, forest_b, cols_b, medians_b, catalog
+    with contextlib.ExitStack() as arms:
+        with _stage("series"):
+            if args.compare and train_pef and test_pef:
+                # the DTW arm needs only the PEF windows: it starts here, and
+                # in a child it overlaps the writes below and the forest arms
+                params = dtw_params(values)
+                refs, ref_labels = save_reference(
+                    train_pef, os.path.join(out_dir, "dtw_reference.csv"), params, header
+                )
+                dtw_result = arms.enter_context(_dtw_arm(refs, ref_labels, test_pef, params))
+            _write_pipeline_series(
+                values, seed, out_dir, paths, raw, events, bh, residual, ev_test
             )
-            params = dtw_params(values)
-            refs, ref_labels = save_reference(
-                train_pef, os.path.join(out_dir, "dtw_reference.csv"), params, header
+
+        with _stage("train"):
+            catalog = default_catalog(raw.fs_hz, values["features.fft_bins"])
+            if not train_pef or not test_pef:
+                raise DataError("split leaves an empty window set on one side")
+            _log.info(
+                "train windows per class: %s; test: %s",
+                _class_counts(train_pef), _class_counts(test_pef),
             )
-            arm_results["dtw_pef"] = _dtw_predict(refs, ref_labels, test_pef, params)
+            forest, cols, medians, table, mask = _rf_fit(train_pef, values, seed, catalog)
+            _save_rf(out_dir, seed, catalog, forest, medians, table, mask)
+
+        with _stage("classify"):
+            arm_results = {
+                "rf_pef": _rf_predict(test_pef, forest, cols, medians, catalog)
+            }
+            if args.compare:
+                train_bh = _labeled_windows(bh_train, ev_train, values)
+                test_bh = _labeled_windows(bh_test, ev_test, values)
+                forest_b, cols_b, medians_b, _, _ = _rf_fit(train_bh, values, seed, catalog)
+                arm_results["rf_nopef"] = _rf_predict(
+                    test_bh, forest_b, cols_b, medians_b, catalog
+                )
+                arm_results["dtw_pef"] = dtw_result()
 
     with _stage("eval"):
         scores = {}
@@ -721,7 +819,7 @@ def main(argv: list[str] | None = None) -> int:
         if seed is None:
             seed = values["seed"]
         out_dir = resolve_out_dir(values, getattr(args, "out", None))
-        os.makedirs(out_dir, exist_ok=True)
+        _make_dir(out_dir)
         with _stage(args.command):
             return _COMMANDS[args.command](values, seed, out_dir, args)
     except ConfigError as exc:

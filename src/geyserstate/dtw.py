@@ -4,7 +4,7 @@ Distances run on mean-pooled windows (12000-sample windows pool to 600 by
 default) because the full quadratic grid is two orders of magnitude more
 work per pair.  The pool is not neutral: at the defaults each pooled
 sample averages a 20-sample span at 200 Hz, so the pooled series has a
-5 Hz Nyquist frequency, below the 12-25 Hz event bands.  ROADMAP item 2
+5 Hz Nyquist frequency, below the 12-25 Hz event bands.  ROADMAP item 4
 measured dtw_pef macro F1 at 0.353 with this pool and 0.825 with an RMS
 pool (defaults, seeds 1-12).  The references are the pooled (R, n)
 matrix and (R,) label array that `dtw_reference.csv` holds.  One kernel,

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from geyserstate import artifacts, cli, dtw, timeseries
+from geyserstate import artifacts, cli, timeseries
 from geyserstate.cli import _stage, main
 from geyserstate.config import label_policy, load_config
 
@@ -59,6 +59,13 @@ def test_synth_creates_missing_out_dir(tiny_cfg, tmp_path):
     nested = str(tmp_path / "deep" / "er")
     assert run("synth", "--config", tiny_cfg, "--out", nested) == 0
     assert os.path.exists(os.path.join(nested, "signal.f8"))
+
+
+def test_an_out_dir_that_is_a_file_exits_3_naming_it(tiny_cfg, tmp_path, capsys):
+    out = tmp_path / "o"
+    out.write_text("")
+    assert run("synth", "--config", tiny_cfg, "--out", str(out)) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot create directory {out}: ")
 
 
 def test_synth_classes_follow_the_pre_onset_gap(tmp_path):
@@ -844,29 +851,55 @@ def test_pipeline_logs_each_stage_and_features_kept(tiny_cfg, tmp_path, caplog):
     assert re.search(r"selected \d+ of \d+ features", caplog.text)
 
 
-def test_dtw_pools_each_window_once_and_sweeps_once_per_query(tiny_cfg, tmp_path, monkeypatch):
+# Counts the calls of the DTW layer: each call appends its name to the file
+# COUNTS, so that the calls of a forked DTW arm count too.
+_COUNT_DTW_CALLS = """
+from geyserstate import dtw
+for module, name in ((cli, "knn_dtw_classify"), (dtw, "mean_pool"), (dtw, "_dtw_batch")):
+    def counted(*args, fn=getattr(module, name), name=name):
+        with open(COUNTS, "a", encoding="utf-8") as fh:
+            fh.write(name + "\\n")
+        return fn(*args)
+    setattr(module, name, counted)
+"""
+
+
+def test_dtw_pools_each_window_once_and_sweeps_once_per_query(
+    tiny_cfg, tmp_path, monkeypatch, caplog, cli_process, in_process
+):
     """save_reference pools the training windows once and classify reads them
-    back pooled; each query is pooled once and swept against them once."""
-    counts = collections.Counter()
-    for module, name in ((cli, "knn_dtw_classify"), (dtw, "mean_pool"), (dtw, "_dtw_batch")):
-        def counted(*args, fn=getattr(module, name), name=name):
-            counts[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(module, name, counted)
+    back pooled; each query is pooled once and swept against them once, by
+    pipeline's DTW arm in a forked child (in a new interpreter) and in
+    process alike."""
+    log = tmp_path / "counts"
+
+    def counts():
+        calls = collections.Counter(log.read_text().split())
+        log.unlink()
+        return calls
 
     def rows(name):
         return sum(line[:1].isdigit() for line in read(os.path.join(out, name)).decode().splitlines())
 
+    out = str(tmp_path / "forked")
+    proc = cli_process("pipeline", "--compare", "--config", tiny_cfg, "--out", out,
+                       prelude=f"COUNTS = {str(log)!r}\n" + _COUNT_DTW_CALLS)
+    assert proc.returncode == 0, proc.stderr
+    assert ("dtw arm: child pid=" in proc.stderr) == cli_process.can_fork
+    forked = counts()
+    caplog.set_level(logging.INFO, logger="geyserstate.cli")
+    # the same counters in this process, undone by monkeypatch after the test
+    exec(_COUNT_DTW_CALLS, {"cli": cli, "COUNTS": str(log), "setattr": monkeypatch.setattr})
     out = str(tmp_path / "o")
     assert run("pipeline", "--compare", "--config", tiny_cfg, "--out", out) == 0
+    assert "dtw arm: in process (test)" in caplog.text
     refs, queries = rows("dtw_reference.csv"), rows("predictions_dtw_pef.csv")
     assert refs > 1 and queries > 1
-    assert counts == {"knn_dtw_classify": queries, "_dtw_batch": queries,
-                      "mean_pool": refs + queries}
-    counts.clear()
+    assert counts() == forked == {"knn_dtw_classify": queries, "_dtw_batch": queries,
+                                  "mean_pool": refs + queries}
     assert run("classify", "--config", tiny_cfg, "--out", out, "--classifier", "dtw") == 0
     queries = rows("predictions.csv")
-    assert counts == {"knn_dtw_classify": queries, "_dtw_batch": queries, "mean_pool": queries}
+    assert counts() == {"knn_dtw_classify": queries, "_dtw_batch": queries, "mean_pool": queries}
 
 
 def test_filter_verbose_logs_ar_search(tiny_cfg, tmp_path, caplog):
@@ -923,6 +956,26 @@ def test_pipeline_failing_after_its_pass_keeps_the_series_files(tiny_cfg, tmp_pa
         assert read(os.path.join(out, name)) == read(os.path.join(whole, name)), name
     assert len(timeseries.load_timeseries(os.path.join(out, "pef.f8"), 50.0)) == 240 * 50
     assert os.path.exists(os.path.join(out, "plots", "event_1.csv"))
+
+
+@pytest.mark.parametrize("extra, compare, error, left", [
+    ("window.stride_s = 60.01\n", (), "stage pef: stride of 60.01 s is not a whole number",
+     ["ar_model.txt", "events.csv"]),
+    ("dtw.k_neighbors = 0\n", ("--compare",), "stage series: k_neighbors must be",
+     ["ar_model.txt", "events.csv"]),
+], ids=["stride", "k-neighbors"])
+def test_pipeline_rejecting_a_window_or_dtw_value_leaves_no_series_file(
+    tmp_path, capsys, extra, compare, error, left
+):
+    """The PEF windows are labeled at the end of `pef`, and `--compare`'s DTW
+    arm checks its values at the top of `series`: a value either rejects
+    exits 2 before any series file is written."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CFG + extra)
+    out = tmp_path / "o"
+    assert run("pipeline", *compare, "--config", str(cfg), "--out", str(out)) == 2
+    assert f"error: stage pipeline: {error}" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == left
 
 
 def test_an_off_grid_onset_traces_the_samples_that_sample_classes_paints(tmp_path):
