@@ -14,18 +14,23 @@ the fault is in a row), so an unreadable artifact always exits 3.
 file): one `np.loadtxt` call, returning None for anything unusual so that
 the caller re-reads through `read_artifact` for its diagnostics.
 
-It is also the one place that spells a table cell.  `write_tables` writes
-the tables of one command, each in chunks of rows: floats by `repr` (the
-shortest text that reads back bit for bit), integers and booleans by `str`
-of the integer, and strings as they are, so memory holds one chunk of text.
-`write_table` is its one-table case and `write_artifact` its
-one-string-column case.  Their inverse, `ArtifactReader.columns`, parses
-every cell of rows held to one width.
+It is also the one place that spells a table cell.  `write_table` is the
+one text writer: it writes a table in chunks of rows, floats by `repr`
+(the shortest text that reads back bit for bit), integers and booleans by
+`str` of the integer, and strings as they are, so memory holds one chunk
+of text; a file of plain lines is its one-string-column case.  Its
+inverse, `ArtifactReader.columns`, parses every cell of rows held to one
+width.
 
 A series (a signal and its filter outputs) is a binary series file,
 `write_series` and `read_series`: one line `# series v2 rows=<n>` followed
 by the writer's `key=value` comments (`seed=<n>`), then each column in turn
 as n raw little-endian float64s, the timestamps and then the amplitudes.
+
+Both writers follow one failure rule (`_created`): a file that cannot be
+opened or written is a `DataError` naming it, and on any failure once it
+is opened, interrupts included, the file is removed, so a failed write
+leaves no file of its own.
 
 `params_line` and `read_params` are the codec of a model file's `params`
 comment, each value parsed by `parser_for`, the config keys' type table.
@@ -39,7 +44,6 @@ import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,16 +66,6 @@ _SERIES_LINE = re.compile(rb"# series v2 rows=([0-9]{1,18})(?: [^\s=]+=\S*)*\n")
 _SERIES_HEADER_MAX = 1024
 
 
-class Table(NamedTuple):
-    """One file of a write pass: equal-length `columns`, one row per index,
-    under `# <comment>` lines and a `names` header (none when None)."""
-
-    path: str
-    comments: Iterable[str]
-    names: Iterable[str] | None
-    columns: Sequence
-
-
 def _spelled(column) -> tuple[np.ndarray, Callable[[object], str]]:
     """The column as an array and the function that spells one of its cells."""
     col = np.asarray(column)
@@ -80,37 +74,23 @@ def _spelled(column) -> tuple[np.ndarray, Callable[[object], str]]:
     return col, repr if col.dtype.kind == "f" else str
 
 
-def write_tables(tables: Sequence[Table]) -> None:
-    """Write each table in turn, `_CHUNK_ROWS` rows at a time.
+@contextmanager
+def _created(path: str, mode: str, encoding: str | None = None) -> Iterator:
+    """The file at `path`, opened with `mode` for the with-body to write.
 
-    A table that cannot be opened or written is a `DataError` naming it.
-    On any failure, interrupts included, the pass removes every table it
-    opened (each is closed as its `with` block exits), so no table is left
-    half-written.
+    On any failure once it is opened, interrupts included, the file is
+    closed and removed, so no file is left half-written.  An OSError, in
+    `open` too, becomes a `DataError` naming the file.
     """
-    spelled = []
-    for table in tables:
-        cols = [_spelled(c) for c in table.columns]
-        if len({len(col) for col, _ in cols}) > 1:
-            raise ValueError(f"columns of unequal length for {table.path}")
-        spelled.append(cols)
-    opened: list[str] = []
-    path = None
+    opened = False
     try:
-        for table, cols in zip(tables, spelled):
-            path = table.path
-            with open(path, "w", encoding="utf-8") as fh:
-                opened.append(path)
-                fh.writelines(f"# {comment}\n" for comment in table.comments)
-                if table.names is not None:
-                    fh.write(",".join(table.names) + "\n")
-                for a in range(0, len(cols[0][0]) if cols else 0, _CHUNK_ROWS):
-                    text = [map(spell, col[a:a + _CHUNK_ROWS].tolist()) for col, spell in cols]
-                    fh.write("\n".join(map(",".join, zip(*text))) + "\n")
+        with open(path, mode, encoding=encoding) as fh:
+            opened = True
+            yield fh
     except BaseException as exc:
-        for name in opened:
+        if opened:
             with suppress(OSError):
-                os.remove(name)
+                os.remove(path)
         if isinstance(exc, OSError):
             raise DataError(f"cannot write {path}: {exc}") from None
         raise
@@ -119,15 +99,18 @@ def write_tables(tables: Sequence[Table]) -> None:
 def write_table(
     path: str, comments: Iterable[str], names: Iterable[str] | None, columns: Sequence
 ) -> None:
-    """Write equal-length columns as comma-separated rows under a `names` header."""
-    write_tables([Table(path, comments, names, columns)])
-
-
-def write_artifact(
-    path: str, comments: Iterable[str], header: str | None, rows: Iterable[str]
-) -> None:
-    """Write `# <comment>` lines, the header line if any, then one line per row."""
-    write_table(path, comments, None if header is None else (header,), (list(rows),))
+    """Write equal-length `columns`, one row per index, under `# <comment>`
+    lines and a `names` header (none when None), `_CHUNK_ROWS` rows at a time."""
+    cols = [_spelled(c) for c in columns]
+    if len({len(col) for col, _ in cols}) > 1:
+        raise ValueError(f"columns of unequal length for {path}")
+    with _created(path, "w", "utf-8") as fh:
+        fh.writelines(f"# {comment}\n" for comment in comments)
+        if names is not None:
+            fh.write(",".join(names) + "\n")
+        for a in range(0, len(cols[0][0]) if cols else 0, _CHUNK_ROWS):
+            text = [map(spell, col[a:a + _CHUNK_ROWS].tolist()) for col, spell in cols]
+            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
 def write_series(path: str, comments: Iterable[str], columns: Sequence[np.ndarray]) -> None:
@@ -136,28 +119,16 @@ def write_series(path: str, comments: Iterable[str], columns: Sequence[np.ndarra
     Its header line is `# series v2 rows=<n>` and then the comments, each a
     `key=value` token; a comment that does not fit is a ValueError before
     the file is opened.  Each column goes out from its own buffer
-    (`tofile`), so no whole-series temporary is made.  A file that cannot
-    be written is a `DataError` naming it, and on any failure once it is
-    opened the file is removed.
+    (`tofile`), so no whole-series temporary is made.
     """
     tokens = [f"# series v2 rows={len(columns[0])}", *comments]
     header = " ".join(tokens).encode() + b"\n"
     if len(header) > _SERIES_HEADER_MAX or not _SERIES_LINE.fullmatch(header):
         raise ValueError(f"comments {tokens[1:]!r} do not fit a series header")
-    opened = False
-    try:
-        with open(path, "wb") as fh:
-            opened = True
-            fh.write(header)
-            for col in columns:
-                np.asarray(col, dtype="<f8").tofile(fh)
-    except BaseException as exc:
-        if opened:
-            with suppress(OSError):
-                os.remove(path)
-        if isinstance(exc, OSError):
-            raise DataError(f"cannot write {path}: {exc}") from None
-        raise
+    with _created(path, "wb") as fh:
+        fh.write(header)
+        for col in columns:
+            np.asarray(col, dtype="<f8").tofile(fh)
 
 
 def read_series(path: str, check: Callable[[np.ndarray], None]) -> tuple[float, np.ndarray]:
@@ -291,33 +262,36 @@ def read_numeric(path: str) -> np.ndarray | None:
     """The rows of a comma-separated number table as one 2-D float array.
 
     Leading blank and `#` lines are skipped, and so is one first row with a
-    cell that `float` rejects (a column header).  `np.loadtxt` parses the
+    cell that `float` rejects (a column header), which counts as a row: it
+    must have as many cells as every row after it.  `np.loadtxt` parses the
     rest with no comment character, so it accepts a subset of what
     `read_artifact` streams: no later comment, whitespace-only line, `1_0`
     digit group or trailing `# ...`.  The floats it accepts are the ones
     `float` reads, bit for bit.  Anything unusual (an OS or decode error, a
-    parse error, a header and no row after it) gives None, and the caller
-    re-reads the file with `read_artifact`, which says what is wrong.
+    parse error, a header and no row after it, a header of another width)
+    gives None, and the caller re-reads the file with `read_artifact`, which
+    says what is wrong.
     """
     skip = 0
-    header = False
+    names = None  # the header's cell count
     try:
         with open(path, "r", encoding=_READ_ENCODING) as fh:
             for line in fh:
                 text = line.strip()
                 if text and text[0] != "#":
-                    if header or _is_numeric(text):
+                    if names is not None or _is_numeric(text):
                         break
-                    header = True
+                    names = len(text.split(","))
                 skip += 1
             else:
                 # no row to parse: loadtxt would warn and return an empty array
                 return None
-        return np.loadtxt(
+        table = np.loadtxt(
             path, delimiter=",", comments=None, skiprows=skip, ndmin=2, encoding=_READ_ENCODING
         )
     except (OSError, ValueError):
         return None
+    return table if names in (None, table.shape[1]) else None
 
 
 def _parse_bool(raw: str) -> bool:

@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from .artifacts import Table, read_artifact, write_artifact, write_table, write_tables
+from .artifacts import read_artifact, write_table
 from .config import (
     dtw_params,
     forest_params,
@@ -72,13 +72,13 @@ from .timeseries import (
     LabeledWindow,
     TimeSeries,
     _index_range,
+    _window_samples,
     label_windows,
     load_events,
     load_timeseries,
     remove_series,
     resolve_series,
     sample_classes,
-    samples_of,
     save_events,
     save_timeseries,
     select_noise_segment,
@@ -161,7 +161,7 @@ def _write_report(out_dir: str, suffix: str, seed: int, truth, preds) -> tuple[s
     text, csv_text = render_report(scores)
     for ext, body in ((".txt", text), (".csv", csv_text)):
         path = os.path.join(out_dir, f"report{suffix}{ext}")
-        write_artifact(path, _seed_header(seed), None, body.splitlines())
+        write_table(path, _seed_header(seed), None, (body.splitlines(),))
     return text, scores
 
 
@@ -277,7 +277,7 @@ def _held_out_r2(model: ArModel, held_out: TimeSeries) -> float:
 def _rf_fit(
     labeled: list[LabeledWindow],
     values: dict,
-    seed: int,
+    params,
     catalog: FeatureCatalog,
 ) -> tuple:
     """Features -> impute -> relevance selection -> forest; writes nothing.
@@ -291,9 +291,7 @@ def _rf_fit(
     cols = np.flatnonzero(mask.selected)
     _log.info("selected %d of %d features", cols.size, len(catalog))
     names = tuple(catalog.names[j] for j in cols)
-    forest = train_forest(
-        filled[:, cols], labels, forest_params(values, seed), catalog.version, names
-    )
+    forest = train_forest(filled[:, cols], labels, params, catalog.version, names)
     return forest, cols, medians, (matrix, labels, starts), mask
 
 
@@ -465,12 +463,12 @@ def _save_signal(paths: dict, seed: int, raw: TimeSeries, classes: np.ndarray) -
     return path
 
 
-def _event_trace_tables(
+def _write_event_traces(
     out_dir: str, raw: TimeSeries, test_events: EventLog, columns: tuple, seed: int
-) -> list[Table]:
-    """Per-event trace tables around each held-out event onset: the samples t
-    with onset - PLOT_BEFORE_S <= t < onset + PLOT_AFTER_S, the rule that
-    `sample_classes` paints by.
+) -> None:
+    """Writes plots/event_<k>.csv around each held-out event onset: the
+    samples t with onset - PLOT_BEFORE_S <= t < onset + PLOT_AFTER_S, the
+    rule that `sample_classes` paints by.
 
     Columns: timestamp_s, raw, bh, pef, class (`columns` holds them for the
     whole series).  The class column carries the per-sample ground truth so
@@ -479,13 +477,11 @@ def _event_trace_tables(
     plots_dir = os.path.join(out_dir, "plots")
     _make_dir(plots_dir)
     names = ("timestamp_s", "raw", "bh", "pef", "class")
-    tables = []
     for k, e in enumerate(test_events.event_times_s, start=1):
         lo, hi = _index_range(raw, e - PLOT_BEFORE_S, e + PLOT_AFTER_S)
         comments = [*_seed_header(seed), f"event_time_s={float(e)!r}"]
         path = os.path.join(plots_dir, f"event_{k}.csv")
-        tables.append(Table(path, comments, names, [c[lo:hi] for c in columns]))
-    return tables
+        write_table(path, comments, names, [c[lo:hi] for c in columns])
 
 
 def _write_pipeline_series(
@@ -508,7 +504,7 @@ def _write_pipeline_series(
     save_timeseries(bh, os.path.join(out_dir, "bh.f8"), _seed_header(seed))
     save_timeseries(residual, os.path.join(out_dir, "pef.f8"), _seed_header(seed))
     traced = (raw.timestamps(), raw.values, bh.values, residual.values, classes)
-    write_tables(_event_trace_tables(out_dir, raw, test_events, traced, seed))
+    _write_event_traces(out_dir, raw, test_events, traced, seed)
 
 
 # -- commands ----------------------------------------------------------------------
@@ -552,6 +548,8 @@ def cmd_filter(values: dict, seed: int, out_dir: str, args: argparse.Namespace) 
 
 
 def cmd_train(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
+    # the classifier's values are checked before the series is read
+    params = dtw_params(values) if args.classifier == "dtw" else forest_params(values, seed)
     ts, labeled = _labeled_input(values, out_dir, args.input)
     counts = _class_counts(labeled)
     if sum(1 for v in counts.values() if v > 0) < 2:
@@ -559,11 +557,11 @@ def cmd_train(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -
     print(f"windows per class: {counts}")
     if args.classifier == "dtw":
         ref_path = os.path.join(out_dir, "dtw_reference.csv")
-        save_reference(labeled, ref_path, dtw_params(values), _seed_header(seed))
+        save_reference(labeled, ref_path, params, _seed_header(seed))
         print(f"wrote {ref_path}")
         return EXIT_OK
     catalog = default_catalog(ts.fs_hz, values["features.fft_bins"])
-    forest, cols, medians, table, mask = _rf_fit(labeled, values, seed, catalog)
+    forest, cols, medians, table, mask = _rf_fit(labeled, values, params, catalog)
     _save_rf(out_dir, seed, catalog, forest, medians, table, mask)
     print(f"selected {cols.size} of {len(catalog)} features")
     print(f"wrote {os.path.join(out_dir, 'forest.txt')}")
@@ -638,12 +636,17 @@ def _evaluate_arm(
 def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
     paths = resolve_paths(values, out_dir)
     header = _seed_header(seed)
-    # every window has the configured length at the configured rate, so a
-    # spectrum wider than a window that extraction takes fails here, before
-    # any series file is written
-    window_samples = samples_of(values["window.length_s"], values["synth.fs_hz"], "window length")
+    # every window has the configured length and stride at the configured
+    # rate, so a window value, a spectrum wider than a window that
+    # extraction takes and a forest or DTW value either arm rejects fail
+    # here, before any file is written
+    window_samples, _ = _window_samples(
+        values["window.length_s"], values["window.stride_s"], values["synth.fs_hz"]
+    )
     if window_samples >= MIN_WINDOW_SAMPLES:
         check_fft_bins(values["features.fft_bins"], window_samples)
+    rf_params = forest_params(values, seed)
+    arm_params = dtw_params(values) if args.compare else None
 
     with _stage("synth"):
         if values["paths.signal"]:
@@ -680,11 +683,12 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
             if args.compare and train_pef and test_pef:
                 # the DTW arm needs only the PEF windows: it starts here, and
                 # in a child it overlaps the writes below and the forest arms
-                params = dtw_params(values)
                 refs, ref_labels = save_reference(
-                    train_pef, os.path.join(out_dir, "dtw_reference.csv"), params, header
+                    train_pef, os.path.join(out_dir, "dtw_reference.csv"), arm_params, header
                 )
-                dtw_result = arms.enter_context(_dtw_arm(refs, ref_labels, test_pef, params))
+                dtw_result = arms.enter_context(
+                    _dtw_arm(refs, ref_labels, test_pef, arm_params)
+                )
             _write_pipeline_series(
                 values, seed, out_dir, paths, raw, events, bh, residual, ev_test
             )
@@ -697,7 +701,7 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
                 "train windows per class: %s; test: %s",
                 _class_counts(train_pef), _class_counts(test_pef),
             )
-            forest, cols, medians, table, mask = _rf_fit(train_pef, values, seed, catalog)
+            forest, cols, medians, table, mask = _rf_fit(train_pef, values, rf_params, catalog)
             _save_rf(out_dir, seed, catalog, forest, medians, table, mask)
 
         with _stage("classify"):
@@ -707,7 +711,7 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
             if args.compare:
                 train_bh = _labeled_windows(bh_train, ev_train, values)
                 test_bh = _labeled_windows(bh_test, ev_test, values)
-                forest_b, cols_b, medians_b, _, _ = _rf_fit(train_bh, values, seed, catalog)
+                forest_b, cols_b, medians_b, _, _ = _rf_fit(train_bh, values, rf_params, catalog)
                 arm_results["rf_nopef"] = _rf_predict(
                     test_bh, forest_b, cols_b, medians_b, catalog
                 )
@@ -730,7 +734,7 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
                 s = scores[name]
                 cells = (s.precision[m], s.recall[m], s.f1[m], s.f1[w])
                 rows.append(",".join([name, *(f"{v:.6f}" for v in cells)]))
-            write_artifact(os.path.join(out_dir, "comparison.csv"), header, None, rows)
+            write_table(os.path.join(out_dir, "comparison.csv"), header, None, (rows,))
             for row in rows:
                 print(row)
         else:

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import qr, solve_triangular
 from scipy.signal import sosfilt
 
-from .artifacts import write_artifact
+from .artifacts import write_table
 from .errors import ConfigError, DataError, NumericError
 from .timeseries import TimeSeries
 
@@ -319,4 +319,4 @@ def save_ar_model(model: ArModel, path: str, header_comments: list[str] | None =
         "alpha=" + ",".join(f"{v:.17g}" for v in model.coeffs_alpha),
         f"sigma2={model.sigma2:.17g}",
     )
-    write_artifact(path, header_comments or [], None, rows)
+    write_table(path, header_comments or [], None, (rows,))

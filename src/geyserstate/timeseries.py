@@ -219,12 +219,7 @@ def sample_classes(ts: TimeSeries, events: EventLog, policy: LabelPolicy) -> np.
 
 def slice_windows(ts: TimeSeries, window_len_s: float, stride_s: float) -> list[TimeSeries]:
     """Left-aligned windows of window_len_s every stride_s; last partial window dropped."""
-    wlen = samples_of(window_len_s, ts.fs_hz, "window length")
-    stride = samples_of(stride_s, ts.fs_hz, "stride")
-    if stride <= 0:
-        raise ConfigError(f"stride must be positive, got {stride_s}")
-    if wlen <= 0:
-        raise ConfigError(f"window length must be positive, got {window_len_s}")
+    wlen, stride = _window_samples(window_len_s, stride_s, ts.fs_hz)
     n = len(ts)
     if wlen > n:
         _log.warning(
@@ -232,6 +227,20 @@ def slice_windows(ts: TimeSeries, window_len_s: float, stride_s: float) -> list[
         )
         return []
     return [ts.slice(s, s + wlen) for s in range(0, n - wlen + 1, stride)]
+
+
+def _window_samples(window_len_s: float, stride_s: float, fs_hz: float) -> tuple[int, int]:
+    """Samples per window and per stride at fs_hz; ConfigError unless the
+    rate is positive and both are positive whole numbers of samples."""
+    if not fs_hz > 0:
+        raise ConfigError(f"fs_hz must be positive, got {fs_hz}")
+    wlen = samples_of(window_len_s, fs_hz, "window length")
+    stride = samples_of(stride_s, fs_hz, "stride")
+    if stride <= 0:
+        raise ConfigError(f"stride must be positive, got {stride_s}")
+    if wlen <= 0:
+        raise ConfigError(f"window length must be positive, got {window_len_s}")
+    return wlen, stride
 
 
 def samples_of(seconds: float, fs_hz: float, what: str) -> int:
@@ -314,10 +323,10 @@ def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
 
     Any other file is a text table: `timestamp_s,amplitude` rows, or one
     amplitude per line.  Blank lines, `#` comments, and one non-numeric
-    header as the first row are skipped.  Every row has the width of the
-    first numeric row, and two-column rows get the series file's timestamp
-    checks; the first row's timestamp becomes t0_s (0.0 for single-column
-    files).  The table is parsed in one `read_numeric` call and checked
+    header as the first row are skipped.  Every row, the header included,
+    has the width of the first, and two-column rows get the series file's
+    timestamp checks; the first row's timestamp becomes t0_s (0.0 for
+    single-column files).  The table is parsed in one `read_numeric` call and checked
     column-wise; anything else (and every fault) goes through
     `_load_streaming`, so the result and every error text are the
     streaming reader's.
@@ -368,22 +377,22 @@ def _load_streaming(path: str, fs_hz: float) -> TimeSeries:
     amplitudes: list[float] = []
     t0 = 0.0
     prev_t: float | None = None
-    width = 0  # columns per row, set by the first numeric row
-    header = False
+    width = 0  # columns per row, set by the first row, the header included
     period = 1.0 / fs_hz
     with read_artifact(path) as rows:
         for cells in rows:
             try:
                 fields = [float(p) for p in cells]
             except ValueError:
-                if amplitudes or header:
+                if width:  # only the first row may be a header
                     raise
-                header = True
+                fields = None
+            if len(cells) != width:
+                if width or len(cells) > 2:
+                    raise ValueError(f"expected {width or '1 or 2'} columns, got {len(cells)}")
+                width = len(cells)
+            if fields is None:
                 continue
-            if len(fields) != width:
-                if width or len(fields) > 2:
-                    raise ValueError(f"expected {width or '1 or 2'} columns, got {len(fields)}")
-                width = len(fields)
             if width == 1:
                 value = fields[0]
             else:

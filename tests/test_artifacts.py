@@ -2,7 +2,9 @@
 
 import ast
 import builtins
+import os
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -12,14 +14,7 @@ from hypothesis import strategies as st
 
 import geyserstate
 from geyserstate import artifacts
-from geyserstate.artifacts import (
-    Table,
-    read_artifact,
-    read_numeric,
-    write_artifact,
-    write_table,
-    write_tables,
-)
+from geyserstate.artifacts import read_artifact, read_numeric, write_series, write_table
 from geyserstate.dtw import LOCAL_COSTS, DtwParams, load_reference, save_reference
 from geyserstate.errors import ConfigError, DataError
 from geyserstate.forest import Forest, ForestParams, Tree, load_forest, save_forest
@@ -48,7 +43,7 @@ def test_only_the_artifact_layer_and_config_open_files():
 
 def test_write_then_read_round_trip(tmp_path):
     path = str(tmp_path / "a.csv")
-    write_artifact(path, ["seed=7", "params k=3 mode=x"], "a,b", ["1,2", "# part=2", "3,4"])
+    write_table(path, ["seed=7", "params k=3 mode=x"], ("a", "b"), (["1,2", "# part=2", "3,4"],))
     assert (tmp_path / "a.csv").read_text() == (
         "# seed=7\n# params k=3 mode=x\na,b\n1,2\n# part=2\n3,4\n"
     )
@@ -135,8 +130,9 @@ def test_read_numeric_faults_give_none(tmp_path):
 
 
 def test_unwritable_path_is_a_data_error(tmp_path):
-    with pytest.raises(DataError, match="cannot write"):
-        write_artifact(str(tmp_path / "missing" / "a.csv"), [], None, ["1"])
+    path = str(tmp_path / "missing" / "a.csv")
+    with pytest.raises(DataError, match=f"^cannot write {re.escape(path)}: "):
+        write_table(path, [], None, (["1"],))
 
 
 def test_write_table_spells_cells_like_the_per_row_writers(tmp_path):
@@ -172,10 +168,10 @@ def test_write_table_empty_and_headerless(tmp_path):
         write_table(str(path), [], None, ([1.0], [1, 2]))
 
 
-# -- write_tables: several tables, chunk by chunk ---------------------------------
+# -- write_table at any chunk size, and the shared failure rule --------------------
 
 
-def _oracle_text(table):
+def _oracle_text(comments, names, columns):
     """The table's text spelled row by row, apart from the writer: floats by
     `repr`, integers and booleans by `str` of the integer, strings as they are."""
 
@@ -186,21 +182,24 @@ def _oracle_text(table):
             return str(int(cell))
         return cell
 
-    lines = [f"# {c}\n" for c in table.comments]
-    if table.names is not None:
-        lines.append(",".join(table.names) + "\n")
-    for i in range(len(table.columns[0])):
-        lines.append(",".join(spell(col[i]) for col in table.columns) + "\n")
+    lines = [f"# {c}\n" for c in comments]
+    if names is not None:
+        lines.append(",".join(names) + "\n")
+    for i in range(len(columns[0])):
+        lines.append(",".join(spell(col[i]) for col in columns) + "\n")
     return "".join(lines)
 
 
 def _write_and_check(tables, chunk_rows):
-    """write_tables at `chunk_rows` rows per chunk gives the oracle's text."""
+    """Each `(path, comments, names, columns)` table written by its own
+    `write_table` call at `chunk_rows` rows per chunk, as the event traces
+    are written, gives the oracle's text."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(artifacts, "_CHUNK_ROWS", chunk_rows)
-        write_tables(tables)
-    for t in tables:
-        assert pathlib.Path(t.path).read_bytes() == _oracle_text(t).encode(), t.path
+        for table in tables:
+            write_table(*table)
+    for path, *rest in tables:
+        assert pathlib.Path(path).read_bytes() == _oracle_text(*rest).encode(), path
 
 
 def _write_and_check_in_one_process(tables, chunk_rows):
@@ -217,7 +216,8 @@ def _write_and_check_in_one_process(tables, chunk_rows):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(artifacts, "repr", counting_repr, raising=False)
         _write_and_check(tables, chunk_rows)
-    floats = [col for t in tables for col in t.columns if np.asarray(col).dtype.kind == "f"]
+    floats = [col for *_, columns in tables for col in columns
+              if np.asarray(col).dtype.kind == "f"]
     assert spelled == sum(len(col) for col in floats)
 
 
@@ -230,7 +230,7 @@ SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.5e-
 def write_passes(draw):
     """Columns of one length (float, int, bool, str) and 1-4 tables over
     views of them, with row ranges that may be empty, reversed, negative or
-    overlapping."""
+    overlapping, and a chunk size."""
     n = draw(st.integers(0, 24))
     floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
     kinds = {
@@ -257,7 +257,7 @@ def write_passes(draw):
 @given(case=write_passes())
 def test_write_tables_matches_a_row_by_row_spelling(tmp_path, case):
     specs, chunk_rows = case
-    _write_and_check([Table(str(tmp_path / name), *rest) for name, *rest in specs], chunk_rows)
+    _write_and_check([(str(tmp_path / name), *rest) for name, *rest in specs], chunk_rows)
 
 
 @settings(
@@ -267,14 +267,14 @@ def test_write_tables_matches_a_row_by_row_spelling(tmp_path, case):
 def test_write_tables_in_one_process_matches_a_row_by_row_spelling(tmp_path, case):
     specs, chunk_rows = case
     _write_and_check_in_one_process(
-        [Table(str(tmp_path / name), *rest) for name, *rest in specs], chunk_rows
+        [(str(tmp_path / name), *rest) for name, *rest in specs], chunk_rows
     )
 
 
 def _seam_tables(tmp_path):
-    """Tables that share cells: views of the same columns that start and end
-    inside 4096-row chunks, overlap, touch, and leave gaps inside one chunk,
-    over 4 chunks at the writer's own size."""
+    """Tables over views of the same columns that start and end inside
+    4096-row chunks, overlap, touch, and leave gaps inside one chunk, over
+    4 chunks at the writer's own size; special floats every 97 rows."""
     n = 3 * 4096 + 17
     rng = np.random.default_rng(3)
     grid = 1.5e9 + np.arange(n) / 40
@@ -283,10 +283,10 @@ def _seam_tables(tmp_path):
     classes = rng.integers(1, 4, n)
     ranges = [(0, n), (4000, 4100), (4100, 9000), (5000, 6000), (6500, 7000),
               (9000, 5000), (8192, 8192), (12000, None), (-5, None)]
-    tables = [Table(str(tmp_path / "full.csv"), ["seed=1"], ("t", "a"), (grid, a))]
+    tables = [(str(tmp_path / "full.csv"), ["seed=1"], ("t", "a"), (grid, a))]
     tables += [
-        Table(str(tmp_path / f"part{k}.csv"), [], ("t", "a", "b", "class"),
-              [c[lo:hi] for c in (grid, a, b, classes)])
+        (str(tmp_path / f"part{k}.csv"), [], ("t", "a", "b", "class"),
+         [c[lo:hi] for c in (grid, a, b, classes)])
         for k, (lo, hi) in enumerate(ranges)
     ]
     return tables
@@ -300,36 +300,49 @@ def test_write_tables_in_one_process_shares_cells_across_chunk_seams(tmp_path):
     _write_and_check_in_one_process(_seam_tables(tmp_path), artifacts._CHUNK_ROWS)
 
 
-def test_write_tables_fault_names_the_table_and_leaves_no_file(tmp_path):
-    """A table that cannot be opened is a DataError naming it, and the table
-    opened before it is closed (a leaked handle is a ResourceWarning, an
-    error under `-X dev` and the suite's warning filter) and removed."""
-    first = tmp_path / "first.csv"
-    missing = tmp_path / "missing" / "second.csv"
-    col = np.arange(5000.0)
-    tables = [Table(str(first), ["seed=1"], ("x",), (col,)), Table(str(missing), [], None, (col,))]
-    with pytest.raises(DataError, match=r"cannot write .*missing.second\.csv: "):
-        write_tables(tables)
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
-def test_an_interrupt_mid_pass_leaves_no_table(tmp_path, monkeypatch, interrupt):
-    """The pass is interrupted on the second table's row that reads 4000,
-    after the first table is written whole: the interrupt propagates, and
-    neither table is left.  SystemExit is what a SIGTERM handler raises."""
+def _fail_in_write_table(path, fault, monkeypatch):
+    """write_table of 5000 rows, 500 a chunk, failing on the row that reads 4000."""
     def spell(value):
-        if value == 4000.5:
-            raise interrupt()
+        if value == 4000.0:
+            assert os.path.exists(path)
+            raise fault("mid-write")
         return builtins.repr(value)
 
     monkeypatch.setattr(artifacts, "_CHUNK_ROWS", 500)
     monkeypatch.setattr(artifacts, "repr", spell, raising=False)
-    col = np.arange(5000.0)
-    tables = [Table(str(tmp_path / name), ["seed=1"], ("x",), (c,))
-              for name, c in (("first.csv", col), ("second.csv", col + 0.5))]
-    with pytest.raises(interrupt):
-        write_tables(tables)
+    write_table(path, ["seed=1"], ("x",), (np.arange(5000.0),))
+
+
+def _fail_in_write_series(path, fault, monkeypatch):
+    """write_series failing on its second column, after the header and the
+    first column are written."""
+    class Column:
+        def __len__(self):
+            return 5000
+
+        def __array__(self, dtype=None, copy=None):
+            assert os.path.getsize(path) > 5000 * 8
+            raise fault("mid-write")
+
+    write_series(path, ["seed=1"], (np.arange(5000.0), Column()))
+
+
+@pytest.mark.parametrize("fault, raised", [
+    (KeyboardInterrupt, KeyboardInterrupt), (SystemExit, SystemExit), (OSError, DataError),
+], ids=["KeyboardInterrupt", "SystemExit", "OSError"])
+@pytest.mark.parametrize("write", [_fail_in_write_table, _fail_in_write_series],
+                         ids=["write_table", "write_series"])
+def test_a_fault_mid_write_leaves_no_file(tmp_path, monkeypatch, write, fault, raised):
+    """Both writers follow one rule.  A fault in the middle of the body
+    propagates, an OSError as a DataError naming the file, and the file is
+    closed (a leaked handle is a ResourceWarning, an error under `-X dev`
+    and the suite's warning filter) and removed.  SystemExit is what a
+    SIGTERM handler raises."""
+    path = str(tmp_path / "t.out")
+    with pytest.raises(raised) as info:
+        write(path, fault, monkeypatch)
+    if raised is DataError:
+        assert str(info.value) == f"cannot write {path}: mid-write"
     assert not any(tmp_path.iterdir())
 
 

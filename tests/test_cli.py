@@ -958,27 +958,51 @@ def test_pipeline_failing_after_its_pass_keeps_the_series_files(tiny_cfg, tmp_pa
     assert os.path.exists(os.path.join(out, "plots", "event_1.csv"))
 
 
-@pytest.mark.parametrize("extra, compare, error, left", [
-    ("window.stride_s = 60.01\n", (), "stage pef: stride of 60.01 s is not a whole number",
-     ["ar_model.txt", "events.csv"]),
-    ("dtw.k_neighbors = 0\n", ("--compare",), "stage series: k_neighbors must be",
-     ["ar_model.txt", "events.csv"]),
-], ids=["stride", "k-neighbors"])
+@pytest.mark.parametrize("extra, compare, error", [
+    ("window.stride_s = 60.01\n", (),
+     "stride of 60.01 s is not a whole number of samples at 50.0 Hz"),
+    ("dtw.k_neighbors = 0\n", ("--compare",), "k_neighbors must be >= 1, got 0"),
+    ("forest.n_trees = 0\n", ("--compare",), "n_trees must be >= 1, got 0"),
+], ids=["stride", "k-neighbors", "n-trees"])
 def test_pipeline_rejecting_a_window_or_dtw_value_leaves_no_series_file(
-    tmp_path, capsys, extra, compare, error, left
+    tmp_path, capsys, monkeypatch, extra, compare, error
 ):
-    """The PEF windows are labeled at the end of `pef`, and `--compare`'s DTW
-    arm checks its values at the top of `series`: a value either rejects
-    exits 2 before any series file is written."""
+    """The window, forest and DTW values are checked before the first
+    write: a value any stage rejects exits 2 with nothing in `--out`, no
+    inner stage named, and the DTW arm never started (so no child forked)."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY_CFG + extra)
     out = tmp_path / "o"
+
+    def arm(*args):
+        raise AssertionError("the DTW arm started")
+
+    monkeypatch.setattr(cli, "_dtw_arm", arm)
     assert run("pipeline", *compare, "--config", str(cfg), "--out", str(out)) == 2
-    assert f"error: stage pipeline: {error}" in capsys.readouterr().err
-    assert sorted(os.listdir(out)) == left
+    err = capsys.readouterr().err
+    assert f"error: stage pipeline: {error}\n" in err
+    assert "stage pef:" not in err and "stage series:" not in err
+    assert os.listdir(out) == []
 
 
-def test_an_off_grid_onset_traces_the_samples_that_sample_classes_paints(tmp_path):
+@pytest.mark.parametrize("classifier, extra, error", [
+    ("rf", "forest.n_trees = 0\n", "n_trees must be >= 1, got 0"),
+    ("dtw", "dtw.k_neighbors = 0\n", "k_neighbors must be >= 1, got 0"),
+])
+def test_train_rejects_its_classifier_values_before_reading_the_series(
+    tmp_path, capsys, classifier, extra, error
+):
+    """With no series in `--out`, a bad value still exits 2, not 3 for the
+    missing input: the params are built before the series is read."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CFG + extra)
+    out = tmp_path / "o"
+    assert run("train", "--classifier", classifier, "--config", str(cfg), "--out", str(out)) == 2
+    assert f"error: stage train: {error}\n" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_an_off_grid_onset_traces_the_samples_that_sample_classes_paints(tmp_path, monkeypatch):
     """A trace holds the samples t with onset - 240 s <= t < onset + 180 s,
     the rule of the class column it carries; 60.005 s and 480.005 s fall
     between samples 0.02 s apart, where rounding would start and end one
@@ -986,15 +1010,20 @@ def test_an_off_grid_onset_traces_the_samples_that_sample_classes_paints(tmp_pat
     raw = timeseries.TimeSeries(np.zeros(600 * 50), 50.0)
     grid = raw.timestamps()
     onset = 300.005
-    (table,) = cli._event_trace_tables(
-        str(tmp_path), raw, timeseries.EventLog((onset,)), (grid,) * 5, 3
-    )
-    assert all(col.base is grid for col in table.columns)
-    assert np.array_equal(table.columns[0], grid[3001:24001])
+    calls = []
+
+    def write_table(*args):
+        calls.append(args)
+        artifacts.write_table(*args)
+
+    monkeypatch.setattr(cli, "write_table", write_table)
+    cli._write_event_traces(str(tmp_path), raw, timeseries.EventLog((onset,)), (grid,) * 5, 3)
+    ((path, _, _, columns),) = calls
+    assert all(col.base is grid for col in columns)
+    assert np.array_equal(columns[0], grid[3001:24001])
     assert grid[3000] < onset - cli.PLOT_BEFORE_S <= grid[3001]
     assert grid[24000] < onset + cli.PLOT_AFTER_S <= grid[24001]
-    artifacts.write_tables([table])
-    rows = np.loadtxt(table.path, delimiter=",", skiprows=3)
+    rows = np.loadtxt(path, delimiter=",", skiprows=3)
     assert np.array_equal(rows[:, 0], grid[3001:24001])
 
 

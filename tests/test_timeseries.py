@@ -156,6 +156,17 @@ def test_load_mixed_row_widths_report_line(tmp_path):
         load_timeseries(str(p), 200.0)
 
 
+def test_a_header_of_another_width_reports_line_2(tmp_path):
+    """The header counts as a row, as in `ArtifactReader.columns`: a
+    one-name header over two-column rows is a width mismatch in both readers."""
+    p = tmp_path / "sig.csv"
+    p.write_text("amplitude\n0.0,1.0\n0.005,2.0\n0.01,3.0\n")
+    assert timeseries.read_numeric(str(p)) is None
+    for load in (load_timeseries, timeseries._load_streaming):
+        with pytest.raises(DataError, match=f"{p.name}: expected 1 columns, got 2 at line 2"):
+            load(str(p), 200.0)
+
+
 def test_load_second_non_numeric_row_reports_line(tmp_path):
     p = tmp_path / "sig.csv"
     p.write_text("# seed=7\ntimestamp_s,amplitude\nunits_s,counts\n0.0,1.0\n")
