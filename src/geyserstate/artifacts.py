@@ -23,9 +23,9 @@ inverse, `ArtifactReader.columns`, parses every cell of rows held to one
 width.
 
 A series (a signal and its filter outputs) is a binary series file,
-`write_series` and `read_series`: one line `# series v2 rows=<n>` followed
-by the writer's `key=value` comments (`seed=<n>`), then each column in turn
-as n raw little-endian float64s, the timestamps and then the amplitudes.
+`write_series` and `read_series`: one line `# series v3 rows=<n> t0=<t0>
+fs=<fs>` followed by the writer's `key=value` comments (`seed=<n>`), then
+the n amplitudes as raw little-endian float64s, sample i at `t0 + i / fs`.
 
 Both writers follow one failure rule (`_created`): a file that cannot be
 opened or written is a `DataError` naming it, and on any failure once it
@@ -59,10 +59,8 @@ _READ_ENCODING = "utf-8-sig"
 # rows spelled per chunk of a table: bounds the text held in memory while a
 # long table is written
 _CHUNK_ROWS = 4096
-# a series file's timestamps are checked in blocks of this many bytes
-_BLOCK_BYTES = 1 << 20
-# a series file's header line: its row count, then `key=value` comments
-_SERIES_LINE = re.compile(rb"# series v2 rows=([0-9]{1,18})(?: [^\s=]+=\S*)*\n")
+# a series file's header line: its row count and clock, then `key=value` comments
+_SERIES_LINE = re.compile(rb"# series v3 rows=([0-9]{1,18}) t0=(\S+) fs=(\S+)(?: [^\s=]+=\S*)*\n")
 _SERIES_HEADER_MAX = 1024
 
 
@@ -113,63 +111,55 @@ def write_table(
             fh.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
-def write_series(path: str, comments: Iterable[str], columns: Sequence[np.ndarray]) -> None:
-    """The series file at `path` holding equal-length float `columns`.
+def write_series(
+    path: str, comments: Iterable[str], t0: float, fs_hz: float, values: np.ndarray
+) -> None:
+    """The series file at `path` of the amplitudes `values`, sample i at
+    `t0 + i / fs_hz`.
 
-    Its header line is `# series v2 rows=<n>` and then the comments, each a
-    `key=value` token; a comment that does not fit is a ValueError before
-    the file is opened.  Each column goes out from its own buffer
-    (`tofile`), so no whole-series temporary is made.
+    Its header line is `# series v3 rows=<n> t0=<t0> fs=<fs_hz>` and then
+    the comments, each a `key=value` token; a comment that does not fit is
+    a ValueError before the file is opened.  The amplitudes go out from
+    their own buffer (`tofile`), so no whole-series temporary is made.
     """
-    tokens = [f"# series v2 rows={len(columns[0])}", *comments]
+    tokens = [f"# series v3 rows={len(values)} t0={t0!r} fs={fs_hz!r}", *comments]
     header = " ".join(tokens).encode() + b"\n"
     if len(header) > _SERIES_HEADER_MAX or not _SERIES_LINE.fullmatch(header):
         raise ValueError(f"comments {tokens[1:]!r} do not fit a series header")
     with _created(path, "wb") as fh:
         fh.write(header)
-        for col in columns:
-            np.asarray(col, dtype="<f8").tofile(fh)
+        np.asarray(values, dtype="<f8").tofile(fh)
 
 
-def read_series(path: str, check: Callable[[np.ndarray], None]) -> tuple[float, np.ndarray]:
-    """The first timestamp and the amplitudes of the series file at `path`.
+def read_series(path: str) -> tuple[float, float, np.ndarray]:
+    """The first timestamp, rate and amplitudes of the series file `path`.
 
-    The header must be whole and name at least one row, and the file must
-    be the header and 16 bytes a row, no more and no less.  The timestamps
-    are read in blocks, each led by the last timestamp of the block before
-    it, and `check` must pass every block (it raises ValueError otherwise):
-    reading them as one array would hold a second whole-series buffer next
-    to the amplitudes.  Any fault is a `DataError` naming the file.
+    The header must be whole, name at least one row, a finite `t0` and a
+    finite positive `fs`, and the file must be the header and 8 bytes a
+    row, no more and no less.  Any fault is a `DataError` naming the file.
     """
     try:
         with open(path, "rb") as fh:
             line = fh.readline(_SERIES_HEADER_MAX)
             match = _SERIES_LINE.fullmatch(line)
             if match is None:
-                raise ValueError("no `# series v2 rows=<n>` header line")
-            rows = int(match[1])
+                raise ValueError("no `# series v3 rows=<n> t0=<t0> fs=<fs>` header line")
+            rows, t0, fs_hz = int(match[1]), float(match[2]), float(match[3])
             if not rows:
                 raise ValueError("no rows")
-            size, want = os.fstat(fh.fileno()).st_size, len(line) + 16 * rows
+            if not math.isfinite(t0):
+                raise ValueError(f"non-finite t0 {t0!r}")
+            if not (math.isfinite(fs_hz) and fs_hz > 0):
+                raise ValueError(f"rate {fs_hz!r} is not finite and positive")
+            size, want = os.fstat(fh.fileno()).st_size, len(line) + 8 * rows
             if size != want:
                 raise ValueError(f"{size} bytes where {rows} rows take {want}")
-            step = _BLOCK_BYTES // 8
-            block = np.empty(step + 1, dtype="<f8")
-            for first in range(0, rows, step):
-                size = min(step, rows - first)
-                if fh.readinto(block[1:size + 1].view(np.uint8)) != 8 * size:
-                    raise ValueError("cut short")
-                if not first:
-                    t0 = float(block[1])
-                check(block[0 if first else 1:size + 1])
-                block[0] = block[size]
-            del block  # before the amplitudes' buffer is taken
             values = np.empty(rows, dtype="<f8")
             if fh.readinto(values.view(np.uint8)) != 8 * rows:
                 raise ValueError("cut short")
     except _READ_FAULTS as exc:
         raise _read_error(path, exc) from None
-    return t0, values
+    return t0, fs_hz, values
 
 
 class ArtifactReader:

@@ -193,6 +193,17 @@ def _labeled_input(values: dict, out_dir: str, override: str | None) -> tuple:
     return ts, labeled
 
 
+def _check_fft_bins(values: dict) -> None:
+    """Every window has the configured length at the configured rate, so a
+    window value, or a spectrum wider than a window that extraction takes,
+    fails here, before a series is read or a file written."""
+    window_samples, _ = _window_samples(
+        values["window.length_s"], values["window.stride_s"], values["synth.fs_hz"]
+    )
+    if window_samples >= MIN_WINDOW_SAMPLES:
+        check_fft_bins(values["features.fft_bins"], window_samples)
+
+
 def _make_dir(path: str) -> None:
     """`os.makedirs`; a directory that cannot be made is a DataError naming it."""
     try:
@@ -222,7 +233,12 @@ def _stage(name: str):
 
 def _synthesize(values: dict, seed: int, paths: dict) -> tuple[TimeSeries, EventLog]:
     """Generate the labeled signal; writes events.csv (the caller saves the
-    signal and its classes, `_save_signal`)."""
+    signal and its classes, `_save_signal`).  A `paths.signal` or
+    `paths.events` set is a ConfigError, before anything is written."""
+    for key in ("paths.signal", "paths.events"):
+        if values[key]:  # caller supplied data; leave it untouched
+            raise ConfigError(f"{key} = {values[key]} names the caller's data, which "
+                              "synthesizing would overwrite; unset it to synthesize")
     ts, events = generate(synth_config(values, seed))
     save_events(events, paths["events"], _seed_header(seed))
     _log.info("synthesized %d samples at %g Hz with %d events", len(ts), ts.fs_hz, len(events))
@@ -550,6 +566,8 @@ def cmd_filter(values: dict, seed: int, out_dir: str, args: argparse.Namespace) 
 def cmd_train(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
     # the classifier's values are checked before the series is read
     params = dtw_params(values) if args.classifier == "dtw" else forest_params(values, seed)
+    if args.classifier == "rf":
+        _check_fft_bins(values)
     ts, labeled = _labeled_input(values, out_dir, args.input)
     counts = _class_counts(labeled)
     if sum(1 for v in counts.values() if v > 0) < 2:
@@ -569,6 +587,8 @@ def cmd_train(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -
 
 
 def cmd_classify(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
+    if args.classifier == "rf":
+        _check_fft_bins(values)
     ts, labeled = _labeled_input(values, out_dir, args.input)
     if args.classifier == "dtw":
         ref_path = args.model or os.path.join(out_dir, "dtw_reference.csv")
@@ -636,15 +656,12 @@ def _evaluate_arm(
 def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
     paths = resolve_paths(values, out_dir)
     header = _seed_header(seed)
-    # every window has the configured length and stride at the configured
-    # rate, so a window value, a spectrum wider than a window that
-    # extraction takes and a forest or DTW value either arm rejects fail
-    # here, before any file is written
-    window_samples, _ = _window_samples(
-        values["window.length_s"], values["window.stride_s"], values["synth.fs_hz"]
+    # a window, spectrum, high-pass, forest or DTW value a stage rejects
+    # fails here, before any file is written
+    _check_fft_bins(values)
+    design_butterworth_highpass(
+        values["filter.order"], values["filter.corner_hz"], values["synth.fs_hz"]
     )
-    if window_samples >= MIN_WINDOW_SAMPLES:
-        check_fft_bins(values["features.fft_bins"], window_samples)
     rf_params = forest_params(values, seed)
     arm_params = dtw_params(values) if args.compare else None
 

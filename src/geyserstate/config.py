@@ -14,6 +14,8 @@ dataclasses becomes a key.  The few exceptions are named once each below.  The
 `features.*` defaults are the constants of `features.py`.  Keys with no
 library home (`out.dir`, `seed`, `paths.*`, `filter.*`, `ar.*`, `window.*`,
 `split.ratio`) keep literal defaults in `_registry`.
+A value outside its key's own range (`_RANGES`) fails in `load_config`,
+before a command writes anything; ranges that join keys are the commands'.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .artifacts import parser_for
 from .errors import ConfigError
 from .dtw import DtwParams
 from .features import DEFAULT_CAP, DEFAULT_FDR_Q, DEFAULT_FFT_BINS
+from .filters import SUPPORTED_ORDERS
 from .forest import ForestParams
 from .synth import SynthConfig
 from .timeseries import LabelPolicy
@@ -43,6 +46,19 @@ _AR_KEYS = ("synth.ar_a1", "synth.ar_a2")  # SynthConfig.ar_coefficients, one ke
 # SynthConfig fields read from the label keys, so that the synthetic ground
 # truth and the label policy share one class geometry
 _FROM_LABELS = {"precursor_lead_s": "labels.class2_start_s", "eruption_len_s": "labels.class3_len_s"}
+
+
+# key -> (test a parsed value must pass, the range it names)
+_RANGES = {
+    "filter.order": (lambda v: v in SUPPORTED_ORDERS, f"one of {SUPPORTED_ORDERS}"),
+    "ar.max_order": (lambda v: v >= 1, ">= 1"),
+    "ar.criterion": (lambda v: v in ("aic", "fixed"), "aic or fixed"),
+    "ar.train_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "features.fdr_q": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "features.cap": (lambda v: v >= 1, ">= 1"),
+    "features.fft_bins": (lambda v: v >= 0, ">= 0"),
+    "split.ratio": (lambda v: 0 < v < 1, "in (0, 1)"),
+}
 
 
 def _key(section: str, name: str) -> str:
@@ -122,6 +138,9 @@ def load_config(path: str | None) -> dict:
         _, parser = CONFIG_KEYS[key]
         try:
             values[key] = parser(raw_value)
+            ok, want = _RANGES.get(key, (None, None))
+            if ok and not ok(values[key]):
+                raise ValueError(f"{values[key]!r} is not {want}")
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values

@@ -19,10 +19,10 @@ A series is saved as a binary series file, `<stem>.f8` (see
 
 Memory: a stage holds one buffer per series it returns.  `sample_classes`
 gives int8 classes, one byte a sample.  `load_timeseries` holds the
-amplitudes of a series file plus one block of its timestamps, or for a
-text table the parsed table and then one column-sized buffer at a time
-(the spacing test's gaps, then the amplitude copy).  `save_timeseries`
-holds one time grid.
+amplitudes of a series file, or for a text table the parsed table and
+then one column-sized buffer at a time (the spacing test's gaps, then the
+amplitude copy).  `save_timeseries` writes the amplitudes from their own
+buffer and builds no time grid.
 """
 
 from __future__ import annotations
@@ -317,15 +317,15 @@ def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
     """Read a series: a series file, or a caller's text table.
 
     `path` is first resolved (`resolve_series`).  A path ending in `.f8` is
-    read strictly as a series file: its timestamps must be finite and
-    uniformly spaced at 1/fs_hz within 1e-6 s, checked block by block, and
-    its amplitudes finite; any fault is a DataError naming the file.
+    read strictly as a series file (`read_series`): its header rate must be
+    fs_hz exactly and its amplitudes finite; any fault is a DataError
+    naming the file.
 
     Any other file is a text table: `timestamp_s,amplitude` rows, or one
     amplitude per line.  Blank lines, `#` comments, and one non-numeric
     header as the first row are skipped.  Every row, the header included,
-    has the width of the first, and two-column rows get the series file's
-    timestamp checks; the first row's timestamp becomes t0_s (0.0 for
+    has the width of the first, and two-column rows get the timestamp
+    checks of `_grid_fault`; the first row's timestamp becomes t0_s (0.0 for
     single-column files).  The table is parsed in one `read_numeric` call and checked
     column-wise; anything else (and every fault) goes through
     `_load_streaming`, so the result and every error text are the
@@ -336,15 +336,11 @@ def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
     """
     if not fs_hz > 0:
         raise ConfigError(f"fs_hz must be positive, got {fs_hz}")
-    period = 1.0 / fs_hz
     path = resolve_series(path)
     if os.path.splitext(path)[1] == ".f8":
-        def check(t: np.ndarray) -> None:
-            fault = _grid_fault(t, period)
-            if fault:
-                raise ValueError(fault)
-
-        t0, values = read_series(path, check)
+        t0, rate, values = read_series(path)
+        if rate != fs_hz:
+            raise DataError(f"malformed {path}: sampled at {rate!r} Hz, not {fs_hz!r} Hz")
         try:
             return TimeSeries(values, fs_hz, t0)
         except DataError as exc:  # a non-finite amplitude
@@ -352,7 +348,7 @@ def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
     table = read_numeric(path)
     if table is not None and table.shape[1] <= 2:
         t, values = table[:, 0], table[:, -1]
-        uneven = table.shape[1] == 2 and _grid_fault(t, period) is not None
+        uneven = table.shape[1] == 2 and _grid_fault(t, 1.0 / fs_hz) is not None
         if not uneven and np.all(np.isfinite(values)):
             t0 = float(t[0]) if table.shape[1] == 2 else 0.0
             return TimeSeries(np.ascontiguousarray(values), fs_hz, t0)
@@ -360,8 +356,8 @@ def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
 
 
 def _grid_fault(t: np.ndarray, period: float) -> str | None:
-    """The streaming loop's timestamp and spacing tests, row for row: a
-    non-finite timestamp, or a gap off `period` by more than TIME_TOL_S;
+    """The streaming loop's tests of a text table's timestamps, row for row:
+    a non-finite timestamp, or a gap off `period` by more than TIME_TOL_S;
     None when `t` passes both.  The gaps are taken in one buffer."""
     if not np.all(np.isfinite(t)):
         return "non-finite timestamp"
@@ -420,16 +416,16 @@ def remove_series(path: str) -> None:
 
 
 def save_timeseries(ts: TimeSeries, path: str, header_comments: list[str] | None = None) -> None:
-    """Write `ts` as the series file `series_path(path)`, the timestamps
-    `ts.timestamps()` and then the amplitudes, each bit for bit; the
-    comments (`key=value` tokens) go on its header line.
+    """Write `ts` as the series file `series_path(path)`: its clock
+    (`ts.time_of(0)` and `ts.fs_hz`) and the comments (`key=value` tokens)
+    on the header line, then the amplitudes bit for bit.
 
     A `<stem>.csv` beside it is removed first, so that no older text stands
     in for the new series, and so is the old series file: a write that
     fails leaves neither.
     """
     remove_series(path)
-    write_series(series_path(path), header_comments or [], (ts.timestamps(), ts.values))
+    write_series(series_path(path), header_comments or [], ts.time_of(0), ts.fs_hz, ts.values)
 
 
 def load_events(path: str) -> EventLog:

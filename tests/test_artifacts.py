@@ -314,17 +314,17 @@ def _fail_in_write_table(path, fault, monkeypatch):
 
 
 def _fail_in_write_series(path, fault, monkeypatch):
-    """write_series failing on its second column, after the header and the
-    first column are written."""
-    class Column:
+    """write_series failing on its amplitudes, whose buffer export raises
+    after the file is opened and the header written to it."""
+    class Amplitudes:
         def __len__(self):
             return 5000
 
         def __array__(self, dtype=None, copy=None):
-            assert os.path.getsize(path) > 5000 * 8
+            assert os.path.exists(path)
             raise fault("mid-write")
 
-    write_series(path, ["seed=1"], (np.arange(5000.0), Column()))
+    write_series(path, ["seed=1"], 0.0, 200.0, Amplitudes())
 
 
 @pytest.mark.parametrize("fault, raised", [

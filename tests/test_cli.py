@@ -24,6 +24,8 @@ from geyserstate.config import label_policy, load_config
 # the tests' tiny config, one copy shared with the CI console-script step
 with open(os.path.join(os.path.dirname(__file__), "tiny.cfg"), encoding="utf-8") as _fh:
     TINY_CFG = _fh.read()
+# the line of a value appended to the tiny config
+EXTRA_LINE = TINY_CFG.count("\n") + 1
 
 
 @pytest.fixture()
@@ -51,8 +53,26 @@ def test_synth_deterministic_and_seed_in_header(tiny_cfg, tmp_path):
     assert run("synth", "--config", tiny_cfg, "--seed", "9", "--out", d2) == 0
     for name in ("signal.f8", "events.csv", "classes.csv"):
         assert read(os.path.join(d1, name)) == read(os.path.join(d2, name))
-    assert read(os.path.join(d1, "signal.f8")).startswith(b"# series v2 rows=12000 seed=9\n")
+    assert read(os.path.join(d1, "signal.f8")).startswith(
+        b"# series v3 rows=12000 t0=0.0 fs=50.0 seed=9\n")
     assert read(os.path.join(d1, "classes.csv")).startswith(b"# seed=9\n")
+
+
+@pytest.mark.parametrize("key", ["paths.signal", "paths.events"])
+def test_synth_leaves_the_callers_data_untouched(tmp_path, capsys, key):
+    """A path key naming the caller's file exits 2 before synth writes: it
+    wrote `<stem>.f8` beside a caller's signal table and removed the table,
+    and it overwrote a caller's events file."""
+    mine = tmp_path / "mydata.csv"
+    mine.write_bytes(b"0.0,1.0\n0.02,2.0\n")
+    cfg = tmp_path / "given.cfg"
+    cfg.write_text(TINY_CFG + f"{key} = {mine}\n")
+    out = tmp_path / "out"
+    assert run("synth", "--config", str(cfg), "--out", str(out)) == 2
+    assert f"error: stage synth: {key} = {mine} names the caller's data" in capsys.readouterr().err
+    assert mine.read_bytes() == b"0.0,1.0\n0.02,2.0\n"
+    assert os.listdir(out) == []
+    assert sorted(os.listdir(tmp_path)) == ["given.cfg", "mydata.csv", "out"]
 
 
 def test_synth_creates_missing_out_dir(tiny_cfg, tmp_path):
@@ -703,15 +723,22 @@ def test_non_finite_float_config_exits_2(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("bins", [2000, -5])
 def test_fft_bins_beyond_the_window_spectrum_exits_2(tmp_path, capsys, bins):
-    # a 10 s window at 50 Hz has 500 samples, so bins 1..250 lie above DC
+    """A 10 s window at 50 Hz has 500 samples, so bins 1..250 lie above DC;
+    a negative count is out of the key's own range, refused as the config
+    is read."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY_CFG + f"features.fft_bins = {bins}\n")
-    assert run("pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    out = tmp_path / "o"
+    out.mkdir()
+    assert run("pipeline", "--config", str(cfg), "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert f"features.fft_bins = {bins}" in err
-    assert "250" in err and "500-sample window" in err
+    if bins < 0:
+        assert f"bad.cfg:{EXTRA_LINE}: bad value for features.fft_bins: {bins} is not >= 0" in err
+    else:
+        assert f"features.fft_bins = {bins}" in err
+        assert "250" in err and "500-sample window" in err
     # refused before synth: no series file is written
-    assert os.listdir(tmp_path / "o") == []
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("fs_hz", ["0", "-5"])
@@ -811,10 +838,13 @@ def test_pipeline_single_arm_writes_report(tiny_cfg, tmp_path):
 
 
 def test_pipeline_stage_tag_on_failure(tmp_path, capsys):
+    """A failure inside a stage names it: an AR segment longer than any
+    quiet run fails in `pef`.  (A corner at Nyquist, which failed in
+    `highpass`, now fails before the first write.)"""
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(TINY_CFG + "filter.corner_hz = 25\n")
-    assert run("pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
-    assert "stage highpass" in capsys.readouterr().err
+    cfg.write_text(TINY_CFG + "ar.train_fraction = 0.95\n")
+    assert run("pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+    assert "error: stage pipeline: stage pef: no contiguous Class-1 run" in capsys.readouterr().err
 
 
 def test_pipeline_seed_changes_results_not_schema(tiny_cfg, tmp_path):
@@ -960,19 +990,37 @@ def test_pipeline_failing_after_its_pass_keeps_the_series_files(tiny_cfg, tmp_pa
 
 @pytest.mark.parametrize("extra, compare, error", [
     ("window.stride_s = 60.01\n", (),
-     "stride of 60.01 s is not a whole number of samples at 50.0 Hz"),
-    ("dtw.k_neighbors = 0\n", ("--compare",), "k_neighbors must be >= 1, got 0"),
-    ("forest.n_trees = 0\n", ("--compare",), "n_trees must be >= 1, got 0"),
-], ids=["stride", "k-neighbors", "n-trees"])
+     "stage pipeline: stride of 60.01 s is not a whole number of samples at 50.0 Hz"),
+    ("dtw.k_neighbors = 0\n", ("--compare",), "stage pipeline: k_neighbors must be >= 1, got 0"),
+    ("forest.n_trees = 0\n", ("--compare",), "stage pipeline: n_trees must be >= 1, got 0"),
+    ("features.fdr_q = 2\n", ("--compare",),
+     f"{{cfg}}:{EXTRA_LINE}: bad value for features.fdr_q: 2.0 is not in (0, 1)"),
+    ("ar.train_fraction = 1.5\n", (),
+     f"{{cfg}}:{EXTRA_LINE}: bad value for ar.train_fraction: 1.5 is not in (0, 1)"),
+    ("split.ratio = 1.5\n", (),
+     f"{{cfg}}:{EXTRA_LINE}: bad value for split.ratio: 1.5 is not in (0, 1)"),
+    ("filter.order = 0\n", (),
+     f"{{cfg}}:{EXTRA_LINE}: bad value for filter.order: 0 is not one of (2, 4, 6, 8)"),
+    ("filter.corner_hz = 25\n", ("--compare",),
+     "stage pipeline: corner 25.0 Hz must lie strictly between 0 and Nyquist 25.0 Hz"),
+    ("paths.events = {out}.csv\n", ("--compare",),
+     "stage pipeline: stage synth: paths.events = {out}.csv names the caller's data, which "
+     "synthesizing would overwrite; unset it to synthesize"),
+], ids=["stride", "k-neighbors", "n-trees", "fdr-q", "train-fraction", "split-ratio",
+        "filter-order", "corner-above-nyquist", "events-without-signal"])
 def test_pipeline_rejecting_a_window_or_dtw_value_leaves_no_series_file(
     tmp_path, capsys, monkeypatch, extra, compare, error
 ):
-    """The window, forest and DTW values are checked before the first
-    write: a value any stage rejects exits 2 with nothing in `--out`, no
-    inner stage named, and the DTW arm never started (so no child forked)."""
+    """The window, filter, AR, feature, split, forest and DTW values, and a
+    `paths.events` the synthesized events would overwrite, are checked before
+    the first write: a value any stage rejects exits 2 with nothing in
+    `--out`, no inner stage named, and the DTW arm never started (so no
+    child forked).  A value out of its key's own range fails as the config
+    is read, naming its file and line."""
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(TINY_CFG + extra)
     out = tmp_path / "o"
+    out.mkdir()
+    cfg.write_text(TINY_CFG + extra.format(out=out))
 
     def arm(*args):
         raise AssertionError("the DTW arm started")
@@ -980,7 +1028,7 @@ def test_pipeline_rejecting_a_window_or_dtw_value_leaves_no_series_file(
     monkeypatch.setattr(cli, "_dtw_arm", arm)
     assert run("pipeline", *compare, "--config", str(cfg), "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert f"error: stage pipeline: {error}\n" in err
+    assert f"error: {error.format(cfg=cfg, out=out)}\n" in err
     assert "stage pef:" not in err and "stage series:" not in err
     assert os.listdir(out) == []
 
@@ -988,6 +1036,8 @@ def test_pipeline_rejecting_a_window_or_dtw_value_leaves_no_series_file(
 @pytest.mark.parametrize("classifier, extra, error", [
     ("rf", "forest.n_trees = 0\n", "n_trees must be >= 1, got 0"),
     ("dtw", "dtw.k_neighbors = 0\n", "k_neighbors must be >= 1, got 0"),
+    ("rf", "features.fft_bins = 300\n", "features.fft_bins = 300 is outside 0..250, the "
+     "nonzero-frequency bins of a 500-sample window"),
 ])
 def test_train_rejects_its_classifier_values_before_reading_the_series(
     tmp_path, capsys, classifier, extra, error
@@ -999,6 +1049,19 @@ def test_train_rejects_its_classifier_values_before_reading_the_series(
     out = tmp_path / "o"
     assert run("train", "--classifier", classifier, "--config", str(cfg), "--out", str(out)) == 2
     assert f"error: stage train: {error}\n" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_classify_rejects_fft_bins_beyond_the_window_before_reading_the_series(tmp_path, capsys):
+    """With no series in `--out`, a spectrum wider than the window exits 2
+    naming the value, not 3 for the missing input (or, after a run, 3
+    blaming `feature_mask.csv` for a catalog that does not match)."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CFG + "features.fft_bins = 300\n")
+    out = tmp_path / "o"
+    assert run("classify", "--config", str(cfg), "--out", str(out)) == 2
+    assert "error: stage classify: features.fft_bins = 300 is outside 0..250" in (
+        capsys.readouterr().err)
     assert os.listdir(out) == []
 
 

@@ -1,10 +1,10 @@
 """The binary series file (`<stem>.f8`) that the series stages write and read.
 
-A save writes one header line, the time grid `ts.timestamps()` and the
-amplitudes, each float64 bit for bit; a load gives the series back or, for
-any fault, a DataError naming the file.  A `.csv` path that does not exist
-reads the series file of its stem, and the ground-truth classes are the
-runs of `sample_classes`.
+A save writes one header line, which holds the series' clock (its first
+timestamp and its rate), and then the amplitudes, float64 bit for bit; a
+load gives the series back or, for any fault, a DataError naming the file.
+A `.csv` path that does not exist reads the series file of its stem, and
+the ground-truth classes are the runs of `sample_classes`.
 """
 
 import os
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from geyserstate import artifacts, timeseries
+from geyserstate import timeseries
 from geyserstate.artifacts import read_artifact, write_series
 from geyserstate.cli import main
 from geyserstate.config import label_policy, load_config, synth_config
@@ -34,7 +34,6 @@ from geyserstate.timeseries import (
 HERE = os.path.dirname(__file__)
 TINY_CFG = os.path.join(HERE, "tiny.cfg")
 BENCH_CFG = os.path.join(HERE, os.pardir, "bench", "default.cfg")
-DEFAULT_BLOCK_BYTES = artifacts._BLOCK_BYTES
 
 
 def read(path):
@@ -48,13 +47,11 @@ def _bits(ts):
     return ts.values.view(np.int64).tolist(), ts.t0_s
 
 
-def _columns(path):
-    """The header line, timestamps and amplitudes of a series file, read apart
-    from the library."""
-    data = read(path)
+def _parts(data):
+    """The header line and the amplitudes of a series file's bytes, read
+    apart from the library."""
     header = data[:data.index(b"\n") + 1]
-    grid, values = np.frombuffer(data[len(header):], dtype="<f8").reshape(2, -1)
-    return header, grid, values
+    return header, np.frombuffer(data[len(header):], dtype="<f8")
 
 
 # -- a save and a load round-trip bit for bit -------------------------------------
@@ -82,33 +79,30 @@ HARD_VALUES = [
                   st.floats(allow_nan=False, allow_infinity=False)),
         min_size=1, max_size=40,
     ),
-    # 1.7e9: epoch seconds, where a grid gap is off 1/fs by up to 2.4e-7 s
     t0=st.sampled_from([0.0, -0.0, 123.456, 1.7e9, 1.7e9 + 0.1]),
-    fs_hz=st.sampled_from([50.0, 200.0, 1000.0]),
-    block_rows=st.sampled_from([1, 3, 8, None]),
+    fs_hz=st.sampled_from([50.0, 200.0, 1000.0, 1 / 3]),
+    # the seed comment is the writer's: a caller's file may go without it
+    comments=st.sampled_from([[], ["seed=5"]]),
 )
-def test_a_drawn_series_round_trips_bit_for_bit(
-    tmp_path, monkeypatch, values, t0, fs_hz, block_rows
-):
-    """Small blocks put block seams inside the drawn series."""
-    monkeypatch.setattr(artifacts, "_BLOCK_BYTES", 8 * block_rows if block_rows
-                        else DEFAULT_BLOCK_BYTES)
+def test_a_drawn_series_round_trips_bit_for_bit(tmp_path, values, t0, fs_hz, comments):
     ts = TimeSeries(np.array(values), fs_hz, t0)
     path = str(tmp_path / "sig.f8")
-    save_timeseries(ts, path, ["seed=5"])
-    header, grid, saved = _columns(path)
-    assert header == f"# series v2 rows={len(ts)} seed=5\n".encode()
-    assert grid.tobytes() == ts.timestamps().tobytes()
+    save_timeseries(ts, path, comments)
+    header, saved = _parts(read(path))
+    assert header == " ".join(
+        [f"# series v3 rows={len(ts)} t0={ts.time_of(0)!r} fs={fs_hz!r}", *comments]
+    ).encode() + b"\n"
     assert saved.tobytes() == ts.values.tobytes()
-    assert _bits(load_timeseries(path, fs_hz)) == _bits(ts)
+    loaded = load_timeseries(path, fs_hz)
+    assert _bits(loaded) == _bits(ts)
+    assert loaded.timestamps().tobytes() == ts.timestamps().tobytes()
 
 
-def _text_table(path, series_file, seed):
-    """The text table a series command wrote before series files, from the
-    columns of `series_file`: a seed comment, a `timestamp_s,amplitude`
-    header, then each timestamp and amplitude by `repr`."""
-    _, grid, values = _columns(series_file)
-    rows = "".join(f"{t!r},{v!r}\n" for t, v in zip(grid.tolist(), values.tolist()))
+def _text_table(path, ts, seed):
+    """The text table a series command wrote before series files: a seed
+    comment, a `timestamp_s,amplitude` header, then each timestamp of the
+    grid and each amplitude by `repr`."""
+    rows = "".join(f"{t!r},{v!r}\n" for t, v in zip(ts.timestamps().tolist(), ts.values.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# seed={seed}\ntimestamp_s,amplitude\n" + rows)
 
@@ -116,9 +110,9 @@ def _text_table(path, series_file, seed):
 @pytest.mark.parametrize("seed", ["1", "3"])
 def test_every_series_the_commands_write_loads_as_its_text_table_parses(tmp_path, seed):
     """signal, bh and pef of the staged commands and of `pipeline --compare`
-    load with the bits the streaming reader parses from their text, their
-    stored timestamps are the grid of what loads, and `<out>/pef.csv`, which
-    does not exist, reads `pef.f8`."""
+    hold the configured clock and the amplitudes that load, bit for bit,
+    which are the ones the streaming reader parses from their text, and
+    `<out>/pef.csv`, which does not exist, reads `pef.f8`."""
     staged, compared = str(tmp_path / "staged"), str(tmp_path / "compared")
     for command in ("synth", "filter"):
         assert main([command, "--config", TINY_CFG, "--out", staged, "--seed", seed]) == 0
@@ -129,13 +123,13 @@ def test_every_series_the_commands_write_loads_as_its_text_table_parses(tmp_path
             "bh.f8", "pef.f8", "signal.f8"]
         for name in ("signal", "bh", "pef"):
             path = os.path.join(out, name + ".f8")
-            header, grid, _ = _columns(path)
-            assert header == f"# series v2 rows=12000 seed={seed}\n".encode()
-            text = str(tmp_path / "text.csv")
-            _text_table(text, path, seed)
+            header, saved = _parts(read(path))
+            assert header == f"# series v3 rows=12000 t0=0.0 fs=50.0 seed={seed}\n".encode()
             loaded = load_timeseries(path, 50.0)
+            assert saved.tobytes() == loaded.values.tobytes()
+            text = str(tmp_path / "text.csv")
+            _text_table(text, loaded, seed)
             assert _bits(loaded) == _bits(timeseries._load_streaming(text, 50.0)), path
-            assert grid.tobytes() == loaded.timestamps().tobytes()
         alias = load_timeseries(os.path.join(out, "pef.csv"), 50.0)
         assert _bits(alias) == _bits(load_timeseries(os.path.join(out, "pef.f8"), 50.0))
 
@@ -188,95 +182,94 @@ def test_a_comment_that_does_not_fit_the_header_writes_nothing(tmp_path):
 def test_an_unwritable_series_file_is_a_data_error_naming_it(tmp_path):
     (tmp_path / "sig.f8").mkdir()
     with pytest.raises(DataError, match=r"cannot write .*sig\.f8: "):
-        write_series(str(tmp_path / "sig.f8"), [], (np.zeros(3), np.zeros(3)))
+        write_series(str(tmp_path / "sig.f8"), [], 0.0, 200.0, np.zeros(3))
     assert (tmp_path / "sig.f8").is_dir()
 
 
 def test_a_write_that_fails_after_the_header_leaves_no_file(tmp_path):
     with pytest.raises(ValueError):
-        write_series(str(tmp_path / "sig.f8"), [], (np.zeros(3), ["x", "y", "z"]))
+        write_series(str(tmp_path / "sig.f8"), [], 0.0, 200.0, ["x", "y", "z"])
     assert not any(tmp_path.iterdir())
 
 
 # -- every fault of a series file is a DataError naming it ------------------------
 
 
-def _rows(data):
-    return int(re.match(rb"# series v2 rows=(\d+)", data)[1])
+def _set(key, value):
+    """The edit that sets the header's `key` token to `value`."""
+    def edit(data):
+        header, values = _parts(data)
+        return re.sub(rb" %s=\S*" % key, b" %s=%s" % (key, value), header, 1) + values.tobytes()
+    return edit
 
 
-def _with_header(data, header):
-    """The file with its header line replaced."""
-    return header + data[data.index(b"\n") + 1:]
+def _v2(data):
+    """The file as an older run wrote it: a `# series v2 rows=<n>` header,
+    then the time grid and the amplitudes."""
+    header, values = _parts(data)
+    t0, fs_hz = map(float, re.search(rb" t0=(\S+) fs=(\S+)", header).groups())
+    grid = np.arange(values.size) / fs_hz + t0
+    return b"# series v2 rows=%d seed=3\n" % values.size + grid.tobytes() + values.tobytes()
 
 
+def _amplitude(row, value):
+    """The edit that sets the amplitude at `row` (of the rows: n) to `value`."""
+    def edit(data):
+        header, values = _parts(data)
+        values = values.copy()
+        values[row(values.size)] = value
+        return header + values.tobytes()
+    return edit
+
+
+HEADER_LINE = r"no `# series v3 rows=<n> t0=<t0> fs=<fs>` header line"
+SIZE = r"\d+ bytes where \d+ rows take \d+"
+
+# fault: (edit of the file's bytes, the error's text after the file name)
+# for a file of 50 rows at 200 Hz read at 200 Hz
 FILE_FAULTS = {
-    "cut-inside-the-amplitudes": lambda data: data[:-4],
-    "cut-inside-the-header": lambda data: data[:12],
-    "garbled-header": lambda data: data.replace(b"series v2", b"series v3", 1),
+    "cut-inside-the-amplitudes": (lambda data: data[:-4], SIZE),
+    "cut-inside-the-header": (lambda data: data[:12], HEADER_LINE),
+    "garbled-header": (lambda data: data.replace(b" t0=", b" t1=", 1), HEADER_LINE),
     # the header of the binary copies once kept beside text tables
-    "twin-header": lambda data: _with_header(
-        data, b"# series-twin v1 csv_sha256=%s rows=%d\n" % (b"0" * 64, _rows(data))),
-    "rows-0": lambda data: _with_header(data, b"# series v2 rows=0 seed=3\n"),
-    "rows-one-more": lambda data: _with_header(
-        data, b"# series v2 rows=%d seed=3\n" % (_rows(data) + 1)),
-    "one-byte-more": lambda data: data + b"\0",
+    "twin-header": (lambda data: b"# series-twin v1 csv_sha256=%s rows=%d\n" % (
+        b"0" * 64, _parts(data)[1].size) + _parts(data)[1].tobytes(), HEADER_LINE),
+    "v2-header": (_v2, HEADER_LINE),
+    "rows-0": (_set(b"rows", b"0"), "no rows"),
+    "rows-one-more": (lambda data: _set(b"rows", b"%d" % (_parts(data)[1].size + 1))(data), SIZE),
+    "one-byte-more": (lambda data: data + b"\0", SIZE),
+    # the one timestamp the file holds, the first, is NaN
+    "nan-timestamp": (_set(b"t0", b"nan"), "non-finite t0 nan"),
+    "fs-0": (_set(b"fs", b"0.0"), "rate 0.0 is not finite and positive"),
+    "fs-inf": (_set(b"fs", b"inf"), "rate inf is not finite and positive"),
+    # samples spaced 1/100 s apart where the reader's rate spaces them 1/200 s
+    "off-spacing": (_set(b"fs", b"100.0"), r"sampled at 100\.0 Hz, not 200\.0 Hz"),
+    "nan-amplitude": (_amplitude(lambda n: n // 2, np.nan), "non-finite amplitude at sample 25"),
+    "inf-last-amplitude": (_amplitude(lambda n: n - 1, -np.inf),
+                           "non-finite amplitude at sample 49"),
 }
+
+
+def _damage(path, fault):
+    """Edit the file at `path` by `fault`; returns the fault's error text."""
+    edit, detail = FILE_FAULTS[fault]
+    damaged = edit(read(path))
+    with open(path, "wb") as fh:
+        fh.write(damaged)
+    return detail
 
 
 @pytest.mark.parametrize("fault", list(FILE_FAULTS))
 def test_a_damaged_series_file_is_a_data_error_naming_it(tmp_path, fault):
     path = str(tmp_path / "sig.f8")
     save_timeseries(_series(), path, ["seed=3"])
-    data = read(path)
-    with open(path, "wb") as fh:
-        fh.write(FILE_FAULTS[fault](data))
-    with pytest.raises(DataError, match=rf"^malformed {path}: "):
+    detail = _damage(path, fault)
+    with pytest.raises(DataError, match=rf"^malformed {re.escape(path)}: {detail}$"):
         load_timeseries(path, 200.0)
 
 
-@pytest.mark.parametrize(
-    "row, column, value",
-    [
-        (3, 0, 0.5), (4, 0, 0.5), (5, 0, 0.5), (11, 0, 0.5),
-        (3, 0, np.nan), (4, 0, np.inf), (0, 0, -np.inf),
-        (4, 1, np.nan), (11, 1, -np.inf),
-    ],
-)
-def test_a_fault_at_a_block_seam_is_a_data_error(tmp_path, monkeypatch, row, column, value):
-    """Blocks of 4 timestamps: rows 3 and 4 sit on each side of the first
-    seam, and 11 is the last row.  A step in the grid from `row` on (so
-    that only the gap into `row` is off), a non-finite timestamp, or a
-    non-finite amplitude."""
-    monkeypatch.setattr(artifacts, "_BLOCK_BYTES", 32)
-    grid = 10.0 + np.arange(12) / 200.0
-    values = np.linspace(-1.0, 1.0, 12)
-    (grid, values)[column][row:] += value
-    path = str(tmp_path / "sig.f8")
-    write_series(path, ["seed=3"], (grid, values))
-    if column:
-        message = f"non-finite amplitude at sample {row}"
-    else:
-        message = "non-uniform spacing" if np.isfinite(value) else "non-finite timestamp"
-    with pytest.raises(DataError, match=rf"^malformed {path}: {message}$"):
-        load_timeseries(path, 200.0)
-
-
-def test_a_reader_rate_off_the_grid_is_the_spacing_error(tmp_path):
-    path = str(tmp_path / "sig.f8")
-    save_timeseries(_series(), path, ["seed=3"])
-    with pytest.raises(DataError, match=rf"^malformed {path}: non-uniform spacing$"):
-        load_timeseries(path, 100.0)
-
-
-# the faults of the series a command reads: the file faults above, and a NaN
-# timestamp, a NaN amplitude and a step in the grid written into a whole file
-COMMAND_FAULTS = {
-    **FILE_FAULTS,
-    "nan-timestamp": (0, 6000, np.nan),
-    "nan-amplitude": (1, 6000, np.nan),
-    "off-spacing": (0, 6000, 0.5),
-}
+# the faults of the series a command reads: the file faults above, where the
+# command's rate is the configured 50 Hz and `off-spacing` writes 100 Hz
 COMMAND_SERIES = {"train": "pef", "classify": "pef", "eval": "pef", "filter": "signal"}
 
 
@@ -289,21 +282,7 @@ def classified(tmp_path_factory):
     return out
 
 
-def _damage(path, fault):
-    edit = COMMAND_FAULTS[fault]
-    if callable(edit):
-        damaged = edit(read(path))
-    else:
-        column, row, value = edit
-        header, grid, values = _columns(path)
-        grid, values = grid.copy(), values.copy()
-        (grid, values)[column][row:] += value
-        damaged = header + grid.tobytes() + values.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(damaged)
-
-
-@pytest.mark.parametrize("fault", list(COMMAND_FAULTS))
+@pytest.mark.parametrize("fault", list(FILE_FAULTS))
 @pytest.mark.parametrize("command", list(COMMAND_SERIES))
 def test_a_damaged_series_exits_3_naming_the_file(
     classified, tmp_path, capsys, command, fault
