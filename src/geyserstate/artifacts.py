@@ -30,7 +30,8 @@ the n amplitudes as raw little-endian float64s, sample i at `t0 + i / fs`.
 Both writers follow one failure rule (`_created`): a file that cannot be
 opened or written is a `DataError` naming it, and on any failure once it
 is opened, interrupts included, the file is removed, so a failed write
-leaves no file of its own.
+leaves no file of its own.  `discard`, which clears a stale artifact before
+a write, names a path it cannot remove the same way.
 
 `params_line` and `read_params` are the codec of a model file's `params`
 comment, each value parsed by `parser_for`, the config keys' type table.
@@ -92,6 +93,17 @@ def _created(path: str, mode: str, encoding: str | None = None) -> Iterator:
         if isinstance(exc, OSError):
             raise DataError(f"cannot write {path}: {exc}") from None
         raise
+
+
+def discard(path: str) -> None:
+    """Remove the file at `path`, if there is one; any other OSError (a
+    directory in its place) is a `DataError` naming it, as in `_created`."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def write_table(

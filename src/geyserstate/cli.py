@@ -6,9 +6,10 @@ resumed or repeated stage by stage with no hidden state.  The series a
 stage hands to the next (`signal.f8`, `bh.f8`, `pef.f8`) are binary series
 files, written by `save_timeseries`; every other artifact is plain text.
 A `.csv` series path that does not exist reads the `.f8` of its stem
-(`resolve_series`), so `<out>/pef.csv` still names the residual.  Each
-stage's work is one private function that both its command and `pipeline`
-call.
+(`resolve_series`), so `<out>/pef.csv` still names the residual.  No
+command writes plot traces: a view around an event is a slice of the
+series files (README).  Each stage's work is one private function that
+both its command and `pipeline` call.
 All randomness flows from one master seed recorded in the artifact headers.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
@@ -28,7 +29,7 @@ import time
 
 import numpy as np
 
-from .artifacts import read_artifact, write_table
+from .artifacts import discard, read_artifact, write_table
 from .config import (
     dtw_params,
     forest_params,
@@ -71,7 +72,6 @@ from .timeseries import (
     EventLog,
     LabeledWindow,
     TimeSeries,
-    _index_range,
     _window_samples,
     label_windows,
     load_events,
@@ -92,10 +92,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-# plot trace span around each event, seconds before and after onset
-PLOT_BEFORE_S = 240.0
-PLOT_AFTER_S = 180.0
 
 
 # -- small shared helpers ----------------------------------------------------------
@@ -204,14 +200,6 @@ def _check_fft_bins(values: dict) -> None:
         check_fft_bins(values["features.fft_bins"], window_samples)
 
 
-def _make_dir(path: str) -> None:
-    """`os.makedirs`; a directory that cannot be made is a DataError naming it."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create directory {path}: {exc}") from None
-
-
 @contextlib.contextmanager
 def _stage(name: str):
     """Tag any failure inside with the stage name; logs
@@ -234,11 +222,13 @@ def _stage(name: str):
 def _synthesize(values: dict, seed: int, paths: dict) -> tuple[TimeSeries, EventLog]:
     """Generate the labeled signal; writes events.csv (the caller saves the
     signal and its classes, `_save_signal`).  A `paths.signal` or
-    `paths.events` set is a ConfigError, before anything is written."""
+    `paths.events` set, or a label value `LabelPolicy` refuses, is a
+    ConfigError, before anything is written."""
     for key in ("paths.signal", "paths.events"):
         if values[key]:  # caller supplied data; leave it untouched
             raise ConfigError(f"{key} = {values[key]} names the caller's data, which "
                               "synthesizing would overwrite; unset it to synthesize")
+    label_policy(values)
     ts, events = generate(synth_config(values, seed))
     save_events(events, paths["events"], _seed_header(seed))
     _log.info("synthesized %d samples at %g Hz with %d events", len(ts), ts.fs_hz, len(events))
@@ -468,7 +458,7 @@ def _dtw_arm(refs: np.ndarray, ref_labels: np.ndarray, labeled: list[LabeledWind
         os.close(reader)
 
 
-# -- the series files and event traces ---------------------------------------------
+# -- the series files ---------------------------------------------------------------
 
 
 def _save_signal(paths: dict, seed: int, raw: TimeSeries, classes: np.ndarray) -> str:
@@ -477,27 +467,6 @@ def _save_signal(paths: dict, seed: int, raw: TimeSeries, classes: np.ndarray) -
     save_timeseries(raw, path, _seed_header(seed))
     save_classes(raw, classes, paths["classes"], _seed_header(seed))
     return path
-
-
-def _write_event_traces(
-    out_dir: str, raw: TimeSeries, test_events: EventLog, columns: tuple, seed: int
-) -> None:
-    """Writes plots/event_<k>.csv around each held-out event onset: the
-    samples t with onset - PLOT_BEFORE_S <= t < onset + PLOT_AFTER_S, the
-    rule that `sample_classes` paints by.
-
-    Columns: timestamp_s, raw, bh, pef, class (`columns` holds them for the
-    whole series).  The class column carries the per-sample ground truth so
-    a plotting tool can shade the precursor and eruption spans.
-    """
-    plots_dir = os.path.join(out_dir, "plots")
-    _make_dir(plots_dir)
-    names = ("timestamp_s", "raw", "bh", "pef", "class")
-    for k, e in enumerate(test_events.event_times_s, start=1):
-        lo, hi = _index_range(raw, e - PLOT_BEFORE_S, e + PLOT_AFTER_S)
-        comments = [*_seed_header(seed), f"event_time_s={float(e)!r}"]
-        path = os.path.join(plots_dir, f"event_{k}.csv")
-        write_table(path, comments, names, [c[lo:hi] for c in columns])
 
 
 def _write_pipeline_series(
@@ -509,18 +478,13 @@ def _write_pipeline_series(
     events: EventLog,
     bh: TimeSeries,
     residual: TimeSeries,
-    test_events: EventLog,
 ) -> None:
-    """pipeline's series files and event traces; the signal and its classes
-    only when the pipeline synthesized (caller-supplied data is left
-    untouched)."""
-    classes = sample_classes(raw, events, label_policy(values))
+    """pipeline's series files; the signal and its classes only when the
+    pipeline synthesized (caller-supplied data is left untouched)."""
     if not values["paths.signal"]:
-        _save_signal(paths, seed, raw, classes)
+        _save_signal(paths, seed, raw, sample_classes(raw, events, label_policy(values)))
     save_timeseries(bh, os.path.join(out_dir, "bh.f8"), _seed_header(seed))
     save_timeseries(residual, os.path.join(out_dir, "pef.f8"), _seed_header(seed))
-    traced = (raw.timestamps(), raw.values, bh.values, residual.values, classes)
-    _write_event_traces(out_dir, raw, test_events, traced, seed)
 
 
 # -- commands ----------------------------------------------------------------------
@@ -547,8 +511,7 @@ def cmd_filter(values: dict, seed: int, out_dir: str, args: argparse.Namespace) 
     if args.skip_pef:
         # a residual and model of an earlier run would not match this bh
         remove_series(pef_path)
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(out_dir, "ar_model.txt"))
+        discard(os.path.join(out_dir, "ar_model.txt"))
         save_timeseries(bh, bh_path, _seed_header(seed))
         _log.info("high-pass output written; prediction-error stage skipped")
         print(f"wrote {bh_path}")
@@ -656,9 +619,10 @@ def _evaluate_arm(
 def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
     paths = resolve_paths(values, out_dir)
     header = _seed_header(seed)
-    # a window, spectrum, high-pass, forest or DTW value a stage rejects
-    # fails here, before any file is written
+    # a window, spectrum, high-pass, label, forest or DTW value a stage
+    # rejects fails here, before any file is written
     _check_fft_bins(values)
+    label_policy(values)
     design_butterworth_highpass(
         values["filter.order"], values["filter.corner_hz"], values["synth.fs_hz"]
     )
@@ -706,9 +670,7 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
                 dtw_result = arms.enter_context(
                     _dtw_arm(refs, ref_labels, test_pef, arm_params)
                 )
-            _write_pipeline_series(
-                values, seed, out_dir, paths, raw, events, bh, residual, ev_test
-            )
+            _write_pipeline_series(values, seed, out_dir, paths, raw, events, bh, residual)
 
         with _stage("train"):
             catalog = default_catalog(raw.fs_hz, values["features.fft_bins"])
@@ -839,8 +801,13 @@ def main(argv: list[str] | None = None) -> int:
         seed = getattr(args, "seed", None)
         if seed is None:
             seed = values["seed"]
+        if seed < 0:  # numpy seeds only from a non-negative integer
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         out_dir = resolve_out_dir(values, getattr(args, "out", None))
-        _make_dir(out_dir)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise DataError(f"cannot create directory {out_dir}: {exc}") from None
         with _stage(args.command):
             return _COMMANDS[args.command](values, seed, out_dir, args)
     except ConfigError as exc:

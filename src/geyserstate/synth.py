@@ -79,6 +79,9 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.duration_s <= 0 or self.fs_hz <= 0 or self.day_period_s <= 0:
             raise ConfigError("duration, sampling rate, and day period must be positive")
+        if not math.isfinite(self.duration_s * self.fs_hz):
+            raise ConfigError(f"synth.duration_s = {self.duration_s:g} at synth.fs_hz = "
+                              f"{self.fs_hz:g} gives a sample count that is not finite")
         if self.day_period_s < 1.0 / self.fs_hz:
             # _bursts loops once per synthetic day
             raise ConfigError(
@@ -105,6 +108,12 @@ class SynthConfig:
         if self.burst_rate_per_hour < 0:
             raise ConfigError(
                 f"synth.burst_rate_per_hour must be non-negative, got {self.burst_rate_per_hour:g}"
+            )
+        if self.burst_rate_per_hour / 3600.0 > self.fs_hz:
+            # numpy refuses a Poisson mean near 2**63: keep it within the sample count
+            raise ConfigError(
+                f"synth.burst_rate_per_hour = {self.burst_rate_per_hour:g} expects more than "
+                f"one burst a sample at synth.fs_hz = {self.fs_hz:g}"
             )
         if self.ar_sigma < 0:
             raise ConfigError("ar_sigma must be non-negative")

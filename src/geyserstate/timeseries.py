@@ -30,12 +30,11 @@ from __future__ import annotations
 import logging
 import math
 import os
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_artifact, read_numeric, read_series, write_series, write_table
+from .artifacts import discard, read_artifact, read_numeric, read_series, write_series, write_table
 from .errors import ConfigError, DataError
 
 CLASS_FAR = 1
@@ -246,6 +245,8 @@ def _window_samples(window_len_s: float, stride_s: float, fs_hz: float) -> tuple
 def samples_of(seconds: float, fs_hz: float, what: str) -> int:
     """Whole number of samples in `seconds` at fs_hz; ConfigError names `what` otherwise."""
     count = seconds * fs_hz
+    if not math.isfinite(count):
+        raise ConfigError(f"{what} of {seconds} s at {fs_hz} Hz is not a finite number of samples")
     if abs(count - round(count)) > 1e-9:
         raise ConfigError(f"{what} of {seconds} s is not a whole number of samples at {fs_hz} Hz")
     return int(round(count))
@@ -408,11 +409,10 @@ def _load_streaming(path: str, fs_hz: float) -> TimeSeries:
 
 def remove_series(path: str) -> None:
     """Remove the series saved for `path` (`<stem>.f8`) and any `<stem>.csv`
-    text of it left by an older run; either may be missing."""
+    text of it left by an older run; either may be missing (`discard`)."""
     stem = os.path.splitext(path)[0]
     for name in (stem + ".f8", stem + ".csv"):
-        with suppress(FileNotFoundError):
-            os.remove(name)
+        discard(name)
 
 
 def save_timeseries(ts: TimeSeries, path: str, header_comments: list[str] | None = None) -> None:

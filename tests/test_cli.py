@@ -144,10 +144,16 @@ def test_a_duration_beyond_memory_exits_2_naming_the_keys(tmp_path, capsys, comm
         ("synth.chirp_f1_hz = 1e308", ["synth.chirp_f1_hz", "synth.precursor_lead_s"]),
         ("synth.eruption_tone_hz = 1e308", ["synth.eruption_tone_hz", "synth.eruption_len_s"]),
         ("synth.burst_freq_hi_hz = 1e308", ["synth.burst_freq_hi_hz", "synth.burst_dur_hi_s"]),
+        # int(round(duration * fs)) raised OverflowError on an infinite count
+        ("synth.duration_s = 1e308", ["synth.duration_s", "synth.fs_hz"]),
+        # rng.poisson raised `lam value too large`; now at most one burst a sample
+        ("synth.burst_rate_per_hour = 1e308", ["synth.burst_rate_per_hour", "synth.fs_hz"]),
+        ("synth.burst_rate_per_hour = 180001", ["synth.burst_rate_per_hour", "synth.fs_hz"]),
     ],
     ids=["negative-burst-rate", "zero-seasonal-period", "day-shorter-than-a-sample",
          "subnormal-seasonal-period", "overflowing-chirp", "overflowing-tone",
-         "overflowing-burst"],
+         "overflowing-burst", "overflowing-duration", "overflowing-burst-rate",
+         "burst-rate-above-one-a-sample"],
 )
 @pytest.mark.parametrize("command", ["synth", "pipeline"])
 def test_a_synth_value_that_breaks_generation_exits_2_naming_the_key(
@@ -160,7 +166,53 @@ def test_a_synth_value_that_breaks_generation_exits_2_naming_the_key(
     err = capsys.readouterr().err
     assert all(key in err for key in named), err
     assert "Traceback" not in err
-    assert not (out / "signal.f8").exists()
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("extra, argv, error", [
+    ("labels.window_rule = bogus\n", (), "stage synth: unknown window_label_rule 'bogus'"),
+    ("labels.class2_end_s = -1\n", (),
+     "stage synth: need class2_start_s > class2_end_s >= 0, got 30.0 and -1.0"),
+    ("synth.fs_hz = 1e308\n", (), "stage synth: synth.duration_s = 240 at synth.fs_hz = "
+     "1e+308 gives a sample count that is not finite"),
+    ("seed = -1\n", (), "seed must be >= 0, got -1"),
+    ("", ("--seed", "-1"), "seed must be >= 0, got -1"),
+], ids=["window-rule", "class2-end", "fs-overflow", "config-seed", "flag-seed"])
+def test_synth_rejecting_a_label_rate_or_seed_value_writes_nothing(
+    tmp_path, capsys, extra, argv, error
+):
+    """A label value (checked before events.csv is written), a rate whose
+    sample count is not finite and a negative seed, which numpy cannot seed
+    from, each exit 2 with an empty --out and no traceback."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CFG + extra)
+    out = tmp_path / "o"
+    out.mkdir()
+    assert run("synth", "--config", str(cfg), "--out", str(out), *argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {error}\n" in err and "Traceback" not in err
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command, name", [
+    (("synth",), "signal.f8"),
+    (("filter",), "bh.f8"),
+    (("filter", "--skip-pef"), "ar_model.txt"),
+], ids=["synth-signal", "filter-bh", "skip-pef-ar-model"])
+def test_a_directory_where_a_command_replaces_a_file_exits_3(
+    tiny_cfg, tmp_path, capsys, command, name
+):
+    """A directory in place of a file a command removes before it writes
+    exits 3 naming it, as a file that cannot be opened does, not with an
+    IsADirectoryError traceback."""
+    out = tmp_path / "o"
+    if command[0] == "filter":
+        assert run("synth", "--config", tiny_cfg, "--out", str(out)) == 0
+    (out / name).mkdir(parents=True)
+    assert run(*command, "--config", tiny_cfg, "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert f"error: stage {command[0]}: cannot write {out / name}: " in err
+    assert "Traceback" not in err and (out / name).is_dir()
 
 
 # -- filter ------------------------------------------------------------------------
@@ -831,10 +883,12 @@ def test_missing_subcommand_is_usage_error():
 def test_pipeline_single_arm_writes_report(tiny_cfg, tmp_path):
     out = str(tmp_path / "o")
     assert run("pipeline", "--config", tiny_cfg, "--out", out, "--seed", "3") == 0
-    for name in ("bh.f8", "pef.f8", "forest.txt", "predictions.csv",
-                 "report.txt", "report.csv"):
-        assert os.path.exists(os.path.join(out, name))
-    assert os.path.exists(os.path.join(out, "plots", "event_1.csv"))
+    # no event traces: the series files hold every sample of them
+    assert sorted(os.listdir(out)) == [
+        "ar_model.txt", "bh.f8", "classes.csv", "events.csv", "feature_mask.csv",
+        "features.csv", "forest.txt", "impute.csv", "pef.f8", "predictions.csv",
+        "report.csv", "report.txt", "signal.f8",
+    ]
 
 
 def test_pipeline_stage_tag_on_failure(tmp_path, capsys):
@@ -985,7 +1039,6 @@ def test_pipeline_failing_after_its_pass_keeps_the_series_files(tiny_cfg, tmp_pa
     for name in ("signal.f8", "classes.csv", "bh.f8"):
         assert read(os.path.join(out, name)) == read(os.path.join(whole, name)), name
     assert len(timeseries.load_timeseries(os.path.join(out, "pef.f8"), 50.0)) == 240 * 50
-    assert os.path.exists(os.path.join(out, "plots", "event_1.csv"))
 
 
 @pytest.mark.parametrize("extra, compare, error", [
@@ -1006,14 +1059,24 @@ def test_pipeline_failing_after_its_pass_keeps_the_series_files(tiny_cfg, tmp_pa
     ("paths.events = {out}.csv\n", ("--compare",),
      "stage pipeline: stage synth: paths.events = {out}.csv names the caller's data, which "
      "synthesizing would overwrite; unset it to synthesize"),
+    ("labels.window_rule = bogus\n", (), "stage pipeline: unknown window_label_rule 'bogus'"),
+    ("labels.class2_end_s = -1\n", ("--compare",),
+     "stage pipeline: need class2_start_s > class2_end_s >= 0, got 30.0 and -1.0"),
+    ("window.length_s = 1e308\n", ("--compare",),
+     "stage pipeline: window length of 1e+308 s at 50.0 Hz is not a finite number of samples"),
+    ("window.stride_s = 1e308\n", (),
+     "stage pipeline: stride of 1e+308 s at 50.0 Hz is not a finite number of samples"),
+    ("synth.fs_hz = 1e308\n", ("--compare",),
+     "stage pipeline: window length of 10.0 s at 1e+308 Hz is not a finite number of samples"),
 ], ids=["stride", "k-neighbors", "n-trees", "fdr-q", "train-fraction", "split-ratio",
-        "filter-order", "corner-above-nyquist", "events-without-signal"])
+        "filter-order", "corner-above-nyquist", "events-without-signal", "window-rule",
+        "class2-end", "window-length-overflow", "stride-overflow", "fs-overflow"])
 def test_pipeline_rejecting_a_window_or_dtw_value_leaves_no_series_file(
     tmp_path, capsys, monkeypatch, extra, compare, error
 ):
-    """The window, filter, AR, feature, split, forest and DTW values, and a
-    `paths.events` the synthesized events would overwrite, are checked before
-    the first write: a value any stage rejects exits 2 with nothing in
+    """The window, filter, AR, feature, split, label, forest and DTW values,
+    and a `paths.events` the synthesized events would overwrite, are checked
+    before the first write: a value any stage rejects exits 2 with nothing in
     `--out`, no inner stage named, and the DTW arm never started (so no
     child forked).  A value out of its key's own range fails as the config
     is read, naming its file and line."""
@@ -1065,37 +1128,11 @@ def test_classify_rejects_fft_bins_beyond_the_window_before_reading_the_series(t
     assert os.listdir(out) == []
 
 
-def test_an_off_grid_onset_traces_the_samples_that_sample_classes_paints(tmp_path, monkeypatch):
-    """A trace holds the samples t with onset - 240 s <= t < onset + 180 s,
-    the rule of the class column it carries; 60.005 s and 480.005 s fall
-    between samples 0.02 s apart, where rounding would start and end one
-    sample early."""
-    raw = timeseries.TimeSeries(np.zeros(600 * 50), 50.0)
-    grid = raw.timestamps()
-    onset = 300.005
-    calls = []
-
-    def write_table(*args):
-        calls.append(args)
-        artifacts.write_table(*args)
-
-    monkeypatch.setattr(cli, "write_table", write_table)
-    cli._write_event_traces(str(tmp_path), raw, timeseries.EventLog((onset,)), (grid,) * 5, 3)
-    ((path, _, _, columns),) = calls
-    assert all(col.base is grid for col in columns)
-    assert np.array_equal(columns[0], grid[3001:24001])
-    assert grid[3000] < onset - cli.PLOT_BEFORE_S <= grid[3001]
-    assert grid[24000] < onset + cli.PLOT_AFTER_S <= grid[24001]
-    rows = np.loadtxt(path, delimiter=",", skiprows=3)
-    assert np.array_equal(rows[:, 0], grid[3001:24001])
-
-
 def test_pipeline_on_given_files_writes_the_synthesizing_run_bytes(tmp_path, capsys):
     """pipeline --compare on the signal and events a synthesizing run wrote
     (paths.signal, paths.events) writes every file of that run but
     signal.f8, events.csv and classes.csv, and leaves the given files as
-    they were.  The event trace (onset 410 s, 600 s at 50 Hz) repeats the
-    given signal, rows 8,500-29,500."""
+    they were."""
     cfg = tmp_path / "long.cfg"
     cfg.write_text(TINY_CFG + "synth.duration_s = 600\nsynth.event_times_s = 100, 180, 300, 410\n")
     synthesized, given = str(tmp_path / "synthesized"), str(tmp_path / "given")
@@ -1115,10 +1152,6 @@ def test_pipeline_on_given_files_writes_the_synthesizing_run_bytes(tmp_path, cap
     assert not mismatch and not errors
     for name, data in inputs.items():
         assert read(os.path.join(synthesized, name)) == data
-    trace = read(os.path.join(given, "plots", "event_1.csv")).decode().splitlines()[3:]
-    signal = timeseries.load_timeseries(os.path.join(synthesized, "signal.f8"), 50.0)
-    rows = zip(signal.timestamps().tolist()[8500:29500], signal.values.tolist()[8500:29500])
-    assert [row.rsplit(",", 3)[0] for row in trace] == [f"{t!r},{v!r}" for t, v in rows]
 
 
 def test_bench_tracing_patches_resolve():
@@ -1195,12 +1228,27 @@ def test_compare_artifacts_and_window_invariant(compare_runs):
         rows = read(os.path.join(out, f"predictions_{arm}.csv")).decode().splitlines()
         starts[arm] = [l.split(",")[0] for l in rows if not l.startswith(("#", "window_start_s"))]
     assert starts["rf_pef"] == starts["rf_nopef"] == starts["dtw_pef"]
+    # no event traces: the README's recipe slices the series files instead
+    assert not os.path.exists(os.path.join(out, "plots"))
 
-    plot = os.path.join(out, "plots", "event_1.csv")
-    header = [l for l in read(plot).decode().splitlines() if not l.startswith("#")][0]
-    assert header == "timestamp_s,raw,bh,pef,class"
-    data = np.genfromtxt(plot, delimiter=",", skip_header=3)
-    assert data.shape[1] == 5
-    # traces cover the span before and after the event onset
-    assert data.shape[0] > 1000
-    assert set(np.unique(data[:, 4])) <= {1.0, 2.0, 3.0}
+
+def test_readme_trace_recipe_slices_the_series_files(compare_runs):
+    """The README's recipe, run on the quick start's output, gives every
+    onset in events.csv the 84,000 samples from 240 s before it up to, not
+    including, 180 s after it, the residual column being those pef.f8 rows,
+    with all three classes to shade."""
+    readme = read(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).decode()
+    start = readme.index("```python\n") + len("```python\n")
+    recipe = readme[start : readme.index("```", start)]
+    assert '"runs/demo"' in recipe
+    names = {}
+    exec(compile(recipe.replace('"runs/demo"', repr(compare_runs[0])), "README.md", "exec"), names)
+    pef = timeseries.load_timeseries(os.path.join(compare_runs[0], "pef.f8"), 200.0)
+    events = timeseries.load_events(os.path.join(compare_runs[0], "events.csv"))
+    assert list(names["traces"]) == events.event_times_s.tolist()
+    for onset, rows in names["traces"].items():
+        lo = round((onset - 240) * 200)
+        assert rows.shape == (84_000, 5)
+        assert np.array_equal(rows[:, 0], pef.timestamps()[lo : lo + 84_000])
+        assert np.array_equal(rows[:, 3], pef.values[lo : lo + 84_000])
+        assert set(np.unique(rows[:, 4])) == {1.0, 2.0, 3.0}

@@ -88,10 +88,10 @@ _KILL_CHILD = "cli._dtw_predict = lambda *args: os.kill(os.getpid(), 9)\n"
 
 
 @pytest.mark.parametrize("fault, code, text, prelude", [
-    ("plots is a file", 3, "stage series: cannot create directory", ""),
+    ("bh.f8 is a directory", 3, "stage series: cannot write", ""),
     ("interrupt", 130, "", _INTERRUPT),
     ("child killed", 1, "RuntimeError: dtw arm: child", _KILL_CHILD),
-], ids=["plots-file", "interrupt", "child-killed"])
+], ids=["bh-directory", "interrupt", "child-killed"])
 def test_a_failure_while_the_arm_runs_leaves_no_process(
     tmp_path, forking_cli, fault, code, text, prelude
 ):
@@ -100,8 +100,8 @@ def test_a_failure_while_the_arm_runs_leaves_no_process(
     process is left."""
     out = tmp_path / "o"
     out.mkdir()
-    if fault == "plots is a file":
-        (out / "plots").write_text("")
+    if fault == "bh.f8 is a directory":
+        (out / "bh.f8").mkdir()
     proc = forking_cli(*_compare(out), prelude=_NOTE_FORK + prelude)
     assert proc.returncode == code, proc.stderr
     assert "forked\n" in proc.stderr and text in proc.stderr
