@@ -9,7 +9,8 @@ A `.csv` series path that does not exist reads the `.f8` of its stem
 (`resolve_series`), so `<out>/pef.csv` still names the residual.  No
 command writes plot traces: a view around an event is a slice of the
 series files (README).  Each stage's work is one private function that
-both its command and `pipeline` call.
+both its command and `pipeline` call.  No command checks config values:
+`load_config` refuses any value a stage would, so a config error writes nothing.
 All randomness flows from one master seed recorded in the artifact headers.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
@@ -43,11 +44,9 @@ from .dtw import knn_dtw_classify, load_reference, save_reference
 from .errors import ConfigError, DataError, GeyserStateError, NumericError
 from .evaluation import Scores, evaluate, render_report
 from .features import (
-    MIN_WINDOW_SAMPLES,
     FeatureCatalog,
     build_feature_matrix,
     check_catalog,
-    check_fft_bins,
     default_catalog,
     load_feature_mask,
     median_impute,
@@ -72,7 +71,6 @@ from .timeseries import (
     EventLog,
     LabeledWindow,
     TimeSeries,
-    _window_samples,
     label_windows,
     load_events,
     load_timeseries,
@@ -189,17 +187,6 @@ def _labeled_input(values: dict, out_dir: str, override: str | None) -> tuple:
     return ts, labeled
 
 
-def _check_fft_bins(values: dict) -> None:
-    """Every window has the configured length at the configured rate, so a
-    window value, or a spectrum wider than a window that extraction takes,
-    fails here, before a series is read or a file written."""
-    window_samples, _ = _window_samples(
-        values["window.length_s"], values["window.stride_s"], values["synth.fs_hz"]
-    )
-    if window_samples >= MIN_WINDOW_SAMPLES:
-        check_fft_bins(values["features.fft_bins"], window_samples)
-
-
 @contextlib.contextmanager
 def _stage(name: str):
     """Tag any failure inside with the stage name; logs
@@ -222,13 +209,11 @@ def _stage(name: str):
 def _synthesize(values: dict, seed: int, paths: dict) -> tuple[TimeSeries, EventLog]:
     """Generate the labeled signal; writes events.csv (the caller saves the
     signal and its classes, `_save_signal`).  A `paths.signal` or
-    `paths.events` set, or a label value `LabelPolicy` refuses, is a
-    ConfigError, before anything is written."""
+    `paths.events` set is a ConfigError, before anything is written."""
     for key in ("paths.signal", "paths.events"):
         if values[key]:  # caller supplied data; leave it untouched
             raise ConfigError(f"{key} = {values[key]} names the caller's data, which "
                               "synthesizing would overwrite; unset it to synthesize")
-    label_policy(values)
     ts, events = generate(synth_config(values, seed))
     save_events(events, paths["events"], _seed_header(seed))
     _log.info("synthesized %d samples at %g Hz with %d events", len(ts), ts.fs_hz, len(events))
@@ -527,10 +512,6 @@ def cmd_filter(values: dict, seed: int, out_dir: str, args: argparse.Namespace) 
 
 
 def cmd_train(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
-    # the classifier's values are checked before the series is read
-    params = dtw_params(values) if args.classifier == "dtw" else forest_params(values, seed)
-    if args.classifier == "rf":
-        _check_fft_bins(values)
     ts, labeled = _labeled_input(values, out_dir, args.input)
     counts = _class_counts(labeled)
     if sum(1 for v in counts.values() if v > 0) < 2:
@@ -538,11 +519,13 @@ def cmd_train(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -
     print(f"windows per class: {counts}")
     if args.classifier == "dtw":
         ref_path = os.path.join(out_dir, "dtw_reference.csv")
-        save_reference(labeled, ref_path, params, _seed_header(seed))
+        save_reference(labeled, ref_path, dtw_params(values), _seed_header(seed))
         print(f"wrote {ref_path}")
         return EXIT_OK
     catalog = default_catalog(ts.fs_hz, values["features.fft_bins"])
-    forest, cols, medians, table, mask = _rf_fit(labeled, values, params, catalog)
+    forest, cols, medians, table, mask = _rf_fit(
+        labeled, values, forest_params(values, seed), catalog
+    )
     _save_rf(out_dir, seed, catalog, forest, medians, table, mask)
     print(f"selected {cols.size} of {len(catalog)} features")
     print(f"wrote {os.path.join(out_dir, 'forest.txt')}")
@@ -550,8 +533,6 @@ def cmd_train(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -
 
 
 def cmd_classify(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
-    if args.classifier == "rf":
-        _check_fft_bins(values)
     ts, labeled = _labeled_input(values, out_dir, args.input)
     if args.classifier == "dtw":
         ref_path = args.model or os.path.join(out_dir, "dtw_reference.csv")
@@ -619,13 +600,6 @@ def _evaluate_arm(
 def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
     paths = resolve_paths(values, out_dir)
     header = _seed_header(seed)
-    # a window, spectrum, high-pass, label, forest or DTW value a stage
-    # rejects fails here, before any file is written
-    _check_fft_bins(values)
-    label_policy(values)
-    design_butterworth_highpass(
-        values["filter.order"], values["filter.corner_hz"], values["synth.fs_hz"]
-    )
     rf_params = forest_params(values, seed)
     arm_params = dtw_params(values) if args.compare else None
 

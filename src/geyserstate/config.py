@@ -14,8 +14,9 @@ dataclasses becomes a key.  The few exceptions are named once each below.  The
 `features.*` defaults are the constants of `features.py`.  Keys with no
 library home (`out.dir`, `seed`, `paths.*`, `filter.*`, `ar.*`, `window.*`,
 `split.ratio`) keep literal defaults in `_registry`.
-A value outside its key's own range (`_RANGES`) fails in `load_config`,
-before a command writes anything; ranges that join keys are the commands'.
+`load_config` refuses every value a stage would refuse, before a command
+starts: a value outside its key's own range (`_RANGES`) names its line, and
+one refused with other keys (`_check_joined`) names the file.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ import os
 from dataclasses import fields
 
 from .artifacts import parser_for
-from .errors import ConfigError
 from .dtw import DtwParams
-from .features import DEFAULT_CAP, DEFAULT_FDR_Q, DEFAULT_FFT_BINS
-from .filters import SUPPORTED_ORDERS
+from .errors import ConfigError, NumericError
+from .features import DEFAULT_CAP, DEFAULT_FDR_Q, DEFAULT_FFT_BINS, MIN_WINDOW_SAMPLES
+from .features import check_fft_bins
+from .filters import SUPPORTED_ORDERS, design_butterworth_highpass
 from .forest import ForestParams
 from .synth import SynthConfig
-from .timeseries import LabelPolicy
+from .timeseries import LabelPolicy, _window_samples
 
 
 def _parse_max_features(raw: str):
@@ -50,6 +52,7 @@ _FROM_LABELS = {"precursor_lead_s": "labels.class2_start_s", "eruption_len_s": "
 
 # key -> (test a parsed value must pass, the range it names)
 _RANGES = {
+    "seed": (lambda v: v >= 0, ">= 0"),  # numpy seeds only from a non-negative integer
     "filter.order": (lambda v: v in SUPPORTED_ORDERS, f"one of {SUPPORTED_ORDERS}"),
     "ar.max_order": (lambda v: v >= 1, ">= 1"),
     "ar.criterion": (lambda v: v in ("aic", "fixed"), "aic or fixed"),
@@ -143,7 +146,30 @@ def load_config(path: str | None) -> dict:
                 raise ValueError(f"{values[key]!r} is not {want}")
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    try:
+        _check_joined(values)
+    except (ConfigError, NumericError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return values
+
+
+def _check_joined(values: dict) -> None:
+    """Build, and drop, what the commands build from values: the window at
+    synth.fs_hz and the spectrum it holds, the high-pass cascade, and the
+    label, synth, forest and DTW dataclasses."""
+    fs_hz = values["synth.fs_hz"]
+    window, _ = _window_samples(values["window.length_s"], values["window.stride_s"], fs_hz)
+    if window < MIN_WINDOW_SAMPLES:
+        raise ConfigError(
+            f"window.length_s = {values['window.length_s']:g} at synth.fs_hz = {fs_hz:g} "
+            f"is a window of {window} samples, below the {MIN_WINDOW_SAMPLES} minimum"
+        )
+    check_fft_bins(values["features.fft_bins"], window)
+    design_butterworth_highpass(values["filter.order"], values["filter.corner_hz"], fs_hz)
+    label_policy(values)
+    synth_config(values, values["seed"])
+    forest_params(values, values["seed"])
+    dtw_params(values)
 
 
 def resolve_out_dir(values: dict, cli_out: str | None) -> str:

@@ -296,11 +296,8 @@ def train_forest(
     if classes.size < 2:
         raise DataError("training needs at least 2 classes")
     n, d = matrix.shape
-    if params.max_features is not None and params.max_features > d:
-        raise ConfigError(f"max_features {params.max_features} exceeds {d} features")
-    effective = params if params.max_features is not None else replace(
-        params, max_features=max(1, int(math.isqrt(d)))
-    )
+    # the subset size each split draws (`grow_tree`), as forest.txt records it
+    effective = replace(params, max_features=min(params.max_features or max(1, math.isqrt(d)), d))
     y_idx = np.searchsorted(classes, labels)
     trees = []
     for t in range(effective.n_trees):

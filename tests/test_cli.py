@@ -164,33 +164,35 @@ def test_a_synth_value_that_breaks_generation_exits_2_naming_the_key(
     out = tmp_path / "o"
     assert run(command, "--config", str(cfg), "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert all(key in err for key in named), err
+    assert err.startswith(f"error: {cfg}: ") and all(key in err for key in named), err
     assert "Traceback" not in err
-    assert os.listdir(out) == []
+    # refused as the config is read, before --out is made
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra, argv, error", [
-    ("labels.window_rule = bogus\n", (), "stage synth: unknown window_label_rule 'bogus'"),
+    ("labels.window_rule = bogus\n", (), "{cfg}: unknown window_label_rule 'bogus'"),
     ("labels.class2_end_s = -1\n", (),
-     "stage synth: need class2_start_s > class2_end_s >= 0, got 30.0 and -1.0"),
-    ("synth.fs_hz = 1e308\n", (), "stage synth: synth.duration_s = 240 at synth.fs_hz = "
-     "1e+308 gives a sample count that is not finite"),
-    ("seed = -1\n", (), "seed must be >= 0, got -1"),
+     "{cfg}: need class2_start_s > class2_end_s >= 0, got 30.0 and -1.0"),
+    ("synth.fs_hz = 1e308\n", (),
+     "{cfg}: window length of 10.0 s at 1e+308 Hz is not a finite number of samples"),
+    ("seed = -1\n", (), f"{{cfg}}:{EXTRA_LINE}: bad value for seed: -1 is not >= 0"),
     ("", ("--seed", "-1"), "seed must be >= 0, got -1"),
 ], ids=["window-rule", "class2-end", "fs-overflow", "config-seed", "flag-seed"])
 def test_synth_rejecting_a_label_rate_or_seed_value_writes_nothing(
     tmp_path, capsys, extra, argv, error
 ):
-    """A label value (checked before events.csv is written), a rate whose
-    sample count is not finite and a negative seed, which numpy cannot seed
-    from, each exit 2 with an empty --out and no traceback."""
+    """A label value, a rate whose sample count is not finite and a
+    negative seed, which numpy cannot seed from, each exit 2 with an empty
+    --out and no traceback.  A config value fails as the config is read,
+    naming the file."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY_CFG + extra)
     out = tmp_path / "o"
     out.mkdir()
     assert run("synth", "--config", str(cfg), "--out", str(out), *argv) == 2
     err = capsys.readouterr().err
-    assert f"error: {error}\n" in err and "Traceback" not in err
+    assert f"error: {error.format(cfg=cfg)}\n" in err and "Traceback" not in err
     assert os.listdir(out) == []
 
 
@@ -274,13 +276,17 @@ def test_filter_skip_pef_removes_an_earlier_residual(tmp_path, capsys):
     assert f"input signal {os.path.join(out, 'pef.f8')} not found; run the filter stage first" in err
 
 
-def test_filter_corner_at_nyquist_exits_2(tmp_path, capsys):
+def test_filter_corner_at_nyquist_exits_2(tiny_cfg, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY_CFG + "filter.corner_hz = 25\n")
     out = str(tmp_path / "o")
-    assert run("synth", "--config", str(cfg), "--out", out) == 0
+    assert run("synth", "--config", tiny_cfg, "--out", out) == 0
+    capsys.readouterr()
     assert run("filter", "--config", str(cfg), "--out", out) == 2
-    assert "Nyquist" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: corner 25.0 Hz must lie strictly between 0 and Nyquist 25.0 Hz\n"
+    )
+    assert sorted(os.listdir(out)) == ["classes.csv", "events.csv", "signal.f8"]
 
 
 def test_filter_without_signal_exits_3(tiny_cfg, tmp_path, capsys):
@@ -1043,9 +1049,9 @@ def test_pipeline_failing_after_its_pass_keeps_the_series_files(tiny_cfg, tmp_pa
 
 @pytest.mark.parametrize("extra, compare, error", [
     ("window.stride_s = 60.01\n", (),
-     "stage pipeline: stride of 60.01 s is not a whole number of samples at 50.0 Hz"),
-    ("dtw.k_neighbors = 0\n", ("--compare",), "stage pipeline: k_neighbors must be >= 1, got 0"),
-    ("forest.n_trees = 0\n", ("--compare",), "stage pipeline: n_trees must be >= 1, got 0"),
+     "{cfg}: stride of 60.01 s is not a whole number of samples at 50.0 Hz"),
+    ("dtw.k_neighbors = 0\n", ("--compare",), "{cfg}: k_neighbors must be >= 1, got 0"),
+    ("forest.n_trees = 0\n", ("--compare",), "{cfg}: n_trees must be >= 1, got 0"),
     ("features.fdr_q = 2\n", ("--compare",),
      f"{{cfg}}:{EXTRA_LINE}: bad value for features.fdr_q: 2.0 is not in (0, 1)"),
     ("ar.train_fraction = 1.5\n", (),
@@ -1055,22 +1061,27 @@ def test_pipeline_failing_after_its_pass_keeps_the_series_files(tiny_cfg, tmp_pa
     ("filter.order = 0\n", (),
      f"{{cfg}}:{EXTRA_LINE}: bad value for filter.order: 0 is not one of (2, 4, 6, 8)"),
     ("filter.corner_hz = 25\n", ("--compare",),
-     "stage pipeline: corner 25.0 Hz must lie strictly between 0 and Nyquist 25.0 Hz"),
+     "{cfg}: corner 25.0 Hz must lie strictly between 0 and Nyquist 25.0 Hz"),
     ("paths.events = {out}.csv\n", ("--compare",),
      "stage pipeline: stage synth: paths.events = {out}.csv names the caller's data, which "
      "synthesizing would overwrite; unset it to synthesize"),
-    ("labels.window_rule = bogus\n", (), "stage pipeline: unknown window_label_rule 'bogus'"),
+    ("labels.window_rule = bogus\n", (), "{cfg}: unknown window_label_rule 'bogus'"),
     ("labels.class2_end_s = -1\n", ("--compare",),
-     "stage pipeline: need class2_start_s > class2_end_s >= 0, got 30.0 and -1.0"),
+     "{cfg}: need class2_start_s > class2_end_s >= 0, got 30.0 and -1.0"),
     ("window.length_s = 1e308\n", ("--compare",),
-     "stage pipeline: window length of 1e+308 s at 50.0 Hz is not a finite number of samples"),
+     "{cfg}: window length of 1e+308 s at 50.0 Hz is not a finite number of samples"),
     ("window.stride_s = 1e308\n", (),
-     "stage pipeline: stride of 1e+308 s at 50.0 Hz is not a finite number of samples"),
+     "{cfg}: stride of 1e+308 s at 50.0 Hz is not a finite number of samples"),
     ("synth.fs_hz = 1e308\n", ("--compare",),
-     "stage pipeline: window length of 10.0 s at 1e+308 Hz is not a finite number of samples"),
+     "{cfg}: window length of 10.0 s at 1e+308 Hz is not a finite number of samples"),
+    ("window.length_s = 1\nwindow.stride_s = 1\n", ("--compare",),
+     "{cfg}: window.length_s = 1 at synth.fs_hz = 50 is a window of 50 samples, below the 64 "
+     "minimum"),
+    ("filter.corner_hz = 1e-300\n", (), "{cfg}: unstable section: pole magnitude 1.0"),
 ], ids=["stride", "k-neighbors", "n-trees", "fdr-q", "train-fraction", "split-ratio",
         "filter-order", "corner-above-nyquist", "events-without-signal", "window-rule",
-        "class2-end", "window-length-overflow", "stride-overflow", "fs-overflow"])
+        "class2-end", "window-length-overflow", "stride-overflow", "fs-overflow",
+        "window-below-minimum", "corner-extreme"])
 def test_pipeline_rejecting_a_window_or_dtw_value_leaves_no_series_file(
     tmp_path, capsys, monkeypatch, extra, compare, error
 ):
@@ -1078,8 +1089,8 @@ def test_pipeline_rejecting_a_window_or_dtw_value_leaves_no_series_file(
     and a `paths.events` the synthesized events would overwrite, are checked
     before the first write: a value any stage rejects exits 2 with nothing in
     `--out`, no inner stage named, and the DTW arm never started (so no
-    child forked).  A value out of its key's own range fails as the config
-    is read, naming its file and line."""
+    child forked).  A config value fails as the config is read, naming its
+    file, and its line too when the key's own range refuses it."""
     cfg = tmp_path / "bad.cfg"
     out = tmp_path / "o"
     out.mkdir()
@@ -1106,13 +1117,13 @@ def test_train_rejects_its_classifier_values_before_reading_the_series(
     tmp_path, capsys, classifier, extra, error
 ):
     """With no series in `--out`, a bad value still exits 2, not 3 for the
-    missing input: the params are built before the series is read."""
+    missing input: it fails as the config is read, before --out is made."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY_CFG + extra)
     out = tmp_path / "o"
     assert run("train", "--classifier", classifier, "--config", str(cfg), "--out", str(out)) == 2
-    assert f"error: stage train: {error}\n" in capsys.readouterr().err
-    assert os.listdir(out) == []
+    assert capsys.readouterr().err == f"error: {cfg}: {error}\n"
+    assert not out.exists()
 
 
 def test_classify_rejects_fft_bins_beyond_the_window_before_reading_the_series(tmp_path, capsys):
@@ -1123,9 +1134,48 @@ def test_classify_rejects_fft_bins_beyond_the_window_before_reading_the_series(t
     cfg.write_text(TINY_CFG + "features.fft_bins = 300\n")
     out = tmp_path / "o"
     assert run("classify", "--config", str(cfg), "--out", str(out)) == 2
-    assert "error: stage classify: features.fft_bins = 300 is outside 0..250" in (
-        capsys.readouterr().err)
-    assert os.listdir(out) == []
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: features.fft_bins = 300 is outside 0..250, the nonzero-frequency "
+        "bins of a 500-sample window\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra, error", [
+    (("synth",), "forest.n_trees = 0\n", "n_trees must be >= 1, got 0"),
+    (("filter",), "window.stride_s = 60.01\n",
+     "stride of 60.01 s is not a whole number of samples at 50.0 Hz"),
+    (("train", "--classifier", "dtw"), "features.fft_bins = 300\n", "features.fft_bins = 300 "
+     "is outside 0..250, the nonzero-frequency bins of a 500-sample window"),
+    (("classify", "--classifier", "dtw"), "filter.corner_hz = 25\n",
+     "corner 25.0 Hz must lie strictly between 0 and Nyquist 25.0 Hz"),
+    (("eval",), "dtw.k_neighbors = 0\n", "k_neighbors must be >= 1, got 0"),
+], ids=["synth-n-trees", "filter-stride", "train-dtw-fft-bins", "classify-dtw-corner",
+        "eval-k-neighbors"])
+def test_every_command_refuses_a_value_any_stage_refuses(tmp_path, capsys, command, extra, error):
+    """A value fails as the config is read, whichever command reads it and
+    whether or not that command uses it: exit 2 naming the file, and --out
+    is not made."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CFG + extra)
+    out = tmp_path / "o"
+    assert run(*command, "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {error}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("max_features", [3, 99])
+def test_pipeline_clamps_max_features_to_the_selected_columns(tmp_path, max_features):
+    """A forest.max_features above the columns an arm selects (rf_nopef
+    keeps one on the tiny config) is clamped to them, as each split draws
+    it, and forest.txt records the clamped size."""
+    cfg = tmp_path / "mf.cfg"
+    cfg.write_text(TINY_CFG + f"forest.max_features = {max_features}\n")
+    out = str(tmp_path / "o")
+    assert run("pipeline", "--compare", "--config", str(cfg), "--out", out) == 0
+    header = read(os.path.join(out, "forest.txt")).decode()
+    n_features = int(re.search(r"^# n_features=(\d+)$", header, re.M).group(1))
+    assert f" max_features={min(max_features, n_features)} " in header
 
 
 def test_pipeline_on_given_files_writes_the_synthesizing_run_bytes(tmp_path, capsys):

@@ -306,8 +306,15 @@ def test_forest_validation_errors():
     matrix, labels = make_separable(seed=6)
     with pytest.raises(DataError):
         train_forest(matrix, np.ones_like(labels))
-    with pytest.raises(ConfigError):
-        train_forest(matrix, labels, ForestParams(max_features=99))
+    # a subset larger than the columns is clamped to them, as `grow_tree`
+    # draws it, and the forest records the clamped size
+    d = matrix.shape[1]
+    clamped = train_forest(matrix, labels, ForestParams(n_trees=2, max_features=99, seed=1))
+    every = train_forest(matrix, labels, ForestParams(n_trees=2, max_features=d, seed=1))
+    assert clamped.params == every.params and clamped.params.max_features == d
+    for ta, tb in zip(clamped.trees, every.trees):
+        assert np.array_equal(ta.feature, tb.feature)
+        assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
     bad = matrix.copy()
     bad[0, 0] = np.nan
     with pytest.raises(DataError):
