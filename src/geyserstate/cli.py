@@ -382,65 +382,85 @@ def _dtw_arm(refs: np.ndarray, ref_labels: np.ndarray, labeled: list[LabeledWind
     """Start `_dtw_predict` and yield a function that returns its 5-tuple,
     re-raising any exception it raised.
 
-    Unless `_fork_refusal` names a reason or `os.fork` fails, the arm runs
-    in a child while the with-body runs; the child sends its result or
-    exception as one pickle down a pipe and always leaves through
-    `os._exit`, so it runs no exit handler and flushes none of the buffers
-    it inherited.  On any exception in the body, interrupts included, the
-    child is killed and reaped.  Otherwise the function runs the arm here.
+    Unless `_fork_refusal` names a reason or an `os.fork` fails, the arm
+    runs in one child per CPU this process may use (at most one per
+    window), each on its own contiguous slice of the windows, while the
+    with-body runs; the function joins their 5-tuples in slice order.  A
+    child sends its result or exception as one pickle down its own pipe
+    and always leaves through `os._exit`, so it runs no exit handler and
+    flushes none of the buffers it inherited.  On any exception in the
+    body, interrupts included, and when a later fork fails, every child
+    still running is killed and reaped.  Otherwise the function runs the
+    arm here.
     """
     reason = _fork_refusal()
-    if reason is None:
-        reader, writer = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException as exc:
-            os.close(reader)
-            os.close(writer)
-            if not isinstance(exc, OSError):
-                raise
-            reason = f"os.fork failed: {exc}"
-    if reason is not None:
-        def in_process():
-            _log.info("dtw arm: in process (%s)", reason)
-            return _dtw_predict(refs, ref_labels, labeled, params)
-        yield in_process
-        return
-    if pid == 0:
-        try:
-            t0 = time.perf_counter()
-            try:
-                outcome = _dtw_predict(refs, ref_labels, labeled, params)
-            except BaseException as exc:
-                outcome = exc
-            with os.fdopen(writer, "wb") as fh:
-                fh.write(pickle.dumps((outcome, time.perf_counter() - t0)))
-        finally:
-            os._exit(0)
-    reaped = False
+    children: list[tuple[int, int]] = []  # (pid, reader) of each child not yet reaped
 
-    def from_child():
-        nonlocal reaped
-        with os.fdopen(reader, "rb", closefd=False) as fh:
-            data = fh.read()
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-        if not data:
-            raise RuntimeError(f"dtw arm: child {pid} sent nothing (wait status {status})")
-        outcome, seconds = pickle.loads(data)
-        _log.info("dtw arm: child pid=%d seconds=%.3f", pid, seconds)
-        if isinstance(outcome, BaseException):
-            raise outcome
-        return outcome
-
-    try:
-        os.close(writer)
-        yield from_child
-    finally:
-        if not reaped:
+    def stop():
+        while children:
+            pid, reader = children.pop()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        os.close(reader)
+            os.close(reader)
+
+    def in_process():
+        _log.info("dtw arm: in process (%s)", reason)
+        return _dtw_predict(refs, ref_labels, labeled, params)
+
+    def from_children():
+        parts = []
+        while children:
+            pid, reader = children[0]
+            with os.fdopen(reader, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            os.close(reader)
+            if not data:
+                raise RuntimeError(f"dtw arm: child {pid} sent nothing (wait status {status})")
+            outcome, seconds = pickle.loads(data)
+            _log.info("dtw arm: child pid=%d seconds=%.3f", pid, seconds)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            parts.append(outcome)
+        starts, labels, preds, votes = (np.concatenate(p) for p in list(zip(*parts))[:4])
+        per_window = sum(p[4] * p[0].size for p in parts) / starts.size
+        return starts, labels, preds, votes, per_window
+
+    try:
+        if reason is None:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            n_children = min(cpus or 1, len(labeled))
+            bounds = [len(labeled) * k // n_children for k in range(n_children + 1)]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                reader, writer = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException as exc:
+                    os.close(reader)
+                    os.close(writer)
+                    if not isinstance(exc, OSError):
+                        raise
+                    reason = f"os.fork failed: {exc}"
+                    stop()
+                    break
+                if pid == 0:
+                    try:
+                        t0 = time.perf_counter()
+                        try:
+                            outcome = _dtw_predict(refs, ref_labels, labeled[lo:hi], params)
+                        except BaseException as exc:
+                            outcome = exc
+                        with os.fdopen(writer, "wb") as fh:
+                            fh.write(pickle.dumps((outcome, time.perf_counter() - t0)))
+                    finally:
+                        os._exit(0)
+                children.append((pid, reader))
+                # a later child must not hold this pipe open, or its reader never sees EOF
+                os.close(writer)
+        yield in_process if reason is not None else from_children
+    finally:
+        stop()
 
 
 # -- the series files ---------------------------------------------------------------
@@ -637,7 +657,7 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
         with _stage("series"):
             if args.compare and train_pef and test_pef:
                 # the DTW arm needs only the PEF windows: it starts here, and
-                # in a child it overlaps the writes below and the forest arms
+                # in children it overlaps the writes below and the forest arms
                 refs, ref_labels = save_reference(
                     train_pef, os.path.join(out_dir, "dtw_reference.csv"), arm_params, header
                 )

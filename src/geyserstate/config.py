@@ -165,7 +165,13 @@ def _check_joined(values: dict) -> None:
             f"is a window of {window} samples, below the {MIN_WINDOW_SAMPLES} minimum"
         )
     check_fft_bins(values["features.fft_bins"], window)
-    design_butterworth_highpass(values["filter.order"], values["filter.corner_hz"], fs_hz)
+    try:
+        design_butterworth_highpass(values["filter.order"], values["filter.corner_hz"], fs_hz)
+    except NumericError as exc:
+        raise NumericError(
+            f"filter.corner_hz = {values['filter.corner_hz']:g} with filter.order = "
+            f"{values['filter.order']} at synth.fs_hz = {fs_hz:g} gives no stable high-pass: {exc}"
+        ) from exc
     label_policy(values)
     synth_config(values, values["seed"])
     forest_params(values, values["seed"])

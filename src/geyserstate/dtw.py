@@ -10,7 +10,8 @@ pool (defaults, seeds 1-12).  The references are the pooled (R, n)
 matrix and (R,) label array that `dtw_reference.csv` holds.  One kernel,
 `_dtw_batch`, holds the warping recurrence: it sweeps anti-diagonals over
 the whole reference matrix at once, keeping three rolling (n+1, R)
-diagonal buffers, so memory is O(R*n) and neither the cost matrix nor the
+diagonal buffers, one cost buffer and the reversed query repeated per
+reference, so memory is O(R*(n+m)) and neither the cost matrix nor the
 (n+1)^2 accumulator is ever built.
 `dtw_distance` is the R = 1 case; `knn_dtw_classify` makes one sweep per query.
 """
@@ -77,8 +78,9 @@ def _dtw_batch(refs: np.ndarray, query: np.ndarray, params: DtwParams) -> np.nda
     D(i,j) = cost(ref_i, q_j) + min(D(i-1,j), D(i,j-1), D(i-1,j-1)) with
     D(0,0) = 0 and +inf boundaries, swept along anti-diagonals s = i + j.
     Every cell on diagonal s depends only on diagonals s-1 and s-2, so three
-    rolling (n+1, R) buffers indexed by i hold the whole state and each
-    sweep step is a contiguous slice per buffer.  An optional Sakoe-Chiba
+    rolling (n+1, R) buffers indexed by i hold the whole state, and each
+    sweep step is a contiguous slice per buffer that the new diagonal
+    accumulates into in place.  An optional Sakoe-Chiba
     band keeps |i - j| = |2i - s| <= band_radius; a band narrower than the
     length difference admits no path and is rejected.
     """
@@ -90,12 +92,12 @@ def _dtw_batch(refs: np.ndarray, query: np.ndarray, params: DtwParams) -> np.nda
     if r is not None and abs(n - m) > r:
         raise DataError(f"band radius {r} admits no path between lengths {n} and {m}")
     refs_t = np.ascontiguousarray(refs.T)
-    # q[s-i-1] for i = lo..hi is the contiguous slice q_rev[m-s+lo : m-s+hi+1]
-    q_rev = query[::-1].copy()[:, None]
+    # q[s-i-1] for i = lo..hi, against every reference, is the contiguous
+    # block q_rev[m-s+lo : m-s+hi+1] of the query reversed and repeated once
+    q_rev = np.repeat(query[::-1, None], n_refs, axis=1)
     bufs = [np.full((n + 1, n_refs), np.inf) for _ in range(3)]
     bufs[0][0] = 0.0  # D(0,0), on diagonal s = 0
     cost = np.empty((n, n_refs))
-    best = np.empty((n, n_refs))
     for s in range(2, n + m + 1):
         lo = max(1, s - m)
         hi = min(n, s - 1)
@@ -109,10 +111,12 @@ def _dtw_batch(refs: np.ndarray, query: np.ndarray, params: DtwParams) -> np.nda
         if r is not None:
             c[: max(0, (s - r + 1) // 2 - lo)] = np.inf
             c[max(0, (s + r) // 2 - lo + 1):] = np.inf
-        b = best[: hi - lo + 1]
-        np.minimum(edge[lo - 1:hi], edge[lo:hi + 1], out=b)
-        np.minimum(b, diag[lo - 1:hi], out=b)
-        np.add(c, b, out=cur[lo:hi + 1])
+        # the diagonal accumulates in place; IEEE + is commutative, so
+        # best + cost and cost + best are the same bits
+        d = cur[lo:hi + 1]
+        np.minimum(edge[lo - 1:hi], edge[lo:hi + 1], out=d)
+        np.minimum(d, diag[lo - 1:hi], out=d)
+        np.add(d, c, out=d)
         if s == 2:
             # this buffer is reused for diagonal 3, where row 0 is D(0,3) = inf
             diag[0] = np.inf

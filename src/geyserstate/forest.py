@@ -179,33 +179,31 @@ def best_split(
     parent_gini = gini_impurity(parent_counts)
     if parent_gini == 0.0:
         return None
-    best: tuple[int, float, float] | None = None
+    cols = np.sort(np.asarray(feature_subset))
+    values = matrix[:, cols]
+    order = np.argsort(values, axis=0, kind="stable")
+    sv = np.take_along_axis(values, order, axis=0)
     one_hot = np.zeros((n, n_classes))
     one_hot[np.arange(n), y_idx] = 1.0
-    for j in np.sort(np.asarray(feature_subset)):
-        values = matrix[:, j]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        left_counts = np.cumsum(one_hot[order], axis=0)[:-1]  # after position i
-        nl = np.arange(1, n, dtype=np.float64)
-        nr = n - nl
-        valid = (sv[:-1] < sv[1:]) & (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
-        if not valid.any():
-            continue
-        right_counts = parent_counts[None, :] - left_counts
-        gini_l = 1.0 - np.sum((left_counts / nl[:, None]) ** 2, axis=1)
-        gini_r = 1.0 - np.sum((right_counts / nr[:, None]) ** 2, axis=1)
-        decrease = parent_gini - (nl * gini_l + nr * gini_r) / n
-        decrease[~valid] = -np.inf
-        i = int(np.argmax(decrease))  # first max = lowest threshold
-        if decrease[i] <= 0.0:
-            continue
-        mid = sv[i] + (sv[i + 1] - sv[i]) / 2.0
-        if mid >= sv[i + 1]:  # adjacent floats: midpoint rounded up
-            mid = sv[i]
-        if best is None or decrease[i] > best[2]:
-            best = (int(j), float(mid), float(decrease[i]))
-    return best
+    left_counts = np.cumsum(one_hot[order], axis=0)[:-1]  # (n-1, k, C): after position i
+    nl = np.arange(1, n, dtype=np.float64)[:, None]
+    nr = n - nl
+    valid = (sv[:-1] < sv[1:]) & (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+    right_counts = parent_counts - left_counts
+    gini_l = 1.0 - np.sum((left_counts / nl[..., None]) ** 2, axis=2)
+    gini_r = 1.0 - np.sum((right_counts / nr[..., None]) ** 2, axis=2)
+    decrease = parent_gini - (nl * gini_l + nr * gini_r) / n
+    decrease[~valid] = -np.inf
+    rows = np.argmax(decrease, axis=0)  # first max = lowest threshold, per column
+    col_best = decrease[rows, np.arange(cols.size)]
+    c = int(np.argmax(col_best))  # first max = lowest feature
+    if col_best[c] <= 0.0:
+        return None
+    lo, hi = sv[rows[c], c], sv[rows[c] + 1, c]
+    mid = lo + (hi - lo) / 2.0
+    if mid >= hi:  # adjacent floats: midpoint rounded up
+        mid = lo
+    return int(cols[c]), float(mid), float(col_best[c])
 
 
 def grow_tree(

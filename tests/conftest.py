@@ -1,6 +1,6 @@
 """Fixtures that choose where `pipeline --compare` runs its DTW arm.
 
-The arm runs in a forked child only when the process has `os.fork` and no
+The arm runs in forked children only when the process has `os.fork` and no
 other OS thread (`cli._fork_refusal`).  OpenBLAS starts its threads at
 import unless OPENBLAS_NUM_THREADS=1, so the test process may or may not
 fork: `in_process` keeps the arm in this process, and `cli_process` runs a

@@ -959,7 +959,7 @@ def test_dtw_pools_each_window_once_and_sweeps_once_per_query(
 ):
     """save_reference pools the training windows once and classify reads them
     back pooled; each query is pooled once and swept against them once, by
-    pipeline's DTW arm in a forked child (in a new interpreter) and in
+    pipeline's DTW arm in forked children (in a new interpreter) and in
     process alike."""
     log = tmp_path / "counts"
 
@@ -1077,7 +1077,9 @@ def test_pipeline_failing_after_its_pass_keeps_the_series_files(tiny_cfg, tmp_pa
     ("window.length_s = 1\nwindow.stride_s = 1\n", ("--compare",),
      "{cfg}: window.length_s = 1 at synth.fs_hz = 50 is a window of 50 samples, below the 64 "
      "minimum"),
-    ("filter.corner_hz = 1e-300\n", (), "{cfg}: unstable section: pole magnitude 1.0"),
+    ("filter.corner_hz = 1e-300\n", (),
+     "{cfg}: filter.corner_hz = 1e-300 with filter.order = 4 at synth.fs_hz = 50 gives no "
+     "stable high-pass: unstable section: pole magnitude 1.0"),
 ], ids=["stride", "k-neighbors", "n-trees", "fdr-q", "train-fraction", "split-ratio",
         "filter-order", "corner-above-nyquist", "events-without-signal", "window-rule",
         "class2-end", "window-length-overflow", "stride-overflow", "fs-overflow",

@@ -131,6 +131,20 @@ def test_bad_value_names_key_and_line(tmp_path):
         load_config(str(path))
 
 
+def test_an_unstable_high_pass_names_its_keys_and_values(tmp_path):
+    """A corner so low that the cascade's poles round onto the unit circle
+    is refused as the config is read, naming the three keys the cascade is
+    built from and their values, then the cascade's own reason."""
+    path = tmp_path / "bad.cfg"
+    path.write_text("filter.corner_hz = 1e-300\nfilter.order = 6\nsynth.fs_hz = 100\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path))
+    assert str(info.value) == (
+        f"{path}: filter.corner_hz = 1e-300 with filter.order = 6 at synth.fs_hz = 100 "
+        "gives no stable high-pass: unstable section: pole magnitude 1.0"
+    )
+
+
 def test_line_without_equals_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("just some words\n")

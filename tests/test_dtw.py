@@ -9,6 +9,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geyserstate import dtw
 from geyserstate.dtw import (
@@ -248,6 +250,40 @@ def test_knn_batched_distances_equal_plain_dp_exactly(monkeypatch, params):
     assert np.array_equal(swept, refs) and np.array_equal(q, query)
     for ref, got in zip(refs, distances):
         assert got == plain_dp_dtw(ref, q, params.local_cost, params.band_radius)
+
+
+@st.composite
+def sweep_cases(draw):
+    """R references of length n and a query of length m (1-12 each, so
+    unequal lengths and length 1 both come up), a band of none, 0, the
+    length gap or wider than either series, and a local cost."""
+    n_refs = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 12))
+    band = draw(st.sampled_from([None, 0, abs(n - m), max(n, m) + draw(st.integers(0, 3))]))
+    cost = draw(st.sampled_from(dtw.LOCAL_COSTS))
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    refs = np.array(draw(st.lists(st.lists(finite, min_size=n, max_size=n),
+                                  min_size=n_refs, max_size=n_refs)))
+    query = np.array(draw(st.lists(finite, min_size=m, max_size=m)))
+    return refs, query, DtwParams(local_cost=cost, band_radius=band)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sweep_cases())
+def test_the_sweep_equals_the_double_loop_exactly(case):
+    """Every distance of one `_dtw_batch` sweep, and `dtw_distance` (its
+    R = 1 path), is the double loop's float bit for bit; a band narrower
+    than the length gap admits no path in either."""
+    refs, query, params = case
+    expected = [plain_dp_dtw(ref, query, params.local_cost, params.band_radius) for ref in refs]
+    if params.band_radius is not None and params.band_radius < abs(refs.shape[1] - query.size):
+        assert expected == [np.inf] * len(refs)
+        with pytest.raises(DataError, match="admits no path"):
+            dtw._dtw_batch(refs, query, params)
+        return
+    assert dtw._dtw_batch(refs, query, params).tolist() == expected
+    assert dtw_distance(refs[0], query, params) == expected[0]
 
 
 def test_knn_band_narrower_than_the_width_gap_raises():

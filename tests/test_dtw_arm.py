@@ -1,5 +1,6 @@
-"""`pipeline --compare` runs its DTW arm in a forked child (`cli._dtw_arm`)
-where `cli._fork_refusal` allows: the same bytes and the same failures as in
+"""`pipeline --compare` runs its DTW arm in forked children, one per CPU on
+contiguous slices of the test windows (`cli._dtw_arm`), where
+`cli._fork_refusal` allows: the same bytes and the same failures as in
 process, and no process left after a success, a failure or an interrupt.
 
 The fork path runs in a new interpreter with one BLAS thread (the
@@ -33,12 +34,17 @@ def _tree(root):
     return files
 
 
+# the process may run on CPUS CPUs, whatever the machine has
+_CPUS = "os.sched_getaffinity = lambda pid: set(range(CPUS))\n"
+
+
 def test_the_forked_arm_writes_the_in_process_bytes(
     tmp_path, forking_cli, in_process, capsys, caplog
 ):
-    forked = forking_cli(*_compare(tmp_path / "forked"))
+    """Three CPUs: three children, each on a slice of the windows."""
+    forked = forking_cli(*_compare(tmp_path / "forked"), prelude="CPUS = 3\n" + _CPUS)
     assert forked.returncode == 0, forked.stderr
-    assert FORKED.search(forked.stderr)
+    assert len(FORKED.findall(forked.stderr)) == 3
     caplog.set_level(logging.INFO, logger="geyserstate.cli")
     assert main(list(_compare(tmp_path / "here"))) == 0
     assert "dtw arm: in process (test)" in caplog.text
@@ -46,6 +52,51 @@ def test_the_forked_arm_writes_the_in_process_bytes(
     here = _tree(tmp_path / "here")
     assert "dtw_reference.csv" in here and "predictions_dtw_pef.csv" in here
     assert _tree(tmp_path / "forked") == here
+
+
+def _rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return sum(line[:1].isdigit() for line in fh)
+
+
+def test_more_cpus_than_windows_fork_one_child_per_window(tmp_path, forking_cli):
+    proc = forking_cli(*_compare(tmp_path / "o"), prelude="CPUS = 12\n" + _CPUS)
+    assert proc.returncode == 0, proc.stderr
+    assert _rows(tmp_path / "o" / "predictions_dtw_pef.csv") == 9
+    assert len(FORKED.findall(proc.stderr)) == 9
+
+
+# the second os.fork raises; the arm then counts this process's open files
+_SECOND_FORK_FAILS = _CPUS + """
+def count_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+FDS_AT_FORK = []
+def fork(fork=os.fork):
+    FDS_AT_FORK.append(count_fds())
+    if len(FDS_AT_FORK) == 2:
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    return fork()
+os.fork = fork
+def predict(*args, predict=cli._dtw_predict):
+    # the first fork's count holds its own pipe's two ends
+    print(f"fds before the arm {FDS_AT_FORK[0] - 2}, in it {count_fds()}", file=sys.stderr)
+    return predict(*args)
+cli._dtw_predict = predict
+"""
+
+
+def test_a_failing_second_fork_stops_the_first_child_and_runs_the_arm_here(
+    tmp_path, forking_cli
+):
+    """The child already forked is killed and reaped (the runner exits 99
+    if a child process is left), both ends of every pipe are closed, and
+    the arm runs in process."""
+    proc = forking_cli(*_compare(tmp_path / "o"), prelude="CPUS = 3\n" + _SECOND_FORK_FAILS)
+    assert proc.returncode == 0, proc.stderr
+    assert "dtw arm: in process (os.fork failed: [Errno 11] " in proc.stderr
+    assert not FORKED.search(proc.stderr)
+    fds = re.search(r"fds before the arm (\d+), in it (\d+)\n", proc.stderr)
+    assert fds[1] == fds[2]
 
 
 # the arm's first query raises NAME(...); setattr is monkeypatch's in process
@@ -82,6 +133,19 @@ os.fork = fork
 """
 
 
+# three CPUs; the second child forked kills itself before it sends anything
+_SECOND_CHILD_DIES = "CPUS = 3\n" + _CPUS + """
+FORKS = []
+def fork(fork=os.fork):
+    FORKS.append(1)
+    pid = fork()
+    if pid == 0 and len(FORKS) == 2:
+        cli._dtw_predict = lambda *args: os.kill(os.getpid(), 9)
+    return pid
+os.fork = fork
+"""
+
+
 # the series stage is interrupted; the child dies without a result
 _INTERRUPT = "def stop(*args):\n    raise KeyboardInterrupt\ncli._write_pipeline_series = stop\n"
 _KILL_CHILD = "cli._dtw_predict = lambda *args: os.kill(os.getpid(), 9)\n"
@@ -91,13 +155,14 @@ _KILL_CHILD = "cli._dtw_predict = lambda *args: os.kill(os.getpid(), 9)\n"
     ("bh.f8 is a directory", 3, "stage series: cannot write", ""),
     ("interrupt", 130, "", _INTERRUPT),
     ("child killed", 1, "RuntimeError: dtw arm: child", _KILL_CHILD),
-], ids=["bh-directory", "interrupt", "child-killed"])
+    ("one child of three killed", 1, "RuntimeError: dtw arm: child", _SECOND_CHILD_DIES),
+], ids=["bh-directory", "interrupt", "child-killed", "one-of-three-children-killed"])
 def test_a_failure_while_the_arm_runs_leaves_no_process(
     tmp_path, forking_cli, fault, code, text, prelude
 ):
-    """A series stage that fails or is interrupted while the child runs, and
-    a child that dies without a result: the runner exits 99 if a child
-    process is left."""
+    """A series stage that fails or is interrupted while the children run,
+    and every child or one of three dying without a result: the runner
+    exits 99 if a child process is left."""
     out = tmp_path / "o"
     out.mkdir()
     if fault == "bh.f8 is a directory":

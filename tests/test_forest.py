@@ -58,6 +58,46 @@ def brute_force_split(matrix, y, min_leaf=1):
     return best
 
 
+def per_column_split(matrix, y_idx, feature_subset, n_classes, min_samples_leaf=1):
+    """`best_split` as one sort, cumsum and score per column of the subset:
+    the same Gini arithmetic in a Python loop, the reference for the
+    whole-subset search."""
+    n = y_idx.size
+    if n < 2:
+        return None
+    parent_counts = np.bincount(y_idx, minlength=n_classes)
+    parent_gini = gini_impurity(parent_counts)
+    if parent_gini == 0.0:
+        return None
+    best = None
+    one_hot = np.zeros((n, n_classes))
+    one_hot[np.arange(n), y_idx] = 1.0
+    for j in np.sort(np.asarray(feature_subset)):
+        values = matrix[:, j]
+        order = np.argsort(values, kind="stable")
+        sv = values[order]
+        left_counts = np.cumsum(one_hot[order], axis=0)[:-1]
+        nl = np.arange(1, n, dtype=np.float64)
+        nr = n - nl
+        valid = (sv[:-1] < sv[1:]) & (nl >= min_samples_leaf) & (nr >= min_samples_leaf)
+        if not valid.any():
+            continue
+        right_counts = parent_counts[None, :] - left_counts
+        gini_l = 1.0 - np.sum((left_counts / nl[:, None]) ** 2, axis=1)
+        gini_r = 1.0 - np.sum((right_counts / nr[:, None]) ** 2, axis=1)
+        decrease = parent_gini - (nl * gini_l + nr * gini_r) / n
+        decrease[~valid] = -np.inf
+        i = int(np.argmax(decrease))
+        if decrease[i] <= 0.0:
+            continue
+        mid = sv[i] + (sv[i + 1] - sv[i]) / 2.0
+        if mid >= sv[i + 1]:
+            mid = sv[i]
+        if best is None or decrease[i] > best[2]:
+            best = (int(j), float(mid), float(decrease[i]))
+    return best
+
+
 def make_separable(n_per_class=60, n_noise=3, seed=0, scale=0.3):
     rng = np.random.default_rng(seed)
     labels = np.repeat([1, 2, 3], n_per_class)
@@ -128,6 +168,25 @@ def test_best_split_matches_brute_force_on_random_sets():
         assert mine[0] == oracle[0]
         assert mine[1] == pytest.approx(oracle[1], abs=1e-12)
         assert mine[2] == pytest.approx(oracle[2], rel=1e-12)
+
+
+def test_best_split_equals_the_per_column_loop():
+    """The whole-subset search returns the loop's tuple exactly: same
+    feature, threshold and decrease, on subsets with and without ties."""
+    rng = np.random.default_rng(17)
+    for case in range(3000):
+        n = int(rng.integers(2, 45))
+        d = int(rng.integers(1, 30))
+        n_classes = int(rng.integers(2, 4))
+        matrix = rng.normal(size=(n, d))
+        if case % 3 == 0:
+            matrix = np.round(matrix * 2) / 2.0  # value ties
+        y = rng.integers(0, n_classes, size=n)
+        subset = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
+        leaf = int(rng.integers(1, 4))
+        assert best_split(matrix, y, subset, n_classes, leaf) == per_column_split(
+            matrix, y, subset, n_classes, leaf
+        ), case
 
 
 def test_best_split_respects_min_leaf():
