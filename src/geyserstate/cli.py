@@ -9,7 +9,12 @@ A `.csv` series path that does not exist reads the `.f8` of its stem
 (`resolve_series`), so `<out>/pef.csv` still names the residual.  No
 command writes plot traces: a view around an event is a slice of the
 series files (README).  Each stage's work is one private function that
-both its command and `pipeline` call.  No command checks config values:
+both its command and `pipeline` call.  `pipeline` runs its stages synth,
+highpass, split, pef, train, classify, series and eval in that order: the
+four from split to classify are `run_held_out`, which fits and predicts
+every arm and writes nothing, and `series` and `eval` write every file, so
+a pipeline that fails before `series` leaves `--out` as it found it.  No
+command checks config values:
 `load_config` refuses any value a stage would, so a config error writes nothing.
 All randomness flows from one master seed recorded in the artifact headers.
 
@@ -27,6 +32,7 @@ import signal
 import sys
 import threading
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +46,7 @@ from .config import (
     resolve_paths,
     synth_config,
 )
-from .dtw import knn_dtw_classify, load_reference, save_reference
+from .dtw import knn_dtw_classify, load_reference, pool_reference, save_reference
 from .errors import ConfigError, DataError, GeyserStateError, NumericError
 from .evaluation import Scores, evaluate, render_report
 from .features import (
@@ -206,16 +212,14 @@ def _stage(name: str):
 # times each layer by patching those names in this module.
 
 
-def _synthesize(values: dict, seed: int, paths: dict) -> tuple[TimeSeries, EventLog]:
-    """Generate the labeled signal; writes events.csv (the caller saves the
-    signal and its classes, `_save_signal`).  A `paths.signal` or
-    `paths.events` set is a ConfigError, before anything is written."""
+def _synthesize(values: dict, seed: int) -> tuple[TimeSeries, EventLog]:
+    """Generate the labeled signal; writes nothing (`_save_synth` does).  A
+    `paths.signal` or `paths.events` set is a ConfigError."""
     for key in ("paths.signal", "paths.events"):
         if values[key]:  # caller supplied data; leave it untouched
             raise ConfigError(f"{key} = {values[key]} names the caller's data, which "
                               "synthesizing would overwrite; unset it to synthesize")
     ts, events = generate(synth_config(values, seed))
-    save_events(events, paths["events"], _seed_header(seed))
     _log.info("synthesized %d samples at %g Hz with %d events", len(ts), ts.fs_hz, len(events))
     return ts, events
 
@@ -229,10 +233,10 @@ def _highpass(ts: TimeSeries, values: dict, out: np.ndarray | None = None) -> Ti
 
 
 def _prediction_error(
-    bh: TimeSeries, fit_on: TimeSeries, fit_events: EventLog, values: dict, out_dir: str, seed: int
+    bh: TimeSeries, fit_on: TimeSeries, fit_events: EventLog, values: dict
 ) -> tuple:
     """Fit the AR noise model on fit_on's quiet segment, then run the
-    prediction-error filter over all of bh; writes ar_model.txt.
+    prediction-error filter over all of bh; writes nothing.
 
     Returns (residual, model, held-out one-step R2).  R2 is scored on the
     part of fit_on after the AR segment, skipping its first p samples (they
@@ -245,7 +249,6 @@ def _prediction_error(
     seg_end = int(round((segment.t0_s - fit_on.t0_s) * fit_on.fs_hz)) + len(segment)
     r2 = _held_out_r2(model, fit_on.slice(seg_end, len(fit_on)))
     residual = pef(bh, model)
-    save_ar_model(model, os.path.join(out_dir, "ar_model.txt"), _seed_header(seed))
     _log.info(
         "AR order p=%d, AIC=%.2f, held-out one-step R2=%.4f", model.order_p, model.aic, r2
     )
@@ -463,33 +466,17 @@ def _dtw_arm(refs: np.ndarray, ref_labels: np.ndarray, labeled: list[LabeledWind
         stop()
 
 
-# -- the series files ---------------------------------------------------------------
+# -- the synthesized files ---------------------------------------------------------
 
 
-def _save_signal(paths: dict, seed: int, raw: TimeSeries, classes: np.ndarray) -> str:
-    """Writes the synthesized signal and its classes; returns the signal's path."""
+def _save_synth(values: dict, seed: int, paths: dict, raw: TimeSeries, events: EventLog) -> str:
+    """Writes the synthesized events, signal and classes; returns the signal's path."""
+    header = _seed_header(seed)
+    save_events(events, paths["events"], header)
     path = series_path(paths["signal"])
-    save_timeseries(raw, path, _seed_header(seed))
-    save_classes(raw, classes, paths["classes"], _seed_header(seed))
+    save_timeseries(raw, path, header)
+    save_classes(raw, sample_classes(raw, events, label_policy(values)), paths["classes"], header)
     return path
-
-
-def _write_pipeline_series(
-    values: dict,
-    seed: int,
-    out_dir: str,
-    paths: dict,
-    raw: TimeSeries,
-    events: EventLog,
-    bh: TimeSeries,
-    residual: TimeSeries,
-) -> None:
-    """pipeline's series files; the signal and its classes only when the
-    pipeline synthesized (caller-supplied data is left untouched)."""
-    if not values["paths.signal"]:
-        _save_signal(paths, seed, raw, sample_classes(raw, events, label_policy(values)))
-    save_timeseries(bh, os.path.join(out_dir, "bh.f8"), _seed_header(seed))
-    save_timeseries(residual, os.path.join(out_dir, "pef.f8"), _seed_header(seed))
 
 
 # -- commands ----------------------------------------------------------------------
@@ -497,8 +484,8 @@ def _write_pipeline_series(
 
 def cmd_synth(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
     paths = resolve_paths(values, out_dir)
-    ts, events = _synthesize(values, seed, paths)
-    signal_path = _save_signal(paths, seed, ts, sample_classes(ts, events, label_policy(values)))
+    ts, events = _synthesize(values, seed)
+    signal_path = _save_synth(values, seed, paths, ts, events)
     print(f"wrote {signal_path}, {paths['events']}, {paths['classes']}")
     return EXIT_OK
 
@@ -521,7 +508,8 @@ def cmd_filter(values: dict, seed: int, out_dir: str, args: argparse.Namespace) 
         _log.info("high-pass output written; prediction-error stage skipped")
         print(f"wrote {bh_path}")
         return EXIT_OK
-    residual, model, r2 = _prediction_error(bh, bh, events, values, out_dir, seed)
+    residual, model, r2 = _prediction_error(bh, bh, events, values)
+    save_ar_model(model, os.path.join(out_dir, "ar_model.txt"), _seed_header(seed))
     save_timeseries(bh, bh_path, _seed_header(seed))
     save_timeseries(residual, pef_path, _seed_header(seed))
     print(
@@ -539,7 +527,9 @@ def cmd_train(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -
     print(f"windows per class: {counts}")
     if args.classifier == "dtw":
         ref_path = os.path.join(out_dir, "dtw_reference.csv")
-        save_reference(labeled, ref_path, dtw_params(values), _seed_header(seed))
+        params = dtw_params(values)
+        refs, _ = pool_reference(labeled, params)
+        save_reference(labeled, refs, ref_path, params, _seed_header(seed))
         print(f"wrote {ref_path}")
         return EXIT_OK
     catalog = default_catalog(ts.fs_hz, values["features.fft_bins"])
@@ -599,41 +589,29 @@ def cmd_eval(values: dict, seed: int, out_dir: str, args: argparse.Namespace) ->
 # -- full pipeline -----------------------------------------------------------------
 
 
-def _evaluate_arm(
-    name: str,
-    out_dir: str,
-    result: tuple,
-    seed: int,
-    canonical: bool,
-) -> tuple[np.ndarray, Scores]:
-    """Persist one arm's predictions and report; returns (window starts, scores)."""
-    starts, truth, preds, votes, per_window = result
-    suffix = "" if canonical else f"_{name}"
-    _write_predictions(
-        os.path.join(out_dir, f"predictions{suffix}.csv"), starts, truth, preds, votes, seed
-    )
-    _, scores = _write_report(out_dir, suffix, seed, truth, preds)
-    _log.info("arm %s: %.3f ms/window", name, per_window * 1e3)
-    return starts, scores
+class HeldOut(NamedTuple):
+    """What `run_held_out` fits and predicts; `cmd_pipeline` writes it."""
+
+    model: ArModel  # the AR noise model, fitted on the training side
+    residual: TimeSeries  # its prediction-error filter over the whole series
+    catalog: FeatureCatalog
+    rf_pef: tuple  # `_rf_fit`'s (forest, cols, medians, table, mask) of the rf_pef arm
+    reference: tuple | None  # dtw_pef's (training windows, pooled refs), under compare
+    arms: dict  # arm name -> (starts, truth, predictions, votes, seconds per window)
 
 
-def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
-    paths = resolve_paths(values, out_dir)
-    header = _seed_header(seed)
-    rf_params = forest_params(values, seed)
-    arm_params = dtw_params(values) if args.compare else None
+def run_held_out(
+    bh: TimeSeries, events: EventLog, values: dict, seed: int, compare: bool
+) -> HeldOut:
+    """Split the high-passed series, fit the AR model on the training side
+    and filter the whole series with its PEF, then fit and predict the
+    rf_pef arm, and under `compare` rf_nopef and dtw_pef too, on the test
+    side; writes nothing.
 
-    with _stage("synth"):
-        if values["paths.signal"]:
-            # caller supplied data; leave it untouched
-            raw = load_timeseries(paths["signal"], values["synth.fs_hz"])
-            events = load_events(paths["events"])
-        else:
-            raw, events = _synthesize(values, seed, paths)
-
-    with _stage("highpass"):
-        bh = _highpass(raw, values)
-
+    Logs the stages split, pef, train and classify.  The DTW arm
+    (`_dtw_arm`) starts before the forest fits, so in children it overlaps
+    both forest arms; `classify` waits for it.
+    """
     with _stage("split"):
         (bh_train, ev_train), (bh_test, ev_test) = split_train_test(
             bh, events, values["split.ratio"], label_policy(values)
@@ -647,71 +625,86 @@ def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace
     with _stage("pef"):
         # AR model is fitted on training-side noise only, then the filter is
         # run over the full series so the test side has no warm-up gap
-        residual, _, _ = _prediction_error(bh, bh_train, ev_train, values, out_dir, seed)
-        pef_train = residual.slice(0, split_idx)
-        pef_test = residual.slice(split_idx, len(residual))
-        train_pef = _labeled_windows(pef_train, ev_train, values)
-        test_pef = _labeled_windows(pef_test, ev_test, values)
+        residual, model, _ = _prediction_error(bh, bh_train, ev_train, values)
+        train_pef = _labeled_windows(residual.slice(0, split_idx), ev_train, values)
+        test_pef = _labeled_windows(residual.slice(split_idx, len(residual)), ev_test, values)
 
+    rf_params = forest_params(values, seed)
+    reference = None
     with contextlib.ExitStack() as arms:
-        with _stage("series"):
-            if args.compare and train_pef and test_pef:
-                # the DTW arm needs only the PEF windows: it starts here, and
-                # in children it overlaps the writes below and the forest arms
-                refs, ref_labels = save_reference(
-                    train_pef, os.path.join(out_dir, "dtw_reference.csv"), arm_params, header
-                )
-                dtw_result = arms.enter_context(
-                    _dtw_arm(refs, ref_labels, test_pef, arm_params)
-                )
-            _write_pipeline_series(values, seed, out_dir, paths, raw, events, bh, residual)
-
         with _stage("train"):
-            catalog = default_catalog(raw.fs_hz, values["features.fft_bins"])
             if not train_pef or not test_pef:
                 raise DataError("split leaves an empty window set on one side")
+            if compare:
+                # the DTW arm needs only the PEF windows: it starts here
+                arm_params = dtw_params(values)
+                refs, ref_labels = pool_reference(train_pef, arm_params)
+                reference = (train_pef, refs)
+                dtw_result = arms.enter_context(_dtw_arm(refs, ref_labels, test_pef, arm_params))
             _log.info(
                 "train windows per class: %s; test: %s",
                 _class_counts(train_pef), _class_counts(test_pef),
             )
-            forest, cols, medians, table, mask = _rf_fit(train_pef, values, rf_params, catalog)
-            _save_rf(out_dir, seed, catalog, forest, medians, table, mask)
+            catalog = default_catalog(bh.fs_hz, values["features.fft_bins"])
+            rf_pef = _rf_fit(train_pef, values, rf_params, catalog)
 
         with _stage("classify"):
-            arm_results = {
-                "rf_pef": _rf_predict(test_pef, forest, cols, medians, catalog)
-            }
-            if args.compare:
+            forest, cols, medians, _, _ = rf_pef
+            results = {"rf_pef": _rf_predict(test_pef, forest, cols, medians, catalog)}
+            if compare:
                 train_bh = _labeled_windows(bh_train, ev_train, values)
                 test_bh = _labeled_windows(bh_test, ev_test, values)
                 forest_b, cols_b, medians_b, _, _ = _rf_fit(train_bh, values, rf_params, catalog)
-                arm_results["rf_nopef"] = _rf_predict(
-                    test_bh, forest_b, cols_b, medians_b, catalog
-                )
-                arm_results["dtw_pef"] = dtw_result()
+                results["rf_nopef"] = _rf_predict(test_bh, forest_b, cols_b, medians_b, catalog)
+                results["dtw_pef"] = dtw_result()
+    return HeldOut(model, residual, catalog, rf_pef, reference, results)
+
+
+def cmd_pipeline(values: dict, seed: int, out_dir: str, args: argparse.Namespace) -> int:
+    paths = resolve_paths(values, out_dir)
+    header = _seed_header(seed)
+
+    with _stage("synth"):
+        if values["paths.signal"]:
+            # caller supplied data; leave it untouched
+            raw = load_timeseries(paths["signal"], values["synth.fs_hz"])
+            events = load_events(paths["events"])
+        else:
+            raw, events = _synthesize(values, seed)
+
+    with _stage("highpass"):
+        bh = _highpass(raw, values)
+
+    run = run_held_out(bh, events, values, seed, args.compare)
+
+    with _stage("series"):
+        if not values["paths.signal"]:  # the caller's data is left untouched
+            _save_synth(values, seed, paths, raw, events)
+        save_timeseries(bh, os.path.join(out_dir, "bh.f8"), header)
+        save_timeseries(run.residual, os.path.join(out_dir, "pef.f8"), header)
+        save_ar_model(run.model, os.path.join(out_dir, "ar_model.txt"), header)
+        if run.reference:
+            ref_path = os.path.join(out_dir, "dtw_reference.csv")
+            save_reference(*run.reference, ref_path, dtw_params(values), header)
+        forest, _, medians, table, mask = run.rf_pef
+        _save_rf(out_dir, seed, run.catalog, forest, medians, table, mask)
 
     with _stage("eval"):
-        scores = {}
-        all_starts = set()
-        for name, result in arm_results.items():
-            starts, scores[name] = _evaluate_arm(
-                name, out_dir, result, seed, canonical=not args.compare
-            )
-            all_starts.add(tuple(starts.tolist()))
         m, w = Scores.MACRO, Scores.WEIGHTED
+        rows = ["method,precision,recall,f1,weighted_f1"]
+        for name, (starts, truth, preds, votes, per_window) in run.arms.items():
+            suffix = f"_{name}" if args.compare else ""
+            pred_path = os.path.join(out_dir, f"predictions{suffix}.csv")
+            _write_predictions(pred_path, starts, truth, preds, votes, seed)
+            _, s = _write_report(out_dir, suffix, seed, truth, preds)
+            _log.info("arm %s: %.3f ms/window", name, per_window * 1e3)
+            cells = (s.precision[m], s.recall[m], s.f1[m], s.f1[w])
+            rows.append(",".join([name, *(f"{v:.6f}" for v in cells)]))
         if args.compare:
-            if len(all_starts) != 1:
-                raise DataError("comparison arms disagree on window starts")
-            rows = ["method,precision,recall,f1,weighted_f1"]
-            for name in ("rf_pef", "rf_nopef", "dtw_pef"):
-                s = scores[name]
-                cells = (s.precision[m], s.recall[m], s.f1[m], s.f1[w])
-                rows.append(",".join([name, *(f"{v:.6f}" for v in cells)]))
             write_table(os.path.join(out_dir, "comparison.csv"), header, None, (rows,))
             for row in rows:
                 print(row)
-        else:
-            s = scores["rf_pef"]
+        else:  # s is the one arm's, rf_pef's
             print(f"macro precision={s.precision[m]:.4f} recall={s.recall[m]:.4f} "
                   f"f1={s.f1[m]:.4f}")
     return EXIT_OK

@@ -163,15 +163,22 @@ def knn_dtw_classify(refs: np.ndarray, labels: np.ndarray, query: np.ndarray,
     return min(best_per_class)[1]
 
 
-def save_reference(windows: list[LabeledWindow], path: str, params: DtwParams,
-                   header_comments: list[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def pool_reference(
+    windows: list[LabeledWindow], params: DtwParams
+) -> tuple[np.ndarray, np.ndarray]:
     """Pool the labeled training windows once into the (R, n) reference
-    matrix, persist it with its labels, and return (refs, labels)."""
-    comments = [*(header_comments or []), "dtw-reference v1", params_line(params)]
+    matrix; returns (refs, labels)."""
     refs = np.array([mean_pool(w.samples, params.downsample_to) for w in windows])
+    return refs, np.array([w.label for w in windows], dtype=np.int64)
+
+
+def save_reference(windows: list[LabeledWindow], refs: np.ndarray, path: str, params: DtwParams,
+                   header_comments: list[str] | None = None) -> None:
+    """Persist `pool_reference`'s matrix `refs` of `windows` with their
+    starts and labels."""
+    comments = [*(header_comments or []), "dtw-reference v1", params_line(params)]
     labels = np.array([w.label for w in windows], dtype=np.int64)
     write_table(path, comments, None, ([w.start_s for w in windows], labels, *refs.T))
-    return refs, labels
 
 
 def load_reference(path: str) -> tuple[np.ndarray, np.ndarray, DtwParams]:

@@ -127,6 +127,31 @@ class SynthConfig:
             raise ConfigError("event envelope lengths must be positive")
         if self.precursor_amplitude < 0 or self.eruption_amplitude < 0:
             raise ConfigError("event amplitudes must be non-negative")
+        # AR poles are roots of z^p - a1 z^(p-1) - ... - ap
+        poly = np.concatenate(([1.0], -np.asarray(self.ar_coefficients, dtype=np.float64)))
+        if np.any(np.abs(np.roots(poly)) >= 1.0):
+            named = ", ".join(
+                f"synth.ar_a{i} = {a:g}" for i, a in enumerate(self.ar_coefficients, 1)
+            )
+            raise ConfigError(f"{named} define a non-stationary ambient process")
+        # in Python floats, a gap that overflows is inf, with no numpy warning
+        times = [float(t) for t in self.event_times_s]
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        if any(gap <= 0 for gap in gaps):
+            raise ConfigError(f"synth.event_times_s must be strictly increasing, got {times}")
+        envelope = self.label_policy.envelope_s
+        if any(gap <= envelope for gap in gaps):
+            raise ConfigError(
+                f"synth.event_times_s must be more than the labeled envelope apart, "
+                f"labels.class2_start_s + labels.class3_len_s = {envelope:g} s, got {times}"
+            )
+        if times and (times[0] < self.precursor_lead_s
+                      or times[-1] + self.eruption_len_s > self.duration_s):
+            raise ConfigError(
+                f"synth.event_times_s = {times} with labels.class2_start_s = "
+                f"{self.precursor_lead_s:g} and labels.class3_len_s = {self.eruption_len_s:g} "
+                f"puts an event envelope outside synth.duration_s = {self.duration_s:g}"
+            )
 
     @property
     def label_policy(self) -> LabelPolicy:
@@ -135,30 +160,6 @@ class SynthConfig:
             class2_end_s=0.0,
             class3_len_s=self.eruption_len_s,
         )
-
-
-def _check_stationary(coeffs: tuple) -> None:
-    # AR poles are roots of z^p - a1 z^(p-1) - ... - ap.
-    poly = np.concatenate(([1.0], -np.asarray(coeffs, dtype=np.float64)))
-    if np.any(np.abs(np.roots(poly)) >= 1.0):
-        raise DataError("ambient AR coefficients define a non-stationary process")
-
-
-def _check_events(config: SynthConfig) -> None:
-    times = np.asarray(config.event_times_s, dtype=np.float64)
-    if times.size == 0:
-        return
-    if np.any(np.diff(times) <= 0):
-        raise DataError("event times must be strictly increasing")
-    envelope = config.label_policy.envelope_s
-    if np.any(np.diff(times) <= envelope):
-        raise DataError(
-            f"events must be separated by more than the labeled envelope ({envelope:g} s)"
-        )
-    starts = times - config.precursor_lead_s
-    ends = times + config.eruption_len_s
-    if starts[0] < 0 or ends[-1] > config.duration_s:
-        raise DataError("an event envelope leaves the configured duration")
 
 
 def _ambient(config: SynthConfig, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -249,8 +250,6 @@ def _check_amplitude_cap(config: SynthConfig, ambient: np.ndarray, bursts: np.nd
 
 def generate(config: SynthConfig) -> tuple[TimeSeries, EventLog]:
     """Build the layered signal; returns (series, events)."""
-    _check_stationary(config.ar_coefficients)
-    _check_events(config)
     n = int(round(config.duration_s * config.fs_hz))
     if n < 1:
         raise ConfigError("configured duration yields zero samples")

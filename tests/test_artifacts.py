@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 import geyserstate
 from geyserstate import artifacts
 from geyserstate.artifacts import read_artifact, read_numeric, write_series, write_table
-from geyserstate.dtw import LOCAL_COSTS, DtwParams, load_reference, save_reference
+from geyserstate.dtw import (
+    LOCAL_COSTS, DtwParams, load_reference, pool_reference, save_reference,
+)
 from geyserstate.errors import ConfigError, DataError
 from geyserstate.forest import Forest, ForestParams, Tree, load_forest, save_forest
 from geyserstate.timeseries import LabeledWindow
@@ -441,7 +443,8 @@ def _round_trip(tmp_path, forest_params, dtw_params):
     forest_path, dtw_path = str(tmp_path / "forest.txt"), str(tmp_path / "dtw_reference.csv")
     trees = (STUMP,) * forest_params.n_trees
     save_forest(Forest(trees, np.array([1, 2]), forest_params, n_features=1), forest_path)
-    save_reference([LabeledWindow(np.arange(4.0), 0.0, 1)], dtw_path, dtw_params)
+    windows = [LabeledWindow(np.arange(4.0), 0.0, 1)]
+    save_reference(windows, pool_reference(windows, dtw_params)[0], dtw_path, dtw_params)
     return load_forest(forest_path).params, load_reference(dtw_path)[2]
 
 

@@ -17,9 +17,10 @@ import warnings
 import numpy as np
 import pytest
 
-from geyserstate import artifacts, cli, timeseries
+from geyserstate import artifacts, cli, dtw, features, filters, forest, synth, timeseries
 from geyserstate.cli import _stage, main
-from geyserstate.config import label_policy, load_config
+from geyserstate.config import label_policy, load_config, synth_config
+from geyserstate.evaluation import Scores, evaluate
 
 # the tests' tiny config, one copy shared with the CI console-script step
 with open(os.path.join(os.path.dirname(__file__), "tiny.cfg"), encoding="utf-8") as _fh:
@@ -110,9 +111,12 @@ def test_synth_classes_follow_the_pre_onset_gap(tmp_path):
 def test_synth_nonstationary_ambient_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(TINY_CFG + "synth.ar_a1 = 1.2\nsynth.ar_a2 = -0.1\n")
-    code = run("synth", "--config", str(cfg), "--out", str(tmp_path / "o"))
-    assert code != 0
-    assert "non-stationary" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert run("synth", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}: synth.ar_a1 = 1.2, synth.ar_a2 = -0.1 define a non-stationary" in err
+    # refused as the config is read, before --out is made
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "pipeline"])
@@ -1019,6 +1023,47 @@ def _written(out):
                   for base, _, files in os.walk(out) for f in files)
 
 
+def test_plain_pipeline_writes_the_rf_pef_files_of_compare(tiny_cfg, tmp_path):
+    """pipeline and pipeline --compare run one function: every file plain
+    pipeline writes is its --compare counterpart, byte for byte."""
+    plain, compare = str(tmp_path / "plain"), str(tmp_path / "compare")
+    assert run("pipeline", "--config", tiny_cfg, "--out", plain, "--seed", "3") == 0
+    assert run("pipeline", "--compare", "--config", tiny_cfg, "--out", compare, "--seed", "3") == 0
+    arm = {name: name.replace(".", "_rf_pef.")
+           for name in ("predictions.csv", "report.csv", "report.txt")}
+    assert len(_written(plain)) == 13
+    for name in _written(plain):
+        assert read(os.path.join(plain, name)) == read(os.path.join(compare, arm.get(name, name)))
+
+
+def test_run_held_out_writes_nothing_and_scores_as_compare(
+    tiny_cfg, tmp_path, monkeypatch, in_process
+):
+    """run_held_out with every file writer refusing: each arm's macro
+    precision, recall and F1 are the row of comparison.csv that pipeline
+    --compare writes at the same seed."""
+    out = str(tmp_path / "o")
+    assert run("pipeline", "--compare", "--config", tiny_cfg, "--out", out, "--seed", "3") == 0
+    table = [l.split(",") for l in read(os.path.join(out, "comparison.csv")).decode().splitlines()]
+    rows = {cells[0]: cells[1:4] for cells in table[2:]}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_held_out wrote a file")
+
+    for module in (artifacts, cli, dtw, features, filters, forest, synth, timeseries):
+        for name in ("write_table", "write_series"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    values = load_config(tiny_cfg)
+    raw, events = synth.generate(synth_config(values, 3))
+    held = cli.run_held_out(cli._highpass(raw, values), events, values, 3, compare=True)
+    assert list(held.arms) == list(rows) == ["rf_pef", "rf_nopef", "dtw_pef"]
+    m = Scores.MACRO
+    for name, (_, truth, preds, _, _) in held.arms.items():
+        s = evaluate(truth, preds)
+        assert [f"{v:.6f}" for v in (s.precision[m], s.recall[m], s.f1[m])] == rows[name], name
+
+
 def test_filter_failing_before_its_pass_writes_no_series_file(tmp_path, capsys):
     """The AR fit fails before any series is saved: neither bh.f8 nor
     pef.f8 exists, not even half-written."""
@@ -1031,20 +1076,16 @@ def test_filter_failing_before_its_pass_writes_no_series_file(tmp_path, capsys):
     assert sorted(os.listdir(out)) == ["classes.csv", "events.csv", "signal.f8"]
 
 
-def test_pipeline_failing_after_its_pass_keeps_the_series_files(tiny_cfg, tmp_path, capsys):
-    """A pipeline that fails in train, after the PEF, leaves whole series
-    files."""
+@pytest.mark.parametrize("compare", [(), ("--compare",)], ids=["plain", "compare"])
+def test_pipeline_failing_before_its_write_block_leaves_out_empty(tmp_path, capsys, compare):
+    """A pipeline that fails in train, after the PEF, writes nothing: it
+    writes no file until every arm has run."""
     cfg = tmp_path / "long_windows.cfg"
     cfg.write_text(TINY_CFG + "window.length_s = 100\nwindow.stride_s = 100\n")
-    out, whole = str(tmp_path / "o"), str(tmp_path / "whole")
-    assert run("pipeline", "--config", str(cfg), "--out", out) == 3
-    assert "split leaves an empty window set" in capsys.readouterr().err
-    # the staged run fits its AR model on the whole series, so only the
-    # files before the PEF can match it byte for byte
-    assert _synth_and_filter(tiny_cfg, whole, "--skip-pef") == 0
-    for name in ("signal.f8", "classes.csv", "bh.f8"):
-        assert read(os.path.join(out, name)) == read(os.path.join(whole, name)), name
-    assert len(timeseries.load_timeseries(os.path.join(out, "pef.f8"), 50.0)) == 240 * 50
+    out = tmp_path / "o"
+    assert run("pipeline", *compare, "--config", str(cfg), "--out", str(out)) == 3
+    assert "stage train: split leaves an empty window set" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("extra, compare, error", [

@@ -105,7 +105,7 @@ def test_parses_values_comments_and_blanks(tmp_path):
         "forest.n_trees=50\n"
         "dtw.band_radius = none\n"
         "forest.max_features = sqrt\n"
-        "synth.event_times_s = 100, 200.5,300\n"
+        "synth.event_times_s = 400, 800.5,1200\n"
         "synth.enforce_amplitude_cap = false\n"
     )
     values = load_config(str(path))
@@ -113,7 +113,7 @@ def test_parses_values_comments_and_blanks(tmp_path):
     assert values["forest.n_trees"] == 50
     assert values["dtw.band_radius"] is None
     assert values["forest.max_features"] is None
-    assert values["synth.event_times_s"] == (100.0, 200.5, 300.0)
+    assert values["synth.event_times_s"] == (400.0, 800.5, 1200.0)
     assert values["synth.enforce_amplitude_cap"] is False
 
 
@@ -153,7 +153,7 @@ def test_line_without_equals_rejected(tmp_path):
 
 
 def test_utf8_byte_order_mark_is_dropped(tmp_path):
-    text = "forest.n_trees = 50\nsynth.duration_s = 240\n"
+    text = "forest.n_trees = 50\nsynth.duration_s = 3500\n"
     plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
     plain.write_text(text, encoding="utf-8")
     marked.write_text("\ufeff" + text, encoding="utf-8")

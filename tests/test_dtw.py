@@ -19,6 +19,7 @@ from geyserstate.dtw import (
     knn_dtw_classify,
     load_reference,
     mean_pool,
+    pool_reference,
     save_reference,
 )
 from geyserstate.errors import ConfigError, DataError
@@ -331,7 +332,8 @@ def test_reference_round_trip(tmp_path):
     params = DtwParams(downsample_to=8)
     windows = [LabeledWindow(rng.normal(size=32), 10.0 * i, 1 + i % 3) for i in range(5)]
     path = tmp_path / "reference.csv"
-    refs, labels = save_reference(windows, str(path), params, header_comments=["seed=41"])
+    refs, labels = pool_reference(windows, params)
+    save_reference(windows, refs, str(path), params, header_comments=["seed=41"])
     assert np.array_equal(refs, [mean_pool(w.samples, 8) for w in windows])
     assert np.array_equal(labels, [w.label for w in windows])
     loaded, loaded_labels, loaded_params = load_reference(str(path))

@@ -146,23 +146,26 @@ os.fork = fork
 """
 
 
-# the series stage is interrupted; the child dies without a result
-_INTERRUPT = "def stop(*args):\n    raise KeyboardInterrupt\ncli._write_pipeline_series = stop\n"
+# the forest fit, which runs beside the children, raises FAULT
+_FIT_RAISES = "def fit(*args):\n    raise FAULT\ncli._rf_fit = fit\n"
 _KILL_CHILD = "cli._dtw_predict = lambda *args: os.kill(os.getpid(), 9)\n"
 
 
 @pytest.mark.parametrize("fault, code, text, prelude", [
-    ("bh.f8 is a directory", 3, "stage series: cannot write", ""),
-    ("interrupt", 130, "", _INTERRUPT),
+    ("bh.f8 is a directory", 3, "error: stage pipeline: stage series: cannot write", ""),
+    ("interrupt", 130, "", "FAULT = KeyboardInterrupt\n" + _FIT_RAISES),
+    ("data error", 3, "error: stage pipeline: stage train: no forest\n",
+     "FAULT = cli.DataError('no forest')\n" + _FIT_RAISES),
     ("child killed", 1, "RuntimeError: dtw arm: child", _KILL_CHILD),
     ("one child of three killed", 1, "RuntimeError: dtw arm: child", _SECOND_CHILD_DIES),
-], ids=["bh-directory", "interrupt", "child-killed", "one-of-three-children-killed"])
+], ids=["bh-directory", "interrupt", "data-error", "child-killed", "one-of-three-children-killed"])
 def test_a_failure_while_the_arm_runs_leaves_no_process(
     tmp_path, forking_cli, fault, code, text, prelude
 ):
-    """A series stage that fails or is interrupted while the children run,
-    and every child or one of three dying without a result: the runner
-    exits 99 if a child process is left."""
+    """A forest fit that fails or is interrupted while the children run, a
+    write block that fails once they are joined, and every child or one of
+    three dying without a result: the runner exits 99 if a child process is
+    left."""
     out = tmp_path / "o"
     out.mkdir()
     if fault == "bh.f8 is a directory":

@@ -183,20 +183,19 @@ def test_eruption_amplitude_within_noise_peak_cap():
 
 
 def test_generate_rejects_nonstationary_ar():
-    config = quiet_config(ar_coefficients=(1.2, 0.0))
-    with pytest.raises(DataError):
-        generate(config)
+    with pytest.raises(ConfigError, match=r"synth.ar_a1 = 1.2, synth.ar_a2 = 0 define a non-stat"):
+        quiet_config(ar_coefficients=(1.2, 0.0))
 
 
 def test_generate_rejects_bad_event_layouts():
-    with pytest.raises(DataError):
-        generate(SynthConfig(duration_s=1200.0, event_times_s=(400.0, 650.0)))
-    with pytest.raises(DataError):
-        generate(SynthConfig(duration_s=1200.0, event_times_s=(100.0,)))
-    with pytest.raises(DataError):
-        generate(SynthConfig(duration_s=1200.0, event_times_s=(1150.0,)))
-    with pytest.raises(DataError):
-        generate(SynthConfig(duration_s=1200.0, event_times_s=(900.0, 500.0)))
+    for times, match in (
+        ((400.0, 650.0), "more than the labeled envelope apart, labels.class2_start_s"),
+        ((100.0,), "outside synth.duration_s = 1200"),
+        ((1150.0,), "outside synth.duration_s = 1200"),
+        ((900.0, 500.0), "synth.event_times_s must be strictly increasing"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            SynthConfig(duration_s=1200.0, event_times_s=times)
 
 
 def test_config_static_validation():
