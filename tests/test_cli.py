@@ -119,6 +119,30 @@ def test_synth_nonstationary_ambient_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+# edge values that `stage synth` used to refuse with exit 3, after --out was
+# made; SynthConfig now refuses them as the config is read
+SYNTH_LAYOUT_EDGES = (
+    [("synth.ar_a1", v) for v in ("1e308", "3")]
+    + [("synth.ar_a2", v) for v in ("0.5", "0", "1e-300", "1e308", "3")]
+    + [("synth.duration_s", v) for v in ("0.5", "1e-300", "3")]
+    + [("synth.event_times_s", v) for v in ("-1", "0.5", "0", "1e-300", "1e308", "3")]
+)
+
+
+@pytest.mark.parametrize(
+    "key, value", SYNTH_LAYOUT_EDGES, ids=[f"{k}={v}" for k, v in SYNTH_LAYOUT_EDGES]
+)
+def test_a_bad_ambient_or_event_layout_exits_2_naming_its_key(tmp_path, capsys, key, value):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(TINY_CFG + f"{key} = {value}\n")
+    out = tmp_path / "o"
+    assert run("pipeline", "--compare", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and f"{key} = " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "pipeline"])
 def test_a_duration_beyond_memory_exits_2_naming_the_keys(tmp_path, capsys, command):
     """5e16 samples: numpy refuses the first layer's array before it
