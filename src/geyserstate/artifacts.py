@@ -10,10 +10,6 @@ Any fault met while reading, including building the domain object inside
 the `with` block, becomes a `DataError` naming the file (and the line when
 the fault is in a row), so an unreadable artifact always exits 3.
 
-`read_numeric` is the fast read of an all-number table (a caller's signal
-file): one `np.loadtxt` call, returning None for anything unusual so that
-the caller re-reads through `read_artifact` for its diagnostics.
-
 It is also the one place that spells a table cell.  `write_table` is the
 one text writer: it writes a table in chunks of rows, floats by `repr`
 (the shortest text that reads back bit for bit), integers and booleans by
@@ -250,50 +246,6 @@ def _read_error(path: str, exc: Exception, where: str = "") -> DataError:
     # str() of a KeyError is only the quoted key
     detail = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
     return DataError(f"{what} {path}: {detail}{where}")
-
-
-def _is_numeric(line: str) -> bool:
-    try:
-        [float(cell) for cell in line.split(",")]
-    except ValueError:
-        return False
-    return True
-
-
-def read_numeric(path: str) -> np.ndarray | None:
-    """The rows of a comma-separated number table as one 2-D float array.
-
-    Leading blank and `#` lines are skipped, and so is one first row with a
-    cell that `float` rejects (a column header), which counts as a row: it
-    must have as many cells as every row after it.  `np.loadtxt` parses the
-    rest with no comment character, so it accepts a subset of what
-    `read_artifact` streams: no later comment, whitespace-only line, `1_0`
-    digit group or trailing `# ...`.  The floats it accepts are the ones
-    `float` reads, bit for bit.  Anything unusual (an OS or decode error, a
-    parse error, a header and no row after it, a header of another width)
-    gives None, and the caller re-reads the file with `read_artifact`, which
-    says what is wrong.
-    """
-    skip = 0
-    names = None  # the header's cell count
-    try:
-        with open(path, "r", encoding=_READ_ENCODING) as fh:
-            for line in fh:
-                text = line.strip()
-                if text and text[0] != "#":
-                    if names is not None or _is_numeric(text):
-                        break
-                    names = len(text.split(","))
-                skip += 1
-            else:
-                # no row to parse: loadtxt would warn and return an empty array
-                return None
-        table = np.loadtxt(
-            path, delimiter=",", comments=None, skiprows=skip, ndmin=2, encoding=_READ_ENCODING
-        )
-    except (OSError, ValueError):
-        return None
-    return table if names in (None, table.shape[1]) else None
 
 
 def _parse_bool(raw: str) -> bool:

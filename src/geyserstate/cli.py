@@ -395,6 +395,11 @@ def _dtw_arm(refs: np.ndarray, ref_labels: np.ndarray, labeled: list[LabeledWind
     body, interrupts included, and when a later fork fails, every child
     still running is killed and reaped.  Otherwise the function runs the
     arm here.
+
+    Children, not threads: the forest fits of the with-body hold the GIL,
+    and a bit-identical thread-pool arm read `compare` `wall_s` 1.25-2.05 s
+    against 0.64-1.02 s forked (8 alternating `bench/run.py --seconds 5`
+    pairs on 2 vCPUs).
     """
     reason = _fork_refusal()
     children: list[tuple[int, int]] = []  # (pid, reader) of each child not yet reaped

@@ -19,14 +19,14 @@ A series is saved as a binary series file, `<stem>.f8` (see
 
 Memory: a stage holds one buffer per series it returns.  `sample_classes`
 gives int8 classes, one byte a sample.  `load_timeseries` holds the
-amplitudes of a series file, or for a text table the parsed table and
-then one column-sized buffer at a time (the spacing test's gaps, then the
-amplitude copy).  `save_timeseries` writes the amplitudes from their own
-buffer and builds no time grid.
+amplitudes it returns: read in one piece from a series file, or grown row
+by row in one buffer from a text table.  `save_timeseries` writes the
+amplitudes from their own buffer and builds no time grid.
 """
 
 from __future__ import annotations
 
+import array
 import logging
 import math
 import os
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import discard, read_artifact, read_numeric, read_series, write_series, write_table
+from .artifacts import discard, read_artifact, read_series, write_series, write_table
 from .errors import ConfigError, DataError
 
 CLASS_FAR = 1
@@ -325,12 +325,12 @@ def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
     Any other file is a text table: `timestamp_s,amplitude` rows, or one
     amplitude per line.  Blank lines, `#` comments, and one non-numeric
     header as the first row are skipped.  Every row, the header included,
-    has the width of the first, and two-column rows get the timestamp
-    checks of `_grid_fault`; the first row's timestamp becomes t0_s (0.0 for
-    single-column files).  The table is parsed in one `read_numeric` call and checked
-    column-wise; anything else (and every fault) goes through
-    `_load_streaming`, so the result and every error text are the
-    streaming reader's.
+    has the width of the first.  In two-column rows every timestamp is
+    finite and each lies one sample period (1 / fs_hz, within TIME_TOL_S)
+    after the last; the first row's timestamp becomes t0_s (0.0 for
+    single-column files).  The table is read row by row
+    (`_load_streaming`), and a fault is a DataError naming the file and
+    the line.
 
     An fs_hz that is not positive is a ConfigError, before the file is
     opened.
@@ -346,32 +346,14 @@ def load_timeseries(path: str, fs_hz: float) -> TimeSeries:
             return TimeSeries(values, fs_hz, t0)
         except DataError as exc:  # a non-finite amplitude
             raise DataError(f"malformed {path}: {exc}") from None
-    table = read_numeric(path)
-    if table is not None and table.shape[1] <= 2:
-        t, values = table[:, 0], table[:, -1]
-        uneven = table.shape[1] == 2 and _grid_fault(t, 1.0 / fs_hz) is not None
-        if not uneven and np.all(np.isfinite(values)):
-            t0 = float(t[0]) if table.shape[1] == 2 else 0.0
-            return TimeSeries(np.ascontiguousarray(values), fs_hz, t0)
     return _load_streaming(path, fs_hz)
 
 
-def _grid_fault(t: np.ndarray, period: float) -> str | None:
-    """The streaming loop's tests of a text table's timestamps, row for row:
-    a non-finite timestamp, or a gap off `period` by more than TIME_TOL_S;
-    None when `t` passes both.  The gaps are taken in one buffer."""
-    if not np.all(np.isfinite(t)):
-        return "non-finite timestamp"
-    gaps = np.subtract(t[1:], t[:-1])
-    gaps -= period
-    if np.any(np.abs(gaps, out=gaps) > TIME_TOL_S):
-        return "non-uniform spacing"
-    return None
-
-
 def _load_streaming(path: str, fs_hz: float) -> TimeSeries:
-    """`load_timeseries` row by row: the reference result and every diagnostic."""
-    amplitudes: list[float] = []
+    """`load_timeseries` of a text table, row by row.  The amplitudes grow
+    in one `array.array`, which the series then holds without a copy and
+    writable, since `filter` high-passes into it."""
+    amplitudes = array.array("d")
     t0 = 0.0
     prev_t: float | None = None
     width = 0  # columns per row, set by the first row, the header included
@@ -404,7 +386,7 @@ def _load_streaming(path: str, fs_hz: float) -> TimeSeries:
             if not math.isfinite(value):
                 raise ValueError("non-finite amplitude")
             amplitudes.append(value)
-        return TimeSeries(np.asarray(amplitudes), fs_hz, t0)
+        return TimeSeries(np.frombuffer(amplitudes), fs_hz, t0)
 
 
 def remove_series(path: str) -> None:

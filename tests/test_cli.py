@@ -261,16 +261,15 @@ def test_filter_writes_chain(tiny_cfg, tmp_path, capsys):
     assert "R2=" in capsys.readouterr().out
 
 
-def test_series_files_the_chain_writes_take_the_fast_read(tiny_cfg, tmp_path, monkeypatch):
-    """signal.f8, bh.f8 and pef.f8 load as series files: neither text reader
-    runs."""
+def test_series_files_the_chain_writes_load_without_parsing(tiny_cfg, tmp_path, monkeypatch):
+    """signal.f8, bh.f8 and pef.f8 load as series files: the text reader
+    does not run."""
     out = str(tmp_path / "o")
     assert _synth_and_filter(tiny_cfg, out) == 0
 
     def parsed(path, *args):
         raise AssertionError(f"{path} was parsed as text")
 
-    monkeypatch.setattr(timeseries, "read_numeric", parsed)
     monkeypatch.setattr(timeseries, "_load_streaming", parsed)
     for name in ("signal.f8", "bh.f8", "pef.f8"):
         assert len(timeseries.load_timeseries(os.path.join(out, name), 50.0)) == 240 * 50
@@ -1245,30 +1244,43 @@ def test_pipeline_clamps_max_features_to_the_selected_columns(tmp_path, max_feat
     assert f" max_features={min(max_features, n_features)} " in header
 
 
-def test_pipeline_on_given_files_writes_the_synthesizing_run_bytes(tmp_path, capsys):
+@pytest.mark.parametrize("form", ["series file", "text table"])
+def test_pipeline_on_given_files_writes_the_synthesizing_run_bytes(tmp_path, capsys, form):
     """pipeline --compare on the signal and events a synthesizing run wrote
-    (paths.signal, paths.events) writes every file of that run but
+    (paths.signal, paths.events), the signal as that run's series file or
+    as a caller's text table of it, writes every file of that run but
     signal.f8, events.csv and classes.csv, and leaves the given files as
-    they were."""
+    they were; filter on them writes the bh.f8 and pef.f8 of synth and
+    filter."""
     cfg = tmp_path / "long.cfg"
     cfg.write_text(TINY_CFG + "synth.duration_s = 600\nsynth.event_times_s = 100, 180, 300, 410\n")
     synthesized, given = str(tmp_path / "synthesized"), str(tmp_path / "given")
     assert run("pipeline", "--compare", "--config", str(cfg), "--out", synthesized) == 0
     printed = capsys.readouterr().out
-    inputs = {name: read(os.path.join(synthesized, name)) for name in ("signal.f8", "events.csv")}
+    signal = os.path.join(synthesized, "signal.f8")
+    if form == "text table":
+        ts = timeseries.load_timeseries(signal, 50.0)
+        signal = str(tmp_path / "signal.csv")
+        artifacts.write_table(signal, [f"seed={load_config(str(cfg))['seed']}"],
+                              ("timestamp_s", "amplitude"), (ts.timestamps(), ts.values))
+    events = os.path.join(synthesized, "events.csv")
+    inputs = {path: read(path) for path in (signal, events)}
     supplied = tmp_path / "supplied.cfg"
-    supplied.write_text(cfg.read_text() + "".join(
-        f"paths.{key} = {os.path.join(synthesized, name)}\n"
-        for key, name in (("signal", "signal.f8"), ("events", "events.csv"))
-    ))
+    supplied.write_text(cfg.read_text() + f"paths.signal = {signal}\npaths.events = {events}\n")
     assert run("pipeline", "--compare", "--config", str(supplied), "--out", given) == 0
     assert capsys.readouterr().out == printed.replace(synthesized, given)
     inputs_and_classes = ("signal.f8", "events.csv", "classes.csv")
     assert _written(given) == [n for n in _written(synthesized) if n not in inputs_and_classes]
     match, mismatch, errors = filecmp.cmpfiles(synthesized, given, _written(given), shallow=False)
     assert not mismatch and not errors
-    for name, data in inputs.items():
-        assert read(os.path.join(synthesized, name)) == data
+    staged, filtered = str(tmp_path / "staged"), str(tmp_path / "filtered")
+    for command in ("synth", "filter"):
+        assert run(command, "--config", str(cfg), "--out", staged) == 0
+    assert run("filter", "--config", str(supplied), "--out", filtered) == 0
+    for name in ("bh.f8", "pef.f8"):
+        assert read(os.path.join(filtered, name)) == read(os.path.join(staged, name)), name
+    for path, data in inputs.items():
+        assert read(path) == data
 
 
 def test_bench_tracing_patches_resolve():

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from geyserstate import timeseries
 from geyserstate.artifacts import read_artifact, write_series
 from geyserstate.cli import main
 from geyserstate.config import label_policy, load_config, synth_config
@@ -111,7 +110,7 @@ def _text_table(path, ts, seed):
 def test_every_series_the_commands_write_loads_as_its_text_table_parses(tmp_path, seed):
     """signal, bh and pef of the staged commands and of `pipeline --compare`
     hold the configured clock and the amplitudes that load, bit for bit,
-    which are the ones the streaming reader parses from their text, and
+    which are the ones `load_timeseries` parses from their text, and
     `<out>/pef.csv`, which does not exist, reads `pef.f8`."""
     staged, compared = str(tmp_path / "staged"), str(tmp_path / "compared")
     for command in ("synth", "filter"):
@@ -129,7 +128,7 @@ def test_every_series_the_commands_write_loads_as_its_text_table_parses(tmp_path
             assert saved.tobytes() == loaded.values.tobytes()
             text = str(tmp_path / "text.csv")
             _text_table(text, loaded, seed)
-            assert _bits(loaded) == _bits(timeseries._load_streaming(text, 50.0)), path
+            assert _bits(loaded) == _bits(load_timeseries(text, 50.0)), path
         alias = load_timeseries(os.path.join(out, "pef.csv"), 50.0)
         assert _bits(alias) == _bits(load_timeseries(os.path.join(out, "pef.f8"), 50.0))
 

@@ -1,14 +1,12 @@
 """Containers, ingestion, labeling, windowing, and noise-segment selection."""
 
 import dataclasses
-import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from geyserstate import timeseries
 from geyserstate.errors import ConfigError, DataError
 from geyserstate.timeseries import (
     CLASS_ERUPTION,
@@ -158,13 +156,11 @@ def test_load_mixed_row_widths_report_line(tmp_path):
 
 def test_a_header_of_another_width_reports_line_2(tmp_path):
     """The header counts as a row, as in `ArtifactReader.columns`: a
-    one-name header over two-column rows is a width mismatch in both readers."""
+    one-name header over two-column rows is a width mismatch."""
     p = tmp_path / "sig.csv"
     p.write_text("amplitude\n0.0,1.0\n0.005,2.0\n0.01,3.0\n")
-    assert timeseries.read_numeric(str(p)) is None
-    for load in (load_timeseries, timeseries._load_streaming):
-        with pytest.raises(DataError, match=f"{p.name}: expected 1 columns, got 2 at line 2"):
-            load(str(p), 200.0)
+    with pytest.raises(DataError, match=f"{p.name}: expected 1 columns, got 2 at line 2"):
+        load_timeseries(str(p), 200.0)
 
 
 def test_load_second_non_numeric_row_reports_line(tmp_path):
@@ -212,10 +208,9 @@ def test_load_events_rejects_garbage(tmp_path):
 def test_utf8_byte_order_mark_keeps_the_first_sample(tmp_path):
     p = tmp_path / "sig.csv"
     p.write_bytes(b"\xef\xbb\xbf0.0,1.5\n0.005,2.5\n0.01,3.5\n")
-    for load in (load_timeseries, timeseries._load_streaming):
-        ts = load(str(p), 200.0)
-        assert list(ts.values) == [1.5, 2.5, 3.5]
-        assert ts.t0_s == 0.0
+    ts = load_timeseries(str(p), 200.0)
+    assert list(ts.values) == [1.5, 2.5, 3.5]
+    assert ts.t0_s == 0.0
 
 
 def test_utf8_byte_order_mark_in_events(tmp_path):
@@ -224,7 +219,7 @@ def test_utf8_byte_order_mark_in_events(tmp_path):
     assert list(load_events(str(p)).event_times_s) == [400.0, 850.0]
 
 
-# -- fast read against the streaming reader ----------------------------------
+# -- drawn text tables --------------------------------------------------------
 
 FS = 200.0
 # lines a file may carry besides its data rows; each one the streaming
@@ -268,15 +263,6 @@ def series_files(draw):
     return bom + text.encode()
 
 
-def _outcome(load, path):
-    """What a load gives, compared bit for bit: the samples and t0, or the error text."""
-    try:
-        ts = load(path, FS)
-    except DataError as exc:
-        return "error", str(exc)
-    return "ok", ts.values.tobytes(), struct.pack("<d", ts.t0_s)
-
-
 @settings(
     max_examples=400,
     derandomize=True,
@@ -285,10 +271,18 @@ def _outcome(load, path):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data=series_files())
-def test_fast_read_matches_the_streaming_reader(tmp_path, data):
+def test_every_text_table_loads_or_is_a_data_error_naming_it(tmp_path, data):
+    """A drawn file gives a series whose amplitudes `filter` may high-pass
+    in place, or a DataError that names the file, and never another
+    exception."""
     p = tmp_path / "sig.csv"
     p.write_bytes(data)
-    assert _outcome(load_timeseries, str(p)) == _outcome(timeseries._load_streaming, str(p))
+    try:
+        ts = load_timeseries(str(p), FS)
+    except DataError as exc:
+        assert str(exc).startswith((f"malformed {p}: ", f"cannot read {p}: ")), str(exc)
+    else:
+        assert isinstance(ts, TimeSeries) and ts.values.flags.writeable
 
 
 # -- labeling -----------------------------------------------------------------
