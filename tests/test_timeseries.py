@@ -1,6 +1,7 @@
 """Containers, ingestion, labeling, windowing, and noise-segment selection."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,50 @@ def test_utf8_byte_order_mark_in_events(tmp_path):
     p = tmp_path / "events.csv"
     p.write_bytes(b"\xef\xbb\xbf400.0\n850.0\n")
     assert list(load_events(str(p)).event_times_s) == [400.0, 850.0]
+
+
+def test_load_skips_leading_comments_blank_lines_and_one_header(tmp_path):
+    p = tmp_path / "sig.csv"
+    p.write_bytes(b"\xef\xbb\xbf# seed=3\n\nt,x\n# units\n0.5,1.5\r\n1.0,-0.0\n")
+    ts = load_timeseries(str(p), 2.0)
+    assert ts.values.tolist() == [1.5, -0.0]
+    assert np.signbit(ts.values[1])
+    assert ts.t0_s == 0.5
+
+
+@pytest.mark.parametrize(
+    "text, fs, outcome",
+    [
+        ("", 1.0, "no samples$"),  # no rows at all
+        ("# seed=1\n\n", 1.0, "no samples$"),
+        ("t,x\n", 1.0, "no samples$"),  # a header and nothing after it
+        ("t,x\nunits,counts\n1,2\n", 1.0, "'units' at line 2$"),  # a second non-numeric row
+        ("1,2\n# part=2\n3,4\n", 0.5, ([2.0, 4.0], 1.0)),  # a comment after the first row
+        ("1,2\n   \n3,4\n", 0.5, ([2.0, 4.0], 1.0)),  # a whitespace-only line
+        ("1_0\n", 1.0, ([10.0], 0.0)),  # a digit group, which float() reads
+        ("1,2 # c\n", 1.0, "no samples$"),  # a first row float() cannot read is the header
+        ("1,2\n3\n", 1.0, "expected 2 columns, got 1 at line 2$"),  # mixed widths
+    ],
+)
+def test_load_unusual_tables(tmp_path, text, fs, outcome):
+    p = tmp_path / "sig.csv"
+    p.write_text(text)
+    if isinstance(outcome, str):
+        with pytest.raises(DataError, match=f"^malformed {re.escape(str(p))}: .*{outcome}"):
+            load_timeseries(str(p), fs)
+    else:
+        ts = load_timeseries(str(p), fs)
+        assert (ts.values.tolist(), ts.t0_s) == outcome
+
+
+def test_load_unreadable_paths_are_data_errors(tmp_path):
+    for path in (tmp_path / "missing.csv", tmp_path):
+        with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: "):
+            load_timeseries(str(path), 1.0)
+    p = tmp_path / "sig.csv"
+    p.write_bytes(b"\xff\xfe1\n")
+    with pytest.raises(DataError, match=f"^cannot read {re.escape(str(p))}: 'utf-8' codec"):
+        load_timeseries(str(p), 1.0)
 
 
 # -- drawn text tables --------------------------------------------------------
