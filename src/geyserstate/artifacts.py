@@ -8,7 +8,8 @@ collects them into `meta`.
 
 Any fault met while reading, including building the domain object inside
 the `with` block, becomes a `DataError` naming the file (and the line when
-the fault is in a row), so an unreadable artifact always exits 3.
+the fault is in a row), so an unreadable artifact always exits 3; so does
+a table the package wrote whose last line lacks the newline `write_table` ends it with.
 
 It is also the one place that spells a table cell.  `write_table` is the
 one text writer: it writes a table in chunks of rows, floats by `repr`
@@ -30,7 +31,7 @@ leaves no file of its own.  `discard`, which clears a stale artifact before
 a write, names a path it cannot remove the same way.
 
 `params_line` and `read_params` are the codec of a model file's `params`
-comment, each value parsed by `parser_for`, the config keys' type table.
+comment, each value parsed by `field_parsers`, the config keys' type table.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -174,12 +176,14 @@ class ArtifactReader:
     """Iterates the rows of an open artifact as lists of cells.
 
     Blank lines are skipped.  With `header` set, the first row is kept in
-    `self.header` instead of being yielded.
+    `self.header` instead of being yielded.  With `whole_lines` set, a last
+    line without its newline, the mark of a file cut short, is a ValueError.
     """
 
-    def __init__(self, fh, header: bool) -> None:
+    def __init__(self, fh, header: bool, whole_lines: bool) -> None:
         self._fh = fh
         self._want_header = header
+        self._whole_lines = whole_lines
         self.header: list[str] | None = None
         self.meta: dict[str, str] = {}
         # line of the row the caller is working on; None between rows
@@ -187,6 +191,9 @@ class ArtifactReader:
 
     def __iter__(self) -> Iterator[list[str]]:
         for lineno, raw in enumerate(self._fh, start=1):
+            if self._whole_lines and not raw.endswith("\n"):
+                self.row_line = lineno
+                raise ValueError("no newline ends the last line: the file is cut short")
             line = raw.strip()
             if not line:
                 continue
@@ -228,12 +235,15 @@ class ArtifactReader:
 
 
 @contextmanager
-def read_artifact(path: str, header: bool = False) -> Iterator[ArtifactReader]:
-    """Open `path` for streaming; every fault in the block becomes a DataError."""
+def read_artifact(
+    path: str, header: bool = False, whole_lines: bool = True
+) -> Iterator[ArtifactReader]:
+    """Open `path` for streaming; every fault in the block becomes a DataError.
+    Only a caller's table (`whole_lines=False`) may end without a newline."""
     reader = None
     try:
         with open(path, "r", encoding=_READ_ENCODING) as fh:
-            reader = ArtifactReader(fh, header)
+            reader = ArtifactReader(fh, header, whole_lines)
             yield reader
     except _READ_FAULTS as exc:
         where = f" at line {reader.row_line}" if reader and reader.row_line else ""
@@ -281,9 +291,17 @@ def _parse_float_list(raw: str) -> tuple:
 _PARSERS = {bool: _parse_bool, int: int, float: _parse_float, str: str, tuple: _parse_float_list}
 
 
-def parser_for(default) -> Callable[[str], object]:
-    """The parser for the exact type of `default` (a bool is no int); None: optional int."""
-    return _parse_optional_int if default is None else _PARSERS[type(default)]
+def parser_for(default, hint=None) -> Callable[[str], object]:
+    """The parser of a value annotated `hint`: an `int | None` also reads
+    `none`; any other value by the exact type of `default` (a bool is no int)."""
+    return _parse_optional_int if hint == int | None else _PARSERS[type(default)]
+
+
+def field_parsers(cls) -> dict[str, Callable[[str], object]]:
+    """Field name -> `parser_for` of each field of the dataclass `cls`,
+    by its default and its annotation."""
+    hints = get_type_hints(cls)
+    return {f.name: parser_for(f.default, hints[f.name]) for f in fields(cls)}
 
 
 def params_line(params) -> str:
@@ -296,4 +314,4 @@ def params_line(params) -> str:
 def read_params(cls, meta: dict[str, str]):
     """The inverse of `params_line`; a missing field is a KeyError, and a bad
     value a ValueError or whatever `cls` raises."""
-    return cls(**{f.name: parser_for(f.default)(meta[f.name]) for f in fields(cls)})
+    return cls(**{name: parse(meta[name]) for name, parse in field_parsers(cls).items()})

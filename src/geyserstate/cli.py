@@ -12,8 +12,9 @@ series files (README).  Each stage's work is one private function that
 both its command and `pipeline` call.  `pipeline` runs its stages synth,
 highpass, split, pef, train, classify, series and eval in that order: the
 four from split to classify are `run_held_out`, which fits and predicts
-every arm and writes nothing, and `series` and `eval` write every file, so
-a pipeline that fails before `series` leaves `--out` as it found it.  No
+every arm, one after another in this process, and writes nothing, and
+`series` and `eval` write every file, so a pipeline that fails before
+`series` leaves `--out` as it found it.  No
 command checks config values:
 `load_config` refuses any value a stage would, so a config error writes nothing.
 All randomness flows from one master seed recorded in the artifact headers.
@@ -27,10 +28,7 @@ import argparse
 import contextlib
 import logging
 import os
-import pickle
-import signal
 import sys
-import threading
 import time
 from typing import NamedTuple
 
@@ -366,111 +364,6 @@ def _dtw_predict(
     return starts, labels, preds, votes, per_window
 
 
-def _fork_refusal() -> str | None:
-    """Why the DTW arm runs in this process, or None when it may fork: a
-    child needs `os.fork` and no other OS thread here (CPython 3.12+ warns,
-    after the fork, when a threaded process forks; OpenBLAS starts its
-    threads at import unless OPENBLAS_NUM_THREADS=1)."""
-    if not hasattr(os, "fork"):
-        return "no os.fork"
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-    except OSError:
-        threads = threading.active_count()
-    return f"{threads} threads" if threads > 1 else None
-
-
-@contextlib.contextmanager
-def _dtw_arm(refs: np.ndarray, ref_labels: np.ndarray, labeled: list[LabeledWindow], params):
-    """Start `_dtw_predict` and yield a function that returns its 5-tuple,
-    re-raising any exception it raised.
-
-    Unless `_fork_refusal` names a reason or an `os.fork` fails, the arm
-    runs in one child per CPU this process may use (at most one per
-    window), each on its own contiguous slice of the windows, while the
-    with-body runs; the function joins their 5-tuples in slice order.  A
-    child sends its result or exception as one pickle down its own pipe
-    and always leaves through `os._exit`, so it runs no exit handler and
-    flushes none of the buffers it inherited.  On any exception in the
-    body, interrupts included, and when a later fork fails, every child
-    still running is killed and reaped.  Otherwise the function runs the
-    arm here.
-
-    Children, not threads: the forest fits of the with-body hold the GIL,
-    and a bit-identical thread-pool arm read `compare` `wall_s` 1.25-2.05 s
-    against 0.64-1.02 s forked (8 alternating `bench/run.py --seconds 5`
-    pairs on 2 vCPUs).
-    """
-    reason = _fork_refusal()
-    children: list[tuple[int, int]] = []  # (pid, reader) of each child not yet reaped
-
-    def stop():
-        while children:
-            pid, reader = children.pop()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(reader)
-
-    def in_process():
-        _log.info("dtw arm: in process (%s)", reason)
-        return _dtw_predict(refs, ref_labels, labeled, params)
-
-    def from_children():
-        parts = []
-        while children:
-            pid, reader = children[0]
-            with os.fdopen(reader, "rb", closefd=False) as fh:
-                data = fh.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            os.close(reader)
-            if not data:
-                raise RuntimeError(f"dtw arm: child {pid} sent nothing (wait status {status})")
-            outcome, seconds = pickle.loads(data)
-            _log.info("dtw arm: child pid=%d seconds=%.3f", pid, seconds)
-            if isinstance(outcome, BaseException):
-                raise outcome
-            parts.append(outcome)
-        starts, labels, preds, votes = (np.concatenate(p) for p in list(zip(*parts))[:4])
-        per_window = sum(p[4] * p[0].size for p in parts) / starts.size
-        return starts, labels, preds, votes, per_window
-
-    try:
-        if reason is None:
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-            n_children = min(cpus or 1, len(labeled))
-            bounds = [len(labeled) * k // n_children for k in range(n_children + 1)]
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                reader, writer = os.pipe()
-                try:
-                    pid = os.fork()
-                except BaseException as exc:
-                    os.close(reader)
-                    os.close(writer)
-                    if not isinstance(exc, OSError):
-                        raise
-                    reason = f"os.fork failed: {exc}"
-                    stop()
-                    break
-                if pid == 0:
-                    try:
-                        t0 = time.perf_counter()
-                        try:
-                            outcome = _dtw_predict(refs, ref_labels, labeled[lo:hi], params)
-                        except BaseException as exc:
-                            outcome = exc
-                        with os.fdopen(writer, "wb") as fh:
-                            fh.write(pickle.dumps((outcome, time.perf_counter() - t0)))
-                    finally:
-                        os._exit(0)
-                children.append((pid, reader))
-                # a later child must not hold this pipe open, or its reader never sees EOF
-                os.close(writer)
-        yield in_process if reason is not None else from_children
-    finally:
-        stop()
-
-
 # -- the synthesized files ---------------------------------------------------------
 
 
@@ -613,9 +506,7 @@ def run_held_out(
     rf_pef arm, and under `compare` rf_nopef and dtw_pef too, on the test
     side; writes nothing.
 
-    Logs the stages split, pef, train and classify.  The DTW arm
-    (`_dtw_arm`) starts before the forest fits, so in children it overlaps
-    both forest arms; `classify` waits for it.
+    Logs the stages split, pef, train and classify.
     """
     with _stage("split"):
         (bh_train, ev_train), (bh_test, ev_test) = split_train_test(
@@ -636,32 +527,29 @@ def run_held_out(
 
     rf_params = forest_params(values, seed)
     reference = None
-    with contextlib.ExitStack() as arms:
-        with _stage("train"):
-            if not train_pef or not test_pef:
-                raise DataError("split leaves an empty window set on one side")
-            if compare:
-                # the DTW arm needs only the PEF windows: it starts here
-                arm_params = dtw_params(values)
-                refs, ref_labels = pool_reference(train_pef, arm_params)
-                reference = (train_pef, refs)
-                dtw_result = arms.enter_context(_dtw_arm(refs, ref_labels, test_pef, arm_params))
-            _log.info(
-                "train windows per class: %s; test: %s",
-                _class_counts(train_pef), _class_counts(test_pef),
-            )
-            catalog = default_catalog(bh.fs_hz, values["features.fft_bins"])
-            rf_pef = _rf_fit(train_pef, values, rf_params, catalog)
+    with _stage("train"):
+        if not train_pef or not test_pef:
+            raise DataError("split leaves an empty window set on one side")
+        if compare:
+            arm_params = dtw_params(values)
+            refs, ref_labels = pool_reference(train_pef, arm_params)
+            reference = (train_pef, refs)
+        _log.info(
+            "train windows per class: %s; test: %s",
+            _class_counts(train_pef), _class_counts(test_pef),
+        )
+        catalog = default_catalog(bh.fs_hz, values["features.fft_bins"])
+        rf_pef = _rf_fit(train_pef, values, rf_params, catalog)
 
-        with _stage("classify"):
-            forest, cols, medians, _, _ = rf_pef
-            results = {"rf_pef": _rf_predict(test_pef, forest, cols, medians, catalog)}
-            if compare:
-                train_bh = _labeled_windows(bh_train, ev_train, values)
-                test_bh = _labeled_windows(bh_test, ev_test, values)
-                forest_b, cols_b, medians_b, _, _ = _rf_fit(train_bh, values, rf_params, catalog)
-                results["rf_nopef"] = _rf_predict(test_bh, forest_b, cols_b, medians_b, catalog)
-                results["dtw_pef"] = dtw_result()
+    with _stage("classify"):
+        forest, cols, medians, _, _ = rf_pef
+        results = {"rf_pef": _rf_predict(test_pef, forest, cols, medians, catalog)}
+        if compare:
+            train_bh = _labeled_windows(bh_train, ev_train, values)
+            test_bh = _labeled_windows(bh_test, ev_test, values)
+            forest_b, cols_b, medians_b, _, _ = _rf_fit(train_bh, values, rf_params, catalog)
+            results["rf_nopef"] = _rf_predict(test_bh, forest_b, cols_b, medians_b, catalog)
+            results["dtw_pef"] = _dtw_predict(refs, ref_labels, test_pef, arm_params)
     return HeldOut(model, residual, catalog, rf_pef, reference, results)
 
 

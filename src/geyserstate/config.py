@@ -9,7 +9,8 @@ key declares; optional integers accept `none`, and no float key accepts
 Each default lives in one place.  A `synth.*`, `labels.*`, `forest.*` or
 `dtw.*` key is a field of `SynthConfig`, `LabelPolicy`, `ForestParams` or
 `DtwParams`: it takes its default from the field and its parser from
-`artifacts.parser_for` of that default, so a new field of one of these
+`artifacts.field_parsers` (by the field's default and annotation, so an
+`int | None` reads `none`), so a new field of one of these
 dataclasses becomes a key.  The few exceptions are named once each below.  The
 `features.*` defaults are the constants of `features.py`.  Keys with no
 library home (`out.dir`, `seed`, `paths.*`, `filter.*`, `ar.*`, `window.*`,
@@ -24,7 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import fields
 
-from .artifacts import parser_for
+from .artifacts import field_parsers, parser_for
 from .dtw import DtwParams
 from .errors import ConfigError, NumericError
 from .features import DEFAULT_CAP, DEFAULT_FDR_Q, DEFAULT_FFT_BINS, MIN_WINDOW_SAMPLES
@@ -68,25 +69,28 @@ def _key(section: str, name: str) -> str:
     return f"{section}.{_RENAMED.get(name, name)}"
 
 
-def _field_defaults(section: str, cls) -> dict:
-    """Key -> default for each field of `cls` set by a key of its section."""
-    defaults = {}
+def _field_defaults(section: str, cls, parsers: dict) -> dict:
+    """Key -> default for each field of `cls` set by a key of its section;
+    puts each key's parser, from `field_parsers`, in `parsers`."""
+    defaults, by_field = {}, field_parsers(cls)
     for f in fields(cls):
         if f.name == "ar_coefficients":
             defaults.update(zip(_AR_KEYS, f.default))
         elif f.name != "seed" and f.name not in _FROM_LABELS:  # the seed is --seed or `seed`
             defaults[_key(section, f.name)] = f.default
+            parsers[_key(section, f.name)] = by_field[f.name]
     return defaults
 
 
 def _registry() -> dict:
+    parsers = {}
     defaults = {
         "out.dir": "out",
         "seed": 42,
         "paths.signal": "",
         "paths.events": "",
         "paths.classes": "",
-        **_field_defaults("synth", SynthConfig),
+        **_field_defaults("synth", SynthConfig, parsers),
         "filter.order": 4,
         "filter.corner_hz": 0.1,
         "ar.max_order": 64,
@@ -94,15 +98,15 @@ def _registry() -> dict:
         "ar.train_fraction": 0.05,
         "window.length_s": 60.0,
         "window.stride_s": 60.0,
-        **_field_defaults("labels", LabelPolicy),
+        **_field_defaults("labels", LabelPolicy, parsers),
         "features.fdr_q": DEFAULT_FDR_Q,
         "features.cap": DEFAULT_CAP,
         "features.fft_bins": DEFAULT_FFT_BINS,
-        **_field_defaults("forest", ForestParams),
-        **_field_defaults("dtw", DtwParams),
+        **_field_defaults("forest", ForestParams, parsers),
+        **_field_defaults("dtw", DtwParams, parsers),
         "split.ratio": 2.0 / 3.0,
     }
-    keys = {key: (d, parser_for(d)) for key, d in defaults.items()}
+    keys = {key: (d, parsers.get(key) or parser_for(d)) for key, d in defaults.items()}
     keys["forest.max_features"] = (None, _parse_max_features)  # also reads `sqrt`
     return keys
 

@@ -12,7 +12,10 @@ matrix and (R,) label array that `dtw_reference.csv` holds.  One kernel,
 the whole reference matrix at once, keeping three rolling (n+1, R)
 diagonal buffers, one cost buffer and the reversed query repeated per
 reference, so memory is O(R*(n+m)) and neither the cost matrix nor the
-(n+1)^2 accumulator is ever built.
+(n+1)^2 accumulator is ever built.  The sweep visits only the cells of a
+Sakoe-Chiba band, by default 30 of the 600 pooled points (5%); a
+`band_radius` of None sweeps the whole grid.  Over seeds 1-10 the band
+moved dtw_pef macro F1 0.352 -> 0.343 (Wilcoxon p = 0.70) and its time 0.56 -> 0.17 s.
 `dtw_distance` is the R = 1 case; `knn_dtw_classify` makes one sweep per query.
 """
 
@@ -33,7 +36,7 @@ LOCAL_COSTS = ("squared", "absolute")
 class DtwParams:
     k_neighbors: int = 1
     local_cost: str = "squared"
-    band_radius: int | None = None
+    band_radius: int | None = 30  # None sweeps the whole grid
     downsample_to: int = 600
     z_normalize: bool = False
 
@@ -80,9 +83,11 @@ def _dtw_batch(refs: np.ndarray, query: np.ndarray, params: DtwParams) -> np.nda
     Every cell on diagonal s depends only on diagonals s-1 and s-2, so three
     rolling (n+1, R) buffers indexed by i hold the whole state, and each
     sweep step is a contiguous slice per buffer that the new diagonal
-    accumulates into in place.  An optional Sakoe-Chiba
-    band keeps |i - j| = |2i - s| <= band_radius; a band narrower than the
-    length difference admits no path and is rejected.
+    accumulates into in place.  A Sakoe-Chiba band keeps |i - j| =
+    |2i - s| <= band_radius: each diagonal computes only its rows inside
+    the band and sets the row on each side of them to +inf, the cells
+    outside the band that the next two diagonals read.  A band narrower
+    than the length difference admits no path and is rejected.
     """
     n_refs, n = refs.shape
     m = query.size
@@ -102,15 +107,20 @@ def _dtw_batch(refs: np.ndarray, query: np.ndarray, params: DtwParams) -> np.nda
         lo = max(1, s - m)
         hi = min(n, s - 1)
         diag, edge, cur = bufs[(s - 2) % 3], bufs[(s - 1) % 3], bufs[s % 3]
+        if r is not None:
+            lo = max(lo, (s - r + 1) // 2)
+            hi = min(hi, (s + r) // 2)
+            if lo > hi:  # r = 0 and s odd: no cell on the diagonal
+                continue
+            cur[lo - 1] = np.inf
+            if hi < n:
+                cur[hi + 1] = np.inf
         c = cost[: hi - lo + 1]
         np.subtract(refs_t[lo - 1:hi], q_rev[m - s + lo:m - s + hi + 1], out=c)
         if params.local_cost == "squared":
             np.multiply(c, c, out=c)
         else:
             np.abs(c, out=c)
-        if r is not None:
-            c[: max(0, (s - r + 1) // 2 - lo)] = np.inf
-            c[max(0, (s + r) // 2 - lo + 1):] = np.inf
         # the diagonal accumulates in place; IEEE + is commutative, so
         # best + cost and cost + best are the same bits
         d = cur[lo:hi + 1]

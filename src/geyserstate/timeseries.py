@@ -358,7 +358,7 @@ def _load_streaming(path: str, fs_hz: float) -> TimeSeries:
     prev_t: float | None = None
     width = 0  # columns per row, set by the first row, the header included
     period = 1.0 / fs_hz
-    with read_artifact(path) as rows:
+    with read_artifact(path, whole_lines=False) as rows:
         for cells in rows:
             try:
                 fields = [float(p) for p in cells]
@@ -412,7 +412,7 @@ def save_timeseries(ts: TimeSeries, path: str, header_comments: list[str] | None
 
 def load_events(path: str) -> EventLog:
     """Read an event file: one onset timestamp per line, `#` comments allowed."""
-    with read_artifact(path) as art:
+    with read_artifact(path, whole_lines=False) as art:
         (times,) = art.columns(float)
         return EventLog(times)
 

@@ -18,6 +18,7 @@ from geyserstate.dtw import (
     LOCAL_COSTS, DtwParams, load_reference, pool_reference, save_reference,
 )
 from geyserstate.errors import ConfigError, DataError
+from geyserstate.features import default_catalog, load_feature_matrix, save_feature_matrix
 from geyserstate.forest import Forest, ForestParams, Tree, load_forest, save_forest
 from geyserstate.timeseries import LabeledWindow
 
@@ -73,6 +74,35 @@ def test_fault_after_the_rows_names_file_only(tmp_path):
             list(art)
             raise ConfigError("bad value")
     assert str(info.value).endswith("a.csv: bad value")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("# seed=1\na,b\n1,2\n3,4", 4), ("# seed=1\na,b\n1,2\n\n# part=2", 5), ("# seed=1", 1),
+], ids=["row", "comment-after-a-blank", "only-a-comment"])
+def test_a_last_line_without_its_newline_is_a_cut_file(tmp_path, text, line):
+    """A table the package wrote ends every line; a caller's table
+    (`whole_lines=False`) may end without a newline."""
+    path = tmp_path / "a.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=rf"a\.csv: no newline ends the last line: the file "
+                                        rf"is cut short at line {line}$"):
+        with read_artifact(str(path), header=True) as art:
+            art.columns(int)
+    with read_artifact(str(path), header=True, whole_lines=False) as art:
+        assert [c.tolist() for c in art.columns(int)] == (
+            [[1, 3], [2, 4]] if line == 4 else [[1], [2]] if line == 5 else [[]])
+
+
+def test_feature_matrix_cut_inside_its_last_number_is_a_data_error(tmp_path):
+    catalog = default_catalog(50.0, 4)
+    matrix = np.arange(2.5, 2.5 + 2 * len(catalog)).reshape(2, len(catalog))
+    path = tmp_path / "features.csv"
+    save_feature_matrix(matrix, np.array([1, 2]), np.array([0.0, 10.0]), catalog, str(path))
+    data = path.read_bytes()
+    path.write_bytes(data[:-3])
+    with pytest.raises(DataError, match=r"features\.csv: no newline ends the last line: "
+                                        r"the file is cut short at line \d+$"):
+        load_feature_matrix(str(path), catalog)
 
 
 def test_missing_key_and_undecodable_bytes(tmp_path):
@@ -429,5 +459,5 @@ def test_default_params_lines_of_both_model_files(tmp_path):
     _round_trip(tmp_path, ForestParams(), DtwParams())
     assert ("# params n_trees=100 max_features=None min_samples_leaf=1 max_depth=None "
             "bootstrap=1 seed=0\n") in (tmp_path / "forest.txt").read_text()
-    assert ("# params k_neighbors=1 local_cost=squared band_radius=None downsample_to=600 "
+    assert ("# params k_neighbors=1 local_cost=squared band_radius=30 downsample_to=600 "
             "z_normalize=0\n") in (tmp_path / "dtw_reference.csv").read_text()

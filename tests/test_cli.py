@@ -784,6 +784,39 @@ def test_classify_input_fault_exits_3_naming_the_file(
     assert name in capsys.readouterr().err
 
 
+# the tables a command reads that the package wrote, each with the command
+# that reads it: `write_table` ends every line, the last too
+WRITTEN_INPUTS = {
+    "forest.txt": ("classify",), "feature_mask.csv": ("classify",), "impute.csv": ("classify",),
+    "dtw_reference.csv": ("classify", "--classifier", "dtw"), "predictions.csv": ("eval",),
+}
+
+
+@pytest.mark.parametrize("name", WRITTEN_INPUTS)
+def test_a_written_table_cut_inside_its_last_number_exits_3_naming_the_line(
+    trained_tiny, tmp_path, capsys, name
+):
+    """The final newline goes, and the last two characters of the last
+    cell where it has more (a number that still parses, so only the
+    missing newline tells the cut): exit 3 naming the file and the line."""
+    cfg, trained = trained_tiny
+    out = str(tmp_path / "o")
+    shutil.copytree(trained, out)
+    path = os.path.join(out, name)
+    data = read(path)
+    assert data.endswith(b"\n")
+    body = data[:-1]
+    last_cell = body.rsplit(b"\n", 1)[-1].rsplit(b",", 1)[-1]
+    cut = body[: len(body) - min(2, len(last_cell) - 1)]
+    with open(path, "wb") as fh:
+        fh.write(cut)
+    assert run(*WRITTEN_INPUTS[name], "--config", cfg, "--out", out) == 3
+    line = len(cut.splitlines())
+    assert capsys.readouterr().err.endswith(
+        f"{path}: no newline ends the last line: the file is cut short at line {line}\n"
+    )
+
+
 # -- global flags and exit codes -----------------------------------------------------
 
 
@@ -968,52 +1001,31 @@ def test_pipeline_logs_each_stage_and_features_kept(tiny_cfg, tmp_path, caplog):
     assert re.search(r"selected \d+ of \d+ features", caplog.text)
 
 
-# Counts the calls of the DTW layer: each call appends its name to the file
-# COUNTS, so that the calls of a forked DTW arm count too.
-_COUNT_DTW_CALLS = """
-from geyserstate import dtw
-for module, name in ((cli, "knn_dtw_classify"), (dtw, "mean_pool"), (dtw, "_dtw_batch")):
-    def counted(*args, fn=getattr(module, name), name=name):
-        with open(COUNTS, "a", encoding="utf-8") as fh:
-            fh.write(name + "\\n")
-        return fn(*args)
-    setattr(module, name, counted)
-"""
-
-
-def test_dtw_pools_each_window_once_and_sweeps_once_per_query(
-    tiny_cfg, tmp_path, monkeypatch, caplog, cli_process, in_process
-):
+def test_dtw_pools_each_window_once_and_sweeps_once_per_query(tiny_cfg, tmp_path, monkeypatch):
     """save_reference pools the training windows once and classify reads them
     back pooled; each query is pooled once and swept against them once, by
-    pipeline's DTW arm in forked children (in a new interpreter) and in
-    process alike."""
-    log = tmp_path / "counts"
+    pipeline's DTW arm and by classify."""
+    calls = collections.Counter()
+    for module, name in ((cli, "knn_dtw_classify"), (dtw, "mean_pool"), (dtw, "_dtw_batch")):
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
 
     def counts():
-        calls = collections.Counter(log.read_text().split())
-        log.unlink()
-        return calls
+        seen = dict(calls)
+        calls.clear()
+        return seen
 
     def rows(name):
         return sum(line[:1].isdigit() for line in read(os.path.join(out, name)).decode().splitlines())
 
-    out = str(tmp_path / "forked")
-    proc = cli_process("pipeline", "--compare", "--config", tiny_cfg, "--out", out,
-                       prelude=f"COUNTS = {str(log)!r}\n" + _COUNT_DTW_CALLS)
-    assert proc.returncode == 0, proc.stderr
-    assert ("dtw arm: child pid=" in proc.stderr) == cli_process.can_fork
-    forked = counts()
-    caplog.set_level(logging.INFO, logger="geyserstate.cli")
-    # the same counters in this process, undone by monkeypatch after the test
-    exec(_COUNT_DTW_CALLS, {"cli": cli, "COUNTS": str(log), "setattr": monkeypatch.setattr})
     out = str(tmp_path / "o")
     assert run("pipeline", "--compare", "--config", tiny_cfg, "--out", out) == 0
-    assert "dtw arm: in process (test)" in caplog.text
     refs, queries = rows("dtw_reference.csv"), rows("predictions_dtw_pef.csv")
     assert refs > 1 and queries > 1
-    assert counts() == forked == {"knn_dtw_classify": queries, "_dtw_batch": queries,
-                                  "mean_pool": refs + queries}
+    assert counts() == {"knn_dtw_classify": queries, "_dtw_batch": queries,
+                        "mean_pool": refs + queries}
     assert run("classify", "--config", tiny_cfg, "--out", out, "--classifier", "dtw") == 0
     queries = rows("predictions.csv")
     assert counts() == {"knn_dtw_classify": queries, "_dtw_batch": queries, "mean_pool": queries}
@@ -1059,9 +1071,7 @@ def test_plain_pipeline_writes_the_rf_pef_files_of_compare(tiny_cfg, tmp_path):
         assert read(os.path.join(plain, name)) == read(os.path.join(compare, arm.get(name, name)))
 
 
-def test_run_held_out_writes_nothing_and_scores_as_compare(
-    tiny_cfg, tmp_path, monkeypatch, in_process
-):
+def test_run_held_out_writes_nothing_and_scores_as_compare(tiny_cfg, tmp_path, monkeypatch):
     """run_held_out with every file writer refusing: each arm's macro
     precision, recall and F1 are the row of comparison.csv that pipeline
     --compare writes at the same seed."""
@@ -1154,9 +1164,9 @@ def test_pipeline_rejecting_a_window_or_dtw_value_leaves_no_series_file(
     """The window, filter, AR, feature, split, label, forest and DTW values,
     and a `paths.events` the synthesized events would overwrite, are checked
     before the first write: a value any stage rejects exits 2 with nothing in
-    `--out`, no inner stage named, and the DTW arm never started (so no
-    child forked).  A config value fails as the config is read, naming its
-    file, and its line too when the key's own range refuses it."""
+    `--out`, no inner stage named, and the DTW arm never started.  A config
+    value fails as the config is read, naming its file, and its line too
+    when the key's own range refuses it."""
     cfg = tmp_path / "bad.cfg"
     out = tmp_path / "o"
     out.mkdir()
@@ -1165,7 +1175,7 @@ def test_pipeline_rejecting_a_window_or_dtw_value_leaves_no_series_file(
     def arm(*args):
         raise AssertionError("the DTW arm started")
 
-    monkeypatch.setattr(cli, "_dtw_arm", arm)
+    monkeypatch.setattr(cli, "_dtw_predict", arm)
     assert run("pipeline", *compare, "--config", str(cfg), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert f"error: {error.format(cfg=cfg, out=out)}\n" in err

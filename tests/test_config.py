@@ -117,6 +117,16 @@ def test_parses_values_comments_and_blanks(tmp_path):
     assert values["synth.enforce_amplitude_cap"] is False
 
 
+def test_band_radius_none_parses_to_none(tmp_path):
+    """`dtw.band_radius` defaults to 30 pooled points; `none` is the whole
+    grid, read by the `int | None` annotation as in a model file."""
+    path = tmp_path / "a.cfg"
+    path.write_text("dtw.band_radius = none\n")
+    assert default_config()["dtw.band_radius"] == 30
+    assert load_config(str(path))["dtw.band_radius"] is None
+    assert dtw_params(load_config(str(path))).band_radius is None
+
+
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("filter.cornerr_hz = 0.1\n")

@@ -94,7 +94,7 @@ def test_dtw_matches_path_enumeration_on_random_pairs():
         a = rng.normal(size=na)
         b = rng.normal(size=nb)
         cost = "squared" if trial % 2 == 0 else "absolute"
-        mine = dtw_distance(a, b, DtwParams(local_cost=cost))
+        mine = dtw_distance(a, b, DtwParams(local_cost=cost, band_radius=None))
         oracle = path_enumeration_dtw(a, b, cost)
         assert mine == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
@@ -104,7 +104,7 @@ def test_dtw_matches_plain_dp_on_medium_series():
     for cost in ("squared", "absolute"):
         a = rng.normal(size=83)
         b = rng.normal(size=97)
-        assert dtw_distance(a, b, DtwParams(local_cost=cost)) == pytest.approx(
+        assert dtw_distance(a, b, DtwParams(local_cost=cost, band_radius=None)) == pytest.approx(
             plain_dp_dtw(a, b, cost), rel=1e-12
         )
 
@@ -122,7 +122,7 @@ def test_dtw_band_monotone_and_converges_to_unbanded():
     rng = np.random.default_rng(37)
     a = rng.normal(size=40)
     b = rng.normal(size=44)
-    unbanded = dtw_distance(a, b)
+    unbanded = dtw_distance(a, b, DtwParams(band_radius=None))
     prev = np.inf
     for r in (4, 8, 16, 44):
         d = dtw_distance(a, b, DtwParams(band_radius=r))
@@ -231,8 +231,8 @@ def _recorded_batches(monkeypatch):
 @pytest.mark.parametrize(
     "params",
     [
-        DtwParams(local_cost="squared"),
-        DtwParams(local_cost="absolute"),
+        DtwParams(local_cost="squared", band_radius=None),
+        DtwParams(local_cost="absolute", band_radius=None),
         DtwParams(local_cost="squared", band_radius=6),
         DtwParams(local_cost="absolute", band_radius=6),
     ],
@@ -256,12 +256,15 @@ def test_knn_batched_distances_equal_plain_dp_exactly(monkeypatch, params):
 @st.composite
 def sweep_cases(draw):
     """R references of length n and a query of length m (1-12 each, so
-    unequal lengths and length 1 both come up), a band of none, 0, the
-    length gap or wider than either series, and a local cost."""
+    unequal lengths and length 1 both come up), a band of none, 0-3, the
+    length gap, the gap + 1 or wider than either series (so the rows each
+    banded diagonal resets to +inf are read), and a local cost."""
     n_refs = draw(st.integers(1, 5))
     n = draw(st.integers(1, 12))
     m = draw(st.integers(1, 12))
-    band = draw(st.sampled_from([None, 0, abs(n - m), max(n, m) + draw(st.integers(0, 3))]))
+    gap = abs(n - m)
+    band = draw(st.sampled_from([None, 0, 1, 2, 3, gap, gap + 1,
+                                 max(n, m) + draw(st.integers(0, 3))]))
     cost = draw(st.sampled_from(dtw.LOCAL_COSTS))
     finite = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
     refs = np.array(draw(st.lists(st.lists(finite, min_size=n, max_size=n),
@@ -340,6 +343,27 @@ def test_reference_round_trip(tmp_path):
     assert loaded_params == params
     assert np.array_equal(loaded, refs) and np.array_equal(loaded_labels, labels)
     assert path.read_text().startswith("# seed=41\n")
+
+
+def test_a_reference_saved_unbanded_loads_and_sweeps_the_whole_grid(tmp_path, monkeypatch):
+    """`band_radius=None` in a reference file (as every file written before
+    the band became the default carries) reads back as None, and classify
+    then sweeps the whole grid: every distance is the unbanded double
+    loop's, where a radius-1 band gives others."""
+    rng = np.random.default_rng(61)
+    params = DtwParams(band_radius=None, downsample_to=16)
+    windows = [LabeledWindow(rng.normal(size=16), 10.0 * i, 1 + i % 3) for i in range(4)]
+    path = tmp_path / "reference.csv"
+    save_reference(windows, pool_reference(windows, params)[0], str(path), params)
+    assert " band_radius=None " in path.read_text()
+    refs, labels, loaded = load_reference(str(path))
+    assert loaded == params and loaded.band_radius is None
+    query = rng.normal(size=16)
+    calls = _recorded_batches(monkeypatch)
+    knn_dtw_classify(refs, labels, query, loaded)
+    distances = calls[0][2].tolist()
+    assert distances == [plain_dp_dtw(ref, query) for ref in refs]
+    assert distances != [plain_dp_dtw(ref, query, band_radius=1) for ref in refs]
 
 
 def test_reference_file_errors(tmp_path):

@@ -206,6 +206,16 @@ def test_load_events_rejects_garbage(tmp_path):
         load_events(str(p))
 
 
+def test_a_callers_tables_may_end_without_a_newline(tmp_path):
+    """Unlike a table the package wrote, a caller's signal table and events
+    file load with no newline after their last row."""
+    sig, events = tmp_path / "sig.csv", tmp_path / "events.csv"
+    sig.write_text("0.0,1.5\n0.005,2.5")
+    events.write_text("400.0\n850.0")
+    assert list(load_timeseries(str(sig), 200.0).values) == [1.5, 2.5]
+    assert list(load_events(str(events)).event_times_s) == [400.0, 850.0]
+
+
 def test_utf8_byte_order_mark_keeps_the_first_sample(tmp_path):
     p = tmp_path / "sig.csv"
     p.write_bytes(b"\xef\xbb\xbf0.0,1.5\n0.005,2.5\n0.01,3.5\n")
